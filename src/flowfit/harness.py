@@ -428,7 +428,11 @@ def _replicate_errors(
     seed: int,
     queries: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Per-query error norms (NaN on failure) and the failure count."""
+    """Per-query error norms (NaN on failure) and the failure count.
+
+    A query fails when its estimator raises a known error or returns a
+    non-finite estimate.
+    """
     kernel = resolve_kernel(cfg.kernel)
     errs = np.full(queries.shape[0], np.nan)
     failures = 0
@@ -457,6 +461,9 @@ def _replicate_errors(
             except SingularDesign:
                 failures += 1
                 continue
+            if not np.all(np.isfinite(est)):
+                failures += 1
+                continue
             errs[q] = np.linalg.norm(est - truth[q])
         return errs, failures
 
@@ -480,6 +487,9 @@ def _replicate_errors(
                     x, curve, cfg.stencil, fallback=cfg.fallback
                 ).value
         except NoStencilFound:
+            failures += 1
+            continue
+        if not np.all(np.isfinite(est)):
             failures += 1
             continue
         errs[q] = np.linalg.norm(est - truth[q])

@@ -20,10 +20,19 @@ monomial ``x^alpha`` by ``alpha!`` (the default here), ``plain`` does
 not (the convention of the interpolation module).  Basis entries are
 ordered by total degree, then lexicographically with earlier coordinates
 taking precedence, e.g. for d=2, ell=2: 1, a, b, a^2, ab, b^2.
+
+Because the weights vanish outside the bandwidth ball, a fit on 1-D
+design points that are nondecreasing (every time grid of a long
+trajectory) scans only the index range that can lie within one
+bandwidth of ``x``, found by bisection; any other design is scanned in
+full.  Both paths apply the same exact ``radius < 1`` test to the points
+they scan and keep the full ``n`` in the weight scale, so they return
+the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -150,6 +159,16 @@ def _factorial_scale(indices: Sequence[tuple[int, ...]]) -> np.ndarray:
     return np.array([np.prod([math.factorial(a) for a in alpha]) for alpha in indices], dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_plan(d: int, ell: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], np.ndarray]:
+    """Per basis column its ``(coordinate, exponent)`` factors, and ``alpha!``."""
+    indices = multi_indices(d, ell)
+    factors = tuple(tuple((j, a) for j, a in enumerate(alpha) if a) for alpha in indices)
+    scale = _factorial_scale(indices)
+    scale.setflags(write=False)
+    return factors, scale
+
+
 def monomial_basis(x: np.ndarray, ell: int, mode: str = "factorial-scaled") -> np.ndarray:
     """Evaluate the monomial basis at points of shape ``(..., d)``.
 
@@ -160,18 +179,21 @@ def monomial_basis(x: np.ndarray, ell: int, mode: str = "factorial-scaled") -> n
     if mode not in BASIS_MODES:
         raise ValueError(f"mode must be one of {BASIS_MODES}")
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    indices = multi_indices(d, ell)
+    factors, scale = _basis_plan(x.shape[-1], ell)
     cols = []
-    for alpha in indices:
-        col = np.ones(x.shape[:-1])
-        for j, a in enumerate(alpha):
-            if a:
-                col = col * x[..., j] ** a
+    for column in factors:
+        if not column:
+            cols.append(np.ones(x.shape[:-1]))
+            continue
+        # start from the first factor rather than ones: 1.0 * v == v exactly
+        (j, a), *rest = column
+        col = x[..., j] ** a
+        for j, a in rest:
+            col = col * x[..., j] ** a
         cols.append(col)
     out = np.stack(cols, axis=-1)
     if mode == "factorial-scaled":
-        out = out / _factorial_scale(indices)
+        out = out / scale
     return out
 
 
@@ -209,11 +231,17 @@ def deriv_basis_at_zero(
 
 @dataclass(frozen=True)
 class RegressionData:
-    """Design points in ``[0, T]^d`` with vector targets."""
+    """Design points in ``[0, T]^d`` with vector targets.
+
+    `sorted_times` is set once, at construction: the points as a flat
+    array when they are 1-D and nondecreasing, else None.  Fits on such
+    data scan only the points within reach of the bandwidth.
+    """
 
     points: np.ndarray
     targets: np.ndarray
     extent: float
+    sorted_times: np.ndarray | None = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -226,6 +254,10 @@ class RegressionData:
             raise ValueError("points and targets must have equal length")
         if self.extent <= 0:
             raise ValueError("extent must be positive")
+        times = pts[:, 0] if pts.shape[1] == 1 else None
+        if times is not None and not np.all(times[1:] >= times[:-1]):
+            times = None  # unsorted, or NaN
+        object.__setattr__(self, "sorted_times", times)
 
     @property
     def n(self) -> int:
@@ -267,12 +299,26 @@ class LocalPolyFit:
             raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
 
 
+def _window(x: np.ndarray, data: RegressionData, bandwidth: float) -> slice:
+    """Index range of the points that can lie within `bandwidth` of ``x``.
+
+    Bisection on sorted 1-D points; ``reach`` adds a relative 1e-12, far
+    above the roundings in a radius, so no point that the exact
+    ``radius < 1`` test keeps is cut.  Other data is scanned in full.
+    """
+    if data.sorted_times is None:
+        return slice(0, data.n)
+    t = x.item()
+    reach = bandwidth + 1e-12 * (abs(t) + bandwidth)
+    lo, hi = np.searchsorted(data.sorted_times, (t - reach, t + reach))
+    return slice(int(lo), int(hi))
+
+
 def _local_terms(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
+    x: np.ndarray, points: np.ndarray, fit: LocalPolyFit, kernel: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask, basis rows, and kernel values of the in-bandwidth points."""
-    x = np.asarray(x, dtype=float)
-    diffs = (data.points - x) / fit.bandwidth
+    """Mask, basis rows, and kernel values of the in-bandwidth `points`."""
+    diffs = (points - x) / fit.bandwidth
     radii = np.linalg.norm(diffs, axis=1)
     inside = radii < 1.0  # weights are exactly zero at radius >= bandwidth
     psi = monomial_basis(diffs[inside], fit.degree, fit.basis_mode)
@@ -286,7 +332,9 @@ def design_matrix(
     """The symmetric matrix ``B(x)``; positive semidefinite by construction."""
     d = data.dim
     scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    inside, psi, kvals = _local_terms(x, data, fit, kernel)
+    x = np.asarray(x, dtype=float)
+    window = _window(x, data, fit.bandwidth)
+    _, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
     if psi.shape[0] == 0:
         return np.zeros((n_basis(d, fit.degree),) * 2)
     return scale * (psi.T * kvals) @ psi
@@ -294,12 +342,17 @@ def design_matrix(
 
 def _solve_design(
     x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared core: returns (inside, psi, kvals, B^{-1} applied via eigh)."""
+) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shared core: returns (window, inside, psi, kvals, B^{-1} applied via eigh).
+
+    `inside` masks the in-bandwidth points of ``data.points[window]``.
+    """
     d = data.dim
     num_basis = n_basis(d, fit.degree)
     scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    inside, psi, kvals = _local_terms(x, data, fit, kernel)
+    x = np.asarray(x, dtype=float)
+    window = _window(x, data, fit.bandwidth)
+    inside, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
     if psi.shape[0] == 0:
         raise SingularDesign(0.0, x)
     bmat = scale * (psi.T * kvals) @ psi
@@ -308,7 +361,7 @@ def _solve_design(
     if eigvals[0] <= floor:
         raise SingularDesign(float(eigvals[0]), x)
     inv = eigvecs @ (eigvecs / eigvals).T
-    return inside, psi, kvals, inv
+    return window, inside, psi, kvals, inv
 
 
 def lp_weights(
@@ -325,14 +378,14 @@ def lp_weights(
         When the smallest eigenvalue of ``B(x)`` falls at or below the
         scale-aware floor ``1e-10 * trace(B) / N``.
     """
-    inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
+    window, inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
     d = data.dim
     dpsi0 = deriv_basis_at_zero(
         d, fit.degree, [np.asarray(v) for v in fit.directions], fit.basis_mode
     )
     scale = data.extent ** d / (data.n * fit.bandwidth ** (d + fit.deriv_order))
     w = np.zeros(data.n)
-    w[inside] = scale * ((inv @ dpsi0) @ psi.T) * kvals
+    w[window][inside] = scale * ((inv @ dpsi0) @ psi.T) * kvals
     return w
 
 
@@ -353,10 +406,10 @@ def lp_coefficients(
     the value estimate (row of the zero index) and every derivative
     estimate up to the fitted degree.  ``fit.deriv_order`` is ignored.
     """
-    inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
+    window, inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
     d = data.dim
     scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    avec = scale * (psi.T * kvals) @ data.targets[inside]
+    avec = scale * (psi.T * kvals) @ data.targets[window][inside]
     return inv @ avec
 
 

@@ -14,6 +14,7 @@ lies in their convex hull and the interpolation is provably stable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -83,6 +84,8 @@ class SnakeDataset:
             raise ValueError("dt must be positive")
         if obs.shape[0] < 1 or obs.shape[1] != x1.size:
             raise ValueError("observations must be (n, d) with n >= 1")
+        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(obs))):
+            raise ValueError("initial state and observations must be finite")
 
     @property
     def n(self) -> int:
@@ -207,6 +210,12 @@ GRID_PER_BANDWIDTH = 16
 WIDEN_FACTOR = 1.5
 MAX_WIDENINGS = 8
 
+# Golden-section steps of one nearest-time search, and the fitted times a
+# curve remembers: every fit of one search, so the velocity at the time it
+# returns reuses that fit.
+GOLDEN_STEPS = 48
+FIT_CACHE_SIZE = GOLDEN_STEPS + 2
+
 
 def _curve_bandwidth(ds: SnakeDataset, beta: int, constant: float) -> float:
     """Sup-norm-mode plug-in bandwidth for the curve regression.
@@ -243,10 +252,16 @@ def fit_curve(
 
     Componentwise local polynomial regression in time of degree
     ``max(1, beta)``; the value and velocity estimates share one fitted
-    coefficient block per evaluation time.  Windows that touch the ends
-    of ``[0, T]`` are one-sided; if such a window has too few points to
-    determine the fit it is widened by factors of 1.5, and times within
-    one bandwidth of either end are flagged by ``boundary``.
+    coefficient block per evaluation time, and the blocks of the last
+    `FIT_CACHE_SIZE` times are kept, so ``u(t)`` then ``du(t)`` fits
+    once.  Windows that touch the ends of ``[0, T]`` are one-sided; if
+    such a window has too few points to determine the fit it is widened
+    by factors of 1.5, and times within one bandwidth of either end are
+    flagged by ``boundary``.
+
+    The observation times are 1-D and nondecreasing, so each fit scans
+    only the observations within reach of its bandwidth (see
+    :mod:`flowfit.localpoly`); the result is the same as a full scan.
     """
     if beta is None:
         beta = int(ds.meta.get("smoothness", 1))
@@ -261,12 +276,15 @@ def fit_curve(
     degree = max(1, beta)
     data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
 
+    @functools.lru_cache(maxsize=FIT_CACHE_SIZE)
     def coefficients(t: float) -> tuple[np.ndarray, float]:
         h = bandwidth
         for _ in range(MAX_WIDENINGS):
             fit = LocalPolyFit(degree=degree, bandwidth=h)
             try:
-                return lp_coefficients(np.array([t]), data, fit, kernel), h
+                theta = lp_coefficients(np.array([t]), data, fit, kernel)
+                theta.setflags(write=False)  # shared by every caller of t
+                return theta, h
             except SingularDesign:
                 h *= WIDEN_FACTOR
         raise SingularDesign(0.0, np.array([t]))
@@ -287,14 +305,16 @@ def fit_curve(
     )
 
 
-def _golden_section(fun: Callable[[float], float], lo: float, hi: float) -> float:
-    """Deterministic golden-section minimizer on [lo, hi]."""
+def _golden_section(
+    fun: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    """Deterministic golden-section minimizer on [lo, hi]: ``(t, fun(t))``."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(48):
+    for _ in range(GOLDEN_STEPS):
         if b - a < 1e-12 * max(1.0, abs(b)):
             break
         if fc <= fd:  # keep the left interval on ties: smallest-t bias
@@ -305,7 +325,7 @@ def _golden_section(fun: Callable[[float], float], lo: float, hi: float) -> floa
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = fun(d)
-    return c if fc <= fd else d
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def nn_time(curve: CurveEstimate, x: np.ndarray) -> float:
@@ -327,9 +347,9 @@ def nn_time(curve: CurveEstimate, x: np.ndarray) -> float:
     def fun(t: float) -> float:
         return float(np.linalg.norm(np.asarray(curve.u(t)) - x))
 
-    t_star = _golden_section(fun, float(lo), float(hi))
+    t_star, f_star = _golden_section(fun, float(lo), float(hi))
     # never return a worse time than the grid argmin
-    return t_star if fun(t_star) <= dists[k] else float(curve.grid_times[k])
+    return t_star if f_star <= dists[k] else float(curve.grid_times[k])
 
 
 def estimate_lipschitz(x: np.ndarray, curve: CurveEstimate) -> np.ndarray:

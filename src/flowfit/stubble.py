@@ -89,6 +89,8 @@ class StubbleDataset:
             raise ValueError(
                 f"observations must have shape {(m, self.beta, d)}, got {obs.shape}"
             )
+        if not (np.all(np.isfinite(initials)) and np.all(np.isfinite(obs))):
+            raise ValueError("initial states and observations must be finite")
 
     @property
     def m(self) -> int:

@@ -274,3 +274,30 @@ def test_query_specs_build():
     assert tube.shape == (8, 2)
     dists = np.linalg.norm(tube[:, None, :] - curve[None, :, :], axis=2).min(axis=1)
     assert dists.max() <= 0.05 + 1e-12
+
+
+@pytest.mark.parametrize("model", ["stubble-lip", "snake-lip"])
+def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
+    import flowfit.harness as harness
+
+    module = harness.stubble if model == "stubble-lip" else harness.snake
+    real = module.estimate_lipschitz
+    calls = []
+
+    def nan_on_first_query(*args, **kwargs):
+        calls.append(1)
+        est = real(*args, **kwargs)
+        return np.full_like(est, np.nan) if len(calls) == 1 else est
+
+    monkeypatch.setattr(module, "estimate_lipschitz", nan_on_first_query)
+    if model == "stubble-lip":
+        cfg = constant_config(ns=(16,))
+    else:
+        cfg = ExperimentConfig(
+            model="snake-lip", field="rotation", ns=(256,), d=2, sigma=0.05,
+            dt_rule="fixed-horizon", horizon=2 * math.pi, replicates=1, seed=3,
+            x1=(1.0, 0.0), queries=QuerySpec(kind="tube", count=9, delta=0.02),
+        )
+    (row,) = run_experiment(cfg).rows
+    assert row.failures == 1
+    assert math.isfinite(row.error)

@@ -253,3 +253,169 @@ def test_kernel_validation():
         KernelSpec(func=lambda z: np.zeros_like(z))
     assert epanechnikov()(np.array([2.0])) == 0.0
     assert uniform_kernel().lipschitz is False
+
+
+# --- windowed fits on sorted 1-D points against a full scan -----------------
+
+
+def reference_basis(z, ell, mode):
+    """The monomial basis built column by column from ones."""
+    cols = []
+    for alpha in multi_indices(z.shape[-1], ell):
+        col = np.ones(z.shape[:-1])
+        for j, a in enumerate(alpha):
+            if a:
+                col = col * z[..., j] ** a
+        cols.append(col)
+    out = np.stack(cols, axis=-1)
+    if mode == "factorial-scaled":
+        out = out / np.array(
+            [math.prod(math.factorial(a) for a in alpha)
+             for alpha in multi_indices(z.shape[-1], ell)], dtype=float)
+    return out
+
+
+def full_scan_fit(x, data, fit, kernel):
+    """Coefficients and weights of the fit at ``x`` with every point scanned.
+
+    The same operations, in the same order, as the package applies to the
+    points it scans; raises SingularDesign in the same cases.
+    """
+    x = np.asarray(x, dtype=float)
+    d = data.dim
+    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
+    diffs = (data.points - x) / fit.bandwidth
+    radii = np.linalg.norm(diffs, axis=1)
+    inside = radii < 1.0
+    psi = reference_basis(diffs[inside], fit.degree, fit.basis_mode)
+    kvals = kernel(radii[inside])
+    if psi.shape[0] == 0:
+        raise SingularDesign(0.0, x)
+    bmat = scale * (psi.T * kvals) @ psi
+    eigvals, eigvecs = np.linalg.eigh(bmat)
+    if eigvals[0] <= 1e-10 * np.trace(bmat) / n_basis(d, fit.degree):
+        raise SingularDesign(float(eigvals[0]), x)
+    inv = eigvecs @ (eigvecs / eigvals).T
+    coef = inv @ (scale * (psi.T * kvals) @ data.targets[inside])
+    dpsi0 = deriv_basis_at_zero(
+        d, fit.degree, [np.asarray(v) for v in fit.directions], fit.basis_mode
+    )
+    w = np.zeros(data.n)
+    w[inside] = (
+        data.extent ** d / (data.n * fit.bandwidth ** (d + fit.deriv_order))
+        * ((inv @ dpsi0) @ psi.T) * kvals
+    )
+    return coef, w
+
+
+def package_fit(x, data, fit, kernel):
+    return lp_coefficients(x, data, fit, kernel), lp_weights(x, data, fit, kernel)
+
+
+def or_singular(fn, *args):
+    try:
+        return fn(*args)
+    except SingularDesign:
+        return "singular"
+
+
+def assert_same_as_full_scan(x, data, fit, kernel):
+    want = or_singular(full_scan_fit, x, data, fit, kernel)
+    got = or_singular(package_fit, x, data, fit, kernel)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def make_fit(degree, bandwidth, slope):
+    if slope and degree >= 1:
+        return LocalPolyFit(degree=degree, bandwidth=bandwidth, deriv_order=1,
+                            directions=((1.0,),))
+    return LocalPolyFit(degree=degree, bandwidth=bandwidth)
+
+
+KERNELS = st.sampled_from([epanechnikov(), uniform_kernel()])
+
+
+@given(
+    extent=st.sampled_from([1.0, 2 * math.pi, 10.0]),
+    ticks=st.lists(st.integers(0, 60), min_size=3, max_size=40),
+    step=st.integers(1, 20),
+    at_tick=st.one_of(st.none(), st.integers(-10, 70)),
+    where=st.floats(-0.3, 1.3),
+    exact_edges=st.booleans(),
+    degree=st.integers(0, 3),
+    slope=st.booleans(),
+    kernel=KERNELS,
+    seed=st.integers(0, 2**16),
+)
+def test_windowed_fit_matches_full_scan(
+    extent, ticks, step, at_tick, where, exact_edges, degree, slope, kernel, seed
+):
+    # times on a lattice of spacing extent / 60 with repeated ticks; the
+    # bandwidth is a whole number of spacings, and a query on a tick puts
+    # lattice points at x +- h up to rounding
+    spacing = extent / 60
+    h = step * spacing
+    x = at_tick * spacing if at_tick is not None else where * extent
+    times = np.array(ticks, dtype=float) * spacing
+    if exact_edges:  # points at t +- h and one ulp inside
+        edges = np.array([x - h, x + h])
+        times = np.concatenate([times, edges, np.nextafter(edges, x)])
+    times = np.sort(times)
+    targets = np.random.default_rng(seed).standard_normal((times.size, 2))
+    data = RegressionData(points=times[:, None], targets=targets, extent=extent)
+    assert data.sorted_times is not None
+    assert_same_as_full_scan(np.array([x]), data, make_fit(degree, h, slope), kernel)
+
+
+@given(
+    d=st.integers(1, 3),
+    degree=st.integers(0, 2),
+    bandwidth=st.floats(0.1, 0.8),
+    kernel=KERNELS,
+    seed=st.integers(0, 2**16),
+)
+def test_unsorted_and_multivariate_fits_match_full_scan(d, degree, bandwidth, kernel, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(50, d))  # in d=1, unsorted: a full scan
+    data = RegressionData(points=pts, targets=rng.standard_normal((50, 2)), extent=1.0)
+    assert data.sorted_times is None
+    x = rng.uniform(-0.2, 1.2, size=d)
+    assert_same_as_full_scan(x, data, make_fit(degree, bandwidth, slope=d == 1), kernel)
+
+
+def test_nan_point_forces_a_full_scan():
+    times = np.array([[0.0], [0.1], [np.nan], [0.3], [0.4]])
+    data = RegressionData(points=times, targets=np.arange(5.0), extent=1.0)
+    assert data.sorted_times is None
+    assert_same_as_full_scan(np.array([0.2]), data, make_fit(0, 0.25, False), epanechnikov())
+
+
+@given(beta=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_curve_widening_at_both_ends_matches_full_scan(beta, seed):
+    from flowfit.flow import make_field
+    from flowfit.snake import MAX_WIDENINGS, WIDEN_FACTOR, fit_curve, generate_snake
+
+    n = 48
+    ds = generate_snake(make_field("rotation"), np.array([1.0, 0.0]), n=n, dt=0.05,
+                        sigma=0.05, seed=seed)
+    h0 = (beta - 0.5) * ds.dt  # a one-sided window holds beta points, one too few
+    curve = fit_curve(ds, beta=beta, bandwidth=h0)
+    data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
+    widened = 0
+    for t in (0.0, 0.3 * ds.dt, ds.horizon - 0.3 * ds.dt, ds.horizon):
+        h = h0
+        for _ in range(MAX_WIDENINGS):
+            fit = LocalPolyFit(degree=beta, bandwidth=h)
+            want = or_singular(full_scan_fit, np.array([t]), data, fit, epanechnikov())
+            if not isinstance(want, str):
+                break
+            h *= WIDEN_FACTOR
+        widened += h > h0
+        theta = want[0]
+        assert np.array_equal(curve.u(t), theta[0])
+        assert np.array_equal(curve.du(t), theta[1] / h)
+    assert widened == 4

@@ -12,6 +12,7 @@ from flowfit.interp import Stencil, interp_multivariate
 from flowfit.snake import (
     CurveEstimate,
     NoStencilFound,
+    SnakeDataset,
     StencilConfig,
     check_stencil,
     delta_nn,
@@ -272,3 +273,32 @@ def test_stencil_config_validation():
         StencilConfig(mu=1.0).resolve_mu(3)  # needs mu N < 1
     cfg = StencilConfig()
     assert cfg.resolve_mu(3) == pytest.approx(0.5 / 3)
+
+
+def test_nonfinite_observations_rejected():
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=256, dt=2 * math.pi / 256, sigma=0.05)
+    bad = ds.observations.copy()
+    bad[100, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        SnakeDataset(x1=ds.x1, dt=ds.dt, observations=bad, meta=ds.meta)
+    with pytest.raises(ValueError, match="finite"):
+        SnakeDataset(x1=np.array([np.inf, 0.0]), dt=ds.dt, observations=ds.observations)
+
+
+def test_velocity_at_the_nearest_time_reuses_its_fit(monkeypatch):
+    import flowfit.snake as snake
+
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=256, dt=2 * math.pi / 256, sigma=0.05)
+    curve = fit_curve(ds, beta=1)
+    x = np.array([0.0, 1.01])
+    t = nn_time(curve, x)
+    want = curve.du(t)
+    fresh = fit_curve(ds, beta=1)
+    fits = []
+    real = snake.lp_coefficients
+    monkeypatch.setattr(snake, "lp_coefficients", lambda *a: fits.append(1) or real(*a))
+    t_star = nn_time(fresh, x)
+    searched = len(fits)
+    got = fresh.du(t_star)
+    assert t_star == t and np.array_equal(got, want)
+    assert searched > 0 and len(fits) == searched  # no refit of t_star, in nn_time or du

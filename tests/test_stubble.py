@@ -152,3 +152,15 @@ def test_observation_round_trip():
     assert np.array_equal(back.initials, ds.initials)
     assert np.array_equal(back.observations, ds.observations)
     assert back.meta == ds.meta
+
+
+def test_nonfinite_observations_rejected():
+    ds = generate_stubble(make_field("cubic"), 16, 0.05, sigma=0.1, seed=2)
+    bad = ds.observations.copy()
+    bad[3, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        StubbleDataset(initials=ds.initials, dt=ds.dt, beta=ds.beta, observations=bad)
+    initials = ds.initials.copy()
+    initials[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        StubbleDataset(initials=initials, dt=ds.dt, beta=ds.beta, observations=ds.observations)
