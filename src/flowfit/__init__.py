@@ -22,7 +22,6 @@ from .flow import (
     increment,
     integrate_flow,
     make_field,
-    sample_trajectories,
     sample_trajectory,
 )
 from .harness import (
@@ -106,7 +105,6 @@ __all__ = [
     "optimal_bandwidth",
     "reference_rate",
     "run_experiment",
-    "sample_trajectories",
     "sample_trajectory",
     "select_stencil",
     "uniform_kernel",

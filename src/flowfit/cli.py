@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, snake, stubble
+from . import harness
 from .flow import (
     make_field,
     read_dataset_meta,
@@ -31,8 +31,8 @@ from .flow import (
     write_dataset_meta,
     write_observation_csv,
 )
-from .harness import ExperimentConfig, fit_rate, reference_rate
-from .localpoly import SingularDesign
+from .harness import ExperimentConfig, fit_rate, fmt_float, reference_rate
+from .models import FAILURES, MODELS, Predictor
 
 __all__ = ["main", "build_parser"]
 
@@ -59,10 +59,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     fld = make_field(cfg.field, cfg.d)
@@ -71,102 +67,52 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     dt = cfg.dt_for(n, beta, fld.dim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.model.startswith("stubble"):
-        ds = stubble.generate_stubble(
-            fld, harness.stubble_grid_size(n, fld.dim), dt,
-            sigma=cfg.sigma, seed=cfg.seed, noise=cfg.noise, beta=beta,
-        )
-        obs = stubble.to_observations(ds)
-        meta = {"kind": "stubble", "dt": ds.dt, "beta": ds.beta, **ds.meta}
-    else:
-        ds = snake.generate_snake(
-            fld, np.asarray(cfg.x1, dtype=float), n, dt,
-            sigma=cfg.sigma, seed=cfg.seed, noise=cfg.noise,
-        )
-        obs = snake.to_observations(ds)
-        meta = {"kind": "snake", "dt": ds.dt, "x1": list(map(float, ds.x1)), **ds.meta}
+    family = MODELS[cfg.model].family
+    obs, meta = family.to_records(family.simulate(cfg, fld, beta, n, dt, cfg.seed))
     write_observation_csv(out / "observations.csv", obs)
     write_dataset_meta(out / "meta.json", meta)
     print(f"wrote {len(obs)} trajectories to {out}")
     return 0
 
 
-def _load_dataset(data_dir: Path):
+def _load_dataset(data_dir: Path, model: str):
+    """The stored dataset, if its kind is the family of `model`."""
+    family = MODELS[model].family
     meta = read_dataset_meta(data_dir / "meta.json")
-    obs = read_observation_csv(data_dir / "observations.csv")
-    if meta["kind"] == "stubble":
-        ds = stubble.stubble_from_observations(
-            obs, dt=float(meta["dt"]), beta=int(meta["beta"]), meta=meta
+    if meta.get("kind") != family.name:
+        raise SystemExit(
+            f"dataset {data_dir} holds {meta.get('kind')!r} data, "
+            f"but model {model!r} needs {family.name!r} data"
         )
-    else:
-        ds = snake.snake_from_observations(
-            obs, x1=np.asarray(meta["x1"], dtype=float), dt=float(meta["dt"]), meta=meta
-        )
-    return meta["kind"], ds
+    return family.from_records(read_observation_csv(data_dir / "observations.csv"), meta)
 
 
-def _estimate_queries(cfg: ExperimentConfig, kind: str, d: int, curve) -> np.ndarray:
-    qspec = cfg.queries
-    if qspec is None:
-        qspec = harness.QuerySpec(kind="grid") if kind == "stubble" else \
-            harness.QuerySpec(kind="tube")
+def _estimate_queries(cfg: ExperimentConfig, d: int, predictor: Predictor) -> np.ndarray:
+    qspec = cfg.queries or harness.QuerySpec(kind=MODELS[cfg.model].family.default_queries)
     rng = np.random.default_rng([cfg.seed, 24301, 0])
-    curve_pts = None
-    if qspec.kind == "tube":
-        if curve is None:
-            raise SystemExit("tube queries are only available for snake datasets")
-        curve_pts = curve.grid_states
-    return qspec.build(d, rng, curve_pts)
+    if qspec.kind == "tube" and predictor.curve_points is None:
+        raise SystemExit("tube queries are only available for snake datasets")
+    return qspec.build(d, rng, predictor.curve_points)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    kind, ds = _load_dataset(Path(args.data))
+    ds = _load_dataset(Path(args.data), cfg.model)
     d = ds.dim
-    curve = None
-    kernel = harness.resolve_kernel(cfg.kernel)
-    if kind == "snake":
-        curve = snake.fit_curve(
-            ds, beta=cfg.effective_beta(make_field(cfg.field, cfg.d)),
-            kernel=kernel, bandwidth=cfg.bandwidth,
-            bandwidth_constant=cfg.bandwidth_constant,
-        )
-    queries = _estimate_queries(cfg, kind, d, curve)
+    beta = cfg.effective_beta(make_field(cfg.field, cfg.d))
+    predictor = MODELS[cfg.model].fit(cfg, ds, beta)
+    queries = _estimate_queries(cfg, d, predictor)
+    pred = predictor(queries)
 
     rows = []
-    reg = stubble.IncrementRegressor(
-        kernel=kernel, bandwidth=cfg.bandwidth,
-        bandwidth_constant=cfg.bandwidth_constant,
-    )
-    for x in queries:
-        value, provenance, diam, stab, times = None, "failed", "", "", ""
-        try:
-            if cfg.model == "stubble-lip":
-                value = stubble.estimate_lipschitz(
-                    ds, x, bandwidth=cfg.bandwidth, kernel=kernel,
-                    bandwidth_constant=cfg.bandwidth_constant,
-                )
-                provenance = "regression"
-            elif cfg.model == "stubble-gen":
-                value = stubble.estimate_general(ds, x, reg)
-                provenance = "regression"
-            elif cfg.model == "snake-lip":
-                value = snake.estimate_lipschitz(x, curve)
-                provenance = "nearest-neighbor"
-            else:
-                result = snake.estimate_general(
-                    x, curve, cfg.stencil, fallback=cfg.fallback
-                )
-                value = result.value
-                provenance = result.provenance
-                if result.stencil is not None:
-                    diam = _fmt(result.stencil.diameter)
-                    stab = _fmt(result.stencil.stability)
-                    times = ";".join(_fmt(t) for t in result.stencil.times)
-        except (SingularDesign, snake.NoStencilFound):
-            pass
-        fhat = [""] * d if value is None else [_fmt(v) for v in value]
-        rows.append([_fmt(v) for v in x] + fhat + [provenance, diam, stab, times])
+    for x, value, status, stencil in zip(queries, pred.values, pred.status, pred.stencils):
+        fhat = [""] * d if status in FAILURES else [fmt_float(v) for v in value]
+        diam = stab = times = ""
+        if stencil is not None:
+            diam = fmt_float(stencil.diameter)
+            stab = fmt_float(stencil.stability)
+            times = ";".join(fmt_float(t) for t in stencil.times)
+        rows.append([fmt_float(v) for v in x] + fhat + [status, diam, stab, times])
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -218,12 +164,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     }
     if args.regime is not None:
         ref = reference_rate(model, args.d, args.beta, args.regime, scale="rmse")
-        out["reference"] = {
-            "exponent": [ref.exponent.numerator, ref.exponent.denominator],
-            "log_power": [ref.log_power.numerator, ref.log_power.denominator],
-            "source": ref.source,
-            "scale": ref.scale,
-        }
+        out["reference"] = ref.to_dict()
         out["passed"] = abs(slope - float(ref.exponent)) <= args.tolerance
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

@@ -32,7 +32,6 @@ __all__ = [
     "integrate_flow_grid",
     "increment",
     "sample_trajectory",
-    "sample_trajectories",
     "add_noise",
     "noise_draw",
     "stack_higher_order",
@@ -124,13 +123,6 @@ class VectorField:
     def lip(self) -> float:
         """Lipschitz bound ``L_1``."""
         return self.derivative_bounds[1]
-
-    def in_box(self, states: np.ndarray) -> np.ndarray:
-        """Boolean mask of states lying inside the certified box."""
-        pts = np.atleast_2d(np.asarray(states, dtype=float))
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
     def flipped(self) -> "VectorField":
         """The field ``-f``; integrating it forward runs time backwards."""
@@ -381,23 +373,6 @@ def sample_trajectory(
     states = integrate_flow_grid(field, x0[None, :], times, cfg)[:, 0, :]
     states[0] = x0
     return Trajectory(x0=x0, times=times, states=states)
-
-
-def sample_trajectories(
-    field: VectorField,
-    x0s: np.ndarray,
-    times: Sequence[float] | np.ndarray,
-    cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> list[Trajectory]:
-    """Sample one path per initial state on a shared time grid."""
-    times = np.asarray(times, dtype=float)
-    states = integrate_flow_grid(field, x0s, times, cfg)
-    trajs = []
-    for j in range(states.shape[1]):
-        s = states[:, j, :].copy()
-        s[0] = x0s[j]
-        trajs.append(Trajectory(x0=np.asarray(x0s[j], dtype=float), times=times, states=s))
-    return trajs
 
 
 def noise_draw(spec: NoiseSpec, traj_id: int, obs_idx: int, d: int) -> np.ndarray:

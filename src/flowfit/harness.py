@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import snake, stubble
 from .flow import IntegrationError, VectorField, integrate_flow_grid, make_field
-from .localpoly import KernelSpec, SingularDesign, epanechnikov, uniform_kernel
-from .snake import NoStencilFound, StencilConfig
+from .localpoly import SingularDesign
+from .models import FAILURES, KERNELS, MODELS
 
 __all__ = [
     "MODELS",
@@ -40,8 +40,7 @@ __all__ = [
     "NonPositiveError",
     "UnsupportedCombination",
     "fit_rate",
-    "resolve_kernel",
-    "stubble_grid_size",
+    "fmt_float",
     "reference_rate",
     "run_experiment",
     "write_results_csv",
@@ -50,8 +49,8 @@ __all__ = [
     "write_report_json",
 ]
 
-MODELS = ("stubble-lip", "stubble-gen", "snake-lip", "snake-gen")
-KERNELS = ("epanechnikov", "uniform")
+# The reference regime each dt rule implies, unless a config names one.
+RULE_REGIMES = {"balanced": "balanced", "fixed-horizon": "fixed-horizon", "fixed": "fixed-dt"}
 
 # Fraction of failed queries at a single sample size above which the
 # whole experiment is considered invalid.
@@ -113,6 +112,15 @@ class TheoreticalRate:
             vals = vals * np.log(ns) ** float(self.log_power)
         return vals
 
+    def to_dict(self) -> dict:
+        """JSON-ready form: fractions as ``[numerator, denominator]``."""
+        return {
+            "exponent": [self.exponent.numerator, self.exponent.denominator],
+            "log_power": [self.log_power.numerator, self.log_power.denominator],
+            "source": self.source,
+            "scale": self.scale,
+        }
+
 
 def reference_rate(
     model: str, d: int, beta: int, regime: str, scale: str = "rmse"
@@ -125,27 +133,16 @@ def reference_rate(
     carries a positive log power).  The Lipschitz variants are rated at
     their design smoothness 1 regardless of ``beta``.
     """
-    if model not in MODELS:
+    spec = MODELS.get(model)
+    if spec is None:
         raise UnsupportedCombination(f"unknown model {model!r}")
     if d < 1 or beta < 1:
         raise UnsupportedCombination("need d >= 1 and beta >= 1")
-    b = 1 if model.endswith("-lip") else beta
-    log_power = Fraction(0)
-    if model.startswith("stubble"):
-        if regime == "balanced":
-            exponent = Fraction(-2 * b, 2 * (b + 1) + d)
-        elif regime == "fixed-dt":
-            exponent = Fraction(-2 * b, 2 * b + d)
-        else:
-            raise UnsupportedCombination(f"stubble has no regime {regime!r}")
-    else:
-        if regime == "fixed-horizon":
-            exponent = Fraction(-2 * b, 2 * (b + 1) + 1)
-        elif regime == "balanced":
-            exponent = Fraction(-2 * b, 2 * (b + 1) + d)
-        else:
-            raise UnsupportedCombination(f"snake has no regime {regime!r}")
-        log_power = -exponent
+    b = 1 if spec.lipschitz else beta
+    if regime not in spec.family.exponents:
+        raise UnsupportedCombination(f"{spec.family.name} has no regime {regime!r}")
+    exponent = spec.family.exponents[regime](b, d)
+    log_power = -exponent if spec.family.log_rate else Fraction(0)
     if scale == "rmse":
         exponent /= 2
         log_power /= 2
@@ -263,19 +260,19 @@ class ExperimentConfig:
     bandwidth_constant: float = 1.0
     kernel: str = "epanechnikov"
     fallback: bool = True
-    stencil: StencilConfig = dc_field(default_factory=StencilConfig)
+    stencil: snake.StencilConfig = dc_field(default_factory=snake.StencilConfig)
     regime: str | None = None
     rate_tolerance: float = 0.1
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}")
+            raise ValueError(f"model must be one of {tuple(MODELS)}")
         if len(self.ns) == 0 or any(b <= a for a, b in zip(self.ns, self.ns[1:])):
             raise ValueError("ns must be nonempty and strictly increasing")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
+            raise ValueError(f"kernel must be one of {tuple(KERNELS)}")
         if self.dt_rule not in ("fixed", "power", "balanced", "fixed-horizon"):
             raise ValueError(f"unknown dt rule {self.dt_rule!r}")
         if self.dt_rule == "fixed" and not self.dt_value:
@@ -284,42 +281,17 @@ class ExperimentConfig:
             raise ValueError("dt_rule 'power' needs dt_power")
         if self.dt_rule == "fixed-horizon" and not self.horizon:
             raise ValueError("dt_rule 'fixed-horizon' needs horizon")
-        if self.model.startswith("snake") and self.x1 is None:
-            raise ValueError("snake models need the initial state x1")
+        if MODELS[self.model].family.needs_x1 and self.x1 is None:
+            raise ValueError(f"{self.model} needs the initial state x1")
 
     def to_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "field": self.field,
-            "ns": list(self.ns),
-            "d": self.d,
-            "beta": self.beta,
-            "sigma": self.sigma,
-            "noise": self.noise,
-            "dt_rule": self.dt_rule,
-            "dt_value": self.dt_value,
-            "dt_power": self.dt_power,
-            "dt_coeff": self.dt_coeff,
-            "horizon": self.horizon,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "x1": None if self.x1 is None else list(self.x1),
-            "queries": None if self.queries is None else self.queries.to_dict(),
-            "bandwidth": self.bandwidth,
-            "bandwidth_constant": self.bandwidth_constant,
-            "kernel": self.kernel,
-            "fallback": self.fallback,
-            "stencil": {
-                "s": self.stencil.s,
-                "big_d": self.stencil.big_d,
-                "mu": self.stencil.mu,
-                "pool_size": self.stencil.pool_size,
-                "search_halfwidth": self.stencil.search_halfwidth,
-                "sweeps": self.stencil.sweeps,
-            },
-            "regime": self.regime,
-            "rate_tolerance": self.rate_tolerance,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            ns=list(self.ns),
+            x1=None if self.x1 is None else list(self.x1),
+            queries=None if self.queries is None else self.queries.to_dict(),
+            stencil=asdict(self.stencil),
+        )
         return out
 
     @classmethod
@@ -335,12 +307,12 @@ class ExperimentConfig:
         if data.get("queries") is not None:
             data["queries"] = QuerySpec.from_dict(data["queries"])
         if isinstance(data.get("stencil"), dict):
-            data["stencil"] = StencilConfig(**data["stencil"])
+            data["stencil"] = snake.StencilConfig(**data["stencil"])
         return cls(**data)
 
     def effective_beta(self, fld: VectorField) -> int:
         base = fld.smoothness if self.beta is None else self.beta
-        return 1 if self.model.endswith("-lip") else base
+        return 1 if MODELS[self.model].lipschitz else base
 
     def dt_for(self, n: int, beta: int, d: int) -> float:
         if self.dt_rule == "fixed":
@@ -350,17 +322,6 @@ class ExperimentConfig:
         if self.dt_rule == "balanced":
             return self.dt_coeff * n ** (-1.0 / (2 * (beta + 1) + d))
         return float(self.horizon) / n
-
-    def reference_regime(self) -> str | None:
-        if self.regime is not None:
-            return self.regime
-        if self.dt_rule == "balanced":
-            return "balanced"
-        if self.dt_rule == "fixed-horizon":
-            return "fixed-horizon"
-        if self.dt_rule == "fixed" and self.model.startswith("stubble"):
-            return "fixed-dt"
-        return None
 
 
 @dataclass(frozen=True)
@@ -402,17 +363,6 @@ class ExperimentResult:
     report: RateReport | None
 
 
-def resolve_kernel(name: str) -> KernelSpec:
-    return epanechnikov() if name == "epanechnikov" else uniform_kernel()
-
-
-def stubble_grid_size(n: int, d: int) -> int:
-    n0 = round(n ** (1.0 / d))
-    if n0 ** d != n:
-        raise ValueError(f"sample size {n} is not a d-th power for d={d}")
-    return n0
-
-
 def _true_curve(fld: VectorField, x1, horizon: float, num: int = 2048) -> np.ndarray:
     times = np.linspace(0.0, horizon, num + 1)
     x1 = np.asarray(x1, dtype=float)
@@ -428,72 +378,18 @@ def _replicate_errors(
     seed: int,
     queries: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Per-query error norms (NaN on failure) and the failure count.
-
-    A query fails when its estimator raises a known error or returns a
-    non-finite estimate.
-    """
-    kernel = resolve_kernel(cfg.kernel)
-    errs = np.full(queries.shape[0], np.nan)
-    failures = 0
+    """Per-query error norms (NaN where a query failed) and the failure count."""
+    spec = MODELS[cfg.model]
     truth = fld(queries)
-    if cfg.model.startswith("stubble"):
-        try:
-            ds = stubble.generate_stubble(
-                fld, stubble_grid_size(n, fld.dim), dt,
-                sigma=cfg.sigma, seed=seed, noise=cfg.noise, beta=beta,
-            )
-        except IntegrationError:
-            return errs, queries.shape[0]
-        reg = stubble.IncrementRegressor(
-            kernel=kernel, bandwidth=cfg.bandwidth,
-            bandwidth_constant=cfg.bandwidth_constant,
-        )
-        for q, x in enumerate(queries):
-            try:
-                if cfg.model == "stubble-lip":
-                    est = stubble.estimate_lipschitz(
-                        ds, x, bandwidth=cfg.bandwidth, kernel=kernel,
-                        bandwidth_constant=cfg.bandwidth_constant,
-                    )
-                else:
-                    est = stubble.estimate_general(ds, x, reg)
-            except SingularDesign:
-                failures += 1
-                continue
-            if not np.all(np.isfinite(est)):
-                failures += 1
-                continue
-            errs[q] = np.linalg.norm(est - truth[q])
-        return errs, failures
-
     try:
-        ds = snake.generate_snake(
-            fld, np.asarray(cfg.x1, dtype=float), n, dt,
-            sigma=cfg.sigma, seed=seed, noise=cfg.noise,
-        )
-        curve = snake.fit_curve(
-            ds, beta=beta, kernel=kernel, bandwidth=cfg.bandwidth,
-            bandwidth_constant=cfg.bandwidth_constant,
-        )
+        ds = spec.family.simulate(cfg, fld, beta, n, dt, seed)
+        predict = spec.fit(cfg, ds, beta)
     except (IntegrationError, SingularDesign):
-        return errs, queries.shape[0]
-    for q, x in enumerate(queries):
-        try:
-            if cfg.model == "snake-lip":
-                est = snake.estimate_lipschitz(x, curve)
-            else:
-                est = snake.estimate_general(
-                    x, curve, cfg.stencil, fallback=cfg.fallback
-                ).value
-        except NoStencilFound:
-            failures += 1
-            continue
-        if not np.all(np.isfinite(est)):
-            failures += 1
-            continue
-        errs[q] = np.linalg.norm(est - truth[q])
-    return errs, failures
+        return np.full(queries.shape[0], np.nan), queries.shape[0]
+    pred = predict(queries)
+    # one norm per query: a batched norm may round differently
+    errs = np.array([np.linalg.norm(value - t) for value, t in zip(pred.values, truth)])
+    return errs, sum(kind in FAILURES for kind in pred.status)
 
 
 def _aggregate(cfg: ExperimentConfig, rows: list[ReplicateRow]) -> list[SummaryRow]:
@@ -516,10 +412,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     fld = make_field(cfg.field, cfg.d)
     beta = cfg.effective_beta(fld)
-    metric = "rmse" if cfg.model.startswith("stubble") else "sup"
-    qspec = cfg.queries
-    if qspec is None:
-        qspec = QuerySpec(kind="grid") if metric == "rmse" else QuerySpec(kind="tube")
+    family = MODELS[cfg.model].family
+    qspec = cfg.queries or QuerySpec(kind=family.default_queries)
 
     rows: list[ReplicateRow] = []
     for n in cfg.ns:
@@ -537,12 +431,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 cfg, fld, beta, n, dt, cfg.seed + r, queries
             )
             valid = errs[np.isfinite(errs)]
-            if valid.size == 0:
-                error = math.nan
-            elif metric == "rmse":
-                error = float(np.sqrt(np.mean(valid ** 2)))
-            else:
-                error = float(valid.max())
+            error = family.error(valid) if valid.size else math.nan
             rows.append(ReplicateRow(n=n, replicate=r, error=error, failures=failures))
             total_failures += failures
         frac = total_failures / (cfg.replicates * queries.shape[0])
@@ -568,16 +457,12 @@ def _build_report(
     if len(ns) < 3 or not usable:
         return None
     slope, intercept = fit_rate(ns, means)
-    regime = cfg.reference_regime()
-    reference = None
-    passed = False
-    if regime is not None:
-        try:
-            reference = reference_rate(cfg.model, d, beta, regime, scale="rmse")
-        except UnsupportedCombination:
-            reference = None
-    if reference is not None:
-        passed = abs(slope - float(reference.exponent)) <= cfg.rate_tolerance
+    regime = RULE_REGIMES.get(cfg.dt_rule) if cfg.regime is None else cfg.regime
+    try:
+        reference = reference_rate(cfg.model, d, beta, regime, scale="rmse")
+    except UnsupportedCombination:  # no reference on record
+        reference = None
+    passed = reference is not None and abs(slope - float(reference.exponent)) <= cfg.rate_tolerance
     return RateReport(
         ns=ns, mean_errors=means, stderrs=stderrs, slope=slope,
         intercept=intercept, reference=reference,
@@ -585,7 +470,8 @@ def _build_report(
     )
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """Shortest round-trip text of a float, as every output file writes it."""
     return repr(float(x))
 
 
@@ -596,7 +482,7 @@ def write_results_csv(result: ExperimentResult, path: str | Path) -> None:
         writer.writerow(["model", "n", "replicate", "error", "failures"])
         for row in result.rows:
             writer.writerow(
-                [result.config.model, row.n, row.replicate, _fmt(row.error), row.failures]
+                [result.config.model, row.n, row.replicate, fmt_float(row.error), row.failures]
             )
 
 
@@ -626,8 +512,8 @@ def write_plot_csv(result: ExperimentResult, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "mean_error", "stderr", "reference"])
         for k, s in enumerate(result.summary):
-            ref = "" if ref_vals is None else _fmt(ref_vals[k])
-            writer.writerow([s.n, _fmt(s.mean_error), _fmt(s.stderr), ref])
+            ref = "" if ref_vals is None else fmt_float(ref_vals[k])
+            writer.writerow([s.n, fmt_float(s.mean_error), fmt_float(s.stderr), ref])
 
 
 def report_dict(result: ExperimentResult) -> dict:
@@ -651,13 +537,7 @@ def report_dict(result: ExperimentResult) -> dict:
         out["intercept"] = report.intercept
         out["passed"] = report.passed
         if report.reference is not None:
-            ref = report.reference
-            out["reference"] = {
-                "exponent": [ref.exponent.numerator, ref.exponent.denominator],
-                "log_power": [ref.log_power.numerator, ref.log_power.denominator],
-                "source": ref.source,
-                "scale": ref.scale,
-            }
+            out["reference"] = report.reference.to_dict()
     return out
 
 

@@ -326,38 +326,37 @@ def _local_terms(
     return inside, psi, kvals
 
 
+def _local_design(
+    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
+) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(window, inside, psi, kvals, B(x)) at ``x``; B is zero when no point is inside.
+
+    `inside` masks the in-bandwidth points of ``data.points[window]``.
+    """
+    d = data.dim
+    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
+    window = _window(x, data, fit.bandwidth)
+    inside, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
+    return window, inside, psi, kvals, scale * (psi.T * kvals) @ psi
+
+
 def design_matrix(
     x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
 ) -> np.ndarray:
     """The symmetric matrix ``B(x)``; positive semidefinite by construction."""
-    d = data.dim
-    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    x = np.asarray(x, dtype=float)
-    window = _window(x, data, fit.bandwidth)
-    _, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
-    if psi.shape[0] == 0:
-        return np.zeros((n_basis(d, fit.degree),) * 2)
-    return scale * (psi.T * kvals) @ psi
+    return _local_design(np.asarray(x, dtype=float), data, fit, kernel)[-1]
 
 
 def _solve_design(
     x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
 ) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared core: returns (window, inside, psi, kvals, B^{-1} applied via eigh).
-
-    `inside` masks the in-bandwidth points of ``data.points[window]``.
-    """
-    d = data.dim
-    num_basis = n_basis(d, fit.degree)
-    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
+    """Shared core: returns (window, inside, psi, kvals, B^{-1} applied via eigh)."""
     x = np.asarray(x, dtype=float)
-    window = _window(x, data, fit.bandwidth)
-    inside, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
+    window, inside, psi, kvals, bmat = _local_design(x, data, fit, kernel)
     if psi.shape[0] == 0:
         raise SingularDesign(0.0, x)
-    bmat = scale * (psi.T * kvals) @ psi
     eigvals, eigvecs = np.linalg.eigh(bmat)
-    floor = 1e-10 * np.trace(bmat) / num_basis
+    floor = 1e-10 * np.trace(bmat) / n_basis(data.dim, fit.degree)
     if eigvals[0] <= floor:
         raise SingularDesign(float(eigvals[0]), x)
     inv = eigvecs @ (eigvecs / eigvals).T
