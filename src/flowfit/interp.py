@@ -13,6 +13,13 @@ Multivariate interpolation follows the convention of returning the zero
 polynomial when the node matrix is singular; callers that need a hard
 failure should inspect :func:`psi_matrix` or :func:`stability_norm`
 first.
+
+:func:`mu_interior_contains` decides hull membership from qhull facets
+(d <= 3) or simplex facets; it is what :func:`flowfit.snake.check_stencil`
+re-certifies with.  The stencil search does not call it: it scores whole
+stacks of candidates with its own plain-membership test (min/max in d = 1,
+barycentric coordinates for simplices, angular gaps in d = 2, nonnegative
+least squares otherwise) and builds no hull.
 """
 
 from __future__ import annotations
@@ -57,7 +64,11 @@ class ZeroDiameter(ValueError):
 
 
 class DimensionUnsupported(NotImplementedError):
-    """Hull membership is implemented for d <= 3 and for simplex stencils."""
+    """:func:`mu_interior_contains` handles d <= 3 and simplex stencils.
+
+    The stencil search in :mod:`flowfit.snake` never raises it: it
+    decides plain membership itself, in every dimension.
+    """
 
 
 @dataclass(frozen=True)
@@ -225,12 +236,13 @@ class Stencil:
     @classmethod
     def from_points(cls, points: np.ndarray, times: np.ndarray, ell: int) -> "Stencil":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        diam = _diameter(pts)
         return cls(
             points=pts,
             times=np.asarray(times, dtype=float),
             ell=ell,
-            diameter=_diameter(pts),
-            stability=stability_norm(pts, ell) if _diameter(pts) > 0 else math.inf,
+            diameter=diam,
+            stability=stability_norm(pts, ell) if diam > 0 else math.inf,
         )
 
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, Observations, VectorField
 from .flow import integrate_flow_grid, noise_draw
-from .interp import Stencil, interp_multivariate, mu_interior_contains, stability_norm
+from .interp import SINGULAR_RTOL, Stencil, interp_multivariate, mu_interior_contains, stability_norm
 from .localpoly import (
     KernelSpec,
     LocalPolyFit,
@@ -31,6 +32,7 @@ from .localpoly import (
     SingularDesign,
     epanechnikov,
     lp_coefficients,
+    monomial_basis,
     n_basis,
     optimal_bandwidth,
 )
@@ -408,27 +410,89 @@ class StencilConfig:
 DEFAULT_STENCIL_CONFIG = StencilConfig()
 
 
-def _subset_key(
-    points: np.ndarray, x: np.ndarray, ell: int
-) -> tuple[int, float, float, float]:
-    """Search ranking: hull violation first, then the objective.
+# Distance outside a normalised stencil's hull (centroid 0, diameter 1)
+# within which a query still counts as inside.
+HULL_RTOL = 1e-12
 
-    Returns ``(violation, objective, stability, diameter)`` where
+
+def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether ``x[k]`` lies in the convex hull of ``points[k]``, for a
+    stack of normalised subsets ``(P, N, d)`` and queries ``(P, d)``.
+
+    Plain (``mu = 0``) membership without building a hull: min/max in
+    d = 1; for simplices (N = d + 1) the barycentric coordinates, turned
+    into distances to the facets; in d = 2 the largest angular gap
+    between the points seen from the query (inside when none exceeds
+    pi); otherwise the distance to the hull by nonnegative least
+    squares, one subset at a time.
+    """
+    num_subsets, num, d = points.shape
+    if d == 1:
+        coord = points[..., 0]
+        return (coord.min(axis=1) <= x[:, 0]) & (x[:, 0] <= coord.max(axis=1))
+    if num == d + 1:
+        # column k of mat is (p_k, 1); row k of its inverse is the affine
+        # map lambda_k, whose gradient norm turns it into a facet distance
+        mat = np.concatenate([points.transpose(0, 2, 1), np.ones((num_subsets, 1, num))], axis=1)
+        inv = np.linalg.inv(mat)
+        lam = np.matmul(inv, np.concatenate([x, np.ones((num_subsets, 1))], axis=1)[..., None])
+        slack = lam[..., 0] / np.linalg.norm(inv[:, :, :d], axis=2)
+        return np.all(slack >= -HULL_RTOL, axis=1)
+    rel = points - x[:, None, :]
+    if d == 2:
+        angles = np.sort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+        wrap = 2.0 * math.pi - (angles[:, -1] - angles[:, 0])
+        gap = np.maximum(np.diff(angles, axis=1).max(axis=1), wrap)
+        on_point = np.all(rel == 0.0, axis=2).any(axis=1)
+        return on_point | (gap <= math.pi + HULL_RTOL)
+    # min |sum_k w_k (p_k - x)|^2 + (sum_k w_k - 1)^2 over w >= 0 is
+    # dist^2 / (1 + dist^2), dist the distance from x to the hull
+    target = np.zeros(d + 1)
+    target[d] = 1.0
+    return np.array([
+        nnls(np.vstack([r.T, np.ones(num)]), target)[1] <= HULL_RTOL for r in rel
+    ], dtype=bool)
+
+
+def _subset_keys(
+    points: np.ndarray, x: np.ndarray, ell: int
+) -> list[tuple[int, float, float, float]]:
+    """Search ranking of each subset of ``(P, N, d)``: hull violation
+    first, then the objective.
+
+    One ``(violation, objective, stability, diameter)`` per subset, where
     ``violation`` is 0 when x is in the hull and the node matrix is
     nonsingular.  The objective is ``stability * diam ** (ell + 1)``.
+    ``stability`` equals :func:`~flowfit.interp.stability_norm` bit for
+    bit, from one batched SVD; hull membership is decided on the
+    normalised stencil by `_hull_contains`.
     """
-    diam = 0.0 if points.shape[0] < 2 else float(
-        max(np.linalg.norm(points[i] - points[j])
-            for i in range(points.shape[0]) for j in range(i + 1, points.shape[0]))
-    )
-    if diam == 0.0:
-        return (1, math.inf, math.inf, 0.0)
-    stab = stability_norm(points, ell)
-    if not math.isfinite(stab):
-        return (1, math.inf, math.inf, diam)
-    inside = mu_interior_contains(points, 0.0, x)
-    objective = stab * diam ** (ell + 1)
-    return (0 if inside else 1, objective, stab, diam)
+    num_subsets, num, _ = points.shape
+    first, second = np.triu_indices(num, 1)
+    diff = points[:, first] - points[:, second]
+    # two diameters on purpose: the key rounds like np.linalg.norm of one pair, the scale like pdist
+    diam = np.sqrt(np.vecdot(diff, diff)).max(axis=1, initial=0.0)
+    stab = np.full(num_subsets, math.inf)
+    inside = np.zeros(num_subsets, dtype=bool)
+    live = np.flatnonzero(diam > 0.0)
+    if live.size:
+        pts = points[live]
+        centroid = pts.mean(axis=1)
+        scale = np.linalg.norm(diff[live], axis=2).max(axis=1)
+        normalized = (pts - centroid[:, None, :]) / scale[:, None, None]
+        sing = np.linalg.svd(monomial_basis(normalized, ell, mode="plain"), compute_uv=False)
+        regular = sing[:, -1] > SINGULAR_RTOL * sing[:, 0]
+        stab[live[regular]] = 1.0 / sing[regular, -1]
+        if regular.any():
+            query = (x - centroid[regular]) / scale[regular, None]
+            inside[live[regular]] = _hull_contains(normalized[regular], query)
+    keys = []
+    for dm, st, ok in zip(diam.tolist(), stab.tolist(), inside.tolist()):
+        if not math.isfinite(st):
+            keys.append((1, math.inf, math.inf, dm))
+        else:
+            keys.append((0 if ok else 1, st * dm ** (ell + 1), st, dm))
+    return keys
 
 
 def select_stencil(
@@ -446,7 +510,8 @@ def select_stencil(
     candidate by construction.  Candidates are drawn from a bounded
     pool of cached curve times around the nearest-curve time, seeded by
     nearest points, farthest-point traversal, and even spacing, then
-    improved by single-point swaps.
+    improved by single-point swaps; all swaps at one position are
+    scored together by `_subset_keys`.
 
     Raises
     ------
@@ -502,22 +567,23 @@ def select_stencil(
 
     cache: dict[tuple[int, ...], tuple[int, float, float, float]] = {}
 
-    def key_of(subset: tuple[int, ...]) -> tuple[int, float, float, float]:
-        if subset not in cache:
-            cache[subset] = _subset_key(pool_states[list(subset)], x, ell)
-        return cache[subset]
-
     for seed in list(seeds):
         current = seed
         for _ in range(cfg.sweeps):
             improved = False
             for pos in range(num):
-                best_local, best_key = current, key_of(current)
-                for cand in range(pool):
-                    if cand in current:
-                        continue
-                    trial = tuple(sorted(current[:pos] + (cand,) + current[pos + 1:]))
-                    k = key_of(trial)
+                # the current subset, then its swaps at pos, scored in one batch
+                subsets = [current] + [
+                    tuple(sorted(current[:pos] + (cand,) + current[pos + 1:]))
+                    for cand in range(pool)
+                    if cand not in current
+                ]
+                fresh = [s for s in subsets if s not in cache]
+                if fresh:
+                    cache.update(zip(fresh, _subset_keys(pool_states[np.array(fresh)], x, ell)))
+                best_local, best_key = current, cache[current]
+                for trial in subsets[1:]:
+                    k = cache[trial]
                     if k < best_key:
                         best_local, best_key = trial, k
                 if best_local != current:

@@ -6,9 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from flowfit.flow import make_field
-from flowfit.interp import Stencil, interp_multivariate
+from flowfit.interp import (
+    Stencil,
+    _hull_membership_lp,
+    interp_multivariate,
+    mu_interior_contains,
+    stability_norm,
+)
+from flowfit.localpoly import n_basis
 from flowfit.snake import (
     CurveEstimate,
     NoStencilFound,
@@ -24,6 +34,7 @@ from flowfit.snake import (
     select_stencil,
     snake_from_observations,
     to_observations,
+    _subset_keys,
 )
 
 ROT = make_field("rotation")
@@ -302,3 +313,217 @@ def test_velocity_at_the_nearest_time_reuses_its_fit(monkeypatch):
     got = fresh.du(t_star)
     assert t_star == t and np.array_equal(got, want)
     assert searched > 0 and len(fits) == searched  # no refit of t_star, in nn_time or du
+
+
+# --- batched stencil scoring against the scalar search it replaced ---------
+
+
+def reference_key(points, x, ell):
+    """One subset's search key, scored on its own with qhull membership."""
+    diam = 0.0 if points.shape[0] < 2 else float(
+        max(np.linalg.norm(points[i] - points[j])
+            for i in range(points.shape[0]) for j in range(i + 1, points.shape[0]))
+    )
+    if diam == 0.0:
+        return (1, math.inf, math.inf, 0.0)
+    stab = stability_norm(points, ell)
+    if not math.isfinite(stab):
+        return (1, math.inf, math.inf, diam)
+    inside = mu_interior_contains(points, 0.0, x)
+    return (0 if inside else 1, stab * diam ** (ell + 1), stab, diam)
+
+
+def reference_search(curve, x, cfg, ell):
+    """The stencil search (without `search_halfwidth`) with every subset
+    scored on its own by `reference_key`."""
+    d = curve.grid_states.shape[1]
+    num = n_basis(d, ell)
+    dists_all = np.linalg.norm(curve.grid_states - x, axis=1)
+    allowed = np.arange(curve.grid_times.size)
+    if allowed.size > cfg.pool_size:
+        near = allowed[np.argsort(dists_all, kind="stable")][: cfg.pool_size // 2]
+        strided = allowed[np.unique(np.round(
+            np.linspace(0, allowed.size - 1, cfg.pool_size - near.size)).astype(int))]
+        allowed = np.unique(np.concatenate([near, strided]))
+    states, times = curve.grid_states[allowed], curve.grid_times[allowed]
+    pool = states.shape[0]
+    order = np.argsort(np.linalg.norm(states - x, axis=1), kind="stable")
+    chosen = [int(order[0])]
+    while len(chosen) < num:
+        mind = np.full(pool, np.inf)
+        for c in chosen:
+            mind = np.minimum(mind, np.linalg.norm(states - states[c], axis=1))
+        mind[chosen] = -np.inf
+        chosen.append(int(np.argmax(mind)))
+    even = tuple(sorted({int(round(v)) for v in np.linspace(0, pool - 1, num)}))
+    seeds = {tuple(sorted(int(i) for i in order[:num])), tuple(sorted(chosen))}
+    if len(even) == num:
+        seeds.add(even)
+    cache = {}
+
+    def key_of(subset):
+        if subset not in cache:
+            cache[subset] = reference_key(states[list(subset)], x, ell)
+        return cache[subset]
+
+    for seed in list(seeds):
+        current = seed
+        for _ in range(cfg.sweeps):
+            improved = False
+            for pos in range(num):
+                best_local, best_key = current, key_of(current)
+                for cand in range(pool):
+                    if cand in current:
+                        continue
+                    trial = tuple(sorted(current[:pos] + (cand,) + current[pos + 1:]))
+                    if key_of(trial) < best_key:
+                        best_local, best_key = trial, key_of(trial)
+                if best_local != current:
+                    current, improved = best_local, True
+            if not improved:
+                break
+    admissible = [(k[1], s) for s, k in cache.items() if k[0] == 0 and k[2] <= 2 * cfg.s]
+    if not admissible:
+        return None
+    return times[list(min(admissible)[1])]
+
+
+def facet_slacks(points, x):
+    """Signed distances of x inside each hull facet, or None for a flat hull."""
+    if points.shape[1] == 1:
+        return np.array([x[0] - points.min(), points.max() - x[0]])
+    try:
+        eq = ConvexHull(points).equations
+    except QhullError:
+        return None
+    return -(eq[:, :-1] @ x + eq[:, -1])
+
+
+COORD = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def subset_stacks(draw, d, ell):
+    """A few N-point subsets and a query, with coincident or collinear
+    points and queries on a vertex or just off a facet among the cases."""
+    num = n_basis(d, ell)
+    layout = draw(st.sampled_from(["generic", "lattice", "coincident", "collinear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        if layout == "lattice":
+            pts = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                         min_size=num, max_size=num)), dtype=float)
+        else:  # points in general position, as on a curve
+            pts = rng.uniform(-2.0, 2.0, size=(num, d))
+        if layout == "coincident":
+            pts[1:draw(st.integers(2, num))] = pts[0]
+        elif layout == "collinear":
+            pts = pts[0] + np.array(draw(st.lists(COORD, min_size=num, max_size=num)))[:, None] * pts[-1]
+        stack.append(pts)
+    points = np.stack(stack)
+    where = draw(st.sampled_from(["vertex", "off-facet", "free"]))
+    x = np.array(draw(st.lists(COORD, min_size=d, max_size=d)))
+    if where == "vertex":
+        x = points[draw(st.integers(0, len(stack) - 1)), draw(st.integers(0, num - 1))].copy()
+    elif where == "off-facet":
+        slack = facet_slacks(points[0], x)
+        if slack is not None:  # push x along the normal to `gap` off a facet
+            gap = draw(st.sampled_from([-1e-3, -1e-6, -2e-9, 2e-9, 1e-6, 1e-3]))
+            k = draw(st.integers(0, slack.size - 1))
+            if d == 1:
+                x = np.array([points[0].min() + gap if k == 0 else points[0].max() - gap])
+            else:
+                hull = ConvexHull(points[0])
+                normal = hull.equations[k, :-1]
+                x = points[0][hull.simplices[k]].mean(axis=0) - gap * normal
+    return points, x
+
+
+@pytest.mark.parametrize("d,ell", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+@given(data=st.data())
+def test_batched_keys_match_scalar_keys(d, ell, data):
+    points, x = data.draw(subset_stacks(d, ell))
+    for pts in points:  # x is a vertex, or more than 1e-9 in or out of the hull
+        if np.any(np.all(pts == x, axis=1)):
+            continue
+        slack = facet_slacks(pts, x)
+        if slack is None:
+            # qhull cannot build a flat hull, and the scalar search fell back
+            # to an LP that accepts points ~1e-7 outside: compare such
+            # subsets only where no hull test is made
+            assume(math.isinf(reference_key(pts, x, ell)[2]))
+        else:
+            assume(abs(slack.min()) > 1e-9)
+    got = _subset_keys(points, x, ell)
+    want = [reference_key(pts, x, ell) for pts in points]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+@pytest.mark.parametrize("d,ell", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_keys_agree_just_off_each_facet(d, ell):
+    rng = np.random.default_rng(50 + 10 * d + ell)
+    violations = set()
+    for _ in range(4):
+        pts = rng.uniform(-1.0, 1.0, size=(n_basis(d, ell), d))
+        hull = ConvexHull(pts)
+        for eq, facet in zip(hull.equations, hull.simplices):
+            for gap in (-2e-9, 2e-9):  # outside, inside
+                x = pts[facet].mean(axis=0) - gap * eq[:-1]
+                got = _subset_keys(pts[None], x, ell)[0]
+                assert got == reference_key(pts, x, ell)
+                violations.add(got[0])
+    assert violations == {0, 1}
+
+
+def wobbly_loop(resolution=32):
+    """A closed curve in the plane that lies on no conic."""
+    u = lambda t: np.array([math.cos(t) + 0.3 * math.cos(2 * t), math.sin(t) - 0.2 * math.sin(3 * t)])
+    du = lambda t: np.array([-math.sin(t) - 0.6 * math.sin(2 * t), math.cos(t) - 0.6 * math.cos(3 * t)])
+    return CurveEstimate.from_functions(u, du, horizon=2 * math.pi, degree=3, resolution=resolution)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_search_picks_the_scalar_reference_stencils(ell):
+    curve = wobbly_loop()
+    cfg = StencilConfig(pool_size=32)
+    rng = np.random.default_rng(40 + ell)
+    found = 0
+    for _ in range(20):
+        t = rng.uniform(0.0, curve.horizon)
+        x = curve.u(t) * rng.uniform(0.9, 1.02)
+        want = reference_search(curve, x, cfg, ell)
+        try:
+            got = select_stencil(curve, x, cfg, ell=ell).times
+        except NoStencilFound:
+            got = None
+        if want is None:
+            assert got is None
+        else:
+            found += 1
+            assert np.array_equal(got, want)
+    assert found >= 10
+
+
+def test_non_simplex_search_in_four_dimensions():
+    # 15-point quadratic stencils in d = 4: the search decides hull membership
+    # itself, so a query gets a stencil or NoStencilFound, never
+    # DimensionUnsupported (which the public membership test still raises)
+    u = lambda t: np.array([math.cos(t), math.sin(2 * t), math.sin(3 * t), math.cos(7 * t)])
+    curve = CurveEstimate.from_functions(u, lambda t: -u(t), horizon=2 * math.pi,
+                                         degree=3, resolution=8)
+    cfg = StencilConfig(pool_size=24, sweeps=1)
+    found = 0
+    for x in (curve.grid_states.mean(axis=0), 0.8 * u(1.0), 0.5 * (u(0.5) + u(2.5))):
+        try:
+            stencil = select_stencil(curve, x, cfg)
+        except NoStencilFound:
+            continue
+        found += 1
+        assert stencil.points.shape == (15, 4)
+        assert stencil.stability <= 2 * cfg.s
+        assert _hull_membership_lp(stencil.points, x)
+        assert estimate_general(x, curve, cfg).provenance == "interpolated"
+    assert found >= 1
