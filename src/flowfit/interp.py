@@ -18,8 +18,8 @@ first.
 (d <= 3) or simplex facets; it is what :func:`flowfit.snake.check_stencil`
 re-certifies with.  The stencil search does not call it: it scores whole
 stacks of candidates with its own plain-membership test (min/max in d = 1,
-barycentric coordinates for simplices, angular gaps in d = 2, nonnegative
-least squares otherwise) and builds no hull.
+barycentric coordinates for simplices, nonnegative least squares
+otherwise) and builds no hull.
 """
 
 from __future__ import annotations

@@ -421,10 +421,8 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Plain (``mu = 0``) membership without building a hull: min/max in
     d = 1; for simplices (N = d + 1) the barycentric coordinates, turned
-    into distances to the facets; in d = 2 the largest angular gap
-    between the points seen from the query (inside when none exceeds
-    pi); otherwise the distance to the hull by nonnegative least
-    squares, one subset at a time.
+    into distances to the facets; otherwise the distance to the hull by
+    nonnegative least squares, one subset at a time.
     """
     num_subsets, num, d = points.shape
     if d == 1:
@@ -439,12 +437,6 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
         slack = lam[..., 0] / np.linalg.norm(inv[:, :, :d], axis=2)
         return np.all(slack >= -HULL_RTOL, axis=1)
     rel = points - x[:, None, :]
-    if d == 2:
-        angles = np.sort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
-        wrap = 2.0 * math.pi - (angles[:, -1] - angles[:, 0])
-        gap = np.maximum(np.diff(angles, axis=1).max(axis=1), wrap)
-        on_point = np.all(rel == 0.0, axis=2).any(axis=1)
-        return on_point | (gap <= math.pi + HULL_RTOL)
     # min |sum_k w_k (p_k - x)|^2 + (sum_k w_k - 1)^2 over w >= 0 is
     # dist^2 / (1 + dist^2), dist the distance from x to the hull
     target = np.zeros(d + 1)
@@ -471,7 +463,8 @@ def _subset_keys(
     first, second = np.triu_indices(num, 1)
     diff = points[:, first] - points[:, second]
     # two diameters on purpose: the key rounds like np.linalg.norm of one pair, the scale like pdist
-    diam = np.sqrt(np.vecdot(diff, diff)).max(axis=1, initial=0.0)
+    sq = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
+    diam = np.sqrt(sq).max(axis=1, initial=0.0)
     stab = np.full(num_subsets, math.inf)
     inside = np.zeros(num_subsets, dtype=bool)
     live = np.flatnonzero(diam > 0.0)
