@@ -17,12 +17,10 @@ from .flow import (
     IntegrationError,
     NoiseSpec,
     Observations,
-    Trajectory,
     VectorField,
     increment,
     integrate_flow,
     make_field,
-    sample_trajectory,
 )
 from .harness import (
     ExperimentConfig,
@@ -87,7 +85,6 @@ __all__ = [
     "StencilConfig",
     "StubbleDataset",
     "TheoreticalRate",
-    "Trajectory",
     "VectorField",
     "epanechnikov",
     "fit_curve",
@@ -105,7 +102,6 @@ __all__ = [
     "optimal_bandwidth",
     "reference_rate",
     "run_experiment",
-    "sample_trajectory",
     "select_stencil",
     "uniform_kernel",
 ]

@@ -4,9 +4,9 @@ The estimation problem treats an autonomous ODE ``du/dt = f(u)`` whose
 right-hand side ``f`` is unknown.  This module supplies the forward
 machinery: declared vector fields with certified smoothness bounds, a
 numerical realization of the flow ``U(f, x, t)`` and of the increment map
-``Upsilon(f, dt, x) = U(f, x, dt) - x``, trajectory sampling with
-continuation, reproducible observation noise, and the CSV/JSON dataset
-format shared by the estimators.
+``Upsilon(f, dt, x) = U(f, x, dt) - x`` (one adaptive solve of a stacked
+system behind both), reproducible observation noise, and the CSV/JSON
+dataset format shared by the estimators.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -24,15 +24,12 @@ from scipy.integrate import solve_ivp
 __all__ = [
     "VectorField",
     "FlowConfig",
-    "Trajectory",
     "NoiseSpec",
     "Observations",
     "IntegrationError",
     "integrate_flow",
     "integrate_flow_grid",
     "increment",
-    "sample_trajectory",
-    "add_noise",
     "noise_draw",
     "stack_higher_order",
     "zero_field",
@@ -139,57 +136,21 @@ class VectorField:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Numerical integration settings.
+    """Tolerances of the embedded Runge-Kutta 4(5) pair that realizes the flow.
 
-    ``rk45-adaptive`` delegates to an embedded Runge-Kutta 4(5) pair with
-    error control; ``rk4-fixed`` takes uniform steps of size `max_step`.
     Defaults are tight enough that integration error is negligible
     against the statistical error of any experiment in this package.
     """
 
-    method: str = "rk45-adaptive"
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_step: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk45-adaptive", "rk4-fixed"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
-        if self.method == "rk4-fixed" and not math.isfinite(self.max_step):
-            raise ValueError("rk4-fixed requires a finite max_step")
 
 
 DEFAULT_FLOW_CONFIG = FlowConfig()
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled solution path.
-
-    ``states[0]`` equals the initial state exactly; times start at 0 and
-    are nondecreasing.
-    """
-
-    x0: np.ndarray
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
-        if self.times.ndim != 1 or self.states.shape != (self.times.size, self.x0.size):
-            raise ValueError("states must be (len(times), d)")
-        if self.times.size == 0 or self.times[0] != 0.0:
-            raise ValueError("times must start at 0")
-        if np.any(np.diff(self.times) < 0):
-            raise ValueError("times must be nondecreasing")
-        if not np.array_equal(self.states[0], self.x0):
-            raise ValueError("states[0] must equal x0 exactly")
 
 
 @dataclass(frozen=True)
@@ -221,19 +182,6 @@ class Observations:
     values: np.ndarray
 
 
-def _rk4_fixed(field: VectorField, x0: np.ndarray, t: float, step: float) -> np.ndarray:
-    n_steps = max(1, math.ceil(t / step))
-    h = t / n_steps
-    y = x0.astype(float).copy()
-    for _ in range(n_steps):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def integrate_flow(
     field: VectorField,
     x0: Sequence[float] | np.ndarray,
@@ -248,29 +196,9 @@ def integrate_flow(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.dim,):
         raise ValueError(f"x0 must have shape ({field.dim},)")
-    if t == 0.0:
-        return x0.copy()
     if t < 0.0:
-        return integrate_flow(field.flipped(), x0, -t, cfg)
-    if cfg.method == "rk4-fixed":
-        return _rk4_fixed(field, x0, t, cfg.max_step)
-    sol = solve_ivp(
-        lambda _t, y: field(y),
-        (0.0, t),
-        x0,
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"integration of {field.name!r} stalled at t={sol.t[-1]:.6g} "
-            f"(target {t:.6g}): {sol.message}",
-            reached_time=float(sol.t[-1]),
-        )
-    return sol.y[:, -1]
+        field, t = field.flipped(), -t
+    return integrate_flow_grid(field, x0[None, :], np.array([t]), cfg)[0, 0]
 
 
 def integrate_flow_grid(
@@ -300,17 +228,6 @@ def integrate_flow_grid(
     if t_end == 0.0:
         out[:] = x0s
         return out
-    if cfg.method == "rk4-fixed":
-        # Fixed-step path advances segment by segment on the grid.
-        state = x0s.copy()
-        prev = 0.0
-        for k, t in enumerate(times):
-            if t > prev:
-                for j in range(m):
-                    state[j] = _rk4_fixed(field, state[j], t - prev, cfg.max_step)
-                prev = t
-            out[k] = x0s if t == 0.0 else state
-        return out
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         return field(y.reshape(m, d)).reshape(-1)
@@ -323,13 +240,12 @@ def integrate_flow_grid(
         method="RK45",
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
-        max_step=cfg.max_step,
         t_eval=times[positive],
     )
     if not sol.success:
         raise IntegrationError(
-            f"batch integration of {field.name!r} stalled at t={sol.t[-1]:.6g}: "
-            f"{sol.message}",
+            f"integration of {field.name!r} stalled at t={sol.t[-1]:.6g} "
+            f"(target {t_end:.6g}): {sol.message}",
             reached_time=float(sol.t[-1]),
         )
     out[~positive] = x0s
@@ -352,29 +268,6 @@ def increment(
     return integrate_flow(field, x, dt, cfg) - x
 
 
-def sample_trajectory(
-    field: VectorField,
-    x0: Sequence[float] | np.ndarray,
-    times: Sequence[float] | np.ndarray,
-    cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> Trajectory:
-    """Sample one solution path at the given times.
-
-    Consecutive states come from a single continued solve, not from
-    restarting at each output time, so the sampled path is one numerical
-    solution evaluated on the grid.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] != 0.0:
-        raise ValueError("times must start at 0")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be nondecreasing")
-    states = integrate_flow_grid(field, x0[None, :], times, cfg)[:, 0, :]
-    states[0] = x0
-    return Trajectory(x0=x0, times=times, states=states)
-
-
 def noise_draw(spec: NoiseSpec, traj_id: int, obs_idx: int, d: int) -> np.ndarray:
     """One centered noise vector from the stream keyed by (seed, traj, obs).
 
@@ -389,25 +282,6 @@ def noise_draw(spec: NoiseSpec, traj_id: int, obs_idx: int, d: int) -> np.ndarra
         return rng.normal(0.0, spec.sigma, size=d)
     half_width = spec.sigma * math.sqrt(3.0)
     return rng.uniform(-half_width, half_width, size=d)
-
-
-def add_noise(traj: Trajectory, spec: NoiseSpec, traj_id: int = 1) -> Observations:
-    """Noisy observations of a trajectory.
-
-    The state at time index 0 is the known initial condition and is not
-    emitted; observation indices start at 1.
-    """
-    n_obs = traj.times.size - 1
-    d = traj.x0.size
-    values = traj.states[1:].copy()
-    for i in range(1, n_obs + 1):
-        values[i - 1] += noise_draw(spec, traj_id, i, d)
-    return Observations(
-        traj_id=traj_id,
-        obs_idx=np.arange(1, n_obs + 1),
-        times=traj.times[1:].copy(),
-        values=values,
-    )
 
 
 def stack_higher_order(

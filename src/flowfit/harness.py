@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import snake, stubble
-from .flow import IntegrationError, VectorField, integrate_flow_grid, make_field
+from .flow import IntegrationError, NoiseSpec, VectorField, integrate_flow_grid, make_field
 from .localpoly import SingularDesign
 from .models import FAILURES, KERNELS, MODELS
 
@@ -283,6 +283,15 @@ class ExperimentConfig:
             raise ValueError("dt_rule 'fixed-horizon' needs horizon")
         if MODELS[self.model].family.needs_x1 and self.x1 is None:
             raise ValueError(f"{self.model} needs the initial state x1")
+        NoiseSpec(distribution=self.noise, sigma=self.sigma)  # raises on a bad noise or sigma
+        for name in ("dt_value", "dt_coeff", "horizon"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.beta is not None and self.beta < 1:
+            raise ValueError("beta must be at least 1")
+        if self.x1 is not None and len(self.x1) != make_field(self.field, self.d).dim:
+            raise ValueError(f"x1 must have the dimension of the field {self.field!r}")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -275,16 +275,28 @@ def _simplex_halfspaces(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
 
 
 def _hull_membership_lp(pts: np.ndarray, x: np.ndarray) -> bool:
-    """Exact membership x in conv(pts) via LP feasibility (any dimension)."""
+    """Exact membership x in conv(pts) via LP feasibility (any dimension).
+
+    HiGHS accepts equality residuals up to its feasibility tolerance
+    (~1e-7), which would let points just off a flat hull in; so its
+    weights must also be nonnegative and meet every equality row,
+    the weight sum included, to 1e-12 relative.
+    """
     n_pts = pts.shape[0]
+    a_eq = np.vstack([pts.T, np.ones(n_pts)])
+    b_eq = np.append(np.asarray(x, dtype=float), 1.0)
     res = linprog(
         c=np.zeros(n_pts),
-        A_eq=np.vstack([pts.T, np.ones(n_pts)]),
-        b_eq=np.append(np.asarray(x, dtype=float), 1.0),
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=[(0.0, 1.0)] * n_pts,
         method="highs",
     )
-    return bool(res.success)
+    if not res.success:
+        return False
+    w = res.x
+    tol = 1e-12 * (np.abs(a_eq) @ np.abs(w) + np.abs(b_eq))
+    return bool(np.all(w >= -1e-12) and np.all(np.abs(a_eq @ w - b_eq) <= tol))
 
 
 def mu_interior_contains(points: np.ndarray, mu: float, x: np.ndarray) -> bool:

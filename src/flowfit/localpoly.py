@@ -15,17 +15,18 @@ where ``B(x)`` is the kernel-weighted second-moment matrix of the basis.
 Weights vanish identically outside the bandwidth ball and reproduce
 polynomials of degree <= ell exactly: ``sum_i w_i q(x_i) = D_v q(x)``.
 
-Two basis conventions are supported: ``factorial-scaled`` divides each
-monomial ``x^alpha`` by ``alpha!`` (the default here), ``plain`` does
-not (the convention of the interpolation module).  Basis entries are
+Fits use the ``factorial-scaled`` basis, which divides each monomial
+``x^alpha`` by ``alpha!``; :func:`monomial_basis` also evaluates the
+``plain`` basis of the interpolation module.  Basis entries are
 ordered by total degree, then lexicographically with earlier coordinates
 taking precedence, e.g. for d=2, ell=2: 1, a, b, a^2, ab, b^2.
 
-Because the weights vanish outside the bandwidth ball, a fit on 1-D
-design points that are nondecreasing (every time grid of a long
-trajectory) scans only the index range that can lie within one
-bandwidth of ``x``, found by bisection; any other design is scanned in
-full.  Both paths apply the same exact ``radius < 1`` test to the points
+Weights, estimates and coefficients all read one solve of ``B(x)`` at
+the query point.  Because the weights vanish outside the bandwidth
+ball, a fit on 1-D design points that are nondecreasing (every time
+grid of a long trajectory) scans only the index range that can lie
+within one bandwidth of ``x``, found by bisection; any other design is
+scanned in full.  Both paths apply the same exact ``radius < 1`` test to the points
 they scan and keep the full ``n`` in the weight scale, so they return
 the same bits.
 """
@@ -44,7 +45,6 @@ __all__ = [
     "KernelSpec",
     "LocalPolyFit",
     "RegressionData",
-    "GridReport",
     "SingularDesign",
     "epanechnikov",
     "uniform_kernel",
@@ -52,12 +52,10 @@ __all__ = [
     "n_basis",
     "monomial_basis",
     "deriv_basis_at_zero",
-    "design_matrix",
     "lp_weights",
     "lp_estimate",
     "lp_coefficients",
     "optimal_bandwidth",
-    "check_grid_assumptions",
 ]
 
 BASIS_MODES = ("factorial-scaled", "plain")
@@ -197,21 +195,14 @@ def monomial_basis(x: np.ndarray, ell: int, mode: str = "factorial-scaled") -> n
     return out
 
 
-def deriv_basis_at_zero(
-    d: int,
-    ell: int,
-    directions: Sequence[np.ndarray],
-    mode: str = "factorial-scaled",
-) -> np.ndarray:
-    """Exact ``s``-fold directional derivative of the basis at 0.
+def deriv_basis_at_zero(d: int, ell: int, directions: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact ``s``-fold directional derivative of the fitting basis at 0.
 
     Entry ``alpha`` of ``D_{v_1} ... D_{v_s} psi`` at the origin is
     nonzero only for ``|alpha| = s``; its value is the sum over all ways
     to match differentiation slots to the coordinate multiset of
-    ``alpha`` (a permanent), divided by ``alpha!`` in factorial mode.
+    ``alpha`` (a permanent), divided by ``alpha!``.
     """
-    if mode not in BASIS_MODES:
-        raise ValueError(f"mode must be one of {BASIS_MODES}")
     dirs = [np.asarray(v, dtype=float) for v in directions]
     s = len(dirs)
     indices = multi_indices(d, ell)
@@ -223,9 +214,7 @@ def deriv_basis_at_zero(
         total = 0.0
         for perm in itertools.permutations(coords):
             total += math.prod(dirs[r][perm[r]] for r in range(s))
-        if mode == "factorial-scaled":
-            total /= float(np.prod([math.factorial(a) for a in alpha]))
-        out[pos] = total
+        out[pos] = total / float(np.prod([math.factorial(a) for a in alpha]))
     return out
 
 
@@ -281,7 +270,6 @@ class LocalPolyFit:
     bandwidth: float
     deriv_order: int = 0
     directions: tuple[tuple[float, ...], ...] = ()
-    basis_mode: str = "factorial-scaled"
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -295,8 +283,6 @@ class LocalPolyFit:
         for v in self.directions:
             if abs(np.linalg.norm(v) - 1.0) > 1e-9:
                 raise ValueError("directions must be unit vectors")
-        if self.basis_mode not in BASIS_MODES:
-            raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
 
 
 def _window(x: np.ndarray, data: RegressionData, bandwidth: float) -> slice:
@@ -321,42 +307,29 @@ def _local_terms(
     diffs = (points - x) / fit.bandwidth
     radii = np.linalg.norm(diffs, axis=1)
     inside = radii < 1.0  # weights are exactly zero at radius >= bandwidth
-    psi = monomial_basis(diffs[inside], fit.degree, fit.basis_mode)
+    psi = monomial_basis(diffs[inside], fit.degree)
     kvals = kernel(radii[inside])
     return inside, psi, kvals
-
-
-def _local_design(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
-) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(window, inside, psi, kvals, B(x)) at ``x``; B is zero when no point is inside.
-
-    `inside` masks the in-bandwidth points of ``data.points[window]``.
-    """
-    d = data.dim
-    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    window = _window(x, data, fit.bandwidth)
-    inside, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
-    return window, inside, psi, kvals, scale * (psi.T * kvals) @ psi
-
-
-def design_matrix(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
-) -> np.ndarray:
-    """The symmetric matrix ``B(x)``; positive semidefinite by construction."""
-    return _local_design(np.asarray(x, dtype=float), data, fit, kernel)[-1]
 
 
 def _solve_design(
     x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
 ) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared core: returns (window, inside, psi, kvals, B^{-1} applied via eigh)."""
+    """The one solve every fit reads: (window, inside, psi, kvals, B(x)^{-1}).
+
+    `inside` masks the in-bandwidth points of ``data.points[window]``;
+    ``B^{-1}`` comes from the eigendecomposition of ``B(x)``.
+    """
     x = np.asarray(x, dtype=float)
-    window, inside, psi, kvals, bmat = _local_design(x, data, fit, kernel)
+    d = data.dim
+    window = _window(x, data, fit.bandwidth)
+    inside, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
     if psi.shape[0] == 0:
         raise SingularDesign(0.0, x)
+    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
+    bmat = scale * (psi.T * kvals) @ psi
     eigvals, eigvecs = np.linalg.eigh(bmat)
-    floor = 1e-10 * np.trace(bmat) / n_basis(data.dim, fit.degree)
+    floor = 1e-10 * np.trace(bmat) / n_basis(d, fit.degree)
     if eigvals[0] <= floor:
         raise SingularDesign(float(eigvals[0]), x)
     inv = eigvecs @ (eigvecs / eigvals).T
@@ -379,9 +352,7 @@ def lp_weights(
     """
     window, inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
     d = data.dim
-    dpsi0 = deriv_basis_at_zero(
-        d, fit.degree, [np.asarray(v) for v in fit.directions], fit.basis_mode
-    )
+    dpsi0 = deriv_basis_at_zero(d, fit.degree, [np.asarray(v) for v in fit.directions])
     scale = data.extent ** d / (data.n * fit.bandwidth ** (d + fit.deriv_order))
     w = np.zeros(data.n)
     w[window][inside] = scale * ((inv @ dpsi0) @ psi.T) * kvals
@@ -439,69 +410,3 @@ def optimal_bandwidth(
     elif mode != "pointwise":
         raise ValueError("mode must be 'pointwise' or 'supnorm'")
     return C * arg ** (1.0 / (2 * beta + d))
-
-
-@dataclass(frozen=True)
-class GridReport:
-    """Diagnostic for the design assumptions of a point cloud.
-
-    ``cover_constant`` is the smallest constant making the local point
-    fraction obey ``(1/n) #(ball of radius r) <= max(1/n, c (r/T)^d)``
-    over the probed (x, r) pairs; a uniform grid stays below ``4^d``.
-    ``lambda_min`` is the worst design-matrix eigenvalue over the probe
-    lattice (0 flags regions where local fits would be singular).
-    """
-
-    cover_constant: float
-    lambda_min: float
-    degenerate_fraction: float
-
-
-def check_grid_assumptions(
-    points: np.ndarray,
-    T: float,
-    kernel: KernelSpec,
-    degree: int = 1,
-    bandwidth: float | None = None,
-    probes_per_dim: int = 5,
-    radii: Sequence[float] | None = None,
-) -> GridReport:
-    """Empirically probe the covering and eigenvalue design assumptions.
-
-    Purely diagnostic: estimates the covering constant over a probe
-    lattice and radius sweep, and the minimal design-matrix eigenvalue
-    at the probes for a degree-`degree` fit with the given (or a
-    spacing-derived) bandwidth.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
-    if bandwidth is None:
-        bandwidth = max(2.0 * T / max(n, 2) ** (1.0 / d), 1e-6 * T)
-    if radii is None:
-        radii = np.linspace(0.05, 1.0, 8) * T
-    axes = [np.linspace(0.0, T, probes_per_dim) for _ in range(d)]
-    probes = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
-    dists = np.linalg.norm(probes[:, None, :] - pts[None, :, :], axis=2)
-
-    cover = 0.0
-    for r in radii:
-        frac = np.mean(dists <= r, axis=1)
-        active = frac > 1.0 / n  # below the 1/n branch the bound is vacuous
-        if np.any(active):
-            cover = max(cover, float(np.max(frac[active] * (T / r) ** d)))
-
-    data = RegressionData(points=pts, targets=np.zeros((n, 1)), extent=T)
-    fit = LocalPolyFit(degree=degree, bandwidth=bandwidth)
-    lam_min = math.inf
-    degenerate = 0
-    for x in probes:
-        bmat = design_matrix(x, data, fit, kernel)
-        lam = float(np.linalg.eigvalsh(bmat)[0])
-        lam_min = min(lam_min, lam)
-        if lam <= 1e-10 * max(np.trace(bmat), 1e-300) / bmat.shape[0]:
-            degenerate += 1
-    return GridReport(
-        cover_constant=cover,
-        lambda_min=lam_min,
-        degenerate_fraction=degenerate / probes.shape[0],
-    )

@@ -506,6 +506,11 @@ def select_stencil(
     improved by single-point swaps; all swaps at one position are
     scored together by `_subset_keys`.
 
+    On a circular trajectory no quadratic stencil (``ell = 2``) is ever
+    admitted: its six points lie on one conic, the circle, so every
+    node matrix is singular and every certificate infinite.  This is
+    why ``snake-gen`` on the ``rotation`` field falls back at beta = 3.
+
     Raises
     ------
     NoStencilFound

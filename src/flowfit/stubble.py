@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -209,17 +208,15 @@ class IncrementRegressor:
     """Configuration of the per-horizon spatial regressions.
 
     ``degree = None`` uses ``beta - 1``, the largest degree the horizon
-    count supports at the matching rate.  ``bandwidth`` may be a single
-    number for all horizons, a callable ``horizon -> bandwidth``, or
-    None for the plug-in choice (which needs ``sigma`` and ``lip`` in
-    the dataset meta).
+    count supports at the matching rate.  ``bandwidth`` is one number
+    for all horizons, or None for the plug-in choice per horizon (which
+    needs ``sigma`` and ``lip`` in the dataset meta).
     """
 
     degree: int | None = None
     kernel: KernelSpec | None = None
-    bandwidth: float | Callable[[int], float] | None = None
+    bandwidth: float | None = None
     bandwidth_constant: float = 1.0
-    basis_mode: str = "factorial-scaled"
 
     def resolve_degree(self, beta: int) -> int:
         return beta - 1 if self.degree is None else self.degree
@@ -228,8 +225,6 @@ class IncrementRegressor:
         return epanechnikov() if self.kernel is None else self.kernel
 
     def resolve_bandwidth(self, ds: StubbleDataset, horizon: int) -> float:
-        if callable(self.bandwidth):
-            return float(self.bandwidth(horizon))
         if self.bandwidth is not None:
             return float(self.bandwidth)
         degree = self.resolve_degree(ds.beta)
@@ -261,11 +256,7 @@ def estimate_general(
     hats = np.zeros((ds.beta + 1, ds.dim))
     for i in range(1, ds.beta + 1):
         data = RegressionData(points=ds.initials, targets=ds.increments(i), extent=1.0)
-        fit = LocalPolyFit(
-            degree=degree,
-            bandwidth=regressor.resolve_bandwidth(ds, i),
-            basis_mode=regressor.basis_mode,
-        )
+        fit = LocalPolyFit(degree=degree, bandwidth=regressor.resolve_bandwidth(ds, i))
         hats[i] = lp_estimate(x, data, fit, kernel)
     nodes = ds.dt * np.arange(ds.beta + 1)
     return derivative_at(interp_univariate(nodes, hats), 1, 0.0)

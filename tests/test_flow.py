@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from flowfit.flow import (
     FlowConfig,
     NoiseSpec,
     VectorField,
-    add_noise,
     increment,
     integrate_flow,
     integrate_flow_grid,
@@ -22,12 +22,12 @@ from flowfit.flow import (
     noise_draw,
     read_dataset_meta,
     read_observation_csv,
-    sample_trajectory,
     stack_higher_order,
     validate_smoothness_bounds,
     write_dataset_meta,
     write_observation_csv,
 )
+from flowfit.snake import generate_snake, to_observations
 
 ROT = make_field("rotation")
 CFG = FlowConfig()
@@ -48,21 +48,22 @@ def test_increment_closed_form():
 
 def test_rotation_cycle():
     times = np.array([k * math.pi / 2 for k in range(5)])
-    traj = sample_trajectory(ROT, [1.0, 0.0], times)
+    states = integrate_flow_grid(ROT, [[1.0, 0.0]], times)[:, 0]
     want = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]], dtype=float)
-    assert np.abs(traj.states - want).max() <= 1e-5
+    assert np.abs(states - want).max() <= 1e-5
 
 
 def test_single_time_zero_is_exact_initial():
-    traj = sample_trajectory(ROT, [0.3, -0.2], [0.0])
-    assert traj.states.shape == (1, 2)
-    assert np.array_equal(traj.states[0], np.array([0.3, -0.2]))
+    states = integrate_flow_grid(ROT, [[0.3, -0.2]], [0.0])[:, 0]
+    assert states.shape == (1, 2)
+    assert np.array_equal(states[0], np.array([0.3, -0.2]))
+    assert np.array_equal(integrate_flow(ROT, [0.3, -0.2], 0.0), np.array([0.3, -0.2]))
 
 
 def test_zero_field_is_constant_in_time():
     zero = make_field("zero")
-    traj = sample_trajectory(zero, [0.5, 0.5], [0.0, 1.0, 2.0])
-    assert np.array_equal(traj.states, np.tile([0.5, 0.5], (3, 1)))
+    states = integrate_flow_grid(zero, [[0.5, 0.5]], [0.0, 1.0, 2.0])[:, 0]
+    assert np.array_equal(states, np.tile([0.5, 0.5], (3, 1)))
 
 
 def test_backward_time_inverts_forward():
@@ -82,16 +83,22 @@ def test_grid_integration_matches_single():
             assert np.linalg.norm(states[i, j] - integrate_flow(ROT, x0, t)) <= 1e-9
 
 
+def observe(spec, times):
+    """States of the rotation orbit from (1, 0) after time 0, and their noisy copies."""
+    states = integrate_flow_grid(ROT, [[1.0, 0.0]], times)[1:, 0]
+    noise = [noise_draw(spec, 1, i, 2) for i in range(1, len(times))]
+    return states, states + np.array(noise)
+
+
 def test_none_noise_returns_states():
-    traj = sample_trajectory(ROT, [1.0, 0.0], [0.0, 0.1, 0.2])
-    obs = add_noise(traj, NoiseSpec("none", 0.0, seed=0))
-    assert np.array_equal(obs.values, traj.states[1:])
+    # "none" draws zeros whatever sigma says
+    states, noisy = observe(NoiseSpec("none", 0.3, seed=0), [0.0, 0.1, 0.2])
+    assert np.array_equal(noisy, states)
 
 
 def test_zero_sigma_gaussian_returns_states():
-    traj = sample_trajectory(ROT, [1.0, 0.0], [0.0, 0.1, 0.2])
-    obs = add_noise(traj, NoiseSpec("gaussian", 0.0, seed=5))
-    assert np.array_equal(obs.values, traj.states[1:])
+    states, noisy = observe(NoiseSpec("gaussian", 0.0, seed=5), [0.0, 0.1, 0.2])
+    assert np.array_equal(noisy, states)
 
 
 def test_noise_is_reproducible():
@@ -143,8 +150,9 @@ def test_flow_difference_bound():
     rng = np.random.default_rng(0)
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
     e = 0.05 * rng.standard_normal((2, 2))
-    fa = VectorField("la", 2, lambda u: a @ u, 1, (3.0, 1.2), ((-2, 2),) * 2)
-    fb = VectorField("lb", 2, lambda u: (a + e) @ u, 1, (3.0, 1.2), ((-2, 2),) * 2)
+    # u @ A.T applies A to each state of a (..., d) stack, as VectorField asks
+    fa = VectorField("la", 2, lambda u: u @ a.T, 1, (3.0, 1.2), ((-2, 2),) * 2)
+    fb = VectorField("lb", 2, lambda u: u @ (a + e).T, 1, (3.0, 1.2), ((-2, 2),) * 2)
     lip = 1.2
     grid = np.linspace(-2.0, 2.0, 41)
     pts = np.array([[p, q] for p in grid for q in grid])
@@ -188,8 +196,9 @@ def test_stacked_system_matches_scalar_ode():
 
 
 def test_observation_csv_round_trip(tmp_path):
-    traj = sample_trajectory(ROT, [1.0, 0.0], [0.0, 0.1, 0.2])
-    obs = [add_noise(traj, NoiseSpec("gaussian", 0.1, seed=3), traj_id=j) for j in (1, 2)]
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=2, dt=0.1, sigma=0.1, seed=3)
+    (first,) = to_observations(ds)
+    obs = [first, dataclasses.replace(first, traj_id=2, values=first.values + 1.0)]
     path = tmp_path / "obs.csv"
     write_observation_csv(path, obs)
     back = read_observation_csv(path)

@@ -251,6 +251,39 @@ def test_config_validation():
         )  # snake needs x1
 
 
+def snake_config(**overrides):
+    base = dict(
+        model="snake-lip",
+        field="rotation",
+        ns=(64, 128, 256),
+        d=2,
+        dt_rule="fixed-horizon",
+        horizon=1.0,
+        x1=(1.0, 0.0),
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "make, overrides",
+    [
+        (constant_config, dict(sigma=-0.1)),
+        (constant_config, dict(noise="laplace")),
+        (constant_config, dict(dt_value=-0.05)),
+        (constant_config, dict(dt_rule="balanced", dt_coeff=0.0)),
+        (constant_config, dict(beta=0)),
+        (snake_config, dict(horizon=-1.0)),
+        (snake_config, dict(x1=(1.0, 0.0, 0.0))),
+    ],
+    ids=["sigma", "noise", "dt_value", "dt_coeff", "beta", "horizon", "x1"],
+)
+def test_config_rejects_bad_values(make, overrides):
+    make()  # the base config is valid
+    with pytest.raises(ValueError):
+        make(**overrides)
+
+
 def test_dt_rules():
     cfg = constant_config(dt_rule="fixed", dt_value=0.125)
     assert cfg.dt_for(100, beta=1, d=1) == 0.125

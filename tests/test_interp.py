@@ -154,6 +154,24 @@ def test_outside_hull_is_rejected():
     assert not mu_interior_contains(pts, 0.1, np.array([-0.2, 0.5]))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_point_just_off_a_flat_hull_is_outside(d):
+    # collinear points in d = 2, coplanar in d = 3: qhull builds no hull,
+    # so membership is decided by the LP on the points
+    rng = np.random.default_rng(d)
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    span, normal = basis[:, : d - 1], basis[:, d - 1]
+    pts = 0.3 + rng.uniform(-1.0, 1.0, (d + 3, d - 1)) @ span.T
+    for _ in range(20):
+        inside = rng.dirichlet(np.ones(d + 3)) @ pts
+        assert mu_interior_contains(pts, 0.0, inside)
+        assert not mu_interior_contains(pts, 0.0, inside + 1e-9 * normal)
+        along = span @ rng.standard_normal(d - 1)
+        along /= np.linalg.norm(along)
+        beyond = pts[np.argmax(pts @ along)] + 1e-9 * along
+        assert not mu_interior_contains(pts, 0.0, beyond)
+
+
 def _barycentric_inside(tri, x, tol=0.0):
     mat = np.vstack([tri.T, np.ones(3)])
     lam = np.linalg.solve(mat, np.array([x[0], x[1], 1.0]))

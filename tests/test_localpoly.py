@@ -14,8 +14,7 @@ from flowfit.localpoly import (
     LocalPolyFit,
     RegressionData,
     SingularDesign,
-    check_grid_assumptions,
-    design_matrix,
+    _solve_design,
     deriv_basis_at_zero,
     epanechnikov,
     lp_coefficients,
@@ -63,12 +62,12 @@ def test_deriv_basis_reads_gradient():
 
 
 def test_design_matrix_matches_bruteforce():
-    # naive triple-loop accumulation of B(x)
+    # the solve inverts the B(x) of a naive triple-loop accumulation
     rng = np.random.default_rng(3)
     for d, degree in [(1, 2), (2, 1), (3, 1)]:
         data, fit, x = random_instance(rng, d, degree)
         kern = epanechnikov()
-        got = design_matrix(x, data, fit, kern)
+        inv = _solve_design(x, data, fit, kern)[-1]
         nb = n_basis(d, degree)
         want = np.zeros((nb, nb))
         for i in range(data.n):
@@ -81,7 +80,7 @@ def test_design_matrix_matches_bruteforce():
                 for b in range(nb):
                     want[a, b] += k * psi[a] * psi[b]
         want *= data.extent**d / (data.n * fit.bandwidth**d)
-        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(inv @ want - np.eye(nb)).max() <= 1e-12
 
 
 def test_weight_locality():
@@ -222,28 +221,6 @@ def test_singular_design_far_from_data():
     assert err.value.lambda_min == 0.0
 
 
-def test_grid_report_on_uniform_grid():
-    axis = (np.arange(16) + 1.0) / 16.0
-    pts = np.array([[a, b] for a in axis for b in axis])
-    report = check_grid_assumptions(pts, T=1.0, kernel=epanechnikov(), bandwidth=0.3)
-    assert 0.0 < report.cover_constant <= 4.0**2
-    assert report.lambda_min > 0.0
-    assert report.degenerate_fraction == 0.0
-
-
-def test_grid_report_flags_clustered_points():
-    rng = np.random.default_rng(2)
-    pts = 0.05 * rng.uniform(size=(40, 2))  # all in one corner
-    report = check_grid_assumptions(pts, T=1.0, kernel=epanechnikov())
-    assert report.degenerate_fraction > 0.0
-    assert report.lambda_min <= 1e-10
-
-
-def test_grid_report_single_point_is_vacuous():
-    report = check_grid_assumptions(np.array([[0.5, 0.5]]), T=1.0, kernel=epanechnikov())
-    assert report.cover_constant == 0.0
-
-
 def test_kernel_validation():
     with pytest.raises(ValueError):
         KernelSpec(func=lambda z: -np.ones_like(z))
@@ -287,7 +264,7 @@ def full_scan_fit(x, data, fit, kernel):
     diffs = (data.points - x) / fit.bandwidth
     radii = np.linalg.norm(diffs, axis=1)
     inside = radii < 1.0
-    psi = reference_basis(diffs[inside], fit.degree, fit.basis_mode)
+    psi = reference_basis(diffs[inside], fit.degree, "factorial-scaled")
     kvals = kernel(radii[inside])
     if psi.shape[0] == 0:
         raise SingularDesign(0.0, x)
@@ -297,9 +274,7 @@ def full_scan_fit(x, data, fit, kernel):
         raise SingularDesign(float(eigvals[0]), x)
     inv = eigvecs @ (eigvecs / eigvals).T
     coef = inv @ (scale * (psi.T * kvals) @ data.targets[inside])
-    dpsi0 = deriv_basis_at_zero(
-        d, fit.degree, [np.asarray(v) for v in fit.directions], fit.basis_mode
-    )
+    dpsi0 = deriv_basis_at_zero(d, fit.degree, [np.asarray(v) for v in fit.directions])
     w = np.zeros(data.n)
     w[inside] = (
         data.extent ** d / (data.n * fit.bandwidth ** (d + fit.deriv_order))
