@@ -73,7 +73,8 @@ class VectorField:
         State dimension ``d``.
     func : callable
         Evaluator mapping arrays of shape ``(..., d)`` to arrays of the
-        same shape (vectorized over leading axes).
+        same shape (vectorized over leading axes; construction checks
+        this on a ``(2, 1, d)`` stack).
     smoothness : int
         Number of certified derivative orders ``beta >= 1``.
     derivative_bounds : tuple of float
@@ -112,6 +113,15 @@ class VectorField:
                 raise ValueError(f"L_{k} must be positive and finite")
         if len(self.box) != self.dim:
             raise ValueError("box must give (low, high) per coordinate")
+        # a func written for one state (say ``A @ u``) can return the right
+        # shape for a (d, d) stack while mixing its states, so probe (2, 1, d)
+        probe = (2, 1, self.dim)
+        try:
+            shape = np.shape(self.func(np.zeros(probe)))
+        except Exception as exc:
+            raise ValueError(f"field {self.name!r}: func is not vectorized: {exc}") from exc
+        if shape != probe:
+            raise ValueError(f"field {self.name!r}: func maps a {probe} stack to {shape}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -285,19 +295,14 @@ def noise_draw(spec: NoiseSpec, traj_id: int, obs_idx: int, d: int) -> np.ndarra
 
 
 def stack_higher_order(
-    rhs: Callable[..., np.ndarray],
-    order: int,
-    dim: int,
-    autonomous: bool = True,
+    rhs: Callable[..., np.ndarray], order: int, dim: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """First-order reduction of a higher-order (possibly time-dependent) ODE.
+    """First-order reduction of a higher-order autonomous ODE.
 
-    Given ``v^(order) = rhs(v, v', ..., v^(order-1)[, t])`` with
-    ``v(t)`` taking values in ``R^dim``, build the evaluator of the
-    stacked autonomous system whose state is
-    ``(v, v', ..., v^(order-1))``, with time appended as a final
-    coordinate when `autonomous` is false.  The stacked dimension is
-    ``dim * order`` (+1 in the non-autonomous case).
+    Given ``v^(order) = rhs(v, v', ..., v^(order-1))`` with ``v(t)``
+    taking values in ``R^dim``, build the evaluator of the stacked
+    system whose state is ``(v, v', ..., v^(order-1))``, of dimension
+    ``dim * order``.
 
     The returned callable is vectorized over leading axes and can be
     wrapped in a :class:`VectorField` once bounds are certified.
@@ -308,15 +313,7 @@ def stack_higher_order(
     def stacked(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         parts = [x[..., k * dim:(k + 1) * dim] for k in range(order)]
-        if autonomous:
-            top = rhs(*parts)
-        else:
-            t = x[..., -1:]
-            top = rhs(*parts, t)
-        out = np.concatenate(parts[1:] + [np.asarray(top, dtype=float)], axis=-1)
-        if not autonomous:
-            out = np.concatenate([out, np.ones_like(x[..., -1:])], axis=-1)
-        return out
+        return np.concatenate(parts[1:] + [np.asarray(rhs(*parts), dtype=float)], axis=-1)
 
     return stacked
 

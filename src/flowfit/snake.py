@@ -14,7 +14,6 @@ lies in their convex hull and the interpolation is provably stable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -158,10 +157,11 @@ class CurveEstimate:
     """Reconstructed path and velocity, with a cached evaluation grid.
 
     ``u`` and ``du`` are defined on all of ``[0, T]``; `grid_states`
-    caches ``u`` on `grid_times` for nearest-neighbor and stencil
-    searches.  `degree` is the polynomial degree behind the fit (equal
-    to the smoothness order used, at least 1); stencil selection for
-    this curve interpolates with degree ``degree - 1``.
+    caches ``u`` on `grid_times`.  The nearest-time search reads only
+    this grid, and the stencil search draws its candidates from it.
+    `degree` is the polynomial degree behind the fit (equal to the
+    smoothness order used, at least 1); stencil selection for this
+    curve interpolates with degree ``degree - 1``.
     """
 
     u: Callable[[float], np.ndarray]
@@ -212,12 +212,6 @@ GRID_PER_BANDWIDTH = 16
 WIDEN_FACTOR = 1.5
 MAX_WIDENINGS = 8
 
-# Golden-section steps of one nearest-time search, and the fitted times a
-# curve remembers: every fit of one search, so the velocity at the time it
-# returns reuses that fit.
-GOLDEN_STEPS = 48
-FIT_CACHE_SIZE = GOLDEN_STEPS + 2
-
 
 def _curve_bandwidth(ds: SnakeDataset, beta: int, constant: float) -> float:
     """Sup-norm-mode plug-in bandwidth for the curve regression.
@@ -253,10 +247,8 @@ def fit_curve(
     """Reconstruct the path and its velocity from the observations.
 
     Componentwise local polynomial regression in time of degree
-    ``max(1, beta)``; the value and velocity estimates share one fitted
-    coefficient block per evaluation time, and the blocks of the last
-    `FIT_CACHE_SIZE` times are kept, so ``u(t)`` then ``du(t)`` fits
-    once.  Windows that touch the ends of ``[0, T]`` are one-sided; if
+    ``max(1, beta)``; each call of ``u(t)`` or ``du(t)`` is one fit at
+    ``t``.  Windows that touch the ends of ``[0, T]`` are one-sided; if
     such a window has too few points to determine the fit it is widened
     by factors of 1.5, and times within one bandwidth of either end are
     flagged by ``boundary``.
@@ -278,14 +270,12 @@ def fit_curve(
     degree = max(1, beta)
     data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
 
-    @functools.lru_cache(maxsize=FIT_CACHE_SIZE)
     def coefficients(t: float) -> tuple[np.ndarray, float]:
         h = bandwidth
         for _ in range(MAX_WIDENINGS):
             fit = LocalPolyFit(degree=degree, bandwidth=h)
             try:
                 theta = lp_coefficients(np.array([t]), data, fit, kernel)
-                theta.setflags(write=False)  # shared by every caller of t
                 return theta, h
             except SingularDesign:
                 h *= WIDEN_FACTOR
@@ -307,51 +297,30 @@ def fit_curve(
     )
 
 
-def _golden_section(
-    fun: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
-    """Deterministic golden-section minimizer on [lo, hi]: ``(t, fun(t))``."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(GOLDEN_STEPS):
-        if b - a < 1e-12 * max(1.0, abs(b)):
-            break
-        if fc <= fd:  # keep the left interval on ties: smallest-t bias
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def nn_time(curve: CurveEstimate, x: np.ndarray) -> float:
-    """Time of the curve point nearest to ``x``.
+    """Time of the curve point nearest to ``x``, without refitting the curve.
 
     The argmin over the cached grid (ties broken by smallest time) is
-    refined by golden-section search between the neighboring grid
-    times.  A query lying exactly on a cached curve point returns that
-    grid time unchanged.
+    refined to the vertex of the parabola through the squared distances
+    at three consecutive grid times around it (Brent 1973, ch. 5),
+    clipped to the neighbouring grid times.  A query lying exactly on a
+    cached curve point, or whose parabola is not convex, gets the grid
+    time unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    dists = np.linalg.norm(curve.grid_states - x, axis=1)
-    k = int(np.argmin(dists))
-    if dists[k] == 0.0:
-        return float(curve.grid_times[k])
-    lo = curve.grid_times[max(k - 1, 0)]
-    hi = curve.grid_times[min(k + 1, curve.grid_times.size - 1)]
-
-    def fun(t: float) -> float:
-        return float(np.linalg.norm(np.asarray(curve.u(t)) - x))
-
-    t_star, f_star = _golden_section(fun, float(lo), float(hi))
-    # never return a worse time than the grid argmin
-    return t_star if f_star <= dists[k] else float(curve.grid_times[k])
+    times = curve.grid_times
+    d2 = np.sum((curve.grid_states - np.asarray(x, dtype=float)) ** 2, axis=1)
+    k = int(np.argmin(d2))
+    if d2[k] == 0.0 or times.size < 3:
+        return float(times[k])
+    j = min(max(k, 1), times.size - 2)  # centre of three grid times, inside the grid
+    t0, t1, t2 = times[j - 1:j + 2]
+    f0, f1, f2 = d2[j - 1:j + 2]
+    p = (t1 - t0) ** 2 * (f1 - f2) - (t1 - t2) ** 2 * (f1 - f0)
+    q = (t1 - t0) * (f1 - f2) - (t1 - t2) * (f1 - f0)
+    if not q < 0.0:  # q < 0 exactly when the parabola is convex
+        return float(times[k])
+    lo, hi = times[max(k - 1, 0)], times[min(k + 1, times.size - 1)]
+    return float(np.clip(t1 - 0.5 * p / q, lo, hi))
 
 
 def estimate_lipschitz(x: np.ndarray, curve: CurveEstimate) -> np.ndarray:
@@ -374,16 +343,13 @@ class StencilConfig:
     examines at most `pool_size` candidate curve times: the half
     nearest to the query in state space plus an even stride across the
     whole time range, so both tight and wide stencils are reachable.
-    ``search_halfwidth`` (None = unrestricted) narrows the candidates
-    to a time window around the nearest-curve time; seeds are improved
-    by `sweeps` rounds of single-point swaps.
+    Seeds are improved by `sweeps` rounds of single-point swaps.
     """
 
     s: float = 50.0
     big_d: float = 4.0
     mu: float | None = None
     pool_size: int = 64
-    search_halfwidth: float | None = None
     sweeps: int = 2
 
     def __post_init__(self) -> None:
@@ -395,8 +361,6 @@ class StencilConfig:
             raise ValueError("mu must be positive (or None for the default)")
         if self.pool_size < 2:
             raise ValueError("pool_size must be at least 2")
-        if self.search_halfwidth is not None and self.search_halfwidth <= 0:
-            raise ValueError("search_halfwidth must be positive")
         if self.sweeps < 0:
             raise ValueError("sweeps must be nonnegative")
 
@@ -501,7 +465,7 @@ def select_stencil(
     examined, the one minimizing ``stability * diam^(ell+1)`` is
     returned, so the result is within a factor 2 of the best examined
     candidate by construction.  Candidates are drawn from a bounded
-    pool of cached curve times around the nearest-curve time, seeded by
+    pool of cached curve points (see `StencilConfig`), seeded by
     nearest points, farthest-point traversal, and even spacing, then
     improved by single-point swaps; all swaps at one position are
     scored together by `_subset_keys`.
@@ -525,20 +489,15 @@ def select_stencil(
     cfg.resolve_mu(num)  # validate even though admission uses mu = 0
 
     dists_all = np.linalg.norm(curve.grid_states - x, axis=1)
-    allowed = np.arange(curve.grid_times.size)
-    if cfg.search_halfwidth is not None:
-        t_nn = nn_time(curve, x)
-        allowed = allowed[np.abs(curve.grid_times - t_nn) <= cfg.search_halfwidth]
-    if allowed.size > cfg.pool_size:
-        by_dist = allowed[np.argsort(dists_all[allowed], kind="stable")]
-        near = by_dist[: cfg.pool_size // 2]
-        strided = allowed[np.unique(
-            np.round(np.linspace(0, allowed.size - 1, cfg.pool_size - near.size))
-            .astype(int)
-        )]
+    num_grid = curve.grid_times.size
+    if num_grid > cfg.pool_size:
+        near = np.argsort(dists_all, kind="stable")[: cfg.pool_size // 2]
+        strided = np.unique(
+            np.round(np.linspace(0, num_grid - 1, cfg.pool_size - near.size)).astype(int)
+        )
         idx = np.unique(np.concatenate([near, strided]))
     else:
-        idx = allowed
+        idx = np.arange(num_grid)
     pool_states = curve.grid_states[idx]
     pool_times = curve.grid_times[idx]
     pool = pool_states.shape[0]

@@ -163,6 +163,20 @@ def test_flow_difference_bound():
         assert diff <= 2.0 * t * sup + 1e-8
 
 
+def test_field_must_be_vectorized():
+    # A @ u maps one state correctly but, on a (d, d) stack, returns the
+    # transposed system; construction refuses it instead of integrating it
+    a = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="'per-state': func is not vectorized"):
+        VectorField("per-state", 2, lambda u: a @ u, 1, (3.0, 1.0), ((-2, 2),) * 2)
+    with pytest.raises(ValueError, match="'flat': func maps a \\(2, 1, 2\\) stack to \\(2, 1\\)"):
+        VectorField("flat", 2, lambda u: u[..., 0], 1, (3.0, 1.0), ((-2, 2),) * 2)
+    fld = VectorField("stacked", 2, lambda u: u @ a.T, 1, (3.0, 1.0), ((-2, 2),) * 2)
+    assert np.array_equal(fld(np.array([1.0, 0.0])), np.array([0.0, 1.0]))
+    for name in BUILTIN_FIELDS:
+        assert make_field(name).flipped().dim >= 1
+
+
 @pytest.mark.parametrize("name", ["rotation", "pendulum"])
 def test_trajectory_derivative_bounds(name):
     # finite-difference D^k of t -> U(f, x, t) obeys (k-1)! L^k with

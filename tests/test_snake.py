@@ -111,11 +111,18 @@ def test_nn_time_exact_at_grid_points():
 
 def test_nn_time_projects_radially():
     curve = circle_curve(resolution=64)
-    for theta in (0.3, 2.0, 4.5):
-        x = 1.5 * np.array([math.cos(theta), math.sin(theta)])
-        got = nn_time(curve, x)
-        spacing = curve.grid_times[1] - curve.grid_times[0]
-        assert abs(got - theta) <= spacing
+    for r in (0.5, 1.5):
+        for theta in (0.3, 2.0, 4.5):
+            x = r * np.array([math.cos(theta), math.sin(theta)])
+            assert abs(nn_time(curve, x) - theta) <= 1e-6
+
+
+def test_nn_time_clips_to_the_ends_of_an_open_arc():
+    u = lambda t: np.array([math.cos(t), math.sin(t)])
+    du = lambda t: np.array([-math.sin(t), math.cos(t)])
+    arc = CurveEstimate.from_functions(u, du, horizon=math.pi, degree=2)
+    assert abs(nn_time(arc, np.array([1.5, -0.5]))) <= 1e-9
+    assert abs(nn_time(arc, np.array([-1.5, -0.5])) - math.pi) <= 1e-9
 
 
 def test_nn_estimate_exact_on_affine_curve():
@@ -296,23 +303,20 @@ def test_nonfinite_observations_rejected():
         SnakeDataset(x1=np.array([np.inf, 0.0]), dt=ds.dt, observations=ds.observations)
 
 
-def test_velocity_at_the_nearest_time_reuses_its_fit(monkeypatch):
+def test_nearest_time_search_makes_no_fit(monkeypatch):
     import flowfit.snake as snake
 
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=256, dt=2 * math.pi / 256, sigma=0.05)
     curve = fit_curve(ds, beta=1)
     x = np.array([0.0, 1.01])
-    t = nn_time(curve, x)
-    want = curve.du(t)
-    fresh = fit_curve(ds, beta=1)
     fits = []
     real = snake.lp_coefficients
     monkeypatch.setattr(snake, "lp_coefficients", lambda *a: fits.append(1) or real(*a))
-    t_star = nn_time(fresh, x)
-    searched = len(fits)
-    got = fresh.du(t_star)
-    assert t_star == t and np.array_equal(got, want)
-    assert searched > 0 and len(fits) == searched  # no refit of t_star, in nn_time or du
+    t = nn_time(curve, x)
+    assert fits == []
+    got = estimate_lipschitz(x, curve)
+    assert len(fits) == 1  # the velocity at t, and nothing else
+    assert np.array_equal(got, curve.du(t))
 
 
 # --- batched stencil scoring against the scalar search it replaced ---------
@@ -334,8 +338,8 @@ def reference_key(points, x, ell):
 
 
 def reference_search(curve, x, cfg, ell):
-    """The stencil search (without `search_halfwidth`) with every subset
-    scored on its own by `reference_key`."""
+    """The stencil search with every subset scored on its own by
+    `reference_key`."""
     d = curve.grid_states.shape[1]
     num = n_basis(d, ell)
     dists_all = np.linalg.norm(curve.grid_states - x, axis=1)
