@@ -90,8 +90,6 @@ def _load_dataset(data_dir: Path, model: str):
 def _estimate_queries(cfg: ExperimentConfig, d: int, predictor: Predictor) -> np.ndarray:
     qspec = cfg.queries or harness.QuerySpec(kind=MODELS[cfg.model].family.default_queries)
     rng = np.random.default_rng([cfg.seed, 24301, 0])
-    if qspec.kind == "tube" and predictor.curve_points is None:
-        raise SystemExit("tube queries are only available for snake datasets")
     return qspec.build(d, rng, predictor.curve_points)
 
 

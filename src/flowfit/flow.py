@@ -278,20 +278,20 @@ def increment(
     return integrate_flow(field, x, dt, cfg) - x
 
 
-def noise_draw(spec: NoiseSpec, traj_id: int, obs_idx: int, d: int) -> np.ndarray:
-    """One centered noise vector from the stream keyed by (seed, traj, obs).
+def noise_draw(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """The centered noise block of a whole dataset, from ``default_rng(spec.seed)``.
 
-    Streams are independent and order-free: drawing observation (j, i)
-    never consumes randomness from any other observation, so parallel
-    generation and regeneration of a single value are bit-reproducible.
+    A pure function of ``(seed, shape)``, filled in C order, so it is
+    prefix-stable: a block is the leading rows of any longer block with
+    the same trailing shape.
     """
     if spec.distribution == "none" or spec.sigma == 0.0:
-        return np.zeros(d)
-    rng = np.random.default_rng([spec.seed, traj_id, obs_idx])
+        return np.zeros(shape)
+    rng = np.random.default_rng(spec.seed)
     if spec.distribution == "gaussian":
-        return rng.normal(0.0, spec.sigma, size=d)
+        return rng.normal(0.0, spec.sigma, size=shape)
     half_width = spec.sigma * math.sqrt(3.0)
-    return rng.uniform(-half_width, half_width, size=d)
+    return rng.uniform(-half_width, half_width, size=shape)
 
 
 def stack_higher_order(

@@ -281,8 +281,14 @@ class ExperimentConfig:
             raise ValueError("dt_rule 'power' needs dt_power")
         if self.dt_rule == "fixed-horizon" and not self.horizon:
             raise ValueError("dt_rule 'fixed-horizon' needs horizon")
-        if MODELS[self.model].family.needs_x1 and self.x1 is None:
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        family = MODELS[self.model].family
+        if family.needs_x1 and self.x1 is None:
             raise ValueError(f"{self.model} needs the initial state x1")
+        # a tube follows the one trajectory that only x1-started models observe
+        if self.queries is not None and self.queries.kind == "tube" and not family.needs_x1:
+            raise ValueError(f"tube queries need a single-trajectory model, not {self.model}")
         NoiseSpec(distribution=self.noise, sigma=self.sigma)  # raises on a bad noise or sigma
         for name in ("dt_value", "dt_coeff", "horizon"):
             value = getattr(self, name)
@@ -430,8 +436,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         rng = np.random.default_rng([cfg.seed, 24301, n])
         curve_pts = None
         if qspec.kind == "tube":
-            if cfg.x1 is None:
-                raise ValueError("tube queries need the initial state x1")
             curve_pts = _true_curve(fld, cfg.x1, n * dt)
         queries = qspec.build(fld.dim, rng, curve_pts)
         total_failures = 0

@@ -123,9 +123,9 @@ def generate_snake(
 ) -> SnakeDataset:
     """Simulate the long-trajectory sampling scheme for a known field.
 
-    The whole path is one continued integration; each observed state is
-    perturbed by an independent noise vector keyed by
-    ``(seed, 1, observation index)``.
+    The whole path is one continued integration; the observed states get
+    one ``(n, d)`` noise block drawn from `seed` (see
+    :func:`~flowfit.flow.noise_draw`).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -133,11 +133,9 @@ def generate_snake(
         raise ValueError("dt must be positive")
     x1 = np.asarray(x1, dtype=float)
     times = dt * np.arange(n + 1)
-    states = integrate_flow_grid(fld, x1[None, :], times, cfg)[1:, 0, :].copy()
     spec = NoiseSpec(distribution=noise, sigma=sigma, seed=seed)
-    if sigma > 0 and noise != "none":
-        for i in range(1, n + 1):
-            states[i - 1] += noise_draw(spec, 1, i, fld.dim)
+    states = integrate_flow_grid(fld, x1[None, :], times, cfg)[1:, 0, :]  # (n, d)
+    states = states + noise_draw(spec, states.shape)
     meta = {
         "field": fld.name,
         "dim": fld.dim,
@@ -337,9 +335,8 @@ class StencilConfig:
     """Tuning constants of the stencil search.
 
     ``s`` caps the admissible stability certificate at ``2 s``; ``big_d``
-    and ``mu`` parameterize the estimable-region diagnostics (diameter
-    bounds ``[delta / big_d, big_d delta]`` and hull safety margin
-    ``mu * diam``); ``mu = None`` resolves to ``0.5 / N``.  The search
+    sets the diameter window ``[delta / big_d, big_d delta]`` of the
+    estimable-region diagnostics (`check_stencil`).  The search
     examines at most `pool_size` candidate curve times: the half
     nearest to the query in state space plus an even stride across the
     whole time range, so both tight and wide stencils are reachable.
@@ -348,7 +345,6 @@ class StencilConfig:
 
     s: float = 50.0
     big_d: float = 4.0
-    mu: float | None = None
     pool_size: int = 64
     sweeps: int = 2
 
@@ -357,18 +353,10 @@ class StencilConfig:
             raise ValueError("s must be positive")
         if self.big_d <= 1:
             raise ValueError("big_d must exceed 1")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("mu must be positive (or None for the default)")
         if self.pool_size < 2:
             raise ValueError("pool_size must be at least 2")
         if self.sweeps < 0:
             raise ValueError("sweeps must be nonnegative")
-
-    def resolve_mu(self, num_basis: int) -> float:
-        mu = 0.5 / num_basis if self.mu is None else self.mu
-        if mu * num_basis >= 1:
-            raise ValueError(f"mu must be below 1/N = 1/{num_basis}")
-        return mu
 
 
 DEFAULT_STENCIL_CONFIG = StencilConfig()
@@ -486,7 +474,6 @@ def select_stencil(
         ell = curve.degree - 1
     d = curve.grid_states.shape[1]
     num = n_basis(d, ell)
-    cfg.resolve_mu(num)  # validate even though admission uses mu = 0
 
     dists_all = np.linalg.norm(curve.grid_states - x, axis=1)
     num_grid = curve.grid_times.size

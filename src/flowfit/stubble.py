@@ -119,8 +119,8 @@ def generate_stubble(
     """Simulate the short-trajectory sampling scheme for a known field.
 
     Starts ``n0^d`` trajectories on the uniform grid in ``(0, 1]^d``,
-    flows all of them jointly, and perturbs each observed state with an
-    independent noise vector keyed by ``(seed, trajectory, horizon)``.
+    flows all of them jointly, and adds one ``(m, beta, d)`` noise block
+    drawn from `seed` (see :func:`~flowfit.flow.noise_draw`).
     ``beta`` defaults to the field's smoothness order.
     """
     if beta is None:
@@ -130,12 +130,9 @@ def generate_stubble(
     initials = grid_initials(n0, fld.dim)
     times = dt * np.arange(beta + 1)
     states = integrate_flow_grid(fld, initials, times, cfg)  # (beta+1, m, d)
-    obs = np.transpose(states[1:], (1, 0, 2)).copy()
     spec = NoiseSpec(distribution=noise, sigma=sigma, seed=seed)
-    if sigma > 0 and noise != "none":
-        for j in range(initials.shape[0]):
-            for i in range(1, beta + 1):
-                obs[j, i - 1] += noise_draw(spec, j + 1, i, fld.dim)
+    obs = np.transpose(states[1:], (1, 0, 2))  # (m, beta, d)
+    obs = obs + noise_draw(spec, obs.shape)
     meta = {
         "field": fld.name,
         "dim": fld.dim,

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowfit import stubble
 from flowfit.cli import main
-from flowfit.flow import make_field, read_dataset_meta
+from flowfit.flow import make_field, read_dataset_meta, read_observation_csv
 from flowfit.harness import ExperimentConfig, read_results_csv
-from flowfit.models import SUCCESSES
+from flowfit.localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_weights
+from flowfit.models import MODELS, SUCCESSES
 
 
 @pytest.fixture()
@@ -94,11 +96,24 @@ def test_estimate_stubble(stubble_config, tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
+    meta = read_dataset_meta(data / "meta.json")
+    ds = MODELS["stubble-lip"].family.from_records(
+        read_observation_csv(data / "observations.csv"), meta
+    )
+    # the bandwidth estimate_lipschitz picks when none is given
+    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
+    reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     for row in rows:
         assert row["provenance"] == "regression"
-        # constant field (1, 0) with light noise
-        assert abs(float(row["fhat_1"]) - 1.0) <= 0.2
-        assert abs(float(row["fhat_2"])) <= 0.2
+        x = np.array([float(row["x_1"]), float(row["x_2"])])
+        fhat = [row["fhat_1"], row["fhat_2"]]
+        # the CLI writes exactly the library estimate on the stored dataset
+        assert fhat == [repr(float(v)) for v in stubble.estimate_lipschitz(ds, x)]
+        # constant field (1, 0): the local constant fit is unbiased, and each
+        # component's noise has standard deviation (sigma / dt) * ||w(x)||_2
+        w = lp_weights(x, reg, fit, epanechnikov())
+        tol = 5 * meta["sigma"] / ds.dt * np.linalg.norm(w)
+        assert np.all(np.abs(np.array(fhat, dtype=float) - [1.0, 0.0]) <= tol)
 
 
 def test_estimate_snake(snake_config, tmp_path):

@@ -28,6 +28,7 @@ from flowfit.flow import (
     write_observation_csv,
 )
 from flowfit.snake import generate_snake, to_observations
+from flowfit.stubble import generate_stubble
 
 ROT = make_field("rotation")
 CFG = FlowConfig()
@@ -86,8 +87,7 @@ def test_grid_integration_matches_single():
 def observe(spec, times):
     """States of the rotation orbit from (1, 0) after time 0, and their noisy copies."""
     states = integrate_flow_grid(ROT, [[1.0, 0.0]], times)[1:, 0]
-    noise = [noise_draw(spec, 1, i, 2) for i in range(1, len(times))]
-    return states, states + np.array(noise)
+    return states, states + noise_draw(spec, states.shape)
 
 
 def test_none_noise_returns_states():
@@ -103,17 +103,28 @@ def test_zero_sigma_gaussian_returns_states():
 
 def test_noise_is_reproducible():
     spec = NoiseSpec("gaussian", 0.3, seed=11)
-    a = noise_draw(spec, traj_id=2, obs_idx=7, d=3)
-    b = noise_draw(spec, traj_id=2, obs_idx=7, d=3)
-    c = noise_draw(spec, traj_id=2, obs_idx=8, d=3)
+    a = noise_draw(spec, (4, 2, 3))
+    b = noise_draw(spec, (4, 2, 3))
+    c = noise_draw(dataclasses.replace(spec, seed=12), (4, 2, 3))
+    assert a.shape == (4, 2, 3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "uniform-bounded"])
+def test_noise_block_is_prefix_stable(distribution):
+    # a block is the leading rows of any longer block with the same trailing shape
+    spec = NoiseSpec(distribution, 0.3, seed=11)
+    short = noise_draw(spec, (5, 3, 2))
+    long = noise_draw(spec, (9, 3, 2))
+    assert np.array_equal(short, long[:5])
+    assert np.array_equal(noise_draw(spec, (7, 2)), noise_draw(spec, (12, 2))[:7])
 
 
 def test_gaussian_noise_variance():
     # law of large numbers: empirical per-component variance near sigma^2
     spec = NoiseSpec("gaussian", 1.0, seed=42)
-    draws = np.array([noise_draw(spec, 1, i, 2) for i in range(50_000)])
+    draws = noise_draw(spec, (50_000, 2))
     var = draws.var(axis=0)
     assert draws.shape == (50_000, 2)
     assert np.all(var >= 0.98) and np.all(var <= 1.02)
@@ -122,10 +133,36 @@ def test_gaussian_noise_variance():
 def test_uniform_noise_bounded_and_centered():
     sigma = 0.4
     spec = NoiseSpec("uniform-bounded", sigma, seed=1)
-    draws = np.array([noise_draw(spec, 1, i, 2) for i in range(20_000)])
+    draws = noise_draw(spec, (20_000, 2))
     assert np.abs(draws).max() <= sigma * math.sqrt(3.0) + 1e-12
     assert np.abs(draws.mean(axis=0)).max() <= 0.02
     assert np.all(draws.var(axis=0) <= sigma**2 * 1.02)
+
+
+def test_one_noise_draw_per_dataset(monkeypatch):
+    calls = []
+
+    def counting(spec, *args):
+        calls.append(args)
+        return noise_draw(spec, *args)
+
+    monkeypatch.setattr("flowfit.stubble.noise_draw", counting)
+    monkeypatch.setattr("flowfit.snake.noise_draw", counting)
+    ds = generate_stubble(ROT, n0=4, dt=0.1, sigma=0.1, seed=3, beta=2)
+    assert calls == [(ds.observations.shape,)] == [((16, 2, 2),)]
+    calls.clear()
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=32, dt=0.1, sigma=0.1, seed=3)
+    assert calls == [(ds.observations.shape,)] == [((32, 2),)]
+
+
+@pytest.mark.parametrize("sigma, noise", [(0.0, "gaussian"), (0.3, "none")])
+def test_noiseless_datasets_are_the_flow(sigma, noise):
+    stub = generate_stubble(ROT, n0=3, dt=0.1, sigma=sigma, noise=noise, seed=4, beta=2)
+    flow = integrate_flow_grid(ROT, stub.initials, [0.0, 0.1, 0.2])
+    assert np.array_equal(stub.observations, np.transpose(flow[1:], (1, 0, 2)))
+    snk = generate_snake(ROT, np.array([1.0, 0.0]), n=16, dt=0.1, sigma=sigma, noise=noise)
+    flow = integrate_flow_grid(ROT, [[1.0, 0.0]], 0.1 * np.arange(17))
+    assert np.array_equal(snk.observations, flow[1:, 0])
 
 
 @given(

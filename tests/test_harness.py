@@ -275,8 +275,13 @@ def snake_config(**overrides):
         (constant_config, dict(beta=0)),
         (snake_config, dict(horizon=-1.0)),
         (snake_config, dict(x1=(1.0, 0.0, 0.0))),
+        (constant_config, dict(seed=-1)),
+        # tube queries follow one observed trajectory, which stubble data lacks
+        (constant_config, dict(queries=QuerySpec(kind="tube"))),
+        (constant_config, dict(queries=QuerySpec(kind="tube"), x1=(0.5, 0.5))),
     ],
-    ids=["sigma", "noise", "dt_value", "dt_coeff", "beta", "horizon", "x1"],
+    ids=["sigma", "noise", "dt_value", "dt_coeff", "beta", "horizon", "x1",
+         "seed", "stubble-tube", "stubble-tube-x1"],
 )
 def test_config_rejects_bad_values(make, overrides):
     make()  # the base config is valid

@@ -285,12 +285,6 @@ def test_stencil_config_validation():
         StencilConfig(s=0.0)
     with pytest.raises(ValueError):
         StencilConfig(big_d=1.0)
-    with pytest.raises(ValueError):
-        StencilConfig(mu=-0.1)
-    with pytest.raises(ValueError):
-        StencilConfig(mu=1.0).resolve_mu(3)  # needs mu N < 1
-    cfg = StencilConfig()
-    assert cfg.resolve_mu(3) == pytest.approx(0.5 / 3)
 
 
 def test_nonfinite_observations_rejected():
