@@ -52,11 +52,11 @@ def _apply_overrides(data: dict, pairs: list[str]) -> dict:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    data = {}
-    if args.config is not None:
-        data = json.loads(Path(args.config).read_text())
-    data = _apply_overrides(data, args.set or [])
-    return ExperimentConfig.from_dict(data)
+    try:
+        data = {} if args.config is None else json.loads(Path(args.config).read_text())
+        return ExperimentConfig.from_dict(_apply_overrides(data, args.set or []))
+    except (OSError, TypeError, ValueError) as exc:  # a one-line refusal, not a traceback
+        raise SystemExit(f"config refused: {exc}") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

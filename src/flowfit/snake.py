@@ -31,6 +31,7 @@ from .localpoly import (
     SingularDesign,
     epanechnikov,
     lp_coefficients,
+    lp_weights,
     monomial_basis,
     n_basis,
     optimal_bandwidth,
@@ -155,7 +156,8 @@ class CurveEstimate:
     """Reconstructed path and velocity, with a cached evaluation grid.
 
     ``u`` and ``du`` are defined on all of ``[0, T]``; `grid_states`
-    caches ``u`` on `grid_times`.  The nearest-time search reads only
+    caches ``u`` on `grid_times`, which for a fitted curve are
+    observation times from 0 to T.  The nearest-time search reads only
     this grid, and the stencil search draws its candidates from it.
     `degree` is the polynomial degree behind the fit (equal to the
     smoothness order used, at least 1); stencil selection for this
@@ -254,6 +256,11 @@ def fit_curve(
     The observation times are 1-D and nondecreasing, so each fit scans
     only the observations within reach of its bandwidth (see
     :mod:`flowfit.localpoly`); the result is the same as a full scan.
+
+    The cached grid is every ``max(1, floor(h / (16 dt)))``-th observation
+    time, and ``T``.  Where the window lies inside ``[0, T]`` the grid fit
+    is one fixed filter of the observations, its equivalent kernel (Fan &
+    Gijbels 1996, sec. 3.2), equal to the per-point fit up to rounding.
     """
     if beta is None:
         beta = int(ds.meta.get("smoothness", 1))
@@ -268,27 +275,39 @@ def fit_curve(
     degree = max(1, beta)
     data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
 
-    def coefficients(t: float) -> tuple[np.ndarray, float]:
-        h = bandwidth
+    def widened(solve: Callable, t: float) -> tuple[np.ndarray, list[float]]:
+        """``solve`` at ``t``, and the bandwidths tried; the last one held."""
+        tried = [bandwidth]
         for _ in range(MAX_WIDENINGS):
-            fit = LocalPolyFit(degree=degree, bandwidth=h)
             try:
-                theta = lp_coefficients(np.array([t]), data, fit, kernel)
-                return theta, h
+                fit = LocalPolyFit(degree=degree, bandwidth=tried[-1])
+                return solve(np.array([t]), data, fit, kernel), tried
             except SingularDesign:
-                h *= WIDEN_FACTOR
+                tried.append(tried[-1] * WIDEN_FACTOR)
         raise SingularDesign(0.0, np.array([t]))
 
     def u(t: float) -> np.ndarray:
-        return coefficients(t)[0][0]
+        return widened(lp_coefficients, t)[0][0]
 
     def du(t: float) -> np.ndarray:
-        theta, h = coefficients(t)
-        return theta[1] / h
+        theta, tried = widened(lp_coefficients, t)
+        return theta[1] / tried[-1]
 
-    step = bandwidth / GRID_PER_BANDWIDTH
-    grid = np.linspace(0.0, ds.horizon, math.ceil(ds.horizon / step) + 1)
-    states = np.stack([u(t) for t in grid])
+    stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
+    idx = np.union1d(np.arange(0, ds.n + 1, stride), [ds.n])
+    grid = ds.times[idx]
+    # the filter is the fit's weights at the middle observation; where an offset
+    # k dt meets a bandwidth tried, rounding decides if a fit keeps that point
+    mid = ds.n // 2
+    weights, tried = widened(lp_weights, ds.times[mid])
+    tie = any(abs(round(b / ds.dt) * ds.dt - b) <= 1e-12 * (ds.horizon + b) for b in tried)
+    inner = (grid >= tried[-1]) & (grid <= ds.horizon - tried[-1]) & (not tie)
+    states = np.empty((idx.size, ds.dim))
+    if inner.any():
+        lo, hi = idx[inner][[0, -1]] - mid
+        taps = np.flatnonzero(weights)
+        states[inner] = sum(weights[k] * data.targets[lo + k:hi + k + 1:stride] for k in taps)
+    states[~inner] = [u(t) for t in grid[~inner]]
     return CurveEstimate(
         u=u, du=du, horizon=ds.horizon, degree=degree,
         grid_times=grid, grid_states=states, bandwidth=bandwidth,

@@ -85,6 +85,23 @@ def test_bad_override_exits(stubble_config, tmp_path):
               "--out", str(tmp_path / "x"), "--set", "sigma0.3"])
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "benchmark"])
+@pytest.mark.parametrize("override, field", [
+    ("sigma=-1", "sigma"),
+    ('queries={"kind": "tube"}', "tube queries"),
+])
+def test_refused_config_exits_with_one_line(command, override, field, stubble_config, tmp_path):
+    args = [command, "--config", str(stubble_config), "--set", override,
+            "--out", str(tmp_path / "out")]
+    if command == "estimate":
+        args += ["--data", str(tmp_path)]
+    with pytest.raises(SystemExit) as refused:
+        main(args)
+    message = refused.value.code
+    assert isinstance(message, str) and field in message and "\n" not in message
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_stubble(stubble_config, tmp_path):
     data = tmp_path / "data"
     main(["simulate", "--config", str(stubble_config), "--out", str(data)])

@@ -18,7 +18,15 @@ from flowfit.interp import (
     mu_interior_contains,
     stability_norm,
 )
-from flowfit.localpoly import n_basis
+from flowfit.localpoly import (
+    LocalPolyFit,
+    RegressionData,
+    SingularDesign,
+    epanechnikov,
+    lp_coefficients,
+    n_basis,
+    uniform_kernel,
+)
 from flowfit.snake import (
     CurveEstimate,
     NoStencilFound,
@@ -100,6 +108,78 @@ def test_boundary_flag_covers_edges():
     assert curve.boundary(0.0)
     assert curve.boundary(curve.horizon)
     assert not curve.boundary(curve.horizon / 2)
+
+
+def count_fits(monkeypatch) -> list:
+    """Record every `lp_coefficients` call that `flowfit.snake` makes."""
+    import flowfit.snake as snake
+
+    fits = []
+    real = snake.lp_coefficients
+    monkeypatch.setattr(snake, "lp_coefficients", lambda *a: fits.append(1) or real(*a))
+    return fits
+
+
+def assert_grid_is_per_point_fit(curve: CurveEstimate) -> None:
+    fits = np.stack([curve.u(t) for t in curve.grid_times])
+    err = np.linalg.norm(curve.grid_states - fits, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(fits, axis=1))
+
+
+KERNELS = {"epanechnikov": epanechnikov(), "uniform": uniform_kernel()}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_grid_equals_per_point_fits_on_noisy_data(beta, kernel, monkeypatch):
+    n = 1024
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=7)
+    fits = count_fits(monkeypatch)
+    curve = fit_curve(ds, beta=beta, kernel=KERNELS[kernel])
+    assert len(fits) < curve.grid_times.size  # interior times come from the filter
+    assert_grid_is_per_point_fit(curve)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, kernel, monkeypatch):
+    n = 512
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.0)
+    fits = count_fits(monkeypatch)
+    curve = fit_curve(ds, beta=beta, kernel=KERNELS[kernel])
+    reach = curve.bandwidth / ds.dt  # the floor 1.25 (beta + 1) dt
+    if beta == 3:  # offset 5 dt sits on the window edge: every time is fitted alone
+        assert math.isclose(reach, 5.0)
+        assert len(fits) == curve.grid_times.size
+    else:
+        assert reach % 1.0 > 0.1 and len(fits) < curve.grid_times.size
+    assert_grid_is_per_point_fit(curve)
+
+
+@pytest.mark.parametrize("beta, reach", [(1, 0.9), (2, 0.7), (3, 1.5)])
+def test_grid_equals_per_point_fits_where_the_interior_design_widens(beta, reach, monkeypatch):
+    n = 256
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=3)
+    data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
+    with pytest.raises(SingularDesign):  # too few points in a two-sided window
+        lp_coefficients(ds.times[n // 2:n // 2 + 1], data,
+                        LocalPolyFit(degree=beta, bandwidth=reach * ds.dt), epanechnikov())
+    fits = count_fits(monkeypatch)
+    curve = fit_curve(ds, beta=beta, bandwidth=reach * ds.dt)
+    assert len(fits) < curve.grid_times.size
+    assert_grid_is_per_point_fit(curve)
+
+
+def test_grid_holds_observation_times_and_fits_only_boundary_times(monkeypatch):
+    n = 2**14
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=1)
+    fits = count_fits(monkeypatch)
+    curve = fit_curve(ds, beta=1)
+    grid = curve.grid_times
+    assert np.all(np.isin(grid, ds.times))
+    assert grid[0] == 0.0 and grid[-1] == ds.horizon
+    assert np.all(np.diff(grid) > 0)
+    assert 0 < len(fits) == sum(curve.boundary(t) for t in grid) < grid.size
 
 
 def test_nn_time_exact_at_grid_points():
@@ -298,14 +378,10 @@ def test_nonfinite_observations_rejected():
 
 
 def test_nearest_time_search_makes_no_fit(monkeypatch):
-    import flowfit.snake as snake
-
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=256, dt=2 * math.pi / 256, sigma=0.05)
     curve = fit_curve(ds, beta=1)
     x = np.array([0.0, 1.01])
-    fits = []
-    real = snake.lp_coefficients
-    monkeypatch.setattr(snake, "lp_coefficients", lambda *a: fits.append(1) or real(*a))
+    fits = count_fits(monkeypatch)
     t = nn_time(curve, x)
     assert fits == []
     got = estimate_lipschitz(x, curve)
