@@ -68,7 +68,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     family = MODELS[cfg.model].family
-    obs, meta = family.to_records(family.simulate(cfg, fld, beta, n, dt, cfg.seed))
+    paths = family.flow(cfg, fld, beta, n, dt)
+    obs, meta = family.to_records(family.observe(cfg, fld, n, dt, paths, cfg.seed))
     write_observation_csv(out / "observations.csv", obs)
     write_dataset_meta(out / "meta.json", meta)
     print(f"wrote {len(obs)} trajectories to {out}")

@@ -2,13 +2,13 @@
 
 An :class:`ExperimentConfig` names one estimation model, a field, a
 grid of sample sizes, and a replication plan.  :func:`run_experiment`
-simulates data per replicate, estimates the field on a query set,
-aggregates errors per sample size, fits a log-log slope, and compares
-it with the theoretical exponent from :func:`reference_rate`.
+integrates the noise-free paths once per n, adds each replicate's own
+noise, estimates the field on a query set, aggregates errors per n,
+fits a log-log slope, and compares it with :func:`reference_rate`.
 
 Outputs are deterministic byte for byte given the same config: floats
-are written via ``repr`` (shortest round-trip form), replicates run
-sequentially with seeds ``seed + r``, and no timestamps are recorded.
+are written via ``repr`` (shortest round-trip form), replicate ``r``
+draws its noise from seed ``seed + r``, and no timestamps are recorded.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -226,6 +227,14 @@ class QuerySpec:
         return curve_points[idx] + direction * radius[:, None]
 
 
+# Numeric config fields and the type each must have (None where that is the default).
+_TYPED_FIELDS = (
+    (("replicates", "seed", "d", "beta"), numbers.Integral, "an integer"),
+    (("sigma", "dt_value", "dt_power", "dt_coeff", "horizon", "bandwidth",
+      "bandwidth_constant", "rate_tolerance"), numbers.Real, "a real number"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one rate experiment.
@@ -265,6 +274,12 @@ class ExperimentConfig:
     rate_tolerance: float = 0.1
 
     def __post_init__(self) -> None:
+        for names, kind, what in _TYPED_FIELDS:
+            for name in names:
+                value = getattr(self, name)
+                optional = value is None and self.__dataclass_fields__[name].default is None
+                if not optional and (isinstance(value, bool) or not isinstance(value, kind)):
+                    raise TypeError(f"{name} must be {what}, not {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {tuple(MODELS)}")
         if len(self.ns) == 0 or any(b <= a for a, b in zip(self.ns, self.ns[1:])):
@@ -385,21 +400,18 @@ def _true_curve(fld: VectorField, x1, horizon: float, num: int = 2048) -> np.nda
 
 
 def _replicate_errors(
-    cfg: ExperimentConfig,
-    fld: VectorField,
-    beta: int,
-    n: int,
-    dt: float,
-    seed: int,
-    queries: np.ndarray,
+    cfg: ExperimentConfig, fld: VectorField, beta: int, ds, queries: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Per-query error norms (NaN where a query failed) and the failure count."""
-    spec = MODELS[cfg.model]
+    """Per-query error norms (NaN where a query failed) and the failure count.
+
+    Every query fails when `ds` is None: its noise-free flow did not integrate.
+    """
     truth = fld(queries)
     try:
-        ds = spec.family.simulate(cfg, fld, beta, n, dt, seed)
-        predict = spec.fit(cfg, ds, beta)
-    except (IntegrationError, SingularDesign):
+        predict = None if ds is None else MODELS[cfg.model].fit(cfg, ds, beta)
+    except SingularDesign:
+        predict = None
+    if predict is None:
         return np.full(queries.shape[0], np.nan), queries.shape[0]
     pred = predict(queries)
     # one norm per query: a batched norm may round differently
@@ -438,11 +450,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if qspec.kind == "tube":
             curve_pts = _true_curve(fld, cfg.x1, n * dt)
         queries = qspec.build(fld.dim, rng, curve_pts)
+        try:
+            paths = family.flow(cfg, fld, beta, n, dt)
+        except IntegrationError:  # every replicate at this n fails all its queries
+            paths = None
         total_failures = 0
         for r in range(cfg.replicates):
-            errs, failures = _replicate_errors(
-                cfg, fld, beta, n, dt, cfg.seed + r, queries
-            )
+            ds = None if paths is None else family.observe(cfg, fld, n, dt, paths, cfg.seed + r)
+            errs, failures = _replicate_errors(cfg, fld, beta, ds, queries)
             valid = errs[np.isfinite(errs)]
             error = family.error(valid) if valid.size else math.nan
             rows.append(ReplicateRow(n=n, replicate=r, error=error, failures=failures))

@@ -77,15 +77,17 @@ class Predictor:
 class Family:
     """What the two models of one sampling scheme share.
 
-    ``to_records`` / ``from_records`` convert a dataset to observation
-    records plus meta and back; ``error`` reduces one replicate's
-    per-query error norms (rmse or sup); ``exponents[regime](b, d)`` is
-    the squared-error reference exponent ``e``, times ``(log n)^-e`` when
-    ``log_rate``.
+    ``flow`` integrates the noise-free paths of one sample size and
+    ``observe`` adds one replicate's noise to them; ``to_records`` /
+    ``from_records`` convert a dataset to observation records plus meta
+    and back; ``error`` reduces one replicate's per-query error norms
+    (rmse or sup); ``exponents[regime](b, d)`` is the squared-error
+    reference exponent ``e``, times ``(log n)^-e`` when ``log_rate``.
     """
 
     name: str
-    simulate: Callable  # (cfg, fld, beta, n, dt, seed) -> dataset
+    flow: Callable  # (cfg, fld, beta, n, dt) -> noise-free paths
+    observe: Callable  # (cfg, fld, n, dt, paths, seed) -> dataset
     to_records: Callable
     from_records: Callable
     default_queries: str
@@ -111,9 +113,11 @@ def stubble_grid_size(n: int, d: int) -> int:
 
 STUBBLE = Family(
     name="stubble",
-    simulate=lambda cfg, fld, beta, n, dt, seed: stubble.generate_stubble(
-        fld, stubble_grid_size(n, fld.dim), dt,
-        sigma=cfg.sigma, seed=seed, noise=cfg.noise, beta=beta,
+    flow=lambda cfg, fld, beta, n, dt: stubble.flow_stubble(
+        fld, stubble_grid_size(n, fld.dim), dt, beta=beta
+    ),
+    observe=lambda cfg, fld, n, dt, paths, seed: stubble.observe_stubble(
+        fld, stubble_grid_size(n, fld.dim), paths, dt, cfg.sigma, seed, cfg.noise
     ),
     to_records=lambda ds: (
         stubble.to_observations(ds),
@@ -134,9 +138,9 @@ STUBBLE = Family(
 
 SNAKE = Family(
     name="snake",
-    simulate=lambda cfg, fld, beta, n, dt, seed: snake.generate_snake(
-        fld, np.asarray(cfg.x1, dtype=float), n, dt,
-        sigma=cfg.sigma, seed=seed, noise=cfg.noise,
+    flow=lambda cfg, fld, beta, n, dt: snake.flow_snake(fld, cfg.x1, n, dt),
+    observe=lambda cfg, fld, n, dt, paths, seed: snake.observe_snake(
+        fld, paths, dt, cfg.sigma, seed, cfg.noise
     ),
     to_records=lambda ds: (
         snake.to_observations(ds),

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.spatial import cKDTree
 
 from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, Observations, VectorField
 from .flow import integrate_flow_grid, noise_draw
@@ -43,6 +44,8 @@ __all__ = [
     "StencilConfig",
     "GeneralEstimate",
     "NoStencilFound",
+    "flow_snake",
+    "observe_snake",
     "generate_snake",
     "fit_curve",
     "nn_time",
@@ -112,43 +115,40 @@ class SnakeDataset:
         return np.vstack([self.x1, self.observations])
 
 
-def generate_snake(
-    fld: VectorField,
-    x1: np.ndarray,
-    n: int,
-    dt: float,
-    sigma: float = 0.0,
-    seed: int = 0,
-    noise: str = "gaussian",
-    cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> SnakeDataset:
-    """Simulate the long-trajectory sampling scheme for a known field.
-
-    The whole path is one continued integration; the observed states get
-    one ``(n, d)`` noise block drawn from `seed` (see
-    :func:`~flowfit.flow.noise_draw`).
-    """
+def flow_snake(
+    fld: VectorField, x1: np.ndarray, n: int, dt: float, cfg: FlowConfig = DEFAULT_FLOW_CONFIG
+) -> np.ndarray:
+    """The noise-free path ``u(i dt)``, ``i = 0..n``, of one continued
+    integration from ``u(0) = x1`` (row 0, exactly): shape ``(n + 1, d)``."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
     x1 = np.asarray(x1, dtype=float)
-    times = dt * np.arange(n + 1)
+    return integrate_flow_grid(fld, x1[None, :], dt * np.arange(n + 1), cfg)[:, 0, :]
+
+
+def observe_snake(
+    fld: VectorField, path: np.ndarray, dt: float,
+    sigma: float = 0.0, seed: int = 0, noise: str = "gaussian",
+) -> SnakeDataset:
+    """Observe the path of :func:`flow_snake` after time 0 with one ``(n, d)``
+    noise block drawn from `seed` (see :func:`~flowfit.flow.noise_draw`)."""
     spec = NoiseSpec(distribution=noise, sigma=sigma, seed=seed)
-    states = integrate_flow_grid(fld, x1[None, :], times, cfg)[1:, 0, :]  # (n, d)
-    states = states + noise_draw(spec, states.shape)
-    meta = {
-        "field": fld.name,
-        "dim": fld.dim,
-        "n": n,
-        "sigma": sigma,
-        "noise": noise,
-        "seed": seed,
-        "lip": fld.lip,
-        "smoothness": fld.smoothness,
-        "deriv_bounds": [float(b) for b in fld.derivative_bounds],
-    }
-    return SnakeDataset(x1=x1, dt=dt, observations=states, meta=meta)
+    states = path[1:] + noise_draw(spec, path[1:].shape)
+    meta = dict(field=fld.name, dim=fld.dim, n=states.shape[0], sigma=sigma, noise=noise,
+                seed=seed, lip=fld.lip, smoothness=fld.smoothness,
+                deriv_bounds=[float(b) for b in fld.derivative_bounds])
+    return SnakeDataset(x1=path[0], dt=dt, observations=states, meta=meta)
+
+
+def generate_snake(
+    fld: VectorField, x1: np.ndarray, n: int, dt: float, sigma: float = 0.0, seed: int = 0,
+    noise: str = "gaussian", cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
+) -> SnakeDataset:
+    """Simulate the long-trajectory sampling scheme for a known field:
+    :func:`observe_snake` of :func:`flow_snake`."""
+    return observe_snake(fld, flow_snake(fld, x1, n, dt, cfg), dt, sigma, seed, noise)
 
 
 @dataclass(frozen=True)
@@ -636,7 +636,7 @@ def estimate_general(
     return GeneralEstimate(value=value, provenance="interpolated", stencil=stencil)
 
 
-def delta_nn(curve_points: np.ndarray, targets: np.ndarray, chunk: int = 1024) -> float:
+def delta_nn(curve_points: np.ndarray, targets: np.ndarray) -> float:
     """Smallest radius so that the tube around the curve covers the targets.
 
     Computed as the max over target points of the min distance to the
@@ -644,13 +644,8 @@ def delta_nn(curve_points: np.ndarray, targets: np.ndarray, chunk: int = 1024) -
     """
     curve_points = np.atleast_2d(np.asarray(curve_points, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    worst = 0.0
-    for start in range(0, targets.shape[0], chunk):
-        block = targets[start:start + chunk]
-        diffs = block[:, None, :] - curve_points[None, :, :]
-        nearest = np.linalg.norm(diffs, axis=2).min(axis=1)
-        worst = max(worst, float(nearest.max()))
-    return worst
+    nearest, _ = cKDTree(curve_points).query(targets)
+    return float(nearest.max(initial=0.0))
 
 
 def to_observations(ds: SnakeDataset) -> list[Observations]:

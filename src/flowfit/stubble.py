@@ -38,6 +38,8 @@ __all__ = [
     "StubbleDataset",
     "IncrementRegressor",
     "grid_initials",
+    "flow_stubble",
+    "observe_stubble",
     "generate_stubble",
     "estimate_lipschitz",
     "estimate_general",
@@ -106,44 +108,42 @@ class StubbleDataset:
         return self.observations[:, horizon - 1, :] - self.initials
 
 
-def generate_stubble(
-    fld: VectorField,
-    n0: int,
-    dt: float,
-    sigma: float = 0.0,
-    seed: int = 0,
-    noise: str = "gaussian",
-    beta: int | None = None,
+def flow_stubble(
+    fld: VectorField, n0: int, dt: float, beta: int | None = None,
     cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> StubbleDataset:
-    """Simulate the short-trajectory sampling scheme for a known field.
-
-    Starts ``n0^d`` trajectories on the uniform grid in ``(0, 1]^d``,
-    flows all of them jointly, and adds one ``(m, beta, d)`` noise block
-    drawn from `seed` (see :func:`~flowfit.flow.noise_draw`).
-    ``beta`` defaults to the field's smoothness order.
-    """
+) -> np.ndarray:
+    """The grid initials (row 0, exactly :func:`grid_initials`) and their joint
+    noise-free flow at ``i dt``, ``i = 1..beta``: shape ``(beta + 1, n0^d, d)``.
+    ``beta`` defaults to the field's smoothness order."""
     if beta is None:
         beta = fld.smoothness
     if dt <= 0:
         raise ValueError("dt must be positive")
-    initials = grid_initials(n0, fld.dim)
-    times = dt * np.arange(beta + 1)
-    states = integrate_flow_grid(fld, initials, times, cfg)  # (beta+1, m, d)
+    return integrate_flow_grid(fld, grid_initials(n0, fld.dim), dt * np.arange(beta + 1), cfg)
+
+
+def observe_stubble(
+    fld: VectorField, n0: int, states: np.ndarray, dt: float,
+    sigma: float = 0.0, seed: int = 0, noise: str = "gaussian",
+) -> StubbleDataset:
+    """Observe the flow of :func:`flow_stubble` after time 0 with one
+    ``(m, beta, d)`` noise block drawn from `seed` (see
+    :func:`~flowfit.flow.noise_draw`)."""
     spec = NoiseSpec(distribution=noise, sigma=sigma, seed=seed)
     obs = np.transpose(states[1:], (1, 0, 2))  # (m, beta, d)
     obs = obs + noise_draw(spec, obs.shape)
-    meta = {
-        "field": fld.name,
-        "dim": fld.dim,
-        "n0": n0,
-        "sigma": sigma,
-        "noise": noise,
-        "seed": seed,
-        "lip": fld.lip,
-        "smoothness": fld.smoothness,
-    }
-    return StubbleDataset(initials=initials, dt=dt, beta=beta, observations=obs, meta=meta)
+    meta = dict(field=fld.name, dim=fld.dim, n0=n0, sigma=sigma, noise=noise, seed=seed,
+                lip=fld.lip, smoothness=fld.smoothness)
+    return StubbleDataset(states[0], dt, obs.shape[1], obs, meta)
+
+
+def generate_stubble(
+    fld: VectorField, n0: int, dt: float, sigma: float = 0.0, seed: int = 0,
+    noise: str = "gaussian", beta: int | None = None, cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
+) -> StubbleDataset:
+    """Simulate the short-trajectory sampling scheme for a known field:
+    :func:`observe_stubble` of :func:`flow_stubble`."""
+    return observe_stubble(fld, n0, flow_stubble(fld, n0, dt, beta, cfg), dt, sigma, seed, noise)
 
 
 def _min_bandwidth(m: int, d: int, degree: int) -> float:

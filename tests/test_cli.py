@@ -89,6 +89,9 @@ def test_bad_override_exits(stubble_config, tmp_path):
 @pytest.mark.parametrize("override, field", [
     ("sigma=-1", "sigma"),
     ('queries={"kind": "tube"}', "tube queries"),
+    ('replicates="3"', "config refused: replicates must be an integer"),
+    ("replicates=2.5", "config refused: replicates must be an integer"),
+    ('sigma="0.1"', "config refused: sigma must be a real number"),
 ])
 def test_refused_config_exits_with_one_line(command, override, field, stubble_config, tmp_path):
     args = [command, "--config", str(stubble_config), "--set", override,

@@ -11,11 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowfit.harness as harness
+from flowfit import snake, stubble
+from flowfit.flow import IntegrationError, make_field
 from flowfit.harness import (
     ExperimentConfig,
     ExperimentError,
     NonPositiveError,
     QuerySpec,
+    ReplicateRow,
     UnsupportedCombination,
     _aggregate,
     fit_rate,
@@ -26,6 +30,7 @@ from flowfit.harness import (
     write_report_json,
     write_results_csv,
 )
+from flowfit.models import FAILURES, MODELS, stubble_grid_size
 
 
 def test_fit_rate_exact_power_law():
@@ -289,6 +294,26 @@ def test_config_rejects_bad_values(make, overrides):
         make(**overrides)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("replicates", "3"), ("replicates", 2.5), ("replicates", True), ("replicates", None),
+        ("seed", 1.5), ("seed", "1"), ("d", 2.0), ("beta", "2"),
+        ("sigma", "0.1"), ("sigma", False), ("dt_value", "0.05"), ("dt_coeff", None),
+        ("dt_power", [0.5]), ("horizon", "1"), ("bandwidth", "0.2"),
+        ("bandwidth_constant", "1"), ("rate_tolerance", None),
+    ],
+)
+def test_config_rejects_wrong_types(name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an? (integer|real number), not "):
+        constant_config(**{name: value})
+
+
+def test_config_accepts_numpy_numbers():
+    cfg = constant_config(replicates=np.int64(2), seed=np.int32(3), sigma=np.float64(0.1))
+    assert cfg.replicates == 2 and cfg.seed == 3
+
+
 def test_dt_rules():
     cfg = constant_config(dt_rule="fixed", dt_value=0.125)
     assert cfg.dt_for(100, beta=1, d=1) == 0.125
@@ -339,3 +364,91 @@ def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
     (row,) = run_experiment(cfg).rows
     assert row.failures == 1
     assert math.isfinite(row.error)
+
+
+def reference_rows(cfg: ExperimentConfig) -> tuple[ReplicateRow, ...]:
+    """The rows of `cfg`, simulating every replicate with the public
+    generators, so each one integrates its own noise-free flow."""
+    fld = make_field(cfg.field, cfg.d)
+    beta = cfg.effective_beta(fld)
+    spec = MODELS[cfg.model]
+    rows = []
+    for n in cfg.ns:
+        dt = cfg.dt_for(n, beta, fld.dim)
+        queries = cfg.queries.build(fld.dim, np.random.default_rng([cfg.seed, 24301, n]))
+        truth = fld(queries)
+        for r in range(cfg.replicates):
+            noise = dict(sigma=cfg.sigma, seed=cfg.seed + r, noise=cfg.noise)
+            if spec.family.name == "snake":
+                ds = snake.generate_snake(fld, cfg.x1, n, dt, **noise)
+            else:
+                n0 = stubble_grid_size(n, fld.dim)
+                ds = stubble.generate_stubble(fld, n0, dt, beta=beta, **noise)
+            pred = spec.fit(cfg, ds, beta)(queries)
+            errs = np.array([np.linalg.norm(v - t) for v, t in zip(pred.values, truth)])
+            valid = errs[np.isfinite(errs)]
+            error = spec.family.error(valid) if valid.size else math.nan
+            rows.append(ReplicateRow(n, r, error, sum(k in FAILURES for k in pred.status)))
+    return tuple(rows)
+
+
+SHARED_FLOW_CONFIGS = {
+    "snake-lip": lambda: snake_config(
+        ns=(128, 256), sigma=0.05, replicates=3, seed=11, horizon=2 * math.pi,
+        queries=QuerySpec(kind="points", points=((0.99, 0.05), (-0.3, 0.96), (0.1, -1.01))),
+    ),
+    "snake-gen": lambda: snake_config(
+        model="snake-gen", beta=2, ns=(256, 512), sigma=0.05, replicates=3, seed=11,
+        horizon=2 * math.pi, queries=QuerySpec(kind="points", points=((0.7, 0.7), (-0.7, 0.1))),
+    ),
+    "stubble-lip": lambda: constant_config(
+        field="cubic", d=1, ns=(16, 32, 64), sigma=0.1, replicates=3, dt_rule="balanced",
+        queries=QuerySpec(kind="grid", per_dim=5, margin=0.2),
+    ),
+    "stubble-gen": lambda: constant_config(
+        model="stubble-gen", field="cubic", d=1, beta=2, ns=(16, 32, 64), sigma=0.1,
+        replicates=3, dt_rule="balanced", queries=QuerySpec(kind="grid", per_dim=5, margin=0.2),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SHARED_FLOW_CONFIGS))
+def test_shared_flow_rows_equal_per_replicate_simulation(monkeypatch, model):
+    cfg = SHARED_FLOW_CONFIGS[model]()
+    module = snake if MODELS[model].family.name == "snake" else stubble
+    real, calls = module.integrate_flow_grid, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_flow_grid", counted)
+    rows = run_experiment(cfg).rows
+    assert len(calls) == len(cfg.ns)  # one integration per sample size
+    assert rows == reference_rows(cfg)
+
+
+@pytest.mark.parametrize("model", ["stubble-lip", "snake-lip"])
+def test_integration_failure_fails_every_replicate_at_that_n(monkeypatch, model):
+    cfg = SHARED_FLOW_CONFIGS[model]()
+    want = run_experiment(cfg).rows
+    module = snake if MODELS[model].family.name == "snake" else stubble
+    name = "flow_snake" if module is snake else "flow_stubble"
+    real, calls = getattr(module, name), []
+
+    def stall_at_second_n(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise IntegrationError("stalled", reached_time=0.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, stall_at_second_n)
+    monkeypatch.setattr(harness, "FAILURE_LIMIT", 1.0)
+    q = cfg.queries.build(make_field(cfg.field, cfg.d).dim, np.random.default_rng(0)).shape[0]
+    rows = run_experiment(cfg).rows
+    assert len(calls) == len(cfg.ns)
+    bad_n = cfg.ns[1]
+    failed = [row for row in rows if row.n == bad_n]
+    assert len(failed) == cfg.replicates
+    assert all(row.failures == q and math.isnan(row.error) for row in failed)
+    assert [row for row in rows if row.n != bad_n] == [row for row in want if row.n != bad_n]

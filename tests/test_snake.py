@@ -351,6 +351,15 @@ def test_delta_nn_diagonal_corner():
     assert abs(got - math.sqrt(2.0) / 2.0) <= 1e-3
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_delta_nn_matches_brute_force(d):
+    rng = np.random.default_rng(40 + d)
+    curve = rng.uniform(-1.0, 1.0, size=(300, d))
+    targets = rng.uniform(-1.5, 1.5, size=(120, d))
+    want = max(min(float(np.linalg.norm(t - c)) for c in curve) for t in targets)
+    assert delta_nn(curve, targets) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_observation_round_trip():
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=20, dt=0.1, sigma=0.1, seed=2)
     obs = to_observations(ds)
