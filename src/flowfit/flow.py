@@ -7,6 +7,13 @@ numerical realization of the flow ``U(f, x, t)`` and of the increment map
 ``Upsilon(f, dt, x) = U(f, x, dt) - x`` (one adaptive solve of a stacked
 system behind both), reproducible observation noise, and the CSV/JSON
 dataset format shared by the estimators.
+
+The adaptive solve is the Dormand-Prince 5(4) pair with its quartic dense
+output (Dormand & Prince 1980; Shampine 1986; Hairer, Norsett & Wanner
+1993, II.4-II.6), written here so that importing the package loads no
+scipy.  It repeats scipy's ``solve_ivp(method="RK45", t_eval=...)``
+operation for operation, so its values, steps and field evaluations are
+those of scipy bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import numpy.random  # noqa: F401  (numpy loads it lazily; every run draws noise)
 
 __all__ = [
     "VectorField",
@@ -144,6 +151,10 @@ class VectorField:
         )
 
 
+# scipy's RK45 floor too: below it the error estimate is rounding noise
+_MIN_REL_TOL = 100 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Tolerances of the embedded Runge-Kutta 4(5) pair that realizes the flow.
@@ -158,6 +169,8 @@ class FlowConfig:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.rel_tol < _MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least 100 * eps = {_MIN_REL_TOL:.3g}")
 
 
 DEFAULT_FLOW_CONFIG = FlowConfig()
@@ -223,6 +236,8 @@ def integrate_flow_grid(
     batch costs a single adaptive solve.  Returns an array of shape
     ``(len(times), m, d)``.  ``times`` must be nondecreasing with
     ``times[0] >= 0``; states at time 0 are the initials exactly.
+    Raises :class:`IntegrationError`, with the time the solve reached,
+    when the step size collapses before ``times[-1]``.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     m, d = x0s.shape
@@ -232,35 +247,120 @@ def integrate_flow_grid(
     if times.size and (times[0] < 0 or np.any(np.diff(times) < 0)):
         raise ValueError("times must be nondecreasing and nonnegative")
     out = np.empty((times.size, m, d))
-    if times.size == 0:
+    if out.size == 0:
         return out
     t_end = times[-1]
     if t_end == 0.0:
         out[:] = x0s
         return out
+    if not np.isfinite(x0s).all():
+        raise ValueError("initial states must be finite")
 
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(y: np.ndarray) -> np.ndarray:
         return field(y.reshape(m, d)).reshape(-1)
 
     positive = times > 0
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        x0s.reshape(-1),
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        t_eval=times[positive],
-    )
-    if not sol.success:
+    values, reached = _dopri45(rhs, x0s.reshape(-1), times[positive], cfg)
+    if values.shape[0] < positive.sum():
         raise IntegrationError(
-            f"integration of {field.name!r} stalled at t={sol.t[-1]:.6g} "
-            f"(target {t_end:.6g}): {sol.message}",
-            reached_time=float(sol.t[-1]),
+            f"integration of {field.name!r} stalled at t={reached:.6g} "
+            f"(target {t_end:.6g}): the step size collapsed",
+            reached_time=reached,
         )
     out[~positive] = x0s
-    out[positive] = sol.y.T.reshape(-1, m, d)
+    out[positive] = values.reshape(-1, m, d)
     return out
+
+
+# Dormand-Prince 5(4) tableau and the quartic dense output of Shampine (1986),
+# with the coefficients, in the same floating-point form, of scipy's RK45.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_ERROR_EXPONENT = -1 / 5  # the embedded error is O(h^5)
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dopri45(
+    fun: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_out: np.ndarray, cfg: FlowConfig
+) -> tuple[np.ndarray, float]:
+    """Integrate ``y' = fun(y)`` from ``y(0) = y`` and read it at ``t_out``.
+
+    ``t_out`` is nondecreasing and positive; its last entry is the end
+    time.  Returns the ``(k, len(y))`` values at the first k output times
+    and the time reached: k is ``len(t_out)`` unless the step size fell
+    below ten float spacings of the current time, or became NaN, where the
+    solve stops.
+    """
+    rtol, atol, t_end = cfg.rel_tol, cfg.abs_tol, t_out[-1]
+    f = fun(y)
+    # first step size (Hairer, Norsett & Wanner 1993, II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_end)
+
+    values = np.empty((t_out.size, y.size))
+    stages = np.empty((7, y.size))
+    t, done = 0.0, 0
+    while done < t_out.size:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too: a NaN field never shrinks the step
+                return values[:done], float(t)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            stages[0] = f
+            for s in range(1, 6):
+                stages[s] = fun(y + np.dot(stages[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(stages[:-1].T, _DP_B)
+            f_new = fun(y_new)
+            stages[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(stages.T, _DP_E) * h / scale)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** _ERROR_EXPONENT)
+            rejected = True
+        upto = np.searchsorted(t_out, t_new, side="right")
+        if upto > done:
+            # quartic dense output on [t, t_new]
+            x = (t_out[done:upto] - t) / h
+            powers = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            values[done:upto] = (h * np.dot(stages.T.dot(_DP_P), powers) + y[:, None]).T
+            done = upto
+        t, y, f = t_new, y_new, f_new
+    return values, float(t)
 
 
 def increment(

@@ -443,12 +443,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     qspec = cfg.queries or QuerySpec(kind=family.default_queries)
 
     rows: list[ReplicateRow] = []
+    curves: dict[float, np.ndarray] = {}  # true curve per horizon, for tube queries
     for n in cfg.ns:
         dt = cfg.dt_for(n, beta, fld.dim)
         rng = np.random.default_rng([cfg.seed, 24301, n])
         curve_pts = None
         if qspec.kind == "tube":
-            curve_pts = _true_curve(fld, cfg.x1, n * dt)
+            if n * dt not in curves:
+                curves[n * dt] = _true_curve(fld, cfg.x1, n * dt)
+            curve_pts = curves[n * dt]
         queries = qspec.build(fld.dim, rng, curve_pts)
         try:
             paths = family.flow(cfg, fld, beta, n, dt)

@@ -19,7 +19,9 @@ first.
 re-certifies with.  The stencil search does not call it: it scores whole
 stacks of candidates with its own plain-membership test (min/max in d = 1,
 barycentric coordinates for simplices, nonnegative least squares
-otherwise) and builds no hull.
+otherwise) and builds no hull.  scipy (qhull, and the HiGHS LP for flat
+hulls) is imported inside these checks only, so the package loads it
+only when one runs.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
 
 from .localpoly import monomial_basis, multi_indices, n_basis
 
@@ -181,7 +180,8 @@ def _degree_for(n_points: int, d: int) -> int:
 def _diameter(pts: np.ndarray) -> float:
     if pts.shape[0] < 2:
         return 0.0
-    return float(pdist(pts).max())
+    # equals scipy's pdist for d < 8: both add the squares in coordinate order
+    return float(np.linalg.norm(pts[:, None] - pts[None], axis=-1).max())
 
 
 def normalize(points: np.ndarray):
@@ -282,6 +282,8 @@ def _hull_membership_lp(pts: np.ndarray, x: np.ndarray) -> bool:
     weights must also be nonnegative and meet every equality row,
     the weight sum included, to 1e-12 relative.
     """
+    from scipy.optimize import linprog
+
     n_pts = pts.shape[0]
     a_eq = np.vstack([pts.T, np.ones(n_pts)])
     b_eq = np.append(np.asarray(x, dtype=float), 1.0)
@@ -321,6 +323,8 @@ def mu_interior_contains(points: np.ndarray, mu: float, x: np.ndarray) -> bool:
 
     halfspaces: tuple[np.ndarray, np.ndarray] | None = None
     if d <= 3:
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(pts)
             # qhull equations are A x + b <= 0 with unit-norm rows.

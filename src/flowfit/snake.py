@@ -19,8 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.spatial import cKDTree
 
 from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, Observations, VectorField
 from .flow import integrate_flow_grid, noise_draw
@@ -407,6 +405,8 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
         lam = np.matmul(inv, np.concatenate([x, np.ones((num_subsets, 1))], axis=1)[..., None])
         slack = lam[..., 0] / np.linalg.norm(inv[:, :, :d], axis=2)
         return np.all(slack >= -HULL_RTOL, axis=1)
+    from scipy.optimize import nnls
+
     rel = points - x[:, None, :]
     # min |sum_k w_k (p_k - x)|^2 + (sum_k w_k - 1)^2 over w >= 0 is
     # dist^2 / (1 + dist^2), dist the distance from x to the hull
@@ -433,7 +433,8 @@ def _subset_keys(
     num_subsets, num, _ = points.shape
     first, second = np.triu_indices(num, 1)
     diff = points[:, first] - points[:, second]
-    # two diameters on purpose: the key rounds like np.linalg.norm of one pair, the scale like pdist
+    # two diameters on purpose: the key rounds like np.linalg.norm of one pair,
+    # the scale like interp._diameter
     sq = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
     diam = np.sqrt(sq).max(axis=1, initial=0.0)
     stab = np.full(num_subsets, math.inf)
@@ -642,6 +643,8 @@ def delta_nn(curve_points: np.ndarray, targets: np.ndarray) -> float:
     Computed as the max over target points of the min distance to the
     sampled curve points; resolution is inherited from both samplings.
     """
+    from scipy.spatial import cKDTree
+
     curve_points = np.atleast_2d(np.asarray(curve_points, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     nearest, _ = cKDTree(curve_points).query(targets)

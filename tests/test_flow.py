@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from flowfit.flow import (
     BUILTIN_FIELDS,
     FlowConfig,
+    IntegrationError,
     NoiseSpec,
     VectorField,
     increment,
@@ -82,6 +83,99 @@ def test_grid_integration_matches_single():
     for j, x0 in enumerate(x0s):
         for i, t in enumerate(times):
             assert np.linalg.norm(states[i, j] - integrate_flow(ROT, x0, t)) <= 1e-9
+
+
+ORACLE_HORIZON = 10.0
+ORACLE_TIMES = np.append(
+    np.sort(np.random.default_rng(3).uniform(0.0, ORACLE_HORIZON, 300)), ORACLE_HORIZON
+)
+
+
+def oracle_initials(name, m):
+    if m == 1:
+        first = {"rotation": [1.0, 0.0], "pendulum": [2.0, 0.0], "cubic": [0.2]}
+        return np.array([first[name]])
+    lo, hi = (0.0, 1.0) if name == "cubic" else (-2.0, 2.0)
+    return np.random.default_rng(7).uniform(lo, hi, size=(m, make_field(name).dim))
+
+
+def scipy_rk45(fld, x0s, times, tol):
+    """The flow by ``solve_ivp(method="RK45")``, its field evaluations and rejected steps."""
+    from scipy.integrate import solve_ivp
+
+    m, d = x0s.shape
+    sol = solve_ivp(
+        lambda _t, y: fld(y.reshape(m, d)).reshape(-1), (0.0, times[-1]), x0s.reshape(-1),
+        method="RK45", rtol=tol, atol=tol, t_eval=times, dense_output=True,
+    )
+    assert sol.success
+    rejected = (sol.nfev - 2) // 6 - (len(sol.sol.ts) - 1)
+    return sol.y.T.reshape(-1, m, d), sol.nfev, rejected
+
+
+def counting(fld):
+    """`fld` with a counter of its evaluations (construction's probe not counted)."""
+    calls = [0]
+
+    def func(x):
+        calls[0] += 1
+        return fld.func(x)
+
+    counted = dataclasses.replace(fld, func=func)
+    calls[0] = 0
+    return counted, calls
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+@pytest.mark.parametrize("m", [1, 50])
+@pytest.mark.parametrize("name", ["rotation", "pendulum", "cubic"])
+def test_integrator_is_scipy_rk45_bit_for_bit(name, m, tol):
+    fld, calls = counting(make_field(name))
+    x0s = oracle_initials(name, m)
+    want, nfev, _ = scipy_rk45(make_field(name), x0s, ORACLE_TIMES, tol)
+    got = integrate_flow_grid(fld, x0s, ORACLE_TIMES, FlowConfig(tol, tol))
+    assert np.array_equal(got, want)
+    assert calls[0] == nfev
+
+
+def test_oracle_covers_rejected_steps():
+    # so the step-size factor after a rejection (capped at 1) is compared too
+    pendulum = make_field("pendulum")
+    _, _, rejected = scipy_rk45(pendulum, oracle_initials("pendulum", 1), ORACLE_TIMES, 1e-3)
+    assert rejected > 0
+
+
+SQUARE = VectorField("square", 1, lambda u: u ** 2, 1, (math.inf, 2.0), ((-1.0, 1.0),))
+
+
+@pytest.mark.parametrize("times", [[2.0], [0.5, 2.0]])
+def test_blow_up_raises_with_the_solver_time(times):
+    # u' = u^2 from 1 is 1 / (1 - t): it leaves every bound at t = 1
+    with pytest.raises(IntegrationError, match="'square' stalled") as err:
+        integrate_flow_grid(SQUARE, [[1.0]], times)
+    assert 0.5 < err.value.reached_time <= 1.0
+
+
+def test_nan_field_raises_instead_of_stepping_forever():
+    nan = VectorField("nan", 1, lambda u: np.full_like(u, np.nan), 1, (math.inf, 1.0), ((-1, 1),))
+    with pytest.raises(IntegrationError, match="'nan' stalled at t=0 ") as err:
+        integrate_flow_grid(nan, [[1.0]], [1.0])
+    assert err.value.reached_time == 0.0
+
+
+def test_repeated_times_give_equal_rows():
+    x0s = [[1.0, 0.0], [0.2, 0.3]]
+    states = integrate_flow_grid(ROT, x0s, [0.0, 0.5, 0.5, 1.0, 1.0])
+    assert np.array_equal(states[1], states[2])
+    assert np.array_equal(states[3], states[4])
+    assert np.array_equal(states[[0, 1, 3]], integrate_flow_grid(ROT, x0s, [0.0, 0.5, 1.0]))
+
+
+def test_rel_tol_below_hundred_eps_refused():
+    eps = np.finfo(float).eps
+    with pytest.raises(ValueError, match="rel_tol must be at least 100 \\* eps"):
+        FlowConfig(rel_tol=50 * eps)
+    assert FlowConfig(rel_tol=100 * eps).rel_tol == 100 * eps
 
 
 def observe(spec, times):

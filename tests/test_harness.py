@@ -452,3 +452,20 @@ def test_integration_failure_fails_every_replicate_at_that_n(monkeypatch, model)
     assert len(failed) == cfg.replicates
     assert all(row.failures == q and math.isnan(row.error) for row in failed)
     assert [row for row in rows if row.n != bad_n] == [row for row in want if row.n != bad_n]
+
+
+@pytest.mark.parametrize("dt_rule, horizons", [("fixed-horizon", 1), ("fixed", 3)])
+def test_true_curve_integrated_once_per_horizon(monkeypatch, dt_rule, horizons):
+    cfg = snake_config(
+        model="snake-gen", beta=2, ns=(128, 256, 512), sigma=0.05, replicates=1, seed=5,
+        dt_rule=dt_rule, horizon=2 * math.pi, dt_value=0.01,
+    )
+    real, lengths = harness.integrate_flow_grid, []
+
+    def counted(fld, x0s, times, *args, **kwargs):
+        lengths.append(len(times))
+        return real(fld, x0s, times, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "integrate_flow_grid", counted)
+    run_experiment(cfg)
+    assert lengths == [2049] * horizons  # the tube's true curve, once per horizon n * dt

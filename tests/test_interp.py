@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowfit import interp
 from flowfit.interp import (
     DimensionUnsupported,
     Stencil,
@@ -124,6 +125,16 @@ def test_normalized_diameter_is_one():
         dists = np.linalg.norm(out[:, None, :] - out[None, :, :], axis=2)
         assert abs(dists.max() - 1.0) <= 1e-12
         assert np.allclose(eta(pts[0]), out[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_diameter_is_scipy_pdist_bit_for_bit(d):
+    from scipy.spatial.distance import pdist
+
+    rng = np.random.default_rng(20 + d)
+    for npts in (2, 3, 6, 10, 35):
+        pts = rng.normal(size=(npts, d)) * rng.uniform(0.01, 100.0)
+        assert interp._diameter(pts) == pdist(pts).max()
 
 
 def test_stability_translation_and_scale_invariant():
