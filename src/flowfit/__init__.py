@@ -33,7 +33,7 @@ from .harness import (
     reference_rate,
     run_experiment,
 )
-from .interp import Stencil, interp_multivariate, interp_univariate
+from .interp import Stencil, interp_multivariate
 from .localpoly import (
     KernelSpec,
     LocalPolyFit,
@@ -94,7 +94,6 @@ __all__ = [
     "increment",
     "integrate_flow",
     "interp_multivariate",
-    "interp_univariate",
     "lp_estimate",
     "lp_weights",
     "make_field",

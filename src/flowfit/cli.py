@@ -99,7 +99,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     ds = _load_dataset(Path(args.data), cfg.model)
     d = ds.dim
     beta = cfg.effective_beta(make_field(cfg.field, cfg.d))
-    predictor = MODELS[cfg.model].fit(cfg, ds, beta)
+    try:
+        predictor = MODELS[cfg.model].fit(cfg, ds, beta)
+    except ValueError as exc:  # e.g. fewer horizons than the model's beta
+        raise SystemExit(f"dataset refused: {exc}") from None
     queries = _estimate_queries(cfg, d, predictor)
     pred = predictor(queries)
 

@@ -311,8 +311,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.beta is not None and self.beta < 1:
             raise ValueError("beta must be at least 1")
-        if self.x1 is not None and len(self.x1) != make_field(self.field, self.d).dim:
+        try:
+            fld = make_field(self.field, self.d)  # raises on a dimension the field lacks
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        if self.x1 is not None and len(self.x1) != fld.dim:
             raise ValueError(f"x1 must have the dimension of the field {self.field!r}")
+        for n in self.ns:
+            family.check_n(n, fld.dim)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,13 +1,12 @@
 """Polynomial interpolation with normalization and stability certificates.
 
-Univariate interpolation through ``ell + 1`` nodes feeds the
-increment-based estimator (its time derivative at 0 is the estimate);
-multivariate interpolation on N-point stencils feeds the trajectory
-based one.  Stencils carry a stability certificate: the spectral norm
-``||Psi(eta(x))^{-1}||`` of the inverse of the plain-monomial matrix
-after the points are normalized to centroid 0 and diameter 1.  Small
-certificates mean the interpolation operator is well conditioned, and
-they are what the perturbation bound is stated in terms of.
+Multivariate interpolation on N-point stencils feeds the
+trajectory-based estimator.  Stencils carry a stability certificate:
+the spectral norm ``||Psi(eta(x))^{-1}||`` of the inverse of the
+plain-monomial matrix after the points are normalized to centroid 0
+and diameter 1.  Small certificates mean the interpolation operator is
+well conditioned, and they are what the perturbation bound is stated
+in terms of.
 
 Multivariate interpolation follows the convention of returning the zero
 polynomial when the node matrix is singular; callers that need a hard
@@ -26,22 +25,17 @@ only when one runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .localpoly import monomial_basis, multi_indices, n_basis
+from .localpoly import monomial_basis, n_basis
 
 __all__ = [
-    "UniPoly",
     "Stencil",
-    "DuplicateNodes",
     "ZeroDiameter",
     "DimensionUnsupported",
-    "interp_univariate",
-    "derivative_at",
     "psi_matrix",
     "interp_multivariate",
     "normalize",
@@ -54,10 +48,6 @@ __all__ = [
 SINGULAR_RTOL = 1e-12
 
 
-class DuplicateNodes(ValueError):
-    """Univariate interpolation nodes must be pairwise distinct."""
-
-
 class ZeroDiameter(ValueError):
     """Normalization requires at least two distinct points."""
 
@@ -68,60 +58,6 @@ class DimensionUnsupported(NotImplementedError):
     The stencil search in :mod:`flowfit.snake` never raises it: it
     decides plain membership itself, in every dimension.
     """
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Componentwise univariate polynomial, coefficients by ascending degree.
-
-    ``coeffs`` has shape ``(degree_bound + 1, dy)``; scalar input is
-    stored as ``dy = 1``.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim == 1:
-            c = c[:, None]
-        if c.ndim != 2 or c.shape[0] < 1:
-            raise ValueError("coeffs must be (degree+1, dy)")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree_bound(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def __call__(self, t: float | np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(t, self.coeffs)
-
-
-def interp_univariate(ts: np.ndarray, ys: np.ndarray) -> UniPoly:
-    """The unique polynomial of degree <= len(ts) - 1 through (ts, ys).
-
-    ``ys`` may be vector-valued of shape ``(len(ts), dy)``; components
-    are interpolated independently.
-    """
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim == 1:
-        ys = ys[:, None]
-    if ts.ndim != 1 or ys.shape[0] != ts.size:
-        raise ValueError("ts and ys must have matching length")
-    if np.unique(ts).size != ts.size:
-        raise DuplicateNodes(f"nodes must be pairwise distinct, got {ts}")
-    vander = np.polynomial.polynomial.polyvander(ts, ts.size - 1)
-    return UniPoly(coeffs=np.linalg.solve(vander, ys))
-
-
-def derivative_at(p: UniPoly, k: int, t: float) -> np.ndarray:
-    """Exact k-th derivative of the polynomial at ``t``."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if k > p.degree_bound:
-        raise ValueError(f"order {k} exceeds degree bound {p.degree_bound}")
-    c = np.polynomial.polynomial.polyder(p.coeffs, k, axis=0) if k else p.coeffs
-    return np.polynomial.polynomial.polyval(t, c)
 
 
 def psi_matrix(points: np.ndarray, ell: int) -> np.ndarray:

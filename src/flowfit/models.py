@@ -82,7 +82,9 @@ class Family:
     ``from_records`` convert a dataset to observation records plus meta
     and back; ``error`` reduces one replicate's per-query error norms
     (rmse or sup); ``exponents[regime](b, d)`` is the squared-error
-    reference exponent ``e``, times ``(log n)^-e`` when ``log_rate``.
+    reference exponent ``e``, times ``(log n)^-e`` when ``log_rate``;
+    ``check_n(n, d)`` raises ValueError on a sample size the scheme cannot
+    draw.
     """
 
     name: str
@@ -95,6 +97,7 @@ class Family:
     needs_x1: bool
     exponents: dict[str, Callable[[int, int], Fraction]]
     log_rate: bool
+    check_n: Callable[[int, int], object]
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,7 @@ STUBBLE = Family(
         "fixed-dt": lambda b, d: Fraction(-2 * b, 2 * b + d),
     },
     log_rate=False,
+    check_n=stubble_grid_size,
 )
 
 SNAKE = Family(
@@ -157,19 +161,16 @@ SNAKE = Family(
         "balanced": lambda b, d: Fraction(-2 * b, 2 * (b + 1) + d),
     },
     log_rate=True,
+    check_n=lambda n, d: None,
 )
 
 
-def _fit_stubble_lip(cfg, ds, beta: int) -> Predictor:
-    kernel = KERNELS[cfg.kernel]()
-    return Predictor(lambda x: (
-        stubble.estimate_lipschitz(ds, x, bandwidth=cfg.bandwidth, kernel=kernel,
-                                   bandwidth_constant=cfg.bandwidth_constant),
-        "regression", None,
-    ))
-
-
-def _fit_stubble_gen(cfg, ds, beta: int) -> Predictor:
+def _fit_stubble(cfg, ds, beta: int) -> Predictor:
+    # both stubble models: the general estimator on the first `beta` horizons
+    if ds.beta < beta:
+        raise ValueError(f"the model needs {beta} horizons, but the dataset has {ds.beta}")
+    if ds.beta > beta:
+        ds = stubble.StubbleDataset(ds.initials, ds.dt, beta, ds.observations[:, :beta], ds.meta)
     reg = stubble.IncrementRegressor(
         kernel=KERNELS[cfg.kernel](), bandwidth=cfg.bandwidth,
         bandwidth_constant=cfg.bandwidth_constant,
@@ -201,8 +202,8 @@ def _fit_snake_gen(cfg, ds, beta: int) -> Predictor:
 
 
 MODELS = {
-    "stubble-lip": Model(STUBBLE, lipschitz=True, fit=_fit_stubble_lip),
-    "stubble-gen": Model(STUBBLE, lipschitz=False, fit=_fit_stubble_gen),
+    "stubble-lip": Model(STUBBLE, lipschitz=True, fit=_fit_stubble),
+    "stubble-gen": Model(STUBBLE, lipschitz=False, fit=_fit_stubble),
     "snake-lip": Model(SNAKE, lipschitz=True, fit=_fit_snake_lip),
     "snake-gen": Model(SNAKE, lipschitz=False, fit=_fit_snake_gen),
 }

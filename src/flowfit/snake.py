@@ -292,7 +292,7 @@ def fit_curve(
         return theta[1] / tried[-1]
 
     stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
-    idx = np.union1d(np.arange(0, ds.n + 1, stride), [ds.n])
+    idx = np.append(np.arange(0, ds.n, stride), ds.n)
     grid = ds.times[idx]
     # the filter is the fit's weights at the middle observation; where an offset
     # k dt meets a bandwidth tried, rounding decides if a fit keeps that point
@@ -499,10 +499,10 @@ def select_stencil(
     num_grid = curve.grid_times.size
     if num_grid > cfg.pool_size:
         near = np.argsort(dists_all, kind="stable")[: cfg.pool_size // 2]
-        strided = np.unique(
-            np.round(np.linspace(0, num_grid - 1, cfg.pool_size - near.size)).astype(int)
-        )
-        idx = np.unique(np.concatenate([near, strided]))
+        strided = np.round(np.linspace(0, num_grid - 1, cfg.pool_size - near.size)).astype(int)
+        in_pool = np.zeros(num_grid, dtype=bool)
+        in_pool[near] = in_pool[strided] = True
+        idx = np.flatnonzero(in_pool)
     else:
         idx = np.arange(num_grid)
     pool_states = curve.grid_states[idx]

@@ -7,24 +7,28 @@ everywhere: at a query point x the observed increments of nearby
 trajectories are locally averaged per horizon, and the averaged
 increment curve is differentiated at time zero.
 
-Two estimators are provided.  :func:`estimate_lipschitz` uses one
-horizon and a local constant fit, which is rate optimal when only a
-Lipschitz bound on the field is available.  :func:`estimate_general`
-uses ``beta`` horizons, a local polynomial fit per horizon, and exact
-univariate interpolation in time, which lifts the rate to the
-smoothness the field actually has.
+One estimator, :func:`estimate_general`, covers both variants.  It
+fits the increments of each horizon ``i = 1..beta`` by a local
+polynomial of degree ``beta - 1`` (by default), and the derivative at 0
+of the polynomial through ``(0, 0)`` and the ``beta`` fits ``h_i`` at
+the equally spaced times ``i dt`` is the fixed weighted sum
+``(1/dt) sum_i w_i h_i`` with ``w_i = (-1)^(i+1) C(beta, i) / i``
+(Fornberg 1988).  With ``beta = 1`` it is the Lipschitz estimator: one
+horizon, a local constant fit, and ``h_1 / dt``, which is rate optimal
+when only a Lipschitz bound on the field is available.  Larger ``beta``
+lifts the rate to the smoothness the field actually has.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, Observations, VectorField
 from .flow import integrate_flow_grid, noise_draw
-from .interp import derivative_at, interp_univariate
 from .localpoly import (
     KernelSpec,
     LocalPolyFit,
@@ -41,7 +45,6 @@ __all__ = [
     "flow_stubble",
     "observe_stubble",
     "generate_stubble",
-    "estimate_lipschitz",
     "estimate_general",
     "default_query_points",
     "to_observations",
@@ -177,27 +180,10 @@ def _horizon_bandwidth(
     return max(h, floor)
 
 
-def estimate_lipschitz(
-    ds: StubbleDataset,
-    x: np.ndarray,
-    bandwidth: float | None = None,
-    kernel: KernelSpec | None = None,
-    bandwidth_constant: float = 1.0,
-) -> np.ndarray:
-    """Local constant estimate of ``f(x)`` from single-horizon increments.
-
-    Computes the kernel-weighted average of the increments over the
-    first horizon and divides by ``dt``.  Raises
-    :class:`~flowfit.localpoly.SingularDesign` when no initial states
-    fall within the bandwidth of ``x``.
-    """
-    if kernel is None:
-        kernel = epanechnikov()
-    if bandwidth is None:
-        bandwidth = _horizon_bandwidth(ds, 1, 0, 1, bandwidth_constant)
-    data = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
-    fit = LocalPolyFit(degree=0, bandwidth=bandwidth)
-    return lp_estimate(np.asarray(x, dtype=float), data, fit, kernel) / ds.dt
+def _derivative_weights(beta: int) -> list[float]:
+    """Weights ``w_i``, ``i = 1..beta``, with ``p'(0) dt = sum_i w_i p(i dt)`` for
+    every polynomial ``p`` of degree ``<= beta`` with ``p(0) = 0``."""
+    return [(-1) ** (i + 1) * math.comb(beta, i) / i for i in range(1, beta + 1)]
 
 
 @dataclass(frozen=True)
@@ -236,27 +222,27 @@ def estimate_general(
     """Estimate ``f(x)`` using all ``beta`` horizons.
 
     Per horizon ``i`` a local polynomial fit of the increments is
-    evaluated at ``x``; together with the exact zero increment at time
-    0 these values are interpolated by the unique polynomial of degree
-    ``beta`` in time, whose derivative at 0 is the estimate.
+    evaluated at ``x``; the estimate is the derivative at time 0 of the
+    polynomial of degree ``beta`` through these values and the exact
+    zero increment at time 0, ``(1/dt) sum_i w_i h_i``.
 
-    With ``beta = 1`` and degree 0 this reduces to
-    :func:`estimate_lipschitz`: the interpolation through ``(0, 0)``
-    and ``(dt, y)`` has slope ``y / dt``, so the two agree to one
-    rounding of that division (the solver may multiply by ``1 / dt``).
+    With ``beta = 1`` and degree 0 this is the Lipschitz estimator:
+    exactly the local constant fit of the first-horizon increments
+    divided by ``dt``.  Raises :class:`~flowfit.localpoly.SingularDesign`
+    when a horizon's fit is singular at ``x``.
     """
     if regressor is None:
         regressor = IncrementRegressor()
     x = np.asarray(x, dtype=float)
     kernel = regressor.resolve_kernel()
     degree = regressor.resolve_degree(ds.beta)
-    hats = np.zeros((ds.beta + 1, ds.dim))
-    for i in range(1, ds.beta + 1):
+    total = None
+    for i, w in enumerate(_derivative_weights(ds.beta), start=1):
         data = RegressionData(points=ds.initials, targets=ds.increments(i), extent=1.0)
         fit = LocalPolyFit(degree=degree, bandwidth=regressor.resolve_bandwidth(ds, i))
-        hats[i] = lp_estimate(x, data, fit, kernel)
-    nodes = ds.dt * np.arange(ds.beta + 1)
-    return derivative_at(interp_univariate(nodes, hats), 1, 0.0)
+        term = w * lp_estimate(x, data, fit, kernel)
+        total = term if total is None else total + term
+    return total / ds.dt
 
 
 def default_query_points(d: int, per_dim: int = 5, margin: float = 0.1) -> np.ndarray:

@@ -29,13 +29,16 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after running `code`."""
+def lazy_modules_after(code: str) -> list[str]:
+    """The scipy and ``numpy.ma`` modules (numpy and the package load them
+    only on demand) a fresh interpreter has loaded after running `code`."""
     src = str(Path(flowfit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        "names = [m.split('.') for m in sys.modules]\n"
+        "late = [n for n in names if n[0] == 'scipy' or n[:2] == ['numpy', 'ma']]\n"
+        "print(json.dumps(sorted('.'.join(n) for n in late)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{probe}"],
@@ -46,7 +49,7 @@ def scipy_modules_after(code: str) -> list[str]:
 
 
 def test_import_loads_no_scipy():
-    assert scipy_modules_after("import flowfit, flowfit.cli") == []
+    assert lazy_modules_after("import flowfit, flowfit.cli") == []
 
 
 # tiny rate studies; snake-gen's default tube queries integrate the true curve
@@ -67,4 +70,4 @@ def test_fit_and_predict_load_no_scipy(model):
         "from flowfit.harness import ExperimentConfig, run_experiment\n"
         f"run_experiment(ExperimentConfig.from_dict({cfg!r}))"
     )
-    assert scipy_modules_after(code) == []
+    assert lazy_modules_after(code) == []

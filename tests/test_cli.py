@@ -14,7 +14,7 @@ from flowfit import stubble
 from flowfit.cli import main
 from flowfit.flow import make_field, read_dataset_meta, read_observation_csv
 from flowfit.harness import ExperimentConfig, read_results_csv
-from flowfit.localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_weights
+from flowfit.localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_estimate, lp_weights
 from flowfit.models import MODELS, SUCCESSES
 
 
@@ -92,10 +92,16 @@ def test_bad_override_exits(stubble_config, tmp_path):
     ('replicates="3"', "config refused: replicates must be an integer"),
     ("replicates=2.5", "config refused: replicates must be an integer"),
     ('sigma="0.1"', "config refused: sigma must be a real number"),
+    ("field=nope", "unknown field 'nope'"),
+    pytest.param(("field=rotation", "d=3"), "field 'rotation' has fixed dimension 2",
+                 id="field=rotation,d=3"),
+    pytest.param(("field=rotation", "d=2", "ns=[16,25,30]"), "sample size 30 is not a d-th power",
+                 id="field=rotation,d=2,ns=[16,25,30]"),
 ])
 def test_refused_config_exits_with_one_line(command, override, field, stubble_config, tmp_path):
-    args = [command, "--config", str(stubble_config), "--set", override,
-            "--out", str(tmp_path / "out")]
+    args = [command, "--config", str(stubble_config), "--out", str(tmp_path / "out")]
+    for pair in [override] if isinstance(override, str) else override:
+        args += ["--set", pair]
     if command == "estimate":
         args += ["--data", str(tmp_path)]
     with pytest.raises(SystemExit) as refused:
@@ -120,7 +126,7 @@ def test_estimate_stubble(stubble_config, tmp_path):
     ds = MODELS["stubble-lip"].family.from_records(
         read_observation_csv(data / "observations.csv"), meta
     )
-    # the bandwidth estimate_lipschitz picks when none is given
+    # the bandwidth estimate_general picks for beta = 1 when none is given
     fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     for row in rows:
@@ -128,12 +134,40 @@ def test_estimate_stubble(stubble_config, tmp_path):
         x = np.array([float(row["x_1"]), float(row["x_2"])])
         fhat = [row["fhat_1"], row["fhat_2"]]
         # the CLI writes exactly the library estimate on the stored dataset
-        assert fhat == [repr(float(v)) for v in stubble.estimate_lipschitz(ds, x)]
+        assert fhat == [repr(float(v)) for v in stubble.estimate_general(ds, x)]
         # constant field (1, 0): the local constant fit is unbiased, and each
         # component's noise has standard deviation (sigma / dt) * ||w(x)||_2
         w = lp_weights(x, reg, fit, epanechnikov())
         tol = 5 * meta["sigma"] / ds.dt * np.linalg.norm(w)
         assert np.all(np.abs(np.array(fhat, dtype=float) - [1.0, 0.0]) <= tol)
+
+
+def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
+    # stubble-lip on a beta = 3 dataset: exactly the local constant fit of horizon 1
+    data = tmp_path / "data"
+    main(["simulate", "--config", str(stubble_config), "--out", str(data),
+          "--set", "model=stubble-gen", "--set", "beta=3"])
+    out = tmp_path / "estimates.csv"
+    main(["estimate", "--config", str(stubble_config), "--data", str(data), "--out", str(out)])
+    ds = MODELS["stubble-gen"].family.from_records(
+        read_observation_csv(data / "observations.csv"), read_dataset_meta(data / "meta.json")
+    )
+    assert ds.beta == 3
+    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
+    reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    for row in rows:
+        x = np.array([float(row["x_1"]), float(row["x_2"])])
+        want = lp_estimate(x, reg, fit, epanechnikov()) / ds.dt
+        assert [row["fhat_1"], row["fhat_2"]] == [repr(float(v)) for v in want]
+    # a model whose beta exceeds the dataset's horizons is refused
+    refused = tmp_path / "refused.csv"
+    with pytest.raises(SystemExit, match="needs 4 horizons, but the dataset has 3"):
+        main(["estimate", "--config", str(stubble_config), "--data", str(data),
+              "--out", str(refused), "--set", "model=stubble-gen", "--set", "beta=4"])
+    assert not refused.exists()
 
 
 def test_estimate_snake(snake_config, tmp_path):
@@ -205,7 +239,7 @@ def test_estimate_refuses_mismatched_dataset(stubble_config, snake_config, tmp_p
 def test_estimate_failed_rows_name_their_kind(stubble_config, tmp_path, monkeypatch):
     import flowfit.stubble as stubble
 
-    real = stubble.estimate_lipschitz
+    real = stubble.estimate_general
     calls = []
 
     def nan_on_first_query(*args, **kwargs):
@@ -215,7 +249,7 @@ def test_estimate_failed_rows_name_their_kind(stubble_config, tmp_path, monkeypa
 
     data = tmp_path / "data"
     main(["simulate", "--config", str(stubble_config), "--out", str(data)])
-    monkeypatch.setattr(stubble, "estimate_lipschitz", nan_on_first_query)
+    monkeypatch.setattr(stubble, "estimate_general", nan_on_first_query)
     out = tmp_path / "estimates.csv"
     points = "queries=" + json.dumps({"kind": "points", "points": [[0.5, 0.5], [5.0, 5.0], [0.3, 0.3]]})
     main(["estimate", "--config", str(stubble_config), "--data", str(data),

@@ -343,8 +343,9 @@ def test_query_specs_build():
 def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
     import flowfit.harness as harness
 
-    module = harness.stubble if model == "stubble-lip" else harness.snake
-    real = module.estimate_lipschitz
+    module, name = ((harness.stubble, "estimate_general") if model == "stubble-lip"
+                    else (harness.snake, "estimate_lipschitz"))
+    real = getattr(module, name)
     calls = []
 
     def nan_on_first_query(*args, **kwargs):
@@ -352,7 +353,7 @@ def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
         est = real(*args, **kwargs)
         return np.full_like(est, np.nan) if len(calls) == 1 else est
 
-    monkeypatch.setattr(module, "estimate_lipschitz", nan_on_first_query)
+    monkeypatch.setattr(module, name, nan_on_first_query)
     if model == "stubble-lip":
         cfg = constant_config(ns=(16,))
     else:

@@ -13,9 +13,7 @@ from flowfit import interp
 from flowfit.interp import (
     DimensionUnsupported,
     Stencil,
-    derivative_at,
     interp_multivariate,
-    interp_univariate,
     mu_interior_contains,
     normalize,
     psi_matrix,
@@ -23,25 +21,23 @@ from flowfit.interp import (
 )
 
 
+# interp_multivariate in d = 1 is univariate interpolation through the nodes
+
+
 def test_constant_values_give_constant_polynomial():
-    p = interp_univariate(np.array([0.0, 0.5, 1.0]), np.full(3, 2.5))
+    nodes = np.array([[0.0], [0.5], [1.0]])
     for t in (0.0, 0.3, 0.9):
-        assert abs(p(t) - 2.5) <= 1e-12
+        assert abs(interp_multivariate(nodes, np.full(3, 2.5), np.array([t])) - 2.5) <= 1e-12
 
 
 def test_two_point_line():
-    p = interp_univariate(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    assert abs(p(0.25) - 0.25) <= 1e-12
-    assert abs(p(2.0) - 2.0) <= 1e-12
-
-
-def test_derivative_of_square():
-    p = interp_univariate(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 4.0]))
-    assert abs(derivative_at(p, 1, 0.0)) <= 1e-12
-    assert abs(derivative_at(p, 1, 3.0) - 6.0) <= 1e-12
+    nodes = np.array([[0.0], [1.0]])
+    for t in (0.25, 2.0):
+        assert abs(interp_multivariate(nodes, np.array([0.0, 1.0]), np.array([t])) - t) <= 1e-12
 
 
 def test_recovers_random_polynomial_coefficients():
+    # a polynomial of degree ell is its own interpolant through ell + 1 nodes
     rng = np.random.default_rng(14)
     for ell in range(6):
         coeffs = rng.standard_normal(ell + 1)
@@ -49,26 +45,16 @@ def test_recovers_random_polynomial_coefficients():
         while np.any(np.diff(ts) < 1e-3):
             ts = np.sort(rng.uniform(0.0, 1.0, size=ell + 1))
         ys = np.polynomial.polynomial.polyval(ts, coeffs)
-        p = interp_univariate(ts, ys)
-        assert np.abs(p.coeffs.ravel()[: ell + 1] - coeffs).max() <= 1e-9
-
-
-def test_derivative_matches_finite_difference():
-    rng = np.random.default_rng(15)
-    coeffs = rng.standard_normal(4)
-    ts = np.array([0.0, 0.4, 0.7, 1.0])
-    p = interp_univariate(ts, np.polynomial.polynomial.polyval(ts, coeffs))
-    step = 1e-6
-    fd = (p(step) - p(-step)) / (2 * step)
-    assert abs(derivative_at(p, 1, 0.0) - fd) <= 1e-6
+        for t in np.linspace(0.0, 1.0, 11):
+            got = interp_multivariate(ts[:, None], ys, np.array([t]))
+            assert abs(got - np.polynomial.polynomial.polyval(t, coeffs)) <= 1e-9
 
 
 def test_vector_valued_nodes():
     ts = np.array([0.0, 1.0, 2.0])
     ys = np.stack([ts**2, 3.0 * ts], axis=1)
-    p = interp_univariate(ts, ys)
-    assert np.allclose(p(1.5), [2.25, 4.5], atol=1e-12)
-    assert np.allclose(derivative_at(p, 1, 1.0), [2.0, 3.0], atol=1e-12)
+    assert np.allclose(interp_multivariate(ts[:, None], ys, np.array([1.5])), [2.25, 4.5],
+                       atol=1e-12)
 
 
 def test_psi_matrix_example():
@@ -263,27 +249,3 @@ def test_interpolation_constant_bound():
             vals[k] = 1.0
             total += max(abs(interp_multivariate(pts, vals, z)) for z in sample)
         assert total <= 3.0**1.5 * stab * 1.01
-
-
-def test_univariate_derivative_stability():
-    # degree-3 polynomials agreeing to delta at nodes (0, 1/3, 2/3, 1)*h
-    # have derivatives within c * delta / h on [0, h]; c is derived by a
-    # brute-force sweep of the cardinal-basis derivatives
-    nodes = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-    tgrid = np.linspace(0.0, 1.0, 401)
-    card_deriv_sum = np.zeros_like(tgrid)
-    for i in range(4):
-        vals = np.zeros(4)
-        vals[i] = 1.0
-        li = interp_univariate(nodes, vals)
-        card_deriv_sum += np.abs([derivative_at(li, 1, t).item() for t in tgrid])
-    c = card_deriv_sum.max()
-
-    rng = np.random.default_rng(24)
-    for h in (0.5, 0.1):
-        for _ in range(20):
-            delta = 10.0 ** rng.uniform(-6, -1)
-            rvals = rng.uniform(-delta, delta, size=4)
-            r = interp_univariate(nodes * h, rvals)
-            worst = max(abs(derivative_at(r, 1, t * h).item()) for t in tgrid)
-            assert worst <= c * delta / h * (1.0 + 1e-9)

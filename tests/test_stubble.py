@@ -10,13 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfit.flow import make_field
-from flowfit.localpoly import SingularDesign
+from flowfit.localpoly import (
+    LocalPolyFit,
+    RegressionData,
+    SingularDesign,
+    epanechnikov,
+    lp_estimate,
+)
 from flowfit.stubble import (
     IncrementRegressor,
     StubbleDataset,
+    _derivative_weights,
+    _horizon_bandwidth,
     default_query_points,
     estimate_general,
-    estimate_lipschitz,
     generate_stubble,
     grid_initials,
     stubble_from_observations,
@@ -55,14 +62,15 @@ def test_noise_reproducible_across_calls():
 
 
 def test_constant_field_exact_everywhere():
-    # increments of a constant field are i*c*dt: local constant fits and
-    # the interpolation route both return c up to integrator noise
-    c = np.array([0.7, -0.2])
+    # increments of a constant field are i*c*dt: the local constant fit of
+    # the first horizon and the interpolation route both return c up to
+    # integrator noise
     fld = make_field("constant")
+    lip_ds = generate_stubble(fld, n0=5, dt=0.05, beta=1, sigma=0.0)
     for beta in (1, 2, 3):
         ds = generate_stubble(fld, n0=5, dt=0.05, beta=beta, sigma=0.0)
         for x in [np.array([0.4, 0.4]), np.array([0.8, 0.2])]:
-            lip = estimate_lipschitz(ds, x)
+            lip = estimate_general(lip_ds, x)
             assert np.abs(lip - np.array([1.0, 0.0])).max() <= 1e-9
             gen = estimate_general(ds, x)
             assert np.abs(gen - np.array([1.0, 0.0])).max() <= 1e-8
@@ -77,7 +85,7 @@ def test_constant_field_exact_d3():
 def test_rotation_fine_step_bias():
     ds = generate_stubble(make_field("rotation"), n0=24, dt=1e-3, beta=1, sigma=0.0)
     x0 = np.array([0.5, 0.5])
-    err = np.linalg.norm(estimate_lipschitz(ds, x0) - np.array([-0.5, 0.5]))
+    err = np.linalg.norm(estimate_general(ds, x0) - np.array([-0.5, 0.5]))
     assert err <= 5e-3
 
 
@@ -89,20 +97,31 @@ def test_rmse_decreases_when_grid_doubles():
         errs = []
         for seed in range(50):
             ds = generate_stubble(fld, n0=n0, dt=0.02, beta=1, sigma=0.1, seed=seed)
-            errs.append(np.linalg.norm(estimate_lipschitz(ds, x0) - fld(x0)) ** 2)
+            errs.append(np.linalg.norm(estimate_general(ds, x0) - fld(x0)) ** 2)
         rmses.append(math.sqrt(np.mean(errs)))
     assert rmses[1] < rmses[0]
 
 
 def test_general_beta1_reduces_to_lipschitz():
-    # same bandwidth, same weights; slope of the line through (0, 0) and
-    # (dt, y) is y / dt, so agreement is within one rounding of that division
+    # at beta = 1 the estimate is the local constant fit of the first-horizon
+    # increments divided by dt, bit for bit, with the plug-in bandwidth of a
+    # degree-0 fit at smoothness 1
     ds = generate_stubble(make_field("rotation"), n0=8, dt=0.05, beta=1, sigma=0.05, seed=3)
-    reg = IncrementRegressor(degree=0)
+    data = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
+    fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1, 1.0))
     for x in default_query_points(2, per_dim=3):
-        a = estimate_lipschitz(ds, x)
-        b = estimate_general(ds, x, reg)
-        assert np.all(np.abs(a - b) <= np.spacing(np.abs(a)))
+        lip = lp_estimate(x, data, fit, epanechnikov()) / ds.dt
+        assert np.array_equal(estimate_general(ds, x), lip)
+
+
+@pytest.mark.parametrize("beta", range(1, 7))
+def test_derivative_weights_match_interpolant(beta):
+    # the weights give the derivative at 0 of the polynomial through (0, 0)
+    # and (i, e_i), i = 1..beta: one cardinal polynomial per weight
+    nodes = np.arange(beta + 1.0)
+    for i, w in enumerate(_derivative_weights(beta), start=1):
+        cardinal = np.polynomial.Polynomial.fit(nodes, np.eye(beta + 1)[i], beta)
+        assert abs(w - cardinal.deriv()(0.0)) <= 1e-12
 
 
 def test_estimator_is_linear_in_increments():
@@ -136,7 +155,7 @@ def test_estimator_is_linear_in_increments():
 def test_singular_design_far_outside():
     ds = generate_stubble(make_field("rotation"), n0=6, dt=0.05, beta=1, sigma=0.0)
     with pytest.raises(SingularDesign):
-        estimate_lipschitz(ds, np.array([3.0, 3.0]), bandwidth=0.1)
+        estimate_general(ds, np.array([3.0, 3.0]), IncrementRegressor(bandwidth=0.1))
 
 
 def test_default_queries_stay_interior():
