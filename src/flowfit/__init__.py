@@ -5,7 +5,8 @@ scheme many solutions started on a grid are each observed a few steps
 (:mod:`flowfit.stubble`); in the long-trajectory scheme one solution is
 observed over a long horizon and must be reconstructed before the field
 can be read off (:mod:`flowfit.snake`).  Shared machinery lives in
-:mod:`flowfit.flow` (integration, synthetic data),
+:mod:`flowfit.flow` (integration, synthetic data, and the one dataset
+type both schemes observe, :class:`~flowfit.flow.TrajectoryData`),
 :mod:`flowfit.localpoly` (local polynomial regression), and
 :mod:`flowfit.interp` (stable polynomial interpolation);
 :mod:`flowfit.harness` runs Monte Carlo rate experiments and
@@ -17,10 +18,13 @@ from .flow import (
     IntegrationError,
     NoiseSpec,
     Observations,
+    TrajectoryData,
     VectorField,
+    from_observations,
     increment,
     integrate_flow,
     make_field,
+    to_observations,
 )
 from .harness import (
     ExperimentConfig,
@@ -48,18 +52,13 @@ from .localpoly import (
 from .snake import (
     CurveEstimate,
     NoStencilFound,
-    SnakeDataset,
     StencilConfig,
     fit_curve,
     generate_snake,
     nn_time,
     select_stencil,
 )
-from .stubble import (
-    IncrementRegressor,
-    StubbleDataset,
-    generate_stubble,
-)
+from .stubble import IncrementRegressor, generate_stubble
 
 __version__ = "0.1.0"
 
@@ -80,15 +79,15 @@ __all__ = [
     "RateReport",
     "RegressionData",
     "SingularDesign",
-    "SnakeDataset",
     "Stencil",
     "StencilConfig",
-    "StubbleDataset",
     "TheoreticalRate",
+    "TrajectoryData",
     "VectorField",
     "epanechnikov",
     "fit_curve",
     "fit_rate",
+    "from_observations",
     "generate_snake",
     "generate_stubble",
     "increment",
@@ -102,5 +101,6 @@ __all__ = [
     "reference_rate",
     "run_experiment",
     "select_stencil",
+    "to_observations",
     "uniform_kernel",
 ]

@@ -96,13 +96,13 @@ def _estimate_queries(cfg: ExperimentConfig, d: int, predictor: Predictor) -> np
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    ds = _load_dataset(Path(args.data), cfg.model)
-    d = ds.dim
     beta = cfg.effective_beta(make_field(cfg.field, cfg.d))
     try:
+        ds = _load_dataset(Path(args.data), cfg.model)
         predictor = MODELS[cfg.model].fit(cfg, ds, beta)
-    except ValueError as exc:  # e.g. fewer horizons than the model's beta
+    except (OSError, ValueError) as exc:  # malformed records, too few horizons, ...
         raise SystemExit(f"dataset refused: {exc}") from None
+    d = ds.dim
     queries = _estimate_queries(cfg, d, predictor)
     pred = predictor(queries)
 

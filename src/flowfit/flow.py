@@ -5,8 +5,9 @@ right-hand side ``f`` is unknown.  This module supplies the forward
 machinery: declared vector fields with certified smoothness bounds, a
 numerical realization of the flow ``U(f, x, t)`` and of the increment map
 ``Upsilon(f, dt, x) = U(f, x, dt) - x`` (one adaptive solve of a stacked
-system behind both), reproducible observation noise, and the CSV/JSON
-dataset format shared by the estimators.
+system behind both), reproducible observation noise, the one dataset
+type both sampling schemes observe (:class:`TrajectoryData`), and its
+CSV/JSON record format.
 
 The adaptive solve is the Dormand-Prince 5(4) pair with its quartic dense
 output (Dormand & Prince 1980; Shampine 1986; Hairer, Norsett & Wanner
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
     "FlowConfig",
     "NoiseSpec",
     "Observations",
+    "TrajectoryData",
     "IntegrationError",
     "integrate_flow",
     "integrate_flow_grid",
@@ -47,6 +49,8 @@ __all__ = [
     "make_field",
     "BUILTIN_FIELDS",
     "validate_smoothness_bounds",
+    "to_observations",
+    "from_observations",
     "write_observation_csv",
     "read_observation_csv",
     "write_dataset_meta",
@@ -203,6 +207,66 @@ class Observations:
     obs_idx: np.ndarray
     times: np.ndarray
     values: np.ndarray
+
+
+@dataclass(frozen=True)
+class TrajectoryData:
+    """Noisy observations of K trajectories from known initial states.
+
+    ``observations[j, i - 1]`` is the observed state of the trajectory
+    started at ``initials[j]`` after time ``i * dt``, for ``i = 1..n``; the
+    initial states at time 0 are known exactly and are not observed.  Many
+    short trajectories (:mod:`flowfit.stubble`, n the horizon count) and one
+    long one (:mod:`flowfit.snake`, K = 1) are both this type.
+    """
+
+    initials: np.ndarray
+    dt: float
+    observations: np.ndarray
+    meta: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        initials = np.atleast_2d(np.asarray(self.initials, dtype=float))
+        obs = np.asarray(self.observations, dtype=float)
+        object.__setattr__(self, "initials", initials)
+        object.__setattr__(self, "observations", obs)
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        k, d = initials.shape
+        if obs.ndim != 3 or obs.shape[0] != k or obs.shape[1] < 1 or obs.shape[2] != d:
+            raise ValueError(f"observations must have shape ({k}, n, {d}) with n >= 1, "
+                             f"got {obs.shape}")
+        if not (np.all(np.isfinite(initials)) and np.all(np.isfinite(obs))):
+            raise ValueError("initial states and observations must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.initials.shape[1]
+
+    @property
+    def n(self) -> int:
+        """Observations per trajectory."""
+        return self.observations.shape[1]
+
+    @property
+    def horizon(self) -> float:
+        return self.n * self.dt
+
+    @property
+    def times(self) -> np.ndarray:
+        """All sample times ``0, dt, ..., n dt`` including the initial one."""
+        return self.dt * np.arange(self.n + 1)
+
+    @property
+    def states(self) -> np.ndarray:
+        """Known initial states stacked on the observations: ``(K, n + 1, d)``."""
+        return np.concatenate([self.initials[:, None, :], self.observations], axis=1)
+
+    def increments(self, i: int) -> np.ndarray:
+        """Observed increments ``Y_{j,i} - x_j`` after time ``i * dt``: ``(K, d)``."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"horizon must be in 1..{self.n}")
+        return self.observations[:, i - 1, :] - self.initials
 
 
 def integrate_flow(
@@ -596,6 +660,54 @@ def validate_smoothness_bounds(
 # Dataset serialization: one CSV of observations plus a JSON sidecar with the
 # generation parameters.  Columns: traj_id, obs_idx, t, y_1..y_d.
 # ---------------------------------------------------------------------------
+
+
+def to_observations(ds: TrajectoryData) -> list[Observations]:
+    """One record per trajectory: ids ``1..K``, each with ``obs_idx`` ``1..n``."""
+    idx = np.arange(1, ds.n + 1)
+    times = ds.dt * idx
+    return [
+        Observations(traj_id=j + 1, obs_idx=idx, times=times, values=values)
+        for j, values in enumerate(ds.observations)
+    ]
+
+
+def _first_offender(ids: Sequence[int], n: int) -> int | None:
+    """Where sorted `ids` first differ from ``1..n``: the id found or the id
+    missing there, whichever is smaller; None when they are ``1..n``."""
+    for want, have in enumerate(ids, start=1):
+        if want > n:
+            return have
+        if have != want:
+            return min(have, want)
+    return None if len(ids) == n else len(ids) + 1
+
+
+def from_observations(
+    records: Sequence[Observations], initials: np.ndarray, dt: float, meta: dict
+) -> TrajectoryData:
+    """Rebuild a dataset from its records, known initial states and meta.
+
+    The ids must be exactly ``1..K`` for the K initial states (record j
+    belongs to ``initials[j - 1]``), and each trajectory's ``obs_idx``
+    exactly ``1..n``, n the largest index in the records.  Anything else
+    raises a ValueError that names the first offending id.
+    """
+    initials = np.atleast_2d(np.asarray(initials, dtype=float))
+    records = sorted(records, key=lambda rec: rec.traj_id)
+    bad = _first_offender([rec.traj_id for rec in records], initials.shape[0])
+    if bad is not None:
+        raise ValueError(
+            f"trajectory ids must be exactly 1..{initials.shape[0]}; first offending id {bad}"
+        )
+    n = max(int(rec.obs_idx.max(initial=0)) for rec in records)
+    for rec in records:
+        bad = _first_offender(rec.obs_idx.tolist(), n)
+        if bad is not None:
+            raise ValueError(f"trajectory {rec.traj_id}: obs_idx must be exactly 1..{n}; "
+                             f"first offending obs_idx {bad}")
+    values = np.stack([rec.values for rec in records])
+    return TrajectoryData(initials=initials, dt=dt, observations=values, meta=dict(meta))
 
 
 def write_observation_csv(path: str | Path, observations: Sequence[Observations]) -> None:

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import snake, stubble
+from .flow import Observations, TrajectoryData, from_observations, to_observations
 from .interp import Stencil
 from .localpoly import SingularDesign, epanechnikov, uniform_kernel
 
@@ -78,9 +79,10 @@ class Family:
     """What the two models of one sampling scheme share.
 
     ``flow`` integrates the noise-free paths of one sample size and
-    ``observe`` adds one replicate's noise to them; ``to_records`` /
-    ``from_records`` convert a dataset to observation records plus meta
-    and back; ``error`` reduces one replicate's per-query error norms
+    ``observe`` adds one replicate's noise to them; ``record_meta`` is the
+    family's own entry in a dataset's record meta and ``record_initials``
+    reads the initial states back from that meta (see :meth:`to_records`);
+    ``error`` reduces one replicate's per-query error norms
     (rmse or sup); ``exponents[regime](b, d)`` is the squared-error
     reference exponent ``e``, times ``(log n)^-e`` when ``log_rate``;
     ``check_n(n, d)`` raises ValueError on a sample size the scheme cannot
@@ -90,14 +92,22 @@ class Family:
     name: str
     flow: Callable  # (cfg, fld, beta, n, dt) -> noise-free paths
     observe: Callable  # (cfg, fld, n, dt, paths, seed) -> dataset
-    to_records: Callable
-    from_records: Callable
+    record_meta: Callable[[TrajectoryData], dict]
+    record_initials: Callable[[dict], np.ndarray]
     default_queries: str
     error: Callable[[np.ndarray], float]
     needs_x1: bool
     exponents: dict[str, Callable[[int, int], Fraction]]
     log_rate: bool
     check_n: Callable[[int, int], object]
+
+    def to_records(self, ds: TrajectoryData) -> tuple[list[Observations], dict]:
+        """Observation records plus meta, which :meth:`from_records` reads back."""
+        return to_observations(ds), {**ds.meta, "kind": self.name, "dt": ds.dt,
+                                     **self.record_meta(ds)}
+
+    def from_records(self, records: list[Observations], meta: dict) -> TrajectoryData:
+        return from_observations(records, self.record_initials(meta), float(meta["dt"]), meta)
 
 
 @dataclass(frozen=True)
@@ -122,13 +132,8 @@ STUBBLE = Family(
     observe=lambda cfg, fld, n, dt, paths, seed: stubble.observe_stubble(
         fld, stubble_grid_size(n, fld.dim), paths, dt, cfg.sigma, seed, cfg.noise
     ),
-    to_records=lambda ds: (
-        stubble.to_observations(ds),
-        {"kind": "stubble", "dt": ds.dt, "beta": ds.beta, **ds.meta},
-    ),
-    from_records=lambda obs, meta: stubble.stubble_from_observations(
-        obs, dt=float(meta["dt"]), beta=int(meta["beta"]), meta=meta
-    ),
+    record_meta=lambda ds: {"beta": ds.n},
+    record_initials=lambda meta: stubble.grid_initials(int(meta["n0"]), int(meta["dim"])),
     default_queries="grid",
     error=lambda errs: float(np.sqrt(np.mean(errs ** 2))),
     needs_x1=False,
@@ -146,13 +151,11 @@ SNAKE = Family(
     observe=lambda cfg, fld, n, dt, paths, seed: snake.observe_snake(
         fld, paths, dt, cfg.sigma, seed, cfg.noise
     ),
-    to_records=lambda ds: (
-        snake.to_observations(ds),
-        {"kind": "snake", "dt": ds.dt, "x1": list(map(float, ds.x1)), **ds.meta},
-    ),
-    from_records=lambda obs, meta: snake.snake_from_observations(
-        obs, x1=np.asarray(meta["x1"], dtype=float), dt=float(meta["dt"]), meta=meta
-    ),
+    # one trajectory's x1 is a point, as in the config; K of them a list of points
+    record_meta=lambda ds: {
+        "x1": (ds.initials[0] if len(ds.initials) == 1 else ds.initials).tolist()
+    },
+    record_initials=lambda meta: meta["x1"],
     default_queries="tube",
     error=lambda errs: float(errs.max()),
     needs_x1=True,
@@ -167,10 +170,10 @@ SNAKE = Family(
 
 def _fit_stubble(cfg, ds, beta: int) -> Predictor:
     # both stubble models: the general estimator on the first `beta` horizons
-    if ds.beta < beta:
-        raise ValueError(f"the model needs {beta} horizons, but the dataset has {ds.beta}")
-    if ds.beta > beta:
-        ds = stubble.StubbleDataset(ds.initials, ds.dt, beta, ds.observations[:, :beta], ds.meta)
+    if ds.n < beta:
+        raise ValueError(f"the model needs {beta} horizons, but the dataset has {ds.n}")
+    if ds.n > beta:
+        ds = TrajectoryData(ds.initials, ds.dt, ds.observations[:, :beta], ds.meta)
     reg = stubble.IncrementRegressor(
         kernel=KERNELS[cfg.kernel](), bandwidth=cfg.bandwidth,
         bandwidth_constant=cfg.bandwidth_constant,

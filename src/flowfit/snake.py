@@ -1,6 +1,7 @@
 """Field estimation from a single long trajectory.
 
-One solution path is observed with noise on an equidistant time grid.
+One solution path is observed with noise on an equidistant time grid:
+a :class:`~flowfit.flow.TrajectoryData` with K = 1.
 Estimation proceeds in two stages: first the path and its velocity are
 reconstructed by componentwise local polynomial regression in time
 (:func:`fit_curve`), then the field is read off the reconstruction.
@@ -15,12 +16,12 @@ lies in their convex hull and the interpolation is provably stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, Observations, VectorField
+from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
 from .interp import SINGULAR_RTOL, Stencil, interp_multivariate, mu_interior_contains, stability_norm
 from .localpoly import (
@@ -37,7 +38,6 @@ from .localpoly import (
 )
 
 __all__ = [
-    "SnakeDataset",
     "CurveEstimate",
     "StencilConfig",
     "GeneralEstimate",
@@ -52,8 +52,6 @@ __all__ = [
     "check_stencil",
     "estimate_general",
     "delta_nn",
-    "to_observations",
-    "snake_from_observations",
 ]
 
 
@@ -65,85 +63,38 @@ class NoStencilFound(Exception):
     """
 
 
-@dataclass(frozen=True)
-class SnakeDataset:
-    """Noisy observations of one trajectory on an equidistant time grid.
-
-    ``observations[i - 1]`` is the observed state at time ``i * dt`` for
-    ``i = 1..n``; the initial state ``x1`` at time 0 is known exactly.
-    """
-
-    x1: np.ndarray
-    dt: float
-    observations: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        x1 = np.asarray(self.x1, dtype=float).reshape(-1)
-        obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "observations", obs)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if obs.shape[0] < 1 or obs.shape[1] != x1.size:
-            raise ValueError("observations must be (n, d) with n >= 1")
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(obs))):
-            raise ValueError("initial state and observations must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.observations.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x1.size
-
-    @property
-    def horizon(self) -> float:
-        return self.n * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        """All sample times ``0, dt, ..., n dt`` including the initial one."""
-        return self.dt * np.arange(self.n + 1)
-
-    @property
-    def states(self) -> np.ndarray:
-        """Known initial state stacked on top of the observations."""
-        return np.vstack([self.x1, self.observations])
-
-
 def flow_snake(
     fld: VectorField, x1: np.ndarray, n: int, dt: float, cfg: FlowConfig = DEFAULT_FLOW_CONFIG
 ) -> np.ndarray:
     """The noise-free path ``u(i dt)``, ``i = 0..n``, of one continued
-    integration from ``u(0) = x1`` (row 0, exactly): shape ``(n + 1, d)``."""
+    integration from ``u(0) = x1`` (row 0, exactly): shape ``(n + 1, 1, d)``."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
     x1 = np.asarray(x1, dtype=float)
-    return integrate_flow_grid(fld, x1[None, :], dt * np.arange(n + 1), cfg)[:, 0, :]
+    return integrate_flow_grid(fld, x1[None, :], dt * np.arange(n + 1), cfg)
 
 
 def observe_snake(
     fld: VectorField, path: np.ndarray, dt: float,
     sigma: float = 0.0, seed: int = 0, noise: str = "gaussian",
-) -> SnakeDataset:
-    """Observe the path of :func:`flow_snake` after time 0 with one ``(n, d)``
-    noise block drawn from `seed` (see :func:`~flowfit.flow.noise_draw`)."""
-    spec = NoiseSpec(distribution=noise, sigma=sigma, seed=seed)
-    states = path[1:] + noise_draw(spec, path[1:].shape)
-    meta = dict(field=fld.name, dim=fld.dim, n=states.shape[0], sigma=sigma, noise=noise,
+) -> TrajectoryData:
+    """Observe the path of :func:`flow_snake` after time 0 with one
+    ``(1, n, d)`` noise block drawn from `seed` (see
+    :func:`~flowfit.flow.noise_draw`)."""
+    obs = np.swapaxes(path[1:], 0, 1)  # (1, n, d)
+    obs = obs + noise_draw(NoiseSpec(distribution=noise, sigma=sigma, seed=seed), obs.shape)
+    meta = dict(field=fld.name, dim=fld.dim, n=obs.shape[1], sigma=sigma, noise=noise,
                 seed=seed, lip=fld.lip, smoothness=fld.smoothness,
                 deriv_bounds=[float(b) for b in fld.derivative_bounds])
-    return SnakeDataset(x1=path[0], dt=dt, observations=states, meta=meta)
+    return TrajectoryData(path[0], dt, obs, meta)
 
 
 def generate_snake(
     fld: VectorField, x1: np.ndarray, n: int, dt: float, sigma: float = 0.0, seed: int = 0,
     noise: str = "gaussian", cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> SnakeDataset:
+) -> TrajectoryData:
     """Simulate the long-trajectory sampling scheme for a known field:
     :func:`observe_snake` of :func:`flow_snake`."""
     return observe_snake(fld, flow_snake(fld, x1, n, dt, cfg), dt, sigma, seed, noise)
@@ -211,7 +162,7 @@ WIDEN_FACTOR = 1.5
 MAX_WIDENINGS = 8
 
 
-def _curve_bandwidth(ds: SnakeDataset, beta: int, constant: float) -> float:
+def _curve_bandwidth(ds: TrajectoryData, beta: int, constant: float) -> float:
     """Sup-norm-mode plug-in bandwidth for the curve regression.
 
     The fitted path has smoothness ``beta + 1`` with derivative bounds
@@ -236,13 +187,14 @@ def _curve_bandwidth(ds: SnakeDataset, beta: int, constant: float) -> float:
 
 
 def fit_curve(
-    ds: SnakeDataset,
+    ds: TrajectoryData,
     beta: int | None = None,
     kernel: KernelSpec | None = None,
     bandwidth: float | None = None,
     bandwidth_constant: float = 1.0,
 ) -> CurveEstimate:
-    """Reconstruct the path and its velocity from the observations.
+    """Reconstruct the path and its velocity from the observations of a
+    dataset with one trajectory (K = 1; any other K is refused).
 
     Componentwise local polynomial regression in time of degree
     ``max(1, beta)``; each call of ``u(t)`` or ``du(t)`` is one fit at
@@ -260,6 +212,9 @@ def fit_curve(
     is one fixed filter of the observations, its equivalent kernel (Fan &
     Gijbels 1996, sec. 3.2), equal to the per-point fit up to rounding.
     """
+    if ds.initials.shape[0] != 1:
+        raise ValueError(f"fit_curve fits one trajectory, but the dataset has K = "
+                         f"{ds.initials.shape[0]}")
     if beta is None:
         beta = int(ds.meta.get("smoothness", 1))
     if beta < 1:
@@ -271,7 +226,7 @@ def fit_curve(
     if bandwidth is None:
         bandwidth = _curve_bandwidth(ds, beta, bandwidth_constant)
     degree = max(1, beta)
-    data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
+    data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
 
     def widened(solve: Callable, t: float) -> tuple[np.ndarray, list[float]]:
         """``solve`` at ``t``, and the bandwidths tried; the last one held."""
@@ -649,24 +604,3 @@ def delta_nn(curve_points: np.ndarray, targets: np.ndarray) -> float:
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     nearest, _ = cKDTree(curve_points).query(targets)
     return float(nearest.max(initial=0.0))
-
-
-def to_observations(ds: SnakeDataset) -> list[Observations]:
-    """Observation record (single trajectory) for CSV round trips."""
-    return [
-        Observations(
-            traj_id=1,
-            obs_idx=np.arange(1, ds.n + 1),
-            times=ds.dt * np.arange(1, ds.n + 1),
-            values=ds.observations.copy(),
-        )
-    ]
-
-
-def snake_from_observations(
-    obs: list[Observations], x1: np.ndarray, dt: float, meta: dict
-) -> SnakeDataset:
-    """Rebuild a dataset from its observation record and meta mapping."""
-    if len(obs) != 1:
-        raise ValueError(f"expected a single trajectory, got {len(obs)}")
-    return SnakeDataset(x1=x1, dt=dt, observations=obs[0].values, meta=dict(meta))

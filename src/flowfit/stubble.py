@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, Observations, VectorField
+from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
 from .localpoly import (
     KernelSpec,
@@ -39,7 +39,6 @@ from .localpoly import (
 )
 
 __all__ = [
-    "StubbleDataset",
     "IncrementRegressor",
     "grid_initials",
     "flow_stubble",
@@ -47,8 +46,6 @@ __all__ = [
     "generate_stubble",
     "estimate_general",
     "default_query_points",
-    "to_observations",
-    "stubble_from_observations",
 ]
 
 
@@ -61,54 +58,6 @@ def grid_initials(n0: int, d: int) -> np.ndarray:
         raise ValueError("need n0 >= 1 and d >= 1")
     ks = itertools.product(range(1, n0 + 1), repeat=d)
     return np.array(list(ks), dtype=float) / n0
-
-
-@dataclass(frozen=True)
-class StubbleDataset:
-    """Noisy short-horizon observations of many trajectories.
-
-    ``observations[j, i - 1]`` is the observed state of the trajectory
-    started at ``initials[j]`` after time ``i * dt``, for horizons
-    ``i = 1..beta``.  The initial states themselves are known exactly
-    and are not observed.
-    """
-
-    initials: np.ndarray
-    dt: float
-    beta: int
-    observations: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        initials = np.atleast_2d(np.asarray(self.initials, dtype=float))
-        obs = np.asarray(self.observations, dtype=float)
-        object.__setattr__(self, "initials", initials)
-        object.__setattr__(self, "observations", obs)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.beta < 1:
-            raise ValueError("beta must be at least 1")
-        m, d = initials.shape
-        if obs.shape != (m, self.beta, d):
-            raise ValueError(
-                f"observations must have shape {(m, self.beta, d)}, got {obs.shape}"
-            )
-        if not (np.all(np.isfinite(initials)) and np.all(np.isfinite(obs))):
-            raise ValueError("initial states and observations must be finite")
-
-    @property
-    def m(self) -> int:
-        return self.initials.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.initials.shape[1]
-
-    def increments(self, horizon: int) -> np.ndarray:
-        """Observed increments ``Y_{j,i} - x_j`` at the given horizon."""
-        if not 1 <= horizon <= self.beta:
-            raise ValueError(f"horizon must be in 1..{self.beta}")
-        return self.observations[:, horizon - 1, :] - self.initials
 
 
 def flow_stubble(
@@ -128,22 +77,22 @@ def flow_stubble(
 def observe_stubble(
     fld: VectorField, n0: int, states: np.ndarray, dt: float,
     sigma: float = 0.0, seed: int = 0, noise: str = "gaussian",
-) -> StubbleDataset:
+) -> TrajectoryData:
     """Observe the flow of :func:`flow_stubble` after time 0 with one
     ``(m, beta, d)`` noise block drawn from `seed` (see
     :func:`~flowfit.flow.noise_draw`)."""
-    spec = NoiseSpec(distribution=noise, sigma=sigma, seed=seed)
-    obs = np.transpose(states[1:], (1, 0, 2))  # (m, beta, d)
-    obs = obs + noise_draw(spec, obs.shape)
+    obs = np.swapaxes(states[1:], 0, 1)  # (m, beta, d)
+    obs = obs + noise_draw(NoiseSpec(distribution=noise, sigma=sigma, seed=seed), obs.shape)
     meta = dict(field=fld.name, dim=fld.dim, n0=n0, sigma=sigma, noise=noise, seed=seed,
-                lip=fld.lip, smoothness=fld.smoothness)
-    return StubbleDataset(states[0], dt, obs.shape[1], obs, meta)
+                lip=fld.lip, smoothness=fld.smoothness,
+                deriv_bounds=[float(b) for b in fld.derivative_bounds])
+    return TrajectoryData(states[0], dt, obs, meta)
 
 
 def generate_stubble(
     fld: VectorField, n0: int, dt: float, sigma: float = 0.0, seed: int = 0,
     noise: str = "gaussian", beta: int | None = None, cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> StubbleDataset:
+) -> TrajectoryData:
     """Simulate the short-trajectory sampling scheme for a known field:
     :func:`observe_stubble` of :func:`flow_stubble`."""
     return observe_stubble(fld, n0, flow_stubble(fld, n0, dt, beta, cfg), dt, sigma, seed, noise)
@@ -156,7 +105,7 @@ def _min_bandwidth(m: int, d: int, degree: int) -> float:
 
 
 def _horizon_bandwidth(
-    ds: StubbleDataset, horizon: int, degree: int, smoothness: int, constant: float
+    ds: TrajectoryData, horizon: int, degree: int, smoothness: int, constant: float
 ) -> float:
     """Plug-in bandwidth for the regression at one horizon.
 
@@ -170,12 +119,13 @@ def _horizon_bandwidth(
         raise ValueError(
             "dataset meta lacks 'sigma' or 'lip'; pass an explicit bandwidth"
         )
-    floor = _min_bandwidth(ds.m, ds.dim, degree)
+    m = ds.initials.shape[0]
+    floor = _min_bandwidth(m, ds.dim, degree)
     if sigma == 0.0:
         return floor
     l_eff = lip * horizon * ds.dt
     h = optimal_bandwidth(
-        ds.m, ds.dim, smoothness, sigma, T=1.0, L=l_eff, mode="pointwise", C=constant
+        m, ds.dim, smoothness, sigma, T=1.0, L=l_eff, mode="pointwise", C=constant
     )
     return max(h, floor)
 
@@ -207,19 +157,19 @@ class IncrementRegressor:
     def resolve_kernel(self) -> KernelSpec:
         return epanechnikov() if self.kernel is None else self.kernel
 
-    def resolve_bandwidth(self, ds: StubbleDataset, horizon: int) -> float:
+    def resolve_bandwidth(self, ds: TrajectoryData, horizon: int) -> float:
         if self.bandwidth is not None:
             return float(self.bandwidth)
-        degree = self.resolve_degree(ds.beta)
-        return _horizon_bandwidth(ds, horizon, degree, ds.beta, self.bandwidth_constant)
+        degree = self.resolve_degree(ds.n)
+        return _horizon_bandwidth(ds, horizon, degree, ds.n, self.bandwidth_constant)
 
 
 def estimate_general(
-    ds: StubbleDataset,
+    ds: TrajectoryData,
     x: np.ndarray,
     regressor: IncrementRegressor | None = None,
 ) -> np.ndarray:
-    """Estimate ``f(x)`` using all ``beta`` horizons.
+    """Estimate ``f(x)`` using all ``beta = ds.n`` horizons of the grid trajectories.
 
     Per horizon ``i`` a local polynomial fit of the increments is
     evaluated at ``x``; the estimate is the derivative at time 0 of the
@@ -235,9 +185,9 @@ def estimate_general(
         regressor = IncrementRegressor()
     x = np.asarray(x, dtype=float)
     kernel = regressor.resolve_kernel()
-    degree = regressor.resolve_degree(ds.beta)
+    degree = regressor.resolve_degree(ds.n)
     total = None
-    for i, w in enumerate(_derivative_weights(ds.beta), start=1):
+    for i, w in enumerate(_derivative_weights(ds.n), start=1):
         data = RegressionData(points=ds.initials, targets=ds.increments(i), extent=1.0)
         fit = LocalPolyFit(degree=degree, bandwidth=regressor.resolve_bandwidth(ds, i))
         term = w * lp_estimate(x, data, fit, kernel)
@@ -252,35 +202,3 @@ def default_query_points(d: int, per_dim: int = 5, margin: float = 0.1) -> np.nd
     axis = np.linspace(margin, 1.0 - margin, per_dim)
     cols = itertools.product(axis, repeat=d)
     return np.array(list(cols), dtype=float)
-
-
-def to_observations(ds: StubbleDataset) -> list[Observations]:
-    """Observation records (one per trajectory) for CSV round trips."""
-    times = ds.dt * np.arange(1, ds.beta + 1)
-    idx = np.arange(1, ds.beta + 1)
-    return [
-        Observations(traj_id=j + 1, obs_idx=idx.copy(), times=times.copy(),
-                     values=ds.observations[j].copy())
-        for j in range(ds.m)
-    ]
-
-
-def stubble_from_observations(
-    obs: list[Observations], dt: float, beta: int, meta: dict
-) -> StubbleDataset:
-    """Rebuild a dataset from observation records and its meta mapping.
-
-    The initial grid is reconstructed from ``meta['n0']`` and
-    ``meta['dim']``; trajectory ids must be ``1..n0^d`` in grid order.
-    """
-    initials = grid_initials(int(meta["n0"]), int(meta["dim"]))
-    if len(obs) != initials.shape[0]:
-        raise ValueError(f"expected {initials.shape[0]} trajectories, got {len(obs)}")
-    values = np.empty((len(obs), beta, initials.shape[1]))
-    for rec in sorted(obs, key=lambda r: r.traj_id):
-        if rec.values.shape[0] != beta:
-            raise ValueError(f"trajectory {rec.traj_id} has {rec.values.shape[0]} rows")
-        values[rec.traj_id - 1] = rec.values
-    return StubbleDataset(
-        initials=initials, dt=dt, beta=beta, observations=values, meta=dict(meta)
-    )

@@ -12,7 +12,14 @@ import pytest
 
 from flowfit import stubble
 from flowfit.cli import main
-from flowfit.flow import make_field, read_dataset_meta, read_observation_csv
+from flowfit.flow import (
+    TrajectoryData,
+    make_field,
+    read_dataset_meta,
+    read_observation_csv,
+    write_dataset_meta,
+    write_observation_csv,
+)
 from flowfit.harness import ExperimentConfig, read_results_csv
 from flowfit.localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_estimate, lp_weights
 from flowfit.models import MODELS, SUCCESSES
@@ -111,6 +118,54 @@ def test_refused_config_exits_with_one_line(command, override, field, stubble_co
     assert not (tmp_path / "out").exists()
 
 
+def truncate(data: Path) -> None:
+    """Drop the last row of the stored observations."""
+    lines = (data / "observations.csv").read_text().splitlines(keepends=True)
+    (data / "observations.csv").write_text("".join(lines[:-1]))
+
+
+def renumber_from_zero(data: Path) -> None:
+    path = data / "observations.csv"
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] = str(int(row[0]) - 1)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def second_trajectory(data: Path) -> None:
+    """Store a second snake trajectory: its rows shifted, its start appended to x1."""
+    family = MODELS["snake-lip"].family
+    ds = family.from_records(read_observation_csv(data / "observations.csv"),
+                             read_dataset_meta(data / "meta.json"))
+    two = TrajectoryData(np.vstack([ds.initials, ds.initials + 0.1]), ds.dt,
+                         np.concatenate([ds.observations, ds.observations + 0.1]), ds.meta)
+    obs, meta = family.to_records(two)
+    write_observation_csv(data / "observations.csv", obs)
+    write_dataset_meta(data / "meta.json", meta)
+
+
+@pytest.mark.parametrize("config, damage, message", [
+    ("stubble", truncate, "dataset refused: trajectory ids must be exactly 1..64; "
+                          "first offending id 64"),
+    ("stubble", renumber_from_zero, "dataset refused: trajectory ids must be exactly 1..64; "
+                                    "first offending id 0"),
+    ("snake", second_trajectory, "dataset refused: fit_curve fits one trajectory, "
+                                 "but the dataset has K = 2"),
+], ids=["truncated", "renumbered", "two-snakes"])
+def test_unreadable_dataset_exits_with_one_line(config, damage, message, stubble_config,
+                                                snake_config, tmp_path):
+    path = stubble_config if config == "stubble" else snake_config
+    data, out = tmp_path / "data", tmp_path / "est.csv"
+    main(["simulate", "--config", str(path), "--out", str(data)])
+    damage(data)
+    with pytest.raises(SystemExit) as refused:
+        main(["estimate", "--config", str(path), "--data", str(data), "--out", str(out)])
+    assert refused.value.code == message
+    assert not out.exists()
+
+
 def test_estimate_stubble(stubble_config, tmp_path):
     data = tmp_path / "data"
     main(["simulate", "--config", str(stubble_config), "--out", str(data)])
@@ -152,7 +207,7 @@ def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
     ds = MODELS["stubble-gen"].family.from_records(
         read_observation_csv(data / "observations.csv"), read_dataset_meta(data / "meta.json")
     )
-    assert ds.beta == 3
+    assert ds.n == 3
     fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     with open(out, newline="") as fh:

@@ -15,7 +15,9 @@ from flowfit.flow import (
     FlowConfig,
     IntegrationError,
     NoiseSpec,
+    TrajectoryData,
     VectorField,
+    _first_offender,
     increment,
     integrate_flow,
     integrate_flow_grid,
@@ -24,11 +26,13 @@ from flowfit.flow import (
     read_dataset_meta,
     read_observation_csv,
     stack_higher_order,
+    to_observations,
     validate_smoothness_bounds,
     write_dataset_meta,
     write_observation_csv,
 )
-from flowfit.snake import generate_snake, to_observations
+from flowfit.models import SNAKE, STUBBLE
+from flowfit.snake import generate_snake
 from flowfit.stubble import generate_stubble
 
 ROT = make_field("rotation")
@@ -246,7 +250,7 @@ def test_one_noise_draw_per_dataset(monkeypatch):
     assert calls == [(ds.observations.shape,)] == [((16, 2, 2),)]
     calls.clear()
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=32, dt=0.1, sigma=0.1, seed=3)
-    assert calls == [(ds.observations.shape,)] == [((32, 2),)]
+    assert calls == [(ds.observations.shape,)] == [((1, 32, 2),)]
 
 
 @pytest.mark.parametrize("sigma, noise", [(0.0, "gaussian"), (0.3, "none")])
@@ -256,7 +260,7 @@ def test_noiseless_datasets_are_the_flow(sigma, noise):
     assert np.array_equal(stub.observations, np.transpose(flow[1:], (1, 0, 2)))
     snk = generate_snake(ROT, np.array([1.0, 0.0]), n=16, dt=0.1, sigma=sigma, noise=noise)
     flow = integrate_flow_grid(ROT, [[1.0, 0.0]], 0.1 * np.arange(17))
-    assert np.array_equal(snk.observations, flow[1:, 0])
+    assert np.array_equal(snk.observations, np.transpose(flow[1:], (1, 0, 2)))
 
 
 @given(
@@ -360,3 +364,71 @@ def test_meta_round_trip(tmp_path):
     path = tmp_path / "meta.json"
     write_dataset_meta(path, meta)
     assert read_dataset_meta(path) == meta
+
+
+# One dataset of each sampling scheme, with the family that records it.
+DATASETS = {
+    "stubble": lambda: (STUBBLE, generate_stubble(make_field("pendulum"), n0=4, dt=0.02,
+                                                  beta=2, sigma=0.05, seed=9)),
+    "snake": lambda: (SNAKE, generate_snake(ROT, np.array([1.0, 0.0]), n=20, dt=0.1,
+                                            sigma=0.1, seed=2)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(DATASETS))
+def test_observation_round_trip(scheme):
+    family, ds = DATASETS[scheme]()
+    obs, meta = family.to_records(ds)
+    back = family.from_records(obs, meta)
+    assert np.array_equal(back.initials, ds.initials)
+    assert np.array_equal(back.observations, ds.observations)
+    assert back.dt == ds.dt
+    assert back.meta == meta and {k: meta[k] for k in ds.meta} == ds.meta
+
+
+@pytest.mark.parametrize("scheme", sorted(DATASETS))
+def test_nonfinite_observations_rejected(scheme):
+    _, ds = DATASETS[scheme]()
+    bad = ds.observations.copy()
+    bad[-1, -1, -1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryData(initials=ds.initials, dt=ds.dt, observations=bad, meta=ds.meta)
+    initials = ds.initials.copy()
+    initials[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryData(initials=initials, dt=ds.dt, observations=ds.observations)
+
+
+def csv_round_trip(tmp_path, obs):
+    path = tmp_path / "observations.csv"
+    write_observation_csv(path, obs)
+    return read_observation_csv(path)
+
+
+def test_records_numbered_from_zero_are_refused(tmp_path):
+    # ids 0..m-1 would pair each trajectory with the previous grid point
+    family, ds = DATASETS["stubble"]()
+    obs, meta = family.to_records(ds)
+    renumbered = [dataclasses.replace(rec, traj_id=rec.traj_id - 1) for rec in obs]
+    with pytest.raises(ValueError, match="ids must be exactly 1..16; first offending id 0$"):
+        family.from_records(csv_round_trip(tmp_path, renumbered), meta)
+
+
+def test_records_with_a_missing_index_are_refused(tmp_path):
+    # without obs_idx 49 every later observation would be read one step early
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=64, dt=0.1, sigma=0.05, seed=2)
+    (rec,), meta = SNAKE.to_records(ds)
+    keep = rec.obs_idx != 49
+    gap = dataclasses.replace(rec, obs_idx=rec.obs_idx[keep], times=rec.times[keep],
+                              values=rec.values[keep])
+    with pytest.raises(ValueError, match="trajectory 1: .* first offending obs_idx 49$"):
+        SNAKE.from_records(csv_round_trip(tmp_path, [gap]), meta)
+
+
+@pytest.mark.parametrize("ids, n, want", [
+    ([1, 2, 3], 3, None), ([0, 1, 2], 3, 0), ([1, 2], 3, 3), ([1, 2, 3, 4], 3, 4),
+    ([1, 3, 4], 4, 2), ([1, 2, 2, 3], 3, 2), ([], 2, 1),
+])
+def test_first_offending_id(ids, n, want):
+    assert _first_offender(ids, n) == want
+

@@ -379,7 +379,7 @@ def test_curve_widening_at_both_ends_matches_full_scan(beta, seed):
                         sigma=0.05, seed=seed)
     h0 = (beta - 0.5) * ds.dt  # a one-sided window holds beta points, one too few
     curve = fit_curve(ds, beta=beta, bandwidth=h0)
-    data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
+    data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
     widened = 0
     for t in (0.0, 0.3 * ds.dt, ds.horizon - 0.3 * ds.dt, ds.horizon):
         h = h0

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from flowfit.flow import make_field
+from flowfit.flow import TrajectoryData, make_field
 from flowfit.interp import (
     Stencil,
     _hull_membership_lp,
@@ -30,7 +30,6 @@ from flowfit.localpoly import (
 from flowfit.snake import (
     CurveEstimate,
     NoStencilFound,
-    SnakeDataset,
     StencilConfig,
     check_stencil,
     delta_nn,
@@ -40,8 +39,6 @@ from flowfit.snake import (
     generate_snake,
     nn_time,
     select_stencil,
-    snake_from_observations,
-    to_observations,
     _subset_keys,
 )
 
@@ -56,21 +53,21 @@ def circle_curve(resolution: int = 64) -> CurveEstimate:
 
 def test_single_observation():
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=1, dt=0.1, sigma=0.0)
-    assert ds.observations.shape == (1, 2)
+    assert ds.observations.shape == (1, 1, 2)
     assert np.array_equal(ds.times, np.array([0.0, 0.1]))
-    assert ds.states.shape == (2, 2)
+    assert ds.states.shape == (1, 2, 2)
 
 
 def test_zero_field_stays_at_initial():
     zero = make_field("zero")
     ds = generate_snake(zero, np.array([0.3, 0.7]), n=5, dt=0.2, sigma=0.0)
-    assert np.array_equal(ds.observations, np.tile([0.3, 0.7], (5, 1)))
+    assert np.array_equal(ds.observations, np.tile([0.3, 0.7], (1, 5, 1)))
 
 
 def test_rotation_orbit_closes():
     n = 256
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.0)
-    assert np.linalg.norm(ds.observations[-1] - ds.x1) <= 1e-5
+    assert np.linalg.norm(ds.observations[0, -1] - ds.initials[0]) <= 1e-5
 
 
 def test_noise_reproducible():
@@ -78,6 +75,17 @@ def test_noise_reproducible():
     a = generate_snake(ROT, np.array([1.0, 0.0]), **kw)
     b = generate_snake(ROT, np.array([1.0, 0.0]), **kw)
     assert np.array_equal(a.observations, b.observations)
+
+
+def test_fit_curve_refuses_several_trajectories():
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=64, dt=0.1, sigma=0.05, seed=4)
+    two = TrajectoryData(
+        np.vstack([ds.initials, 0.5 * ds.initials]), ds.dt,
+        np.concatenate([ds.observations, 0.5 * ds.observations]), ds.meta,
+    )
+    assert two.states.shape == (2, 65, 2)
+    with pytest.raises(ValueError, match="K = 2"):
+        fit_curve(two, beta=1)
 
 
 def test_affine_motion_fits_exactly():
@@ -160,7 +168,7 @@ def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, kernel, monkeyp
 def test_grid_equals_per_point_fits_where_the_interior_design_widens(beta, reach, monkeypatch):
     n = 256
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=3)
-    data = RegressionData(points=ds.times[:, None], targets=ds.states, extent=ds.horizon)
+    data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
     with pytest.raises(SingularDesign):  # too few points in a two-sided window
         lp_coefficients(ds.times[n // 2:n // 2 + 1], data,
                         LocalPolyFit(degree=beta, bandwidth=reach * ds.dt), epanechnikov())
@@ -360,30 +368,11 @@ def test_delta_nn_matches_brute_force(d):
     assert delta_nn(curve, targets) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_observation_round_trip():
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=20, dt=0.1, sigma=0.1, seed=2)
-    obs = to_observations(ds)
-    back = snake_from_observations(obs, x1=ds.x1, dt=ds.dt, meta=ds.meta)
-    assert np.array_equal(back.observations, ds.observations)
-    assert np.array_equal(back.x1, ds.x1)
-    assert back.meta == ds.meta
-
-
 def test_stencil_config_validation():
     with pytest.raises(ValueError):
         StencilConfig(s=0.0)
     with pytest.raises(ValueError):
         StencilConfig(big_d=1.0)
-
-
-def test_nonfinite_observations_rejected():
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=256, dt=2 * math.pi / 256, sigma=0.05)
-    bad = ds.observations.copy()
-    bad[100, 1] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        SnakeDataset(x1=ds.x1, dt=ds.dt, observations=bad, meta=ds.meta)
-    with pytest.raises(ValueError, match="finite"):
-        SnakeDataset(x1=np.array([np.inf, 0.0]), dt=ds.dt, observations=ds.observations)
 
 
 def test_nearest_time_search_makes_no_fit(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfit.flow import make_field
+from flowfit.flow import TrajectoryData, make_field
 from flowfit.localpoly import (
     LocalPolyFit,
     RegressionData,
@@ -19,15 +19,12 @@ from flowfit.localpoly import (
 )
 from flowfit.stubble import (
     IncrementRegressor,
-    StubbleDataset,
     _derivative_weights,
     _horizon_bandwidth,
     default_query_points,
     estimate_general,
     generate_stubble,
     grid_initials,
-    stubble_from_observations,
-    to_observations,
 )
 
 
@@ -45,7 +42,7 @@ def test_grid_covers_half_open_cube():
 def test_beta_one_has_single_observation():
     ds = generate_stubble(make_field("rotation"), n0=3, dt=0.05, beta=1, sigma=0.0)
     assert ds.observations.shape == (9, 1, 2)
-    assert ds.beta == 1
+    assert ds.n == 1
 
 
 def test_zero_field_observations_equal_initials():
@@ -132,16 +129,15 @@ def test_estimator_is_linear_in_increments():
         a * (base.observations - base.initials[:, None, :])
         + b * (other.observations - base.initials[:, None, :])
     )
-    mixed = StubbleDataset(
-        initials=base.initials, dt=base.dt, beta=2, observations=mixed_obs, meta=base.meta
+    mixed = TrajectoryData(
+        initials=base.initials, dt=base.dt, observations=mixed_obs, meta=base.meta
     )
     reg = IncrementRegressor(degree=1, bandwidth=0.5)
     x = np.array([0.5, 0.5])
     combo = a * estimate_general(base, x, reg) + b * estimate_general(
-        StubbleDataset(
+        TrajectoryData(
             initials=base.initials,
             dt=base.dt,
-            beta=2,
             observations=base.initials[:, None, :] + (other.observations - base.initials[:, None, :]),
             meta=base.meta,
         ),
@@ -162,24 +158,3 @@ def test_default_queries_stay_interior():
     pts = default_query_points(2, per_dim=4, margin=0.2)
     assert pts.shape == (16, 2)
     assert pts.min() >= 0.2 and pts.max() <= 0.8
-
-
-def test_observation_round_trip():
-    ds = generate_stubble(make_field("pendulum"), n0=4, dt=0.02, beta=2, sigma=0.05, seed=9)
-    obs = to_observations(ds)
-    back = stubble_from_observations(obs, dt=ds.dt, beta=ds.beta, meta=ds.meta)
-    assert np.array_equal(back.initials, ds.initials)
-    assert np.array_equal(back.observations, ds.observations)
-    assert back.meta == ds.meta
-
-
-def test_nonfinite_observations_rejected():
-    ds = generate_stubble(make_field("cubic"), 16, 0.05, sigma=0.1, seed=2)
-    bad = ds.observations.copy()
-    bad[3, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        StubbleDataset(initials=ds.initials, dt=ds.dt, beta=ds.beta, observations=bad)
-    initials = ds.initials.copy()
-    initials[0, 0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        StubbleDataset(initials=initials, dt=ds.dt, beta=ds.beta, observations=ds.observations)
