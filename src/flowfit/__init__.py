@@ -17,14 +17,11 @@ from .flow import (
     FlowConfig,
     IntegrationError,
     NoiseSpec,
-    Observations,
     TrajectoryData,
     VectorField,
-    from_observations,
     increment,
     integrate_flow,
     make_field,
-    to_observations,
 )
 from .harness import (
     ExperimentConfig,
@@ -74,7 +71,6 @@ __all__ = [
     "LocalPolyFit",
     "NoStencilFound",
     "NoiseSpec",
-    "Observations",
     "QuerySpec",
     "RateReport",
     "RegressionData",
@@ -87,7 +83,6 @@ __all__ = [
     "epanechnikov",
     "fit_curve",
     "fit_rate",
-    "from_observations",
     "generate_snake",
     "generate_stubble",
     "increment",
@@ -101,6 +96,5 @@ __all__ = [
     "reference_rate",
     "run_experiment",
     "select_stencil",
-    "to_observations",
     "uniform_kernel",
 ]

@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .flow import (
-    make_field,
-    read_dataset_meta,
-    read_observation_csv,
-    write_dataset_meta,
-    write_observation_csv,
-)
+from .flow import make_field, read_dataset, write_dataset
 from .harness import ExperimentConfig, fit_rate, fmt_float, reference_rate
 from .models import FAILURES, MODELS, Predictor
 
@@ -65,27 +59,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     beta = cfg.effective_beta(fld)
     n = args.n if args.n is not None else cfg.ns[0]
     dt = cfg.dt_for(n, beta, fld.dim)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     family = MODELS[cfg.model].family
-    paths = family.flow(cfg, fld, beta, n, dt)
-    obs, meta = family.to_records(family.observe(cfg, fld, n, dt, paths, cfg.seed))
-    write_observation_csv(out / "observations.csv", obs)
-    write_dataset_meta(out / "meta.json", meta)
-    print(f"wrote {len(obs)} trajectories to {out}")
+    ds = family.observe(cfg, fld, n, dt, family.flow(cfg, fld, beta, n, dt), cfg.seed)
+    write_dataset(args.out, ds, {"kind": family.name, **family.record(ds)})
+    print(f"wrote {len(ds.initials)} trajectories to {Path(args.out)}")
     return 0
-
-
-def _load_dataset(data_dir: Path, model: str):
-    """The stored dataset, if its kind is the family of `model`."""
-    family = MODELS[model].family
-    meta = read_dataset_meta(data_dir / "meta.json")
-    if meta.get("kind") != family.name:
-        raise SystemExit(
-            f"dataset {data_dir} holds {meta.get('kind')!r} data, "
-            f"but model {model!r} needs {family.name!r} data"
-        )
-    return family.from_records(read_observation_csv(data_dir / "observations.csv"), meta)
 
 
 def _estimate_queries(cfg: ExperimentConfig, d: int, predictor: Predictor) -> np.ndarray:
@@ -97,10 +75,11 @@ def _estimate_queries(cfg: ExperimentConfig, d: int, predictor: Predictor) -> np
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     beta = cfg.effective_beta(make_field(cfg.field, cfg.d))
+    family = MODELS[cfg.model].family
     try:
-        ds = _load_dataset(Path(args.data), cfg.model)
+        ds = read_dataset(args.data, family.name, family.initials, family.record)
         predictor = MODELS[cfg.model].fit(cfg, ds, beta)
-    except (OSError, ValueError) as exc:  # malformed records, too few horizons, ...
+    except (OSError, ValueError) as exc:  # another family's or malformed data, too few horizons
         raise SystemExit(f"dataset refused: {exc}") from None
     d = ds.dim
     queries = _estimate_queries(cfg, d, predictor)
@@ -151,23 +130,26 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    model, rows = harness.read_results_csv(Path(args.results))
-    ns = sorted({r.n for r in rows})
-    means = []
-    for n in ns:
-        errs = [r.error for r in rows if r.n == n and np.isfinite(r.error)]
-        if not errs:
-            raise SystemExit(f"no valid errors at n={n}")
-        means.append(float(np.mean(errs)))
-    slope, intercept = fit_rate(ns, means)
-    out = {
-        "model": model, "ns": ns, "mean_errors": means,
-        "slope": slope, "intercept": intercept,
-    }
-    if args.regime is not None:
-        ref = reference_rate(model, args.d, args.beta, args.regime, scale="rmse")
-        out["reference"] = ref.to_dict()
-        out["passed"] = abs(slope - float(ref.exponent)) <= args.tolerance
+    try:  # a missing file, too few sample sizes or no reference: one line, not a traceback
+        model, rows = harness.read_results_csv(Path(args.results))
+        ns = sorted({r.n for r in rows})
+        means = []
+        for n in ns:
+            errs = [r.error for r in rows if r.n == n and np.isfinite(r.error)]
+            if not errs:
+                raise ValueError(f"no valid errors at n={n}")
+            means.append(float(np.mean(errs)))
+        slope, intercept = fit_rate(ns, means)
+        out = {
+            "model": model, "ns": ns, "mean_errors": means,
+            "slope": slope, "intercept": intercept,
+        }
+        if args.regime is not None:
+            ref = reference_rate(model, args.d, args.beta, args.regime, scale="rmse")
+            out["reference"] = ref.to_dict()
+            out["passed"] = abs(slope - float(ref.exponent)) <= args.tolerance
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"rates refused: {exc}") from None
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

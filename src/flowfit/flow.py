@@ -6,8 +6,8 @@ machinery: declared vector fields with certified smoothness bounds, a
 numerical realization of the flow ``U(f, x, t)`` and of the increment map
 ``Upsilon(f, dt, x) = U(f, x, dt) - x`` (one adaptive solve of a stacked
 system behind both), reproducible observation noise, the one dataset
-type both sampling schemes observe (:class:`TrajectoryData`), and its
-CSV/JSON record format.
+type both sampling schemes observe (:class:`TrajectoryData`), and the
+one writer and one reader of its directory on disk.
 
 The adaptive solve is the Dormand-Prince 5(4) pair with its quartic dense
 output (Dormand & Prince 1980; Shampine 1986; Hairer, Norsett & Wanner
@@ -33,7 +33,6 @@ __all__ = [
     "VectorField",
     "FlowConfig",
     "NoiseSpec",
-    "Observations",
     "TrajectoryData",
     "IntegrationError",
     "integrate_flow",
@@ -49,12 +48,8 @@ __all__ = [
     "make_field",
     "BUILTIN_FIELDS",
     "validate_smoothness_bounds",
-    "to_observations",
-    "from_observations",
-    "write_observation_csv",
-    "read_observation_csv",
-    "write_dataset_meta",
-    "read_dataset_meta",
+    "write_dataset",
+    "read_dataset",
 ]
 
 
@@ -200,16 +195,6 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class Observations:
-    """Noisy samples of one trajectory, excluding the known initial state."""
-
-    traj_id: int
-    obs_idx: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class TrajectoryData:
     """Noisy observations of K trajectories from known initial states.
 
@@ -230,8 +215,8 @@ class TrajectoryData:
         obs = np.asarray(self.observations, dtype=float)
         object.__setattr__(self, "initials", initials)
         object.__setattr__(self, "observations", obs)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         k, d = initials.shape
         if obs.ndim != 3 or obs.shape[0] != k or obs.shape[1] < 1 or obs.shape[2] != d:
             raise ValueError(f"observations must have shape ({k}, n, {d}) with n >= 1, "
@@ -657,19 +642,30 @@ def validate_smoothness_bounds(
 
 
 # ---------------------------------------------------------------------------
-# Dataset serialization: one CSV of observations plus a JSON sidecar with the
-# generation parameters.  Columns: traj_id, obs_idx, t, y_1..y_d.
+# The dataset directory: ``observations.csv`` with the columns traj_id,
+# obs_idx, t, y_1..y_d, one row per observation, and ``meta.json`` with the
+# generation parameters, the family's kind and record keys, and dt.
 # ---------------------------------------------------------------------------
 
 
-def to_observations(ds: TrajectoryData) -> list[Observations]:
-    """One record per trajectory: ids ``1..K``, each with ``obs_idx`` ``1..n``."""
-    idx = np.arange(1, ds.n + 1)
-    times = ds.dt * idx
-    return [
-        Observations(traj_id=j + 1, obs_idx=idx, times=times, values=values)
-        for j, values in enumerate(ds.observations)
-    ]
+def write_dataset(directory: str | Path, ds: TrajectoryData, meta: dict) -> None:
+    """Write `ds` to `directory` as ``observations.csv`` and ``meta.json``.
+
+    Trajectory j (``initials[j - 1]``) gets ``traj_id`` j and its
+    observations ``obs_idx`` ``1..n`` at ``t = obs_idx * dt``.  The meta
+    is ``ds.meta`` updated by `meta` (the family's kind and record keys)
+    and ``dt``.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    with (directory / "observations.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["traj_id", "obs_idx", "t"] + [f"y_{k + 1}" for k in range(ds.dim)])
+        for j, values in enumerate(ds.observations, start=1):
+            for i, (t, y) in enumerate(zip(ds.times[1:], values), start=1):
+                writer.writerow([j, i, repr(float(t))] + [repr(float(v)) for v in y])
+    meta = {**ds.meta, **meta, "dt": ds.dt}
+    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _first_offender(ids: Sequence[int], n: int) -> int | None:
@@ -683,78 +679,72 @@ def _first_offender(ids: Sequence[int], n: int) -> int | None:
     return None if len(ids) == n else len(ids) + 1
 
 
-def from_observations(
-    records: Sequence[Observations], initials: np.ndarray, dt: float, meta: dict
+def read_dataset(
+    directory: str | Path,
+    kind: str,
+    initials: Callable[[dict], np.ndarray],
+    record: Callable[[TrajectoryData], dict],
 ) -> TrajectoryData:
-    """Rebuild a dataset from its records, known initial states and meta.
+    """Read the dataset that :func:`write_dataset` wrote to `directory`.
 
-    The ids must be exactly ``1..K`` for the K initial states (record j
-    belongs to ``initials[j - 1]``), and each trajectory's ``obs_idx``
-    exactly ``1..n``, n the largest index in the records.  Anything else
-    raises a ValueError that names the first offending id.
+    ``meta.json`` must be a JSON object of this `kind` with a ``dt``;
+    ``initials(meta)`` reads the family's initial states from it.  The
+    ids must be exactly ``1..K`` for the K initial states, each
+    trajectory's ``obs_idx`` exactly ``1..n`` (n the largest index in the
+    file) and each ``t`` within 1e-12 relative of ``obs_idx * dt``.  The
+    dataset read must give back the meta's own record keys,
+    ``record(ds)``.  Anything else raises a ValueError that names the
+    key, the file or the first offending id.
     """
-    initials = np.atleast_2d(np.asarray(initials, dtype=float))
-    records = sorted(records, key=lambda rec: rec.traj_id)
-    bad = _first_offender([rec.traj_id for rec in records], initials.shape[0])
-    if bad is not None:
-        raise ValueError(
-            f"trajectory ids must be exactly 1..{initials.shape[0]}; first offending id {bad}"
-        )
-    n = max(int(rec.obs_idx.max(initial=0)) for rec in records)
-    for rec in records:
-        bad = _first_offender(rec.obs_idx.tolist(), n)
-        if bad is not None:
-            raise ValueError(f"trajectory {rec.traj_id}: obs_idx must be exactly 1..{n}; "
-                             f"first offending obs_idx {bad}")
-    values = np.stack([rec.values for rec in records])
-    return TrajectoryData(initials=initials, dt=dt, observations=values, meta=dict(meta))
+    directory = Path(directory)
+    meta_path, csv_path = directory / "meta.json", directory / "observations.csv"
+    meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} holds no JSON object")
+    if meta.get("kind") != kind:
+        raise ValueError(f"{directory} holds {meta.get('kind')!r} data, "
+                         f"but {kind!r} data is needed")
+    given = {key: value for key, value in meta.items() if value is not None}
+    try:
+        dt = float(given["dt"])
+        x0 = np.atleast_2d(np.asarray(initials(given), dtype=float))
+    except KeyError as exc:
+        raise ValueError(f"{meta_path} has no {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
 
-
-def write_observation_csv(path: str | Path, observations: Sequence[Observations]) -> None:
-    path = Path(path)
-    if not observations:
-        raise ValueError("nothing to write")
-    d = observations[0].values.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["traj_id", "obs_idx", "t"] + [f"y_{k + 1}" for k in range(d)])
-        for obs in observations:
-            for i in range(obs.obs_idx.size):
-                writer.writerow(
-                    [obs.traj_id, int(obs.obs_idx[i]), repr(float(obs.times[i]))]
-                    + [repr(float(v)) for v in obs.values[i]]
-                )
-
-
-def read_observation_csv(path: str | Path) -> list[Observations]:
-    path = Path(path)
-    with path.open(newline="") as fh:
+    trajs: dict[int, list[tuple[int, float, list[float]]]] = {}
+    with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 3
-        rows_by_traj: dict[int, list[tuple[int, float, list[float]]]] = {}
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{csv_path} is empty")
         for row in reader:
-            traj_id = int(row[0])
-            rows_by_traj.setdefault(traj_id, []).append(
-                (int(row[1]), float(row[2]), [float(v) for v in row[3:3 + d]])
+            if len(row) != len(header):
+                raise ValueError(f"{csv_path}, line {reader.line_num}: "
+                                 f"{len(row)} fields, but the header has {len(header)}")
+            trajs.setdefault(int(row[0]), []).append(
+                (int(row[1]), float(row[2]), [float(v) for v in row[3:]])
             )
-    out = []
-    for traj_id in sorted(rows_by_traj):
-        rows = sorted(rows_by_traj[traj_id])
-        out.append(
-            Observations(
-                traj_id=traj_id,
-                obs_idx=np.array([r[0] for r in rows]),
-                times=np.array([r[1] for r in rows]),
-                values=np.array([r[2] for r in rows]),
-            )
-        )
-    return out
-
-
-def write_dataset_meta(path: str | Path, meta: dict) -> None:
-    Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def read_dataset_meta(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    k = x0.shape[0]
+    bad = _first_offender(sorted(trajs), k)
+    if bad is not None:
+        raise ValueError(f"trajectory ids must be exactly 1..{k}; first offending id {bad}")
+    trajs = {j: sorted(trajs[j]) for j in range(1, k + 1)}
+    n = max(rows[-1][0] for rows in trajs.values())
+    for j, rows in trajs.items():
+        bad = _first_offender([i for i, _, _ in rows], n)
+        if bad is not None:
+            raise ValueError(f"trajectory {j}: obs_idx must be exactly 1..{n}; "
+                             f"first offending obs_idx {bad}")
+        for i, t, _ in rows:
+            if not abs(t - i * dt) <= 1e-12 * abs(i * dt):
+                raise ValueError(f"trajectory {j}, obs_idx {i}: t = {t!r} is not "
+                                 f"obs_idx * dt = {i * dt!r}")
+    values = np.array([[y for _, _, y in rows] for rows in trajs.values()])
+    ds = TrajectoryData(initials=x0, dt=dt, observations=values, meta=meta)
+    for key, value in record(ds).items():
+        if meta.get(key) != value:
+            raise ValueError(f"the dataset read has {key} = {value!r}, "
+                             f"but {meta_path} says {meta.get(key)!r}")
+    return ds

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import snake, stubble
-from .flow import Observations, TrajectoryData, from_observations, to_observations
+from .flow import TrajectoryData
 from .interp import Stencil
 from .localpoly import SingularDesign, epanechnikov, uniform_kernel
 
@@ -79,9 +79,9 @@ class Family:
     """What the two models of one sampling scheme share.
 
     ``flow`` integrates the noise-free paths of one sample size and
-    ``observe`` adds one replicate's noise to them; ``record_meta`` is the
-    family's own entry in a dataset's record meta and ``record_initials``
-    reads the initial states back from that meta (see :meth:`to_records`);
+    ``observe`` adds one replicate's noise to them; ``record`` gives the
+    family's own keys of a stored dataset's meta and ``initials`` reads the
+    initial states back from that meta (see :func:`~flowfit.flow.read_dataset`);
     ``error`` reduces one replicate's per-query error norms
     (rmse or sup); ``exponents[regime](b, d)`` is the squared-error
     reference exponent ``e``, times ``(log n)^-e`` when ``log_rate``;
@@ -92,22 +92,14 @@ class Family:
     name: str
     flow: Callable  # (cfg, fld, beta, n, dt) -> noise-free paths
     observe: Callable  # (cfg, fld, n, dt, paths, seed) -> dataset
-    record_meta: Callable[[TrajectoryData], dict]
-    record_initials: Callable[[dict], np.ndarray]
+    record: Callable[[TrajectoryData], dict]
+    initials: Callable[[dict], np.ndarray]
     default_queries: str
     error: Callable[[np.ndarray], float]
     needs_x1: bool
     exponents: dict[str, Callable[[int, int], Fraction]]
     log_rate: bool
     check_n: Callable[[int, int], object]
-
-    def to_records(self, ds: TrajectoryData) -> tuple[list[Observations], dict]:
-        """Observation records plus meta, which :meth:`from_records` reads back."""
-        return to_observations(ds), {**ds.meta, "kind": self.name, "dt": ds.dt,
-                                     **self.record_meta(ds)}
-
-    def from_records(self, records: list[Observations], meta: dict) -> TrajectoryData:
-        return from_observations(records, self.record_initials(meta), float(meta["dt"]), meta)
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,8 @@ STUBBLE = Family(
     observe=lambda cfg, fld, n, dt, paths, seed: stubble.observe_stubble(
         fld, stubble_grid_size(n, fld.dim), paths, dt, cfg.sigma, seed, cfg.noise
     ),
-    record_meta=lambda ds: {"beta": ds.n},
-    record_initials=lambda meta: stubble.grid_initials(int(meta["n0"]), int(meta["dim"])),
+    record=lambda ds: {"beta": ds.n},
+    initials=lambda meta: stubble.grid_initials(int(meta["n0"]), int(meta["dim"])),
     default_queries="grid",
     error=lambda errs: float(np.sqrt(np.mean(errs ** 2))),
     needs_x1=False,
@@ -152,10 +144,10 @@ SNAKE = Family(
         fld, paths, dt, cfg.sigma, seed, cfg.noise
     ),
     # one trajectory's x1 is a point, as in the config; K of them a list of points
-    record_meta=lambda ds: {
-        "x1": (ds.initials[0] if len(ds.initials) == 1 else ds.initials).tolist()
+    record=lambda ds: {
+        "x1": (ds.initials[0] if len(ds.initials) == 1 else ds.initials).tolist(), "n": ds.n
     },
-    record_initials=lambda meta: meta["x1"],
+    initials=lambda meta: meta["x1"],
     default_queries="tube",
     error=lambda errs: float(errs.max()),
     needs_x1=True,

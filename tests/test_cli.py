@@ -12,14 +12,7 @@ import pytest
 
 from flowfit import stubble
 from flowfit.cli import main
-from flowfit.flow import (
-    TrajectoryData,
-    make_field,
-    read_dataset_meta,
-    read_observation_csv,
-    write_dataset_meta,
-    write_observation_csv,
-)
+from flowfit.flow import TrajectoryData, make_field, read_dataset, write_dataset
 from flowfit.harness import ExperimentConfig, read_results_csv
 from flowfit.localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_estimate, lp_weights
 from flowfit.models import MODELS, SUCCESSES
@@ -67,7 +60,7 @@ def snake_config(tmp_path):
 def test_simulate_writes_dataset(stubble_config, tmp_path):
     out = tmp_path / "data"
     assert main(["simulate", "--config", str(stubble_config), "--out", str(out)]) == 0
-    meta = read_dataset_meta(out / "meta.json")
+    meta = json.loads((out / "meta.json").read_text())
     assert meta["kind"] == "stubble"
     assert meta["sigma"] == 0.02
     header = (out / "observations.csv").read_text().splitlines()[0]
@@ -81,7 +74,7 @@ def test_set_overrides_config(stubble_config, tmp_path):
          "--set", "sigma=0.3", "--set", "seed=99"]
     )
     assert code == 0
-    meta = read_dataset_meta(out / "meta.json")
+    meta = json.loads((out / "meta.json").read_text())
     assert meta["sigma"] == 0.3
     assert meta["seed"] == 99
 
@@ -118,51 +111,81 @@ def test_refused_config_exits_with_one_line(command, override, field, stubble_co
     assert not (tmp_path / "out").exists()
 
 
+def load(data: Path, model: str) -> TrajectoryData:
+    family = MODELS[model].family
+    return read_dataset(data, family.name, family.initials, family.record)
+
+
 def truncate(data: Path) -> None:
     """Drop the last row of the stored observations."""
     lines = (data / "observations.csv").read_text().splitlines(keepends=True)
     (data / "observations.csv").write_text("".join(lines[:-1]))
 
 
-def renumber_from_zero(data: Path) -> None:
+def rewrite_rows(data: Path, edit) -> None:
+    """Replace the data rows of the stored observations by ``edit(rows)``."""
     path = data / "observations.csv"
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    for row in rows[1:]:
-        row[0] = str(int(row[0]) - 1)
+        header, *rows = csv.reader(fh)
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        csv.writer(fh).writerows([header] + edit(rows))
+
+
+def renumber_from_zero(data: Path) -> None:
+    rewrite_rows(data, lambda rows: [[int(r[0]) - 1] + r[1:] for r in rows])
+
+
+def drop_horizon_two(data: Path) -> None:
+    rewrite_rows(data, lambda rows: [r for r in rows if r[1] != "2"])
 
 
 def second_trajectory(data: Path) -> None:
     """Store a second snake trajectory: its rows shifted, its start appended to x1."""
     family = MODELS["snake-lip"].family
-    ds = family.from_records(read_observation_csv(data / "observations.csv"),
-                             read_dataset_meta(data / "meta.json"))
+    ds = load(data, "snake-lip")
     two = TrajectoryData(np.vstack([ds.initials, ds.initials + 0.1]), ds.dt,
                          np.concatenate([ds.observations, ds.observations + 0.1]), ds.meta)
-    obs, meta = family.to_records(two)
-    write_observation_csv(data / "observations.csv", obs)
-    write_dataset_meta(data / "meta.json", meta)
+    write_dataset(data, two, {"kind": family.name, **family.record(two)})
 
 
+def edit_meta(edit):
+    def damage(data: Path) -> None:
+        path = data / "meta.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return damage
+
+
+def empty_observations(data: Path) -> None:
+    (data / "observations.csv").write_text("")
+
+
+# {meta} and {csv} stand for the dataset's files.  "stubble-gen" simulates a
+# beta = 2 stubble-gen dataset, which the stubble config's stubble-lip reads.
 @pytest.mark.parametrize("config, damage, message", [
-    ("stubble", truncate, "dataset refused: trajectory ids must be exactly 1..64; "
-                          "first offending id 64"),
-    ("stubble", renumber_from_zero, "dataset refused: trajectory ids must be exactly 1..64; "
-                                    "first offending id 0"),
-    ("snake", second_trajectory, "dataset refused: fit_curve fits one trajectory, "
-                                 "but the dataset has K = 2"),
-], ids=["truncated", "renumbered", "two-snakes"])
+    ("stubble", truncate, "trajectory ids must be exactly 1..64; first offending id 64"),
+    ("stubble", renumber_from_zero, "trajectory ids must be exactly 1..64; first offending id 0"),
+    ("snake", second_trajectory, "fit_curve fits one trajectory, but the dataset has K = 2"),
+    ("snake", truncate, "the dataset read has n = 255, but {meta} says 256"),
+    ("stubble-gen", drop_horizon_two, "the dataset read has beta = 1, but {meta} says 2"),
+    ("snake", edit_meta(lambda m: {k: v for k, v in m.items() if k != "dt"}),
+     "{meta} has no 'dt'"),
+    ("snake", edit_meta(lambda m: {**m, "dt": None}), "{meta} has no 'dt'"),
+    ("stubble", edit_meta(lambda m: {**m, "n0": None}), "{meta} has no 'n0'"),
+    ("stubble", edit_meta(lambda m: [m]), "{meta} holds no JSON object"),
+    ("snake", empty_observations, "{csv} is empty"),
+], ids=["truncated", "renumbered", "two-snakes", "snake-truncated", "horizon-dropped",
+        "no-dt", "null-dt", "null-n0", "meta-list", "empty-csv"])
 def test_unreadable_dataset_exits_with_one_line(config, damage, message, stubble_config,
                                                 snake_config, tmp_path):
-    path = stubble_config if config == "stubble" else snake_config
+    path = snake_config if config == "snake" else stubble_config
+    sets = ["--set", "model=stubble-gen", "--set", "beta=2"] if config == "stubble-gen" else []
     data, out = tmp_path / "data", tmp_path / "est.csv"
-    main(["simulate", "--config", str(path), "--out", str(data)])
+    main(["simulate", "--config", str(path), "--out", str(data)] + sets)
     damage(data)
     with pytest.raises(SystemExit) as refused:
         main(["estimate", "--config", str(path), "--data", str(data), "--out", str(out)])
-    assert refused.value.code == message
+    files = {"meta": data / "meta.json", "csv": data / "observations.csv"}
+    assert refused.value.code == "dataset refused: " + message.format(**files)
     assert not out.exists()
 
 
@@ -177,10 +200,8 @@ def test_estimate_stubble(stubble_config, tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
-    meta = read_dataset_meta(data / "meta.json")
-    ds = MODELS["stubble-lip"].family.from_records(
-        read_observation_csv(data / "observations.csv"), meta
-    )
+    ds = load(data, "stubble-lip")
+    meta = ds.meta
     # the bandwidth estimate_general picks for beta = 1 when none is given
     fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
@@ -204,9 +225,7 @@ def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
           "--set", "model=stubble-gen", "--set", "beta=3"])
     out = tmp_path / "estimates.csv"
     main(["estimate", "--config", str(stubble_config), "--data", str(data), "--out", str(out)])
-    ds = MODELS["stubble-gen"].family.from_records(
-        read_observation_csv(data / "observations.csv"), read_dataset_meta(data / "meta.json")
-    )
+    ds = load(data, "stubble-gen")
     assert ds.n == 3
     fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
@@ -278,6 +297,23 @@ def test_rates_regime_needs_dimensions(stubble_config, tmp_path):
         main(["rates", "--results", str(out / "results.csv"), "--regime", "fixed-dt"])
 
 
+@pytest.mark.parametrize("ns, regime, message", [
+    (None, [], "No such file or directory"),
+    ([64, 144], [], "need at least 3 (n, error) pairs"),
+    ([64, 144, 256], ["--d", "1", "--beta", "1", "--regime", "fixed-horizon"],
+     "stubble has no regime 'fixed-horizon'"),
+], ids=["missing-file", "two-sample-sizes", "no-reference"])
+def test_rates_refused_exits_with_one_line(ns, regime, message, tmp_path):
+    results = tmp_path / "results.csv"
+    if ns is not None:
+        results.write_text("model,n,replicate,error,failures\n"
+                           + "".join(f"stubble-lip,{n},0,{n ** -0.25!r},0\n" for n in ns))
+    with pytest.raises(SystemExit) as refused:
+        main(["rates", "--results", str(results)] + regime)
+    code = refused.value.code
+    assert code.startswith("rates refused: ") and message in code and "\n" not in code
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -286,9 +322,11 @@ def test_unknown_command_exits():
 def test_estimate_refuses_mismatched_dataset(stubble_config, snake_config, tmp_path):
     data = tmp_path / "data"
     main(["simulate", "--config", str(stubble_config), "--out", str(data)])
-    with pytest.raises(SystemExit, match="'stubble' data.*'snake-lip'.*'snake' data"):
+    with pytest.raises(SystemExit) as refused:
         main(["estimate", "--config", str(snake_config), "--data", str(data),
               "--out", str(tmp_path / "est.csv")])
+    message = f"dataset refused: {data} holds 'stubble' data, but 'snake' data is needed"
+    assert refused.value.code == message
 
 
 def test_estimate_failed_rows_name_their_kind(stubble_config, tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -23,13 +25,10 @@ from flowfit.flow import (
     integrate_flow_grid,
     make_field,
     noise_draw,
-    read_dataset_meta,
-    read_observation_csv,
+    read_dataset,
     stack_higher_order,
-    to_observations,
     validate_smoothness_bounds,
-    write_dataset_meta,
-    write_observation_csv,
+    write_dataset,
 )
 from flowfit.models import SNAKE, STUBBLE
 from flowfit.snake import generate_snake
@@ -344,26 +343,45 @@ def test_stacked_system_matches_scalar_ode():
     assert abs(end[1] + math.sin(1.0)) <= 1e-8
 
 
+def store(directory, family, ds):
+    write_dataset(directory, ds, {"kind": family.name, **family.record(ds)})
+
+
+def load(directory, family):
+    return read_dataset(directory, family.name, family.initials, family.record)
+
+
+def rewrite_rows(directory, edit):
+    """Replace the data rows of the stored observations by ``edit(rows)``."""
+    path = directory / "observations.csv"
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header] + edit(rows))
+
+
 def test_observation_csv_round_trip(tmp_path):
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=2, dt=0.1, sigma=0.1, seed=3)
-    (first,) = to_observations(ds)
-    obs = [first, dataclasses.replace(first, traj_id=2, values=first.values + 1.0)]
-    path = tmp_path / "obs.csv"
-    write_observation_csv(path, obs)
-    back = read_observation_csv(path)
-    assert len(back) == 2
-    for a, b in zip(obs, back):
-        assert a.traj_id == b.traj_id
-        assert np.array_equal(a.obs_idx, b.obs_idx)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.values, b.values)
+    one = generate_snake(ROT, np.array([1.0, 0.0]), n=2, dt=0.1, sigma=0.1, seed=3)
+    ds = TrajectoryData(np.vstack([one.initials, one.initials]), one.dt,
+                        np.concatenate([one.observations, one.observations + 1.0]), one.meta)
+    store(tmp_path, SNAKE, ds)
+    with (tmp_path / "observations.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(int(r[0]), int(r[1]), float(r[2])) for r in rows] == [
+        (j, i, ds.times[i]) for j in (1, 2) for i in (1, 2)
+    ]
+    back = load(tmp_path, SNAKE)
+    assert np.array_equal(back.initials, ds.initials)
+    assert np.array_equal(back.observations, ds.observations)
 
 
 def test_meta_round_trip(tmp_path):
     meta = {"field": "rotation", "dim": 2, "sigma": 0.05, "seed": 9}
-    path = tmp_path / "meta.json"
-    write_dataset_meta(path, meta)
-    assert read_dataset_meta(path) == meta
+    one = generate_snake(ROT, np.array([1.0, 0.0]), n=2, dt=0.1, sigma=0.1, seed=3)
+    store(tmp_path, SNAKE, TrajectoryData(one.initials, one.dt, one.observations, meta))
+    stored = json.loads((tmp_path / "meta.json").read_text())
+    assert stored == {**meta, "kind": "snake", "dt": 0.1, "x1": [1.0, 0.0], "n": 2}
+    assert load(tmp_path, SNAKE).meta == stored
 
 
 # One dataset of each sampling scheme, with the family that records it.
@@ -376,10 +394,11 @@ DATASETS = {
 
 
 @pytest.mark.parametrize("scheme", sorted(DATASETS))
-def test_observation_round_trip(scheme):
+def test_observation_round_trip(scheme, tmp_path):
     family, ds = DATASETS[scheme]()
-    obs, meta = family.to_records(ds)
-    back = family.from_records(obs, meta)
+    store(tmp_path, family, ds)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    back = load(tmp_path, family)
     assert np.array_equal(back.initials, ds.initials)
     assert np.array_equal(back.observations, ds.observations)
     assert back.dt == ds.dt
@@ -397,32 +416,69 @@ def test_nonfinite_observations_rejected(scheme):
     initials[0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         TrajectoryData(initials=initials, dt=ds.dt, observations=ds.observations)
-
-
-def csv_round_trip(tmp_path, obs):
-    path = tmp_path / "observations.csv"
-    write_observation_csv(path, obs)
-    return read_observation_csv(path)
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryData(initials=ds.initials, dt=np.inf, observations=ds.observations)
 
 
 def test_records_numbered_from_zero_are_refused(tmp_path):
     # ids 0..m-1 would pair each trajectory with the previous grid point
     family, ds = DATASETS["stubble"]()
-    obs, meta = family.to_records(ds)
-    renumbered = [dataclasses.replace(rec, traj_id=rec.traj_id - 1) for rec in obs]
+    store(tmp_path, family, ds)
+    rewrite_rows(tmp_path, lambda rows: [[int(r[0]) - 1] + r[1:] for r in rows])
     with pytest.raises(ValueError, match="ids must be exactly 1..16; first offending id 0$"):
-        family.from_records(csv_round_trip(tmp_path, renumbered), meta)
+        load(tmp_path, family)
 
 
 def test_records_with_a_missing_index_are_refused(tmp_path):
     # without obs_idx 49 every later observation would be read one step early
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=64, dt=0.1, sigma=0.05, seed=2)
-    (rec,), meta = SNAKE.to_records(ds)
-    keep = rec.obs_idx != 49
-    gap = dataclasses.replace(rec, obs_idx=rec.obs_idx[keep], times=rec.times[keep],
-                              values=rec.values[keep])
+    store(tmp_path, SNAKE, ds)
+    rewrite_rows(tmp_path, lambda rows: [r for r in rows if r[1] != "49"])
     with pytest.raises(ValueError, match="trajectory 1: .* first offending obs_idx 49$"):
-        SNAKE.from_records(csv_round_trip(tmp_path, [gap]), meta)
+        load(tmp_path, SNAKE)
+
+
+@pytest.mark.parametrize("edit, line, fields", [
+    (lambda rows: rows + [[]], 22, 0),
+    (lambda rows: rows[:4] + [rows[4][:-1]] + rows[5:], 6, 4),
+], ids=["blank-line", "short-row"])
+def test_rows_of_another_length_are_refused(edit, line, fields, tmp_path):
+    family, ds = DATASETS["snake"]()
+    store(tmp_path, family, ds)
+    rewrite_rows(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"csv, line {line}: {fields} fields, but the header has 5$"):
+        load(tmp_path, family)
+
+
+def test_meta_value_of_a_wrong_type_is_refused(tmp_path):
+    family, ds = DATASETS["snake"]()
+    store(tmp_path, family, ds)
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "dt": [ds.dt]}))
+    with pytest.raises(ValueError, match=r"meta\.json: float\(\) argument must be"):
+        load(tmp_path, family)
+
+
+@pytest.mark.parametrize("scheme, where, rel, refused", [
+    ("snake", None, 1.0, "trajectory 1, obs_idx 1: t = 0.2 is not obs_idx \\* dt = 0.1$"),
+    ("stubble", (3, 2), 1e-11, "trajectory 3, obs_idx 2: t = "),
+    ("stubble", (3, 2), 1e-13, None),
+], ids=["every-t-doubled", "one-t-off", "one-t-within-tolerance"])
+def test_t_column_is_checked(scheme, where, rel, refused, tmp_path):
+    # t is obs_idx * dt to within 1e-12 relative; rows are matched by obs_idx alone
+    family, ds = DATASETS[scheme]()
+    store(tmp_path, family, ds)
+
+    def shift(row):
+        hit = where is None or (int(row[0]), int(row[1])) == where
+        return row[:2] + [repr(float(row[2]) * (1 + rel))] + row[3:] if hit else row
+
+    rewrite_rows(tmp_path, lambda rows: [shift(r) for r in rows])
+    if refused is None:
+        assert np.array_equal(load(tmp_path, family).observations, ds.observations)
+    else:
+        with pytest.raises(ValueError, match=refused):
+            load(tmp_path, family)
 
 
 @pytest.mark.parametrize("ids, n, want", [
