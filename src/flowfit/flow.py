@@ -254,12 +254,7 @@ class TrajectoryData:
         return self.observations[:, i - 1, :] - self.initials
 
 
-def integrate_flow(
-    field: VectorField,
-    x0: Sequence[float] | np.ndarray,
-    t: float,
-    cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> np.ndarray:
+def integrate_flow(field: VectorField, x0: Sequence[float] | np.ndarray, t: float) -> np.ndarray:
     """Approximate the flow ``U(f, x0, t)``.
 
     ``t = 0`` returns ``x0`` exactly.  Negative ``t`` integrates the
@@ -270,7 +265,7 @@ def integrate_flow(
         raise ValueError(f"x0 must have shape ({field.dim},)")
     if t < 0.0:
         field, t = field.flipped(), -t
-    return integrate_flow_grid(field, x0[None, :], np.array([t]), cfg)[0, 0]
+    return integrate_flow_grid(field, x0[None, :], np.array([t]))[0, 0]
 
 
 def integrate_flow_grid(
@@ -412,19 +407,14 @@ def _dopri45(
     return values, float(t)
 
 
-def increment(
-    field: VectorField,
-    dt: float,
-    x: Sequence[float] | np.ndarray,
-    cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> np.ndarray:
+def increment(field: VectorField, dt: float, x: Sequence[float] | np.ndarray) -> np.ndarray:
     """The increment ``U(f, x, dt) - x``; exactly zero for ``dt = 0``."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     x = np.asarray(x, dtype=float)
     if dt == 0.0:
         return np.zeros_like(x)
-    return integrate_flow(field, x, dt, cfg) - x
+    return integrate_flow(field, x, dt) - x
 
 
 def noise_draw(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:

@@ -17,16 +17,16 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import snake, stubble
+from . import stubble
 from .flow import IntegrationError, NoiseSpec, VectorField, integrate_flow_grid, make_field
 from .localpoly import SingularDesign
-from .models import FAILURES, KERNELS, MODELS
+from .models import FAILURES, MODELS
 
 __all__ = [
     "MODELS",
@@ -50,7 +50,7 @@ __all__ = [
     "write_report_json",
 ]
 
-# The reference regime each dt rule implies, unless a config names one.
+# The reference regime each dt rule implies.
 RULE_REGIMES = {"balanced": "balanced", "fixed-horizon": "fixed-horizon", "fixed": "fixed-dt"}
 
 # Fraction of failed queries at a single sample size above which the
@@ -154,6 +154,11 @@ def reference_rate(
                            log_power=log_power, scale=scale)
 
 
+def _is_a(value, kind) -> bool:
+    # bool is an Integral, but never a count or a real number of a config
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """Where the field estimate is evaluated.
@@ -178,8 +183,19 @@ class QuerySpec:
             raise ValueError(f"unknown query kind {self.kind!r}")
         if self.kind == "points" and len(self.points) == 0:
             raise ValueError("explicit query spec needs points")
-        if self.count < 1:
-            raise ValueError("count must be positive")
+        for name in ("per_dim", "count"):
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, not {value!r}")
+        if not 0 <= self.margin < 0.5:
+            raise ValueError("margin must be in [0, 0.5)")
+
+    def check_dim(self, d: int) -> None:
+        """Raise ValueError unless explicit points and box bounds have dimension `d`."""
+        if self.kind == "points" and any(len(p) != d for p in self.points):
+            raise ValueError(f"query points must have dimension {d}")
+        if self.kind == "box" and not len(self.lo) == len(self.hi) == d:
+            raise ValueError(f"box bounds must have dimension {d}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -205,18 +221,14 @@ class QuerySpec:
 
     def build(self, d: int, rng: np.random.Generator,
               curve_points: np.ndarray | None = None) -> np.ndarray:
+        self.check_dim(d)
         if self.kind == "points":
-            pts = np.array([list(p) for p in self.points], dtype=float)
-            if pts.shape[1] != d:
-                raise ValueError(f"query points must have dimension {d}")
-            return pts
+            return np.array([list(p) for p in self.points], dtype=float)
         if self.kind == "grid":
             return stubble.default_query_points(d, self.per_dim, self.margin)
         if self.kind == "box":
             lo = np.asarray(self.lo, dtype=float)
             hi = np.asarray(self.hi, dtype=float)
-            if lo.size != d or hi.size != d:
-                raise ValueError(f"box bounds must have dimension {d}")
             return lo + rng.uniform(size=(self.count, d)) * (hi - lo)
         if curve_points is None:
             raise ValueError("tube queries need the true trajectory")
@@ -230,23 +242,35 @@ class QuerySpec:
 # Numeric config fields and the type each must have (None where that is the default).
 _TYPED_FIELDS = (
     (("replicates", "seed", "d", "beta"), numbers.Integral, "an integer"),
-    (("sigma", "dt_value", "dt_power", "dt_coeff", "horizon", "bandwidth",
-      "bandwidth_constant", "rate_tolerance"), numbers.Real, "a real number"),
+    (("sigma", "dt_value", "horizon", "bandwidth", "rate_tolerance"), numbers.Real,
+     "a real number"),
 )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one rate experiment.
+    """Full description of one rate experiment; its 16 fields are the
+    config keys, and :meth:`from_dict` refuses any other key.
 
-    ``ns`` is the strictly increasing grid of sample sizes (trajectory
-    count for stubble models, observation count for snake models).  The
-    step size per n follows ``dt_rule``: ``fixed`` (``dt_value``),
-    ``power`` (``dt_coeff * n^-dt_power``), ``balanced``
-    (``dt_coeff * n^(-1/(2(beta+1)+d))``), or ``fixed-horizon``
-    (``horizon / n``, snake only).  ``regime`` overrides the reference
-    regime derived from the rule; ``queries = None`` selects a grid for
-    stubble models and a tube for snake models.
+    - ``model``, ``field``, ``d``: the estimator (a key of
+      :data:`~flowfit.models.MODELS`), the built-in field and, for the
+      dimension-generic fields, its dimension.
+    - ``ns``: the strictly increasing grid of sample sizes (trajectory
+      count for stubble models, observation count for snake models).
+    - ``beta``: the smoothness order (None: the field's own).
+    - ``sigma``, ``noise``: the observation noise level and distribution.
+    - ``dt_rule``, ``dt_value``, ``horizon``: the step size per n, one of
+      ``fixed`` (``dt_value``), ``balanced`` (``n^(-1/(2(beta+1)+d))``)
+      or ``fixed-horizon`` (``horizon / n``).  The rule also picks the
+      reference regime of the rate report: ``fixed-dt``, ``balanced`` or
+      ``fixed-horizon``.
+    - ``replicates``, ``seed``: replicate ``r`` draws its noise from
+      ``seed + r``.
+    - ``x1``: the initial state of the one trajectory of a snake model.
+    - ``queries``: where the estimate is evaluated (None: a grid for
+      stubble models and a tube for snake models).
+    - ``bandwidth``: one fixed bandwidth (None: the plug-in choice).
+    - ``rate_tolerance``: the largest slope deviation that passes.
     """
 
     model: str
@@ -258,19 +282,12 @@ class ExperimentConfig:
     noise: str = "gaussian"
     dt_rule: str = "balanced"
     dt_value: float | None = None
-    dt_power: float | None = None
-    dt_coeff: float = 1.0
     horizon: float | None = None
     replicates: int = 1
     seed: int = 0
     x1: tuple[float, ...] | None = None
     queries: QuerySpec | None = None
     bandwidth: float | None = None
-    bandwidth_constant: float = 1.0
-    kernel: str = "epanechnikov"
-    fallback: bool = True
-    stencil: snake.StencilConfig = dc_field(default_factory=snake.StencilConfig)
-    regime: str | None = None
     rate_tolerance: float = 0.1
 
     def __post_init__(self) -> None:
@@ -278,7 +295,7 @@ class ExperimentConfig:
             for name in names:
                 value = getattr(self, name)
                 optional = value is None and self.__dataclass_fields__[name].default is None
-                if not optional and (isinstance(value, bool) or not isinstance(value, kind)):
+                if not optional and not _is_a(value, kind):
                     raise TypeError(f"{name} must be {what}, not {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {tuple(MODELS)}")
@@ -286,14 +303,10 @@ class ExperimentConfig:
             raise ValueError("ns must be nonempty and strictly increasing")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {tuple(KERNELS)}")
-        if self.dt_rule not in ("fixed", "power", "balanced", "fixed-horizon"):
+        if self.dt_rule not in RULE_REGIMES:
             raise ValueError(f"unknown dt rule {self.dt_rule!r}")
         if self.dt_rule == "fixed" and not self.dt_value:
             raise ValueError("dt_rule 'fixed' needs dt_value")
-        if self.dt_rule == "power" and not self.dt_power:
-            raise ValueError("dt_rule 'power' needs dt_power")
         if self.dt_rule == "fixed-horizon" and not self.horizon:
             raise ValueError("dt_rule 'fixed-horizon' needs horizon")
         if self.seed < 0:
@@ -305,7 +318,7 @@ class ExperimentConfig:
         if self.queries is not None and self.queries.kind == "tube" and not family.needs_x1:
             raise ValueError(f"tube queries need a single-trajectory model, not {self.model}")
         NoiseSpec(distribution=self.noise, sigma=self.sigma)  # raises on a bad noise or sigma
-        for name in ("dt_value", "dt_coeff", "horizon"):
+        for name in ("dt_value", "horizon"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -317,6 +330,8 @@ class ExperimentConfig:
             raise ValueError(exc.args[0]) from None
         if self.x1 is not None and len(self.x1) != fld.dim:
             raise ValueError(f"x1 must have the dimension of the field {self.field!r}")
+        if self.queries is not None:
+            self.queries.check_dim(fld.dim)
         for n in self.ns:
             family.check_n(n, fld.dim)
 
@@ -326,7 +341,6 @@ class ExperimentConfig:
             ns=list(self.ns),
             x1=None if self.x1 is None else list(self.x1),
             queries=None if self.queries is None else self.queries.to_dict(),
-            stencil=asdict(self.stencil),
         )
         return out
 
@@ -342,8 +356,6 @@ class ExperimentConfig:
             data["x1"] = tuple(float(v) for v in data["x1"])
         if data.get("queries") is not None:
             data["queries"] = QuerySpec.from_dict(data["queries"])
-        if isinstance(data.get("stencil"), dict):
-            data["stencil"] = snake.StencilConfig(**data["stencil"])
         return cls(**data)
 
     def effective_beta(self, fld: VectorField) -> int:
@@ -353,10 +365,8 @@ class ExperimentConfig:
     def dt_for(self, n: int, beta: int, d: int) -> float:
         if self.dt_rule == "fixed":
             return float(self.dt_value)
-        if self.dt_rule == "power":
-            return self.dt_coeff * n ** (-float(self.dt_power))
         if self.dt_rule == "balanced":
-            return self.dt_coeff * n ** (-1.0 / (2 * (beta + 1) + d))
+            return n ** (-1.0 / (2 * (beta + 1) + d))
         return float(self.horizon) / n
 
 
@@ -494,9 +504,8 @@ def _build_report(
     if len(ns) < 3 or not usable:
         return None
     slope, intercept = fit_rate(ns, means)
-    regime = RULE_REGIMES.get(cfg.dt_rule) if cfg.regime is None else cfg.regime
     try:
-        reference = reference_rate(cfg.model, d, beta, regime, scale="rmse")
+        reference = reference_rate(cfg.model, d, beta, RULE_REGIMES[cfg.dt_rule], scale="rmse")
     except UnsupportedCombination:  # no reference on record
         reference = None
     passed = reference is not None and abs(slope - float(reference.exponent)) <= cfg.rate_tolerance
@@ -512,11 +521,14 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+RESULT_COLUMNS = ("model", "n", "replicate", "error", "failures")
+
+
 def write_results_csv(result: ExperimentResult, path: str | Path) -> None:
     """Raw replicate errors; one row per (n, replicate)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "n", "replicate", "error", "failures"])
+        writer.writerow(RESULT_COLUMNS)
         for row in result.rows:
             writer.writerow(
                 [result.config.model, row.n, row.replicate, fmt_float(row.error), row.failures]
@@ -524,11 +536,23 @@ def write_results_csv(result: ExperimentResult, path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> tuple[str, list[ReplicateRow]]:
-    """Inverse of :func:`write_results_csv`; returns (model, rows)."""
+    """Inverse of :func:`write_results_csv`; returns (model, rows).
+
+    Raises ValueError naming a missing column, or the line of a row with
+    more or fewer fields than the header.
+    """
     rows = []
     model = ""
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the columns {missing}")
+        for rec in reader:
+            # DictReader keys extra fields by None and fills absent ones with None
+            if None in rec or None in rec.values():
+                raise ValueError(f"line {reader.line_num} of {path} does not have "
+                                 f"{len(reader.fieldnames)} fields")
             model = rec["model"]
             rows.append(ReplicateRow(
                 n=int(rec["n"]), replicate=int(rec["replicate"]),

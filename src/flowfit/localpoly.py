@@ -391,22 +391,20 @@ def optimal_bandwidth(
     T: float,
     L: float,
     mode: str = "pointwise",
-    C: float = 1.0,
 ) -> float:
     """Rate-optimal bandwidth for smoothness ``beta`` over ``[0, T]^d``.
 
-    pointwise: ``h = C (sigma^2 T^d / (L^2 n))^(1/(2 beta + d))``;
-    supnorm multiplies the argument by ``log n``.  The constant ``C`` is
-    not pinned down by the theory; it defaults to 1 and is exposed for
-    calibration.
+    pointwise: ``h = (sigma^2 T^d / (L^2 n))^(1/(2 beta + d))``;
+    supnorm multiplies the argument by ``log n``.  The theory fixes the
+    bandwidth only up to a constant factor, which is taken as 1.
     """
     if min(n, d, beta) < 1 or n < 2:
         raise ValueError("need n >= 2, d >= 1, beta >= 1")
-    if sigma <= 0 or T <= 0 or L <= 0 or C <= 0:
-        raise ValueError("sigma, T, L, C must be positive")
+    if sigma <= 0 or T <= 0 or L <= 0:
+        raise ValueError("sigma, T, L must be positive")
     arg = sigma ** 2 * T ** d / (L ** 2 * n)
     if mode == "supnorm":
         arg *= math.log(n)
     elif mode != "pointwise":
         raise ValueError("mode must be 'pointwise' or 'supnorm'")
-    return C * arg ** (1.0 / (2 * beta + d))
+    return arg ** (1.0 / (2 * beta + d))

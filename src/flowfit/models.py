@@ -20,13 +20,12 @@ import numpy as np
 from . import snake, stubble
 from .flow import TrajectoryData
 from .interp import Stencil
-from .localpoly import SingularDesign, epanechnikov, uniform_kernel
+from .localpoly import SingularDesign
 
-__all__ = ["KERNELS", "SUCCESSES", "FAILURES", "MODELS", "Prediction", "Predictor"]
+__all__ = ["SUCCESSES", "FAILURES", "MODELS", "Prediction", "Predictor"]
 
-KERNELS = {"epanechnikov": epanechnikov, "uniform": uniform_kernel}
 SUCCESSES = ("regression", "nearest-neighbor", "interpolated", "fallback")
-FAILURES = ("singular", "no-stencil", "non-finite")
+FAILURES = ("singular", "non-finite")
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,8 @@ class Predictor:
     """A fitted model, called on a (Q, d) query array.
 
     ``estimate(x)`` returns ``(value, status, stencil)`` or raises; a
-    query that raises ``SingularDesign`` or ``NoStencilFound``, or whose
-    value is not finite, gets a status from :data:`FAILURES`.
+    query that raises ``SingularDesign``, or whose value is not finite,
+    gets a status from :data:`FAILURES`.
     ``curve_points`` is the fitted curve's grid (where ``tube`` queries
     are drawn) for models that reconstruct one.
     """
@@ -62,8 +61,6 @@ class Predictor:
                 value, kind, stencil = self.estimate(x)
             except SingularDesign:
                 kind = "singular"
-            except snake.NoStencilFound:
-                kind = "no-stencil"
             else:
                 if np.all(np.isfinite(value)):
                     values[q] = value
@@ -166,31 +163,21 @@ def _fit_stubble(cfg, ds, beta: int) -> Predictor:
         raise ValueError(f"the model needs {beta} horizons, but the dataset has {ds.n}")
     if ds.n > beta:
         ds = TrajectoryData(ds.initials, ds.dt, ds.observations[:, :beta], ds.meta)
-    reg = stubble.IncrementRegressor(
-        kernel=KERNELS[cfg.kernel](), bandwidth=cfg.bandwidth,
-        bandwidth_constant=cfg.bandwidth_constant,
-    )
+    reg = stubble.IncrementRegressor(bandwidth=cfg.bandwidth)
     return Predictor(lambda x: (stubble.estimate_general(ds, x, reg), "regression", None))
 
 
-def _fit_curve(cfg, ds, beta: int) -> snake.CurveEstimate:
-    return snake.fit_curve(
-        ds, beta=beta, kernel=KERNELS[cfg.kernel](), bandwidth=cfg.bandwidth,
-        bandwidth_constant=cfg.bandwidth_constant,
-    )
-
-
 def _fit_snake_lip(cfg, ds, beta: int) -> Predictor:
-    curve = _fit_curve(cfg, ds, beta)
+    curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth)
     return Predictor(lambda x: (snake.estimate_lipschitz(x, curve), "nearest-neighbor", None),
                      curve.grid_states)
 
 
 def _fit_snake_gen(cfg, ds, beta: int) -> Predictor:
-    curve = _fit_curve(cfg, ds, beta)
+    curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth)
 
     def estimate(x):
-        result = snake.estimate_general(x, curve, cfg.stencil, fallback=cfg.fallback)
+        result = snake.estimate_general(x, curve)
         return result.value, result.provenance, result.stencil
 
     return Predictor(estimate, curve.grid_states)

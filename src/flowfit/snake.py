@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, TrajectoryData, VectorField
+from .flow import NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
 from .interp import SINGULAR_RTOL, Stencil, interp_multivariate, mu_interior_contains, stability_norm
 from .localpoly import (
@@ -63,9 +63,7 @@ class NoStencilFound(Exception):
     """
 
 
-def flow_snake(
-    fld: VectorField, x1: np.ndarray, n: int, dt: float, cfg: FlowConfig = DEFAULT_FLOW_CONFIG
-) -> np.ndarray:
+def flow_snake(fld: VectorField, x1: np.ndarray, n: int, dt: float) -> np.ndarray:
     """The noise-free path ``u(i dt)``, ``i = 0..n``, of one continued
     integration from ``u(0) = x1`` (row 0, exactly): shape ``(n + 1, 1, d)``."""
     if n < 1:
@@ -73,7 +71,7 @@ def flow_snake(
     if dt <= 0:
         raise ValueError("dt must be positive")
     x1 = np.asarray(x1, dtype=float)
-    return integrate_flow_grid(fld, x1[None, :], dt * np.arange(n + 1), cfg)
+    return integrate_flow_grid(fld, x1[None, :], dt * np.arange(n + 1))
 
 
 def observe_snake(
@@ -93,11 +91,11 @@ def observe_snake(
 
 def generate_snake(
     fld: VectorField, x1: np.ndarray, n: int, dt: float, sigma: float = 0.0, seed: int = 0,
-    noise: str = "gaussian", cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
+    noise: str = "gaussian",
 ) -> TrajectoryData:
     """Simulate the long-trajectory sampling scheme for a known field:
     :func:`observe_snake` of :func:`flow_snake`."""
-    return observe_snake(fld, flow_snake(fld, x1, n, dt, cfg), dt, sigma, seed, noise)
+    return observe_snake(fld, flow_snake(fld, x1, n, dt), dt, sigma, seed, noise)
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ WIDEN_FACTOR = 1.5
 MAX_WIDENINGS = 8
 
 
-def _curve_bandwidth(ds: TrajectoryData, beta: int, constant: float) -> float:
+def _curve_bandwidth(ds: TrajectoryData, beta: int) -> float:
     """Sup-norm-mode plug-in bandwidth for the curve regression.
 
     The fitted path has smoothness ``beta + 1`` with derivative bounds
@@ -180,9 +178,7 @@ def _curve_bandwidth(ds: TrajectoryData, beta: int, constant: float) -> float:
     if sigma == 0.0:
         return floor
     lcurve = math.factorial(beta) * max(bounds[1:beta + 1]) ** (beta + 1)
-    h = optimal_bandwidth(
-        ds.n, 1, beta + 1, sigma, T=ds.horizon, L=lcurve, mode="supnorm", C=constant
-    )
+    h = optimal_bandwidth(ds.n, 1, beta + 1, sigma, T=ds.horizon, L=lcurve, mode="supnorm")
     return min(max(h, floor), ds.horizon)
 
 
@@ -191,7 +187,6 @@ def fit_curve(
     beta: int | None = None,
     kernel: KernelSpec | None = None,
     bandwidth: float | None = None,
-    bandwidth_constant: float = 1.0,
 ) -> CurveEstimate:
     """Reconstruct the path and its velocity from the observations of a
     dataset with one trajectory (K = 1; any other K is refused).
@@ -224,7 +219,7 @@ def fit_curve(
     if kernel is None:
         kernel = epanechnikov()
     if bandwidth is None:
-        bandwidth = _curve_bandwidth(ds, beta, bandwidth_constant)
+        bandwidth = _curve_bandwidth(ds, beta)
     degree = max(1, beta)
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
 

@@ -27,16 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import DEFAULT_FLOW_CONFIG, FlowConfig, NoiseSpec, TrajectoryData, VectorField
+from .flow import NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
-from .localpoly import (
-    KernelSpec,
-    LocalPolyFit,
-    RegressionData,
-    epanechnikov,
-    lp_estimate,
-    optimal_bandwidth,
-)
+from .localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_estimate, optimal_bandwidth
 
 __all__ = [
     "IncrementRegressor",
@@ -60,10 +53,7 @@ def grid_initials(n0: int, d: int) -> np.ndarray:
     return np.array(list(ks), dtype=float) / n0
 
 
-def flow_stubble(
-    fld: VectorField, n0: int, dt: float, beta: int | None = None,
-    cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> np.ndarray:
+def flow_stubble(fld: VectorField, n0: int, dt: float, beta: int | None = None) -> np.ndarray:
     """The grid initials (row 0, exactly :func:`grid_initials`) and their joint
     noise-free flow at ``i dt``, ``i = 1..beta``: shape ``(beta + 1, n0^d, d)``.
     ``beta`` defaults to the field's smoothness order."""
@@ -71,7 +61,7 @@ def flow_stubble(
         beta = fld.smoothness
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return integrate_flow_grid(fld, grid_initials(n0, fld.dim), dt * np.arange(beta + 1), cfg)
+    return integrate_flow_grid(fld, grid_initials(n0, fld.dim), dt * np.arange(beta + 1))
 
 
 def observe_stubble(
@@ -91,11 +81,11 @@ def observe_stubble(
 
 def generate_stubble(
     fld: VectorField, n0: int, dt: float, sigma: float = 0.0, seed: int = 0,
-    noise: str = "gaussian", beta: int | None = None, cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
+    noise: str = "gaussian", beta: int | None = None,
 ) -> TrajectoryData:
     """Simulate the short-trajectory sampling scheme for a known field:
     :func:`observe_stubble` of :func:`flow_stubble`."""
-    return observe_stubble(fld, n0, flow_stubble(fld, n0, dt, beta, cfg), dt, sigma, seed, noise)
+    return observe_stubble(fld, n0, flow_stubble(fld, n0, dt, beta), dt, sigma, seed, noise)
 
 
 def _min_bandwidth(m: int, d: int, degree: int) -> float:
@@ -104,9 +94,7 @@ def _min_bandwidth(m: int, d: int, degree: int) -> float:
     return 2.5 * (degree + 1) * m ** (-1.0 / d)
 
 
-def _horizon_bandwidth(
-    ds: TrajectoryData, horizon: int, degree: int, smoothness: int, constant: float
-) -> float:
+def _horizon_bandwidth(ds: TrajectoryData, horizon: int, degree: int, smoothness: int) -> float:
     """Plug-in bandwidth for the regression at one horizon.
 
     The regression target is the increment map at time ``horizon * dt``,
@@ -124,9 +112,7 @@ def _horizon_bandwidth(
     if sigma == 0.0:
         return floor
     l_eff = lip * horizon * ds.dt
-    h = optimal_bandwidth(
-        m, ds.dim, smoothness, sigma, T=1.0, L=l_eff, mode="pointwise", C=constant
-    )
+    h = optimal_bandwidth(m, ds.dim, smoothness, sigma, T=1.0, L=l_eff, mode="pointwise")
     return max(h, floor)
 
 
@@ -147,21 +133,16 @@ class IncrementRegressor:
     """
 
     degree: int | None = None
-    kernel: KernelSpec | None = None
     bandwidth: float | None = None
-    bandwidth_constant: float = 1.0
 
     def resolve_degree(self, beta: int) -> int:
         return beta - 1 if self.degree is None else self.degree
-
-    def resolve_kernel(self) -> KernelSpec:
-        return epanechnikov() if self.kernel is None else self.kernel
 
     def resolve_bandwidth(self, ds: TrajectoryData, horizon: int) -> float:
         if self.bandwidth is not None:
             return float(self.bandwidth)
         degree = self.resolve_degree(ds.n)
-        return _horizon_bandwidth(ds, horizon, degree, ds.n, self.bandwidth_constant)
+        return _horizon_bandwidth(ds, horizon, degree, ds.n)
 
 
 def estimate_general(
@@ -184,7 +165,7 @@ def estimate_general(
     if regressor is None:
         regressor = IncrementRegressor()
     x = np.asarray(x, dtype=float)
-    kernel = regressor.resolve_kernel()
+    kernel = epanechnikov()
     degree = regressor.resolve_degree(ds.n)
     total = None
     for i, w in enumerate(_derivative_weights(ds.n), start=1):

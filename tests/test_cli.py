@@ -93,6 +93,11 @@ def test_bad_override_exits(stubble_config, tmp_path):
     ("replicates=2.5", "config refused: replicates must be an integer"),
     ('sigma="0.1"', "config refused: sigma must be a real number"),
     ("field=nope", "unknown field 'nope'"),
+    ('queries={"kind": "points", "points": [[0.5, 0.5, 0.5]]}',
+     "query points must have dimension 2"),
+    ('queries={"kind": "box", "lo": [0], "hi": [1]}', "box bounds must have dimension 2"),
+    ('queries={"kind": "grid", "margin": 0.5}', "margin must be in [0, 0.5)"),
+    ('queries={"kind": "grid", "per_dim": 0}', "per_dim must be a positive integer"),
     pytest.param(("field=rotation", "d=3"), "field 'rotation' has fixed dimension 2",
                  id="field=rotation,d=3"),
     pytest.param(("field=rotation", "d=2", "ns=[16,25,30]"), "sample size 30 is not a d-th power",
@@ -108,6 +113,20 @@ def test_refused_config_exits_with_one_line(command, override, field, stubble_co
         main(args)
     message = refused.value.code
     assert isinstance(message, str) and field in message and "\n" not in message
+    assert not (tmp_path / "out").exists()
+
+
+# settings that no workload used, removed from the config
+@pytest.mark.parametrize("override", [
+    "dt_power=0.5", "dt_coeff=2.0", "bandwidth_constant=2.0", "kernel=uniform",
+    "fallback=false", 'stencil={"s": 10.0}', "regime=fixed-horizon",
+])
+def test_removed_config_keys_are_refused(override, stubble_config, tmp_path):
+    with pytest.raises(SystemExit) as refused:
+        main(["benchmark", "--config", str(stubble_config), "--out", str(tmp_path / "out"),
+              "--set", override])
+    key = override.partition("=")[0]
+    assert refused.value.code == f"config refused: unknown config keys: [{key!r}]"
     assert not (tmp_path / "out").exists()
 
 
@@ -203,7 +222,7 @@ def test_estimate_stubble(stubble_config, tmp_path):
     ds = load(data, "stubble-lip")
     meta = ds.meta
     # the bandwidth estimate_general picks for beta = 1 when none is given
-    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
+    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     for row in rows:
         assert row["provenance"] == "regression"
@@ -227,7 +246,7 @@ def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
     main(["estimate", "--config", str(stubble_config), "--data", str(data), "--out", str(out)])
     ds = load(data, "stubble-gen")
     assert ds.n == 3
-    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1, 1.0))
+    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -297,17 +316,25 @@ def test_rates_regime_needs_dimensions(stubble_config, tmp_path):
         main(["rates", "--results", str(out / "results.csv"), "--regime", "fixed-dt"])
 
 
-@pytest.mark.parametrize("ns, regime, message", [
+RESULTS_HEADER = "model,n,replicate,error,failures\n"
+
+
+def power_law_results(ns) -> str:
+    return RESULTS_HEADER + "".join(f"stubble-lip,{n},0,{n ** -0.25!r},0\n" for n in ns)
+
+
+@pytest.mark.parametrize("text, regime, message", [
     (None, [], "No such file or directory"),
-    ([64, 144], [], "need at least 3 (n, error) pairs"),
-    ([64, 144, 256], ["--d", "1", "--beta", "1", "--regime", "fixed-horizon"],
+    (power_law_results([64, 144]), [], "need at least 3 (n, error) pairs"),
+    (power_law_results([64, 144, 256]), ["--d", "1", "--beta", "1", "--regime", "fixed-horizon"],
      "stubble has no regime 'fixed-horizon'"),
-], ids=["missing-file", "two-sample-sizes", "no-reference"])
-def test_rates_refused_exits_with_one_line(ns, regime, message, tmp_path):
+    ("model,n,error\nstubble-lip,64,0.5\n", [], "lacks the columns ['replicate', 'failures']"),
+    (RESULTS_HEADER + "stubble-lip,64,0\n", [], "does not have 5 fields"),
+], ids=["missing-file", "two-sample-sizes", "no-reference", "missing-column", "short-row"])
+def test_rates_refused_exits_with_one_line(text, regime, message, tmp_path):
     results = tmp_path / "results.csv"
-    if ns is not None:
-        results.write_text("model,n,replicate,error,failures\n"
-                           + "".join(f"stubble-lip,{n},0,{n ** -0.25!r},0\n" for n in ns))
+    if text is not None:
+        results.write_text(text)
     with pytest.raises(SystemExit) as refused:
         main(["rates", "--results", str(results)] + regime)
     code = refused.value.code

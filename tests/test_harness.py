@@ -270,13 +270,17 @@ def snake_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def from_json(make):
+    # `make` with its overrides read as JSON, so a query spec is checked as the config is read
+    return lambda **overrides: ExperimentConfig.from_dict({**make().to_dict(), **overrides})
+
+
 @pytest.mark.parametrize(
     "make, overrides",
     [
         (constant_config, dict(sigma=-0.1)),
         (constant_config, dict(noise="laplace")),
         (constant_config, dict(dt_value=-0.05)),
-        (constant_config, dict(dt_rule="balanced", dt_coeff=0.0)),
         (constant_config, dict(beta=0)),
         (snake_config, dict(horizon=-1.0)),
         (snake_config, dict(x1=(1.0, 0.0, 0.0))),
@@ -284,9 +288,17 @@ def snake_config(**overrides):
         # tube queries follow one observed trajectory, which stubble data lacks
         (constant_config, dict(queries=QuerySpec(kind="tube"))),
         (constant_config, dict(queries=QuerySpec(kind="tube"), x1=(0.5, 0.5))),
+        (from_json(constant_config),
+         dict(queries={"kind": "points", "points": [[0.5, 0.5, 0.5]]})),
+        (from_json(constant_config), dict(queries={"kind": "box", "lo": [0.0], "hi": [1.0]})),
+        (from_json(constant_config), dict(queries={"kind": "grid", "margin": 0.5})),
+        (from_json(constant_config), dict(queries={"kind": "grid", "per_dim": 0})),
+        (from_json(constant_config), dict(queries={"kind": "grid", "per_dim": 2.5})),
+        (from_json(snake_config), dict(queries={"kind": "tube", "count": 2.5})),
     ],
-    ids=["sigma", "noise", "dt_value", "dt_coeff", "beta", "horizon", "x1",
-         "seed", "stubble-tube", "stubble-tube-x1"],
+    ids=["sigma", "noise", "dt_value", "beta", "horizon", "x1", "seed", "stubble-tube",
+         "stubble-tube-x1", "points-dimension", "box-dimension", "grid-margin",
+         "grid-per-dim", "grid-per-dim-float", "tube-count-float"],
 )
 def test_config_rejects_bad_values(make, overrides):
     make()  # the base config is valid
@@ -299,9 +311,8 @@ def test_config_rejects_bad_values(make, overrides):
     [
         ("replicates", "3"), ("replicates", 2.5), ("replicates", True), ("replicates", None),
         ("seed", 1.5), ("seed", "1"), ("d", 2.0), ("beta", "2"),
-        ("sigma", "0.1"), ("sigma", False), ("dt_value", "0.05"), ("dt_coeff", None),
-        ("dt_power", [0.5]), ("horizon", "1"), ("bandwidth", "0.2"),
-        ("bandwidth_constant", "1"), ("rate_tolerance", None),
+        ("sigma", "0.1"), ("sigma", False), ("dt_value", "0.05"), ("horizon", "1"),
+        ("bandwidth", "0.2"), ("rate_tolerance", None),
     ],
 )
 def test_config_rejects_wrong_types(name, value):
@@ -317,8 +328,6 @@ def test_config_accepts_numpy_numbers():
 def test_dt_rules():
     cfg = constant_config(dt_rule="fixed", dt_value=0.125)
     assert cfg.dt_for(100, beta=1, d=1) == 0.125
-    cfg = constant_config(dt_rule="power", dt_power=0.5, dt_coeff=2.0)
-    assert cfg.dt_for(16, beta=1, d=1) == pytest.approx(0.5)
     cfg = constant_config(dt_rule="balanced")
     assert cfg.dt_for(32, beta=1, d=1) == pytest.approx(32 ** (-1.0 / 5.0))
 
@@ -341,10 +350,8 @@ def test_query_specs_build():
 
 @pytest.mark.parametrize("model", ["stubble-lip", "snake-lip"])
 def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
-    import flowfit.harness as harness
-
-    module, name = ((harness.stubble, "estimate_general") if model == "stubble-lip"
-                    else (harness.snake, "estimate_lipschitz"))
+    module, name = ((stubble, "estimate_general") if model == "stubble-lip"
+                    else (snake, "estimate_lipschitz"))
     real = getattr(module, name)
     calls = []
 

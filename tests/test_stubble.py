@@ -105,7 +105,7 @@ def test_general_beta1_reduces_to_lipschitz():
     # degree-0 fit at smoothness 1
     ds = generate_stubble(make_field("rotation"), n0=8, dt=0.05, beta=1, sigma=0.05, seed=3)
     data = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
-    fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1, 1.0))
+    fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1))
     for x in default_query_points(2, per_dim=3):
         lip = lp_estimate(x, data, fit, epanechnikov()) / ds.dt
         assert np.array_equal(estimate_general(ds, x), lip)
