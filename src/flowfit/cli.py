@@ -25,7 +25,7 @@ import numpy as np
 
 from . import harness
 from .flow import make_field, read_dataset, write_dataset
-from .harness import ExperimentConfig, fit_rate, fmt_float, reference_rate
+from .harness import ExperimentConfig, ExperimentError, fit_rate, fmt_float, reference_rate
 from .models import FAILURES, MODELS, Predictor
 
 __all__ = ["main", "build_parser"]
@@ -74,15 +74,19 @@ def _estimate_queries(cfg: ExperimentConfig, d: int, predictor: Predictor) -> np
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    beta = cfg.effective_beta(make_field(cfg.field, cfg.d))
+    fld = make_field(cfg.field, cfg.d)
+    beta = cfg.effective_beta(fld)
     family = MODELS[cfg.model].family
-    try:
+    try:  # another family's, another field's or malformed data, too few horizons
         ds = read_dataset(args.data, family.name, family.initials, family.record)
+        if ds.dim != fld.dim:
+            raise ValueError(f"the dataset has dimension {ds.dim}, but the field "
+                             f"{cfg.field!r} has dimension {fld.dim}")
         predictor = MODELS[cfg.model].fit(cfg, ds, beta)
-    except (OSError, ValueError) as exc:  # another family's or malformed data, too few horizons
+        queries = _estimate_queries(cfg, ds.dim, predictor)
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"dataset refused: {exc}") from None
     d = ds.dim
-    queries = _estimate_queries(cfg, d, predictor)
     pred = predictor(queries)
 
     rows = []
@@ -112,7 +116,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    result = harness.run_experiment(cfg)
+    try:
+        result = harness.run_experiment(cfg)
+    except ExperimentError as exc:  # too many failed queries: one line, not a traceback
+        raise SystemExit(f"benchmark refused: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_results_csv(result, out / "results.csv")

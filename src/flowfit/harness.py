@@ -189,6 +189,14 @@ class QuerySpec:
                 raise ValueError(f"{name} must be a positive integer, not {value!r}")
         if not 0 <= self.margin < 0.5:
             raise ValueError("margin must be in [0, 0.5)")
+        for name, values in (("points", [v for p in self.points for v in p]),
+                             ("lo", self.lo), ("hi", self.hi), ("delta", [self.delta])):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"query {name} must be finite")
+        if self.kind == "tube" and not self.delta > 0:
+            raise ValueError(f"tube delta must be positive, not {self.delta!r}")
+        if self.kind == "box" and any(a > b for a, b in zip(self.lo, self.hi)):
+            raise ValueError("box lo must not exceed hi in any coordinate")
 
     def check_dim(self, d: int) -> None:
         """Raise ValueError unless explicit points and box bounds have dimension `d`."""

@@ -28,7 +28,10 @@ grid of a long trajectory) scans only the index range that can lie
 within one bandwidth of ``x``, found by bisection; any other design is
 scanned in full.  Both paths apply the same exact ``radius < 1`` test to the points
 they scan and keep the full ``n`` in the weight scale, so they return
-the same bits.
+the same bits.  On such sorted data :func:`lp_coefficients` also fits a
+stack of query times, one stacked solve per group of times whose
+in-bandwidth ranges have equal length, with the same bits as fitting
+each time alone.
 """
 
 from __future__ import annotations
@@ -285,18 +288,24 @@ class LocalPolyFit:
                 raise ValueError("directions must be unit vectors")
 
 
-def _window(x: np.ndarray, data: RegressionData, bandwidth: float) -> slice:
-    """Index range of the points that can lie within `bandwidth` of ``x``.
+def _reach(times: np.ndarray, t: float | np.ndarray, bandwidth: float) -> np.ndarray:
+    """Bounds ``lo, hi`` of the index range of sorted `times` that can lie
+    within `bandwidth` of the time `t`, or of each of a stack of times.
 
-    Bisection on sorted 1-D points; ``reach`` adds a relative 1e-12, far
-    above the roundings in a radius, so no point that the exact
-    ``radius < 1`` test keeps is cut.  Other data is scanned in full.
+    Bisection; ``reach`` adds a relative 1e-12, far above the roundings
+    in a radius, so no point that the exact ``radius < 1`` test keeps is
+    cut.
     """
+    reach = bandwidth + 1e-12 * (abs(t) + bandwidth)
+    return np.searchsorted(times, (t - reach, t + reach))
+
+
+def _window(x: np.ndarray, data: RegressionData, bandwidth: float) -> slice:
+    """Index range of the points that can lie within `bandwidth` of ``x``:
+    `_reach` on sorted 1-D points; other data is scanned in full."""
     if data.sorted_times is None:
         return slice(0, data.n)
-    t = x.item()
-    reach = bandwidth + 1e-12 * (abs(t) + bandwidth)
-    lo, hi = np.searchsorted(data.sorted_times, (t - reach, t + reach))
+    lo, hi = _reach(data.sorted_times, x.item(), bandwidth)
     return slice(int(lo), int(hi))
 
 
@@ -366,16 +375,99 @@ def lp_estimate(
     return lp_weights(x, data, fit, kernel) @ data.targets
 
 
+# Largest number of window entries (times x points) one stacked solve gathers.
+SOLVE_BLOCK = 4096
+
+
+def _stacked_coefficients(
+    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(Q, N, dy)`` at the times ``x`` ``(Q, 1)`` of sorted
+    1-D data, and the smallest eigenvalue of each ``B(x)``, or NaN where
+    the design holds.
+
+    The in-bandwidth points of a time form one index range: `_reach`,
+    trimmed at both ends by the exact ``radius < 1`` test.  Times whose
+    ranges have equal length share one stacked solve, in blocks of at
+    most `SOLVE_BLOCK` entries.  Every row takes the operations of
+    `_solve_design` in the same order on the same points, so it gets the
+    same bits.  Rows that are singular hold NaN.
+    """
+    h = fit.bandwidth
+    num = x.shape[0]
+    basis = n_basis(1, fit.degree)
+    theta = np.full((num, basis, data.targets.shape[1]), np.nan)
+    lam_min = np.zeros(num)  # an empty range is singular at 0
+    if num == 0:
+        return theta, lam_min
+    times, t = data.sorted_times, x[:, 0]
+    lo, hi = _reach(times, t, h)
+
+    def outside(idx: np.ndarray) -> np.ndarray:
+        # |z| is the 1-D norm sqrt(z * z) exactly wherever the test can fail
+        return (lo < hi) & (np.abs((times[np.minimum(idx, data.n - 1)] - t) / h) >= 1.0)
+
+    while (cut := outside(lo)).any():
+        lo[cut] += 1
+    while (cut := outside(hi - 1)).any():
+        hi[cut] -= 1
+    lengths = hi - lo
+    scale = data.extent / (data.n * h)  # the weight scale at d = 1
+    order = np.argsort(lengths, kind="stable")
+    starts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, starts):
+        m = int(lengths[group[0]])
+        if m == 0:
+            continue
+        step = max(1, SOLVE_BLOCK // m)
+        for rows in (group[k:k + step] for k in range(0, group.size, step)):
+            idx = lo[rows, None] + np.arange(m)
+            diffs = (data.points[idx] - x[rows, None, :]) / h
+            psi = monomial_basis(diffs, fit.degree)
+            kvals = kernel(np.linalg.norm(diffs, axis=2))
+            weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
+            bmat = weighted @ psi
+            eigvals, eigvecs = np.linalg.eigh(bmat)
+            floor = 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
+            held = eigvals[:, 0] > floor
+            lam_min[rows] = np.where(held, np.nan, eigvals[:, 0])
+            eigvals, eigvecs = eigvals[held], eigvecs[held]
+            inv = eigvecs @ (eigvecs / eigvals[:, None, :]).transpose(0, 2, 1)
+            theta[rows[held]] = inv @ (weighted[held] @ data.targets[idx[held]])
+    return theta, lam_min
+
+
 def lp_coefficients(
     x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Fitted coefficient block ``theta`` of the local fit at ``x``.
 
     Shape ``(N, dy)``.  In the factorial-scaled basis, row ``k``
     approximates ``h^{|alpha_k|} D^{alpha_k} g(x)``, so one solve yields
     the value estimate (row of the zero index) and every derivative
     estimate up to the fitted degree.  ``fit.deriv_order`` is ignored.
+
+    On sorted 1-D data ``x`` may be a stack of times ``(Q, 1)``: the
+    result is then ``(theta, singular)``, the blocks ``(Q, N, dy)`` (NaN
+    in singular rows) and the rows whose design is singular, instead of
+    a raise.  A single point is the stack's ``Q = 1`` case.
+
+    Raises
+    ------
+    SingularDesign
+        For a single point, as :func:`lp_weights` does.
     """
+    x = np.asarray(x, dtype=float)
+    if data.sorted_times is not None:
+        theta, lam_min = _stacked_coefficients(x.reshape(-1, 1), data, fit, kernel)
+        singular = ~np.isnan(lam_min)
+        if x.ndim == 2:
+            return theta, singular
+        if singular[0]:
+            raise SingularDesign(float(lam_min[0]), x)
+        return theta[0]
+    if x.ndim == 2:
+        raise ValueError("a stack of query points needs sorted 1-D design points")
     window, inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
     d = data.dim
     scale = data.extent ** d / (data.n * fit.bandwidth ** d)

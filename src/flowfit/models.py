@@ -42,9 +42,11 @@ class Prediction:
 class Predictor:
     """A fitted model, called on a (Q, d) query array.
 
-    ``estimate(x)`` returns ``(value, status, stencil)`` or raises; a
-    query that raises ``SingularDesign``, or whose value is not finite,
-    gets a status from :data:`FAILURES`.
+    ``estimate(queries)`` maps the whole stack to ``(values, status,
+    stencils)``, one entry per query (see `_per_query`).  A query
+    whose status is not in :data:`FAILURES` but whose value is not finite
+    gets the status ``non-finite``; a stack whose estimate raises
+    ``SingularDesign`` fails every query as ``singular``.
     ``curve_points`` is the fitted curve's grid (where ``tube`` queries
     are drawn) for models that reconstruct one.
     """
@@ -53,22 +55,38 @@ class Predictor:
     curve_points: np.ndarray | None = None
 
     def __call__(self, queries: np.ndarray) -> Prediction:
-        values = np.full(queries.shape, np.nan)  # f maps R^d to R^d
+        num = queries.shape[0]
+        try:
+            values, status, stencils = self.estimate(queries)
+        except SingularDesign:  # a stacked fit that cannot be made
+            values, status, stencils = np.nan, ("singular",) * num, (None,) * num
+        values = np.array(np.broadcast_to(values, queries.shape))  # f maps R^d to R^d
+        finite = np.all(np.isfinite(values), axis=1)
+        status = tuple(kind if kind in FAILURES or ok else "non-finite"
+                       for kind, ok in zip(status, finite.tolist()))
+        values[[kind in FAILURES for kind in status]] = np.nan
+        return Prediction(values, status, tuple(stencils))
+
+
+def _per_query(estimate: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
+    """A stack estimate for :class:`Predictor` from ``estimate(x) ->
+    (value, status, stencil)`` of one query, called on each in turn; a
+    query that raises ``SingularDesign`` gets the status ``singular``."""
+
+    def each(queries: np.ndarray) -> tuple:
+        values = np.full(queries.shape, np.nan)
         status, stencils = [], []
         for q, x in enumerate(queries):
             stencil = None
             try:
-                value, kind, stencil = self.estimate(x)
+                values[q], kind, stencil = estimate(x)
             except SingularDesign:
                 kind = "singular"
-            else:
-                if np.all(np.isfinite(value)):
-                    values[q] = value
-                else:
-                    kind = "non-finite"
             status.append(kind)
             stencils.append(stencil)
-        return Prediction(values, tuple(status), tuple(stencils))
+        return values, status, stencils
+
+    return each
 
 
 @dataclass(frozen=True)
@@ -164,13 +182,19 @@ def _fit_stubble(cfg, ds, beta: int) -> Predictor:
     if ds.n > beta:
         ds = TrajectoryData(ds.initials, ds.dt, ds.observations[:, :beta], ds.meta)
     reg = stubble.IncrementRegressor(bandwidth=cfg.bandwidth)
-    return Predictor(lambda x: (stubble.estimate_general(ds, x, reg), "regression", None))
+    return Predictor(_per_query(
+        lambda x: (stubble.estimate_general(ds, x, reg), "regression", None)))
 
 
 def _fit_snake_lip(cfg, ds, beta: int) -> Predictor:
     curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth)
-    return Predictor(lambda x: (snake.estimate_lipschitz(x, curve), "nearest-neighbor", None),
-                     curve.grid_states)
+
+    def estimate(queries):
+        num = queries.shape[0]
+        return (snake.estimate_lipschitz(queries, curve),
+                ("nearest-neighbor",) * num, (None,) * num)
+
+    return Predictor(estimate, curve.grid_states)
 
 
 def _fit_snake_gen(cfg, ds, beta: int) -> Predictor:
@@ -180,7 +204,7 @@ def _fit_snake_gen(cfg, ds, beta: int) -> Predictor:
         result = snake.estimate_general(x, curve)
         return result.value, result.provenance, result.stencil
 
-    return Predictor(estimate, curve.grid_states)
+    return Predictor(_per_query(estimate), curve.grid_states)
 
 
 MODELS = {

@@ -102,7 +102,9 @@ def generate_snake(
 class CurveEstimate:
     """Reconstructed path and velocity, with a cached evaluation grid.
 
-    ``u`` and ``du`` are defined on all of ``[0, T]``; `grid_states`
+    ``u`` and ``du`` are defined on all of ``[0, T]``; each maps one
+    time to a state ``(d,)`` and a stack of times ``(Q,)`` to ``(Q, d)``.
+    `grid_states`
     caches ``u`` on `grid_times`, which for a fitted curve are
     observation times from 0 to T.  The nearest-time search reads only
     this grid, and the stencil search draws its candidates from it.
@@ -111,8 +113,8 @@ class CurveEstimate:
     curve interpolates with degree ``degree - 1``.
     """
 
-    u: Callable[[float], np.ndarray]
-    du: Callable[[float], np.ndarray]
+    u: Callable[[float | np.ndarray], np.ndarray]
+    du: Callable[[float | np.ndarray], np.ndarray]
     horizon: float
     degree: int
     grid_times: np.ndarray
@@ -134,7 +136,8 @@ class CurveEstimate:
         degree: int,
         resolution: int = 64,
     ) -> "CurveEstimate":
-        """Wrap exact (or externally fitted) evaluators.
+        """Wrap exact (or externally fitted) evaluators of one time each,
+        mapped over a stack of times.
 
         ``resolution`` is the number of cached grid points per unit
         time.  No boundary windows are flagged.
@@ -143,11 +146,20 @@ class CurveEstimate:
             raise ValueError("horizon must be positive")
         if resolution < 1:
             raise ValueError("resolution must be a positive integer")
+
+        def each(f: Callable[[float], np.ndarray]) -> Callable:
+            def stacked(t):
+                t = np.asarray(t, dtype=float)
+                if t.ndim == 0:
+                    return np.asarray(f(t.item()), dtype=float)
+                return np.array([f(s) for s in t.tolist()], dtype=float)
+            return stacked
+
         num = max(2, math.ceil(resolution * horizon) + 1)
         grid = np.linspace(0.0, horizon, num)
-        states = np.stack([np.asarray(u(t), dtype=float) for t in grid])
+        u, du = each(u), each(du)
         return cls(u=u, du=du, horizon=horizon, degree=degree,
-                   grid_times=grid, grid_states=states)
+                   grid_times=grid, grid_states=u(grid))
 
 
 # Grid points cached per bandwidth-length of time; keeps the argmin
@@ -158,6 +170,33 @@ GRID_PER_BANDWIDTH = 16
 # short of regression points.
 WIDEN_FACTOR = 1.5
 MAX_WIDENINGS = 8
+
+
+def _widened_fits(
+    times: np.ndarray, data: RegressionData, degree: int, bandwidth: float, kernel: KernelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(..., N, d)`` of the curve fit at each of `times`
+    (one time or a stack), and the bandwidth ``(...)`` each one held at.
+
+    One stacked fit per bandwidth: the times whose design is singular are
+    fitted again at `WIDEN_FACTOR` times the bandwidth, at most
+    `MAX_WIDENINGS` bandwidths in all, after which SingularDesign is raised.
+    """
+    shape = np.shape(times)
+    stack = np.asarray(times, dtype=float).reshape(-1, 1)
+    theta = np.empty((stack.shape[0], degree + 1, data.targets.shape[1]))
+    held = np.empty(stack.shape[0])
+    rows = np.arange(stack.shape[0])
+    h = bandwidth
+    for _ in range(MAX_WIDENINGS):
+        coef, singular = lp_coefficients(stack[rows], data, LocalPolyFit(degree, h), kernel)
+        theta[rows[~singular]] = coef[~singular]
+        held[rows[~singular]] = h
+        rows = rows[singular]
+        if rows.size == 0:
+            return theta.reshape(shape + theta.shape[1:]), held.reshape(shape)
+        h *= WIDEN_FACTOR
+    raise SingularDesign(0.0, stack[rows[0]])
 
 
 def _curve_bandwidth(ds: TrajectoryData, beta: int) -> float:
@@ -192,11 +231,13 @@ def fit_curve(
     dataset with one trajectory (K = 1; any other K is refused).
 
     Componentwise local polynomial regression in time of degree
-    ``max(1, beta)``; each call of ``u(t)`` or ``du(t)`` is one fit at
-    ``t``.  Windows that touch the ends of ``[0, T]`` are one-sided; if
-    such a window has too few points to determine the fit it is widened
-    by factors of 1.5, and times within one bandwidth of either end are
-    flagged by ``boundary``.
+    ``max(1, beta)``.  A call of ``u`` or ``du`` on one time or a stack
+    of times fits all of them together (`_widened_fits`), with the same
+    bits as fitting each time alone.  Windows that touch the ends of
+    ``[0, T]`` are one-sided; a time whose window has too few points to
+    determine the fit is fitted again with the window widened by factors
+    of 1.5, and times within one bandwidth of either end are flagged by
+    ``boundary``.
 
     The observation times are 1-D and nondecreasing, so each fit scans
     only the observations within reach of its bandwidth (see
@@ -206,6 +247,8 @@ def fit_curve(
     time, and ``T``.  Where the window lies inside ``[0, T]`` the grid fit
     is one fixed filter of the observations, its equivalent kernel (Fan &
     Gijbels 1996, sec. 3.2), equal to the per-point fit up to rounding.
+    The middle time, whose fit sets the filter's bandwidth, and the grid
+    times within one bandwidth of an end are fitted in one stacked call.
     """
     if ds.initials.shape[0] != 1:
         raise ValueError(f"fit_curve fits one trajectory, but the dataset has K = "
@@ -223,46 +266,81 @@ def fit_curve(
     degree = max(1, beta)
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
 
-    def widened(solve: Callable, t: float) -> tuple[np.ndarray, list[float]]:
-        """``solve`` at ``t``, and the bandwidths tried; the last one held."""
-        tried = [bandwidth]
-        for _ in range(MAX_WIDENINGS):
-            try:
-                fit = LocalPolyFit(degree=degree, bandwidth=tried[-1])
-                return solve(np.array([t]), data, fit, kernel), tried
-            except SingularDesign:
-                tried.append(tried[-1] * WIDEN_FACTOR)
-        raise SingularDesign(0.0, np.array([t]))
+    def u(t: float | np.ndarray) -> np.ndarray:
+        return _widened_fits(t, data, degree, bandwidth, kernel)[0][..., 0, :]
 
-    def u(t: float) -> np.ndarray:
-        return widened(lp_coefficients, t)[0][0]
-
-    def du(t: float) -> np.ndarray:
-        theta, tried = widened(lp_coefficients, t)
-        return theta[1] / tried[-1]
+    def du(t: float | np.ndarray) -> np.ndarray:
+        theta, held = _widened_fits(t, data, degree, bandwidth, kernel)
+        return theta[..., 1, :] / held[..., None]
 
     stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
     idx = np.append(np.arange(0, ds.n, stride), ds.n)
     grid = ds.times[idx]
-    # the filter is the fit's weights at the middle observation; where an offset
-    # k dt meets a bandwidth tried, rounding decides if a fit keeps that point
+    # the filter is the fit's weights at the middle observation, at the bandwidth
+    # that held there; the grid times within one bandwidth of an end are fitted
+    # in the same stacked call
     mid = ds.n // 2
-    weights, tried = widened(lp_weights, ds.times[mid])
+    ends = (grid < bandwidth) | (grid > ds.horizon - bandwidth)
+    theta, held = _widened_fits(np.append(ds.times[mid], grid[ends]), data, degree, bandwidth,
+                                kernel)
+    weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(degree, held[0]), kernel)
+    # where an offset k dt meets a bandwidth tried, rounding decides if a fit keeps that point
+    tried = [bandwidth]
+    while tried[-1] < held[0]:
+        tried.append(tried[-1] * WIDEN_FACTOR)
     tie = any(abs(round(b / ds.dt) * ds.dt - b) <= 1e-12 * (ds.horizon + b) for b in tried)
-    inner = (grid >= tried[-1]) & (grid <= ds.horizon - tried[-1]) & (not tie)
+    inner = (grid >= held[0]) & (grid <= ds.horizon - held[0]) & (not tie)
     states = np.empty((idx.size, ds.dim))
     if inner.any():
         lo, hi = idx[inner][[0, -1]] - mid
         taps = np.flatnonzero(weights)
         states[inner] = sum(weights[k] * data.targets[lo + k:hi + k + 1:stride] for k in taps)
-    states[~inner] = [u(t) for t in grid[~inner]]
+    states[ends] = theta[1:, 0]
+    rest = ~inner & ~ends  # more times near the ends when the middle widened, all on a tie
+    if rest.any():
+        states[rest] = u(grid[rest])
     return CurveEstimate(
         u=u, du=du, horizon=ds.horizon, degree=degree,
         grid_times=grid, grid_states=states, bandwidth=bandwidth,
     )
 
 
-def nn_time(curve: CurveEstimate, x: np.ndarray) -> float:
+# Largest block of squared distances (queries x grid times x dimension) one
+# nearest-time search holds at a time.
+DISTANCE_BLOCK = 32768
+
+
+def _nearest_grid_times(curve: CurveEstimate, x: np.ndarray) -> np.ndarray:
+    """`nn_time` of each point of the stack ``x`` ``(Q, d)``.
+
+    Squared distances are summed one coordinate at a time over whole
+    ``(Q, grid)`` blocks, in the order in which ``np.sum`` adds fewer than
+    8 terms; from 8 coordinates on, ``np.sum`` adds pairwise, and a
+    distance may differ from it in the last bit.
+    """
+    times = curve.grid_times
+    states = curve.grid_states
+    d2 = (states[:, 0] - x[:, :1]) ** 2
+    for k in range(1, x.shape[1]):
+        d2 = d2 + (states[:, k] - x[:, k:k + 1]) ** 2
+    rows = np.arange(x.shape[0])
+    k = np.argmin(d2, axis=1)
+    out = times[k]
+    if times.size < 3:
+        return out
+    j = np.clip(k, 1, times.size - 2)  # centre of three grid times, inside the grid
+    t0, t1, t2 = times[j - 1], times[j], times[j + 1]
+    f0, f1, f2 = d2[rows, j - 1], d2[rows, j], d2[rows, j + 1]
+    p = (t1 - t0) ** 2 * (f1 - f2) - (t1 - t2) ** 2 * (f1 - f0)
+    q = (t1 - t0) * (f1 - f2) - (t1 - t2) * (f1 - f0)
+    # q < 0 exactly when the parabola is convex
+    vertex = (q < 0.0) & (d2[rows, k] != 0.0)
+    lo, hi = times[np.maximum(k - 1, 0)], times[np.minimum(k + 1, times.size - 1)]
+    out[vertex] = np.clip(t1[vertex] - 0.5 * p[vertex] / q[vertex], lo[vertex], hi[vertex])
+    return out
+
+
+def nn_time(curve: CurveEstimate, x: np.ndarray) -> float | np.ndarray:
     """Time of the curve point nearest to ``x``, without refitting the curve.
 
     The argmin over the cached grid (ties broken by smallest time) is
@@ -270,26 +348,21 @@ def nn_time(curve: CurveEstimate, x: np.ndarray) -> float:
     at three consecutive grid times around it (Brent 1973, ch. 5),
     clipped to the neighbouring grid times.  A query lying exactly on a
     cached curve point, or whose parabola is not convex, gets the grid
-    time unchanged.
+    time unchanged.  A stack of points ``(Q, d)`` gets its ``Q`` times,
+    searched in blocks of at most `DISTANCE_BLOCK` squared distances.
     """
-    times = curve.grid_times
-    d2 = np.sum((curve.grid_states - np.asarray(x, dtype=float)) ** 2, axis=1)
-    k = int(np.argmin(d2))
-    if d2[k] == 0.0 or times.size < 3:
-        return float(times[k])
-    j = min(max(k, 1), times.size - 2)  # centre of three grid times, inside the grid
-    t0, t1, t2 = times[j - 1:j + 2]
-    f0, f1, f2 = d2[j - 1:j + 2]
-    p = (t1 - t0) ** 2 * (f1 - f2) - (t1 - t2) ** 2 * (f1 - f0)
-    q = (t1 - t0) * (f1 - f2) - (t1 - t2) * (f1 - f0)
-    if not q < 0.0:  # q < 0 exactly when the parabola is convex
-        return float(times[k])
-    lo, hi = times[max(k - 1, 0)], times[min(k + 1, times.size - 1)]
-    return float(np.clip(t1 - 0.5 * p / q, lo, hi))
+    x = np.asarray(x, dtype=float)
+    stack = x.reshape(-1, x.shape[-1])
+    step = max(1, DISTANCE_BLOCK // curve.grid_states.size)
+    out = np.concatenate([
+        _nearest_grid_times(curve, stack[k:k + step]) for k in range(0, stack.shape[0], step)
+    ])
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def estimate_lipschitz(x: np.ndarray, curve: CurveEstimate) -> np.ndarray:
-    """Velocity of the reconstructed path at the point nearest to ``x``.
+    """Velocity of the reconstructed path at the point nearest to ``x``,
+    one point ``(d,)`` or each of a stack ``(Q, d)``.
 
     Total on all of space; the error grows with the distance from ``x``
     to the path, so quality is only guaranteed near the trajectory.
@@ -582,7 +655,7 @@ def estimate_general(
         return GeneralEstimate(
             value=estimate_lipschitz(x, curve), provenance="fallback", stencil=None
         )
-    velocities = np.stack([np.asarray(curve.du(t), dtype=float) for t in stencil.times])
+    velocities = np.asarray(curve.du(stencil.times), dtype=float)
     value = interp_multivariate(stencil.points, velocities, x)
     return GeneralEstimate(value=value, provenance="interpolated", stencil=stencil)
 

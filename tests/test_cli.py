@@ -341,6 +341,45 @@ def test_rates_refused_exits_with_one_line(text, regime, message, tmp_path):
     assert code.startswith("rates refused: ") and message in code and "\n" not in code
 
 
+STUBBLE_RATE = Path(__file__).resolve().parents[1] / "scripts" / "stubble-rate.json"
+
+
+@pytest.mark.parametrize("points, sets, message", [
+    # a NaN query point is refused with the config, before any work
+    ("[[NaN], [0.5]]", [], "config refused: query points must be finite"),
+    # with a vanishing bandwidth the window of a point off the initial grid is empty
+    ("[[0.3141], [0.5]]", ["bandwidth=1e-6"],
+     "benchmark refused: 50% of queries failed at n=256 (limit 20%)"),
+], ids=["nan-point", "failure-limit"])
+def test_benchmark_with_failing_points_exits_with_one_line(points, sets, message, tmp_path):
+    args = ["benchmark", "--config", str(STUBBLE_RATE), "--out", str(tmp_path / "out"),
+            "--set", "replicates=1", "--set", f'queries={{"kind": "points", "points": {points}}}']
+    for pair in sets:
+        args += ["--set", pair]
+    with pytest.raises(SystemExit) as refused:
+        main(args)
+    assert refused.value.code == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sets", [
+    [],
+    ['queries={"kind": "points", "points": [[0.5, 0.5], [0.1, 0.2]]}'],
+], ids=["default-queries", "points"])
+def test_estimate_refuses_a_dataset_of_another_dimension(sets, tmp_path):
+    data, out = tmp_path / "data", tmp_path / "est.csv"
+    main(["simulate", "--config", str(STUBBLE_RATE), "--out", str(data)])
+    args = ["estimate", "--config", str(STUBBLE_RATE), "--data", str(data), "--out", str(out),
+            "--set", "field=rotation", "--set", "d=2", "--set", "ns=[256,1024,4096]"]
+    for pair in sets:
+        args += ["--set", pair]
+    with pytest.raises(SystemExit) as refused:
+        main(args)
+    assert refused.value.code == ("dataset refused: the dataset has dimension 1, "
+                                  "but the field 'rotation' has dimension 2")
+    assert not out.exists()
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -30,7 +30,8 @@ from flowfit.harness import (
     write_report_json,
     write_results_csv,
 )
-from flowfit.models import FAILURES, MODELS, stubble_grid_size
+from flowfit.localpoly import SingularDesign
+from flowfit.models import FAILURES, MODELS, Predictor, stubble_grid_size
 
 
 def test_fit_rate_exact_power_law():
@@ -295,10 +296,23 @@ def from_json(make):
         (from_json(constant_config), dict(queries={"kind": "grid", "per_dim": 0})),
         (from_json(constant_config), dict(queries={"kind": "grid", "per_dim": 2.5})),
         (from_json(snake_config), dict(queries={"kind": "tube", "count": 2.5})),
+        (from_json(constant_config),
+         dict(queries={"kind": "points", "points": [[math.nan, 0.5], [0.5, 0.5]]})),
+        (from_json(constant_config),
+         dict(queries={"kind": "box", "lo": [0.0, -math.inf], "hi": [1.0, 1.0]})),
+        (from_json(constant_config),
+         dict(queries={"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, math.nan]})),
+        (from_json(snake_config), dict(queries={"kind": "tube", "delta": math.inf})),
+        (from_json(snake_config), dict(queries={"kind": "tube", "delta": -0.5})),
+        (from_json(snake_config), dict(queries={"kind": "tube", "delta": 0.0})),
+        (from_json(constant_config),
+         dict(queries={"kind": "box", "lo": [0.0, 0.6], "hi": [1.0, 0.4]})),
     ],
     ids=["sigma", "noise", "dt_value", "beta", "horizon", "x1", "seed", "stubble-tube",
          "stubble-tube-x1", "points-dimension", "box-dimension", "grid-margin",
-         "grid-per-dim", "grid-per-dim-float", "tube-count-float"],
+         "grid-per-dim", "grid-per-dim-float", "tube-count-float", "points-nan", "box-lo-inf",
+         "box-hi-nan", "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",
+         "box-lo-above-hi"],
 )
 def test_config_rejects_bad_values(make, overrides):
     make()  # the base config is valid
@@ -357,8 +371,10 @@ def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
 
     def nan_on_first_query(*args, **kwargs):
         calls.append(1)
-        est = real(*args, **kwargs)
-        return np.full_like(est, np.nan) if len(calls) == 1 else est
+        est = np.array(real(*args, **kwargs))
+        if len(calls) == 1:  # stubble: the call's one query; snake-lip: the stack's first row
+            est.reshape(-1, est.shape[-1])[0] = np.nan
+        return est
 
     monkeypatch.setattr(module, name, nan_on_first_query)
     if model == "stubble-lip":
@@ -372,6 +388,15 @@ def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
     (row,) = run_experiment(cfg).rows
     assert row.failures == 1
     assert math.isfinite(row.error)
+
+
+def test_singular_stacked_estimate_fails_every_query():
+    def estimate(queries):  # as a stacked curve fit that no widening rescues
+        raise SingularDesign(0.0, queries[:1])
+
+    pred = Predictor(estimate)(np.zeros((3, 2)))
+    assert pred.status == ("singular",) * 3 and pred.stencils == (None,) * 3
+    assert pred.values.shape == (3, 2) and np.all(np.isnan(pred.values))
 
 
 def reference_rows(cfg: ExperimentConfig) -> tuple[ReplicateRow, ...]:

@@ -394,3 +394,47 @@ def test_curve_widening_at_both_ends_matches_full_scan(beta, seed):
         assert np.array_equal(curve.u(t), theta[0])
         assert np.array_equal(curve.du(t), theta[1] / h)
     assert widened == 4
+
+
+def widened_full_scan(t, data, degree, bandwidth, kernel):
+    """`full_scan_fit` coefficients at ``t``, widened as the curve fit widens,
+    and the bandwidth that held."""
+    from flowfit.snake import MAX_WIDENINGS, WIDEN_FACTOR
+
+    h = bandwidth
+    for _ in range(MAX_WIDENINGS):
+        want = or_singular(full_scan_fit, np.array([t]), data,
+                           LocalPolyFit(degree=degree, bandwidth=h), kernel)
+        if not isinstance(want, str):
+            return want[0], h
+        h *= WIDEN_FACTOR
+    raise AssertionError(f"no bandwidth held at t={t}")
+
+
+@given(
+    beta=st.integers(1, 3),
+    window=st.sampled_from(["plug-in", "floor", "short"]),
+    kernel=KERNELS,
+    ticks=st.lists(st.integers(0, 64), max_size=4),
+    where=st.lists(st.floats(0.0, 1.0), max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_curve_fits_match_full_scan(beta, window, kernel, ticks, where, seed):
+    # "floor": noiseless data gets the floor 1.25 (beta + 1) dt, which at beta = 3
+    # puts observations exactly on the window edge; "short" is one point short of
+    # a one-sided window, so the ends widen
+    from flowfit.flow import make_field
+    from flowfit.snake import fit_curve, generate_snake
+
+    n = 64
+    sigma = 0.0 if window == "floor" else 0.05
+    ds = generate_snake(make_field("rotation"), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
+                        sigma=sigma, seed=seed)
+    bandwidth = (beta - 0.5) * ds.dt if window == "short" else None
+    curve = fit_curve(ds, beta=beta, kernel=kernel, bandwidth=bandwidth)
+    times = np.concatenate([[0.0, ds.horizon, 0.3 * ds.dt, ds.horizon - 0.3 * ds.dt],
+                            ds.times[ticks], np.array(where) * ds.horizon])
+    data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
+    want = [widened_full_scan(t, data, beta, curve.bandwidth, kernel) for t in times]
+    assert np.array_equal(curve.u(times), np.array([theta[0] for theta, _ in want]))
+    assert np.array_equal(curve.du(times), np.array([theta[1] / h for theta, h in want]))

@@ -119,12 +119,18 @@ def test_boundary_flag_covers_edges():
 
 
 def count_fits(monkeypatch) -> list:
-    """Record every `lp_coefficients` call that `flowfit.snake` makes."""
+    """Record every time that `flowfit.snake` fits by `lp_coefficients`,
+    one entry per time of each stacked call."""
     import flowfit.snake as snake
 
     fits = []
     real = snake.lp_coefficients
-    monkeypatch.setattr(snake, "lp_coefficients", lambda *a: fits.append(1) or real(*a))
+
+    def counted(x, *args):
+        fits.extend(np.asarray(x).reshape(-1).tolist())
+        return real(x, *args)
+
+    monkeypatch.setattr(snake, "lp_coefficients", counted)
     return fits
 
 
@@ -158,7 +164,7 @@ def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, kernel, monkeyp
     reach = curve.bandwidth / ds.dt  # the floor 1.25 (beta + 1) dt
     if beta == 3:  # offset 5 dt sits on the window edge: every time is fitted alone
         assert math.isclose(reach, 5.0)
-        assert len(fits) == curve.grid_times.size
+        assert len(fits) == curve.grid_times.size + 1  # and the middle time, for the filter
     else:
         assert reach % 1.0 > 0.1 and len(fits) < curve.grid_times.size
     assert_grid_is_per_point_fit(curve)
@@ -187,7 +193,9 @@ def test_grid_holds_observation_times_and_fits_only_boundary_times(monkeypatch):
     assert np.all(np.isin(grid, ds.times))
     assert grid[0] == 0.0 and grid[-1] == ds.horizon
     assert np.all(np.diff(grid) > 0)
-    assert 0 < len(fits) == sum(curve.boundary(t) for t in grid) < grid.size
+    # the boundary times, and the middle time whose fit sets the filter's bandwidth
+    assert fits[0] == ds.times[n // 2]
+    assert 0 < len(fits) - 1 == sum(curve.boundary(t) for t in grid) < grid.size
 
 
 def test_nn_time_exact_at_grid_points():
@@ -211,6 +219,48 @@ def test_nn_time_clips_to_the_ends_of_an_open_arc():
     arc = CurveEstimate.from_functions(u, du, horizon=math.pi, degree=2)
     assert abs(nn_time(arc, np.array([1.5, -0.5]))) <= 1e-9
     assert abs(nn_time(arc, np.array([-1.5, -0.5])) - math.pi) <= 1e-9
+
+
+def reference_nn_time(curve: CurveEstimate, x: np.ndarray) -> float:
+    """`nn_time` of one point, searched on its own with ``np.sum`` distances."""
+    times = curve.grid_times
+    d2 = np.sum((curve.grid_states - x) ** 2, axis=1)
+    k = int(np.argmin(d2))
+    if d2[k] == 0.0 or times.size < 3:
+        return float(times[k])
+    j = min(max(k, 1), times.size - 2)
+    t0, t1, t2 = times[j - 1:j + 2]
+    f0, f1, f2 = d2[j - 1:j + 2]
+    p = (t1 - t0) ** 2 * (f1 - f2) - (t1 - t2) ** 2 * (f1 - f0)
+    q = (t1 - t0) * (f1 - f2) - (t1 - t2) * (f1 - f0)
+    if not q < 0.0:
+        return float(times[k])
+    lo, hi = times[max(k - 1, 0)], times[min(k + 1, times.size - 1)]
+    return float(np.clip(t1 - 0.5 * p / q, lo, hi))
+
+
+@given(
+    d=st.integers(1, 4),
+    n=st.sampled_from([8, 64, 700]),
+    on_grid=st.lists(st.integers(0, 700), max_size=3),
+    spread=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_nearest_times_match_one_point_searches(d, n, on_grid, spread, seed):
+    # a random walk as the curve grid
+    rng = np.random.default_rng(seed)
+    states = np.cumsum(rng.standard_normal((n, d)), axis=0)
+    curve = CurveEstimate(u=None, du=lambda t: np.stack([np.asarray(t)] * d, axis=-1),
+                          horizon=1.0, degree=1, grid_times=np.linspace(0.0, 1.0, n),
+                          grid_states=states)
+    x = np.concatenate([states[[k % n for k in on_grid]],
+                        states[rng.integers(0, n, 12)] + spread * rng.standard_normal((12, d))])
+    want = np.array([reference_nn_time(curve, p) for p in x])
+    with pytest.MonkeyPatch.context() as patch:  # blocks of five queries
+        patch.setattr("flowfit.snake.DISTANCE_BLOCK", 5 * n * d)
+        assert np.array_equal(nn_time(curve, x), want)
+    assert [nn_time(curve, p) for p in x] == want.tolist()
+    assert np.array_equal(estimate_lipschitz(x, curve), curve.du(want))
 
 
 def test_nn_estimate_exact_on_affine_curve():
