@@ -182,8 +182,9 @@ def _fit_stubble(cfg, ds, beta: int) -> Predictor:
     if ds.n > beta:
         ds = TrajectoryData(ds.initials, ds.dt, ds.observations[:, :beta], ds.meta)
     reg = stubble.IncrementRegressor(bandwidth=cfg.bandwidth)
+    regressions = stubble.horizon_regressions(ds, reg)  # shared by every query
     return Predictor(_per_query(
-        lambda x: (stubble.estimate_general(ds, x, reg), "regression", None)))
+        lambda x: (stubble.estimate_general(regressions, x), "regression", None)))
 
 
 def _fit_snake_lip(cfg, ds, beta: int) -> Predictor:

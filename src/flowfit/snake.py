@@ -15,6 +15,7 @@ lies in their convex hull and the interpolation is provably stable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -380,7 +381,10 @@ class StencilConfig:
     examines at most `pool_size` candidate curve times: the half
     nearest to the query in state space plus an even stride across the
     whole time range, so both tight and wide stencils are reachable.
-    Seeds are improved by `sweeps` rounds of single-point swaps.
+    Up to three seeds are scored, then improved by at most `sweeps`
+    rounds of single-point swaps, each round trying every position of
+    the stencil once; with ``sweeps = 0`` the best admissible seed is
+    taken (see `select_stencil`).
     """
 
     s: float = 50.0
@@ -440,46 +444,57 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     ], dtype=bool)
 
 
-def _subset_keys(
-    points: np.ndarray, x: np.ndarray, ell: int
-) -> list[tuple[int, float, float, float]]:
+@functools.lru_cache(maxsize=None)
+def _pairs(num: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs ``i < j`` of an N-point subset, made once per N and
+    shared read-only by every call."""
+    pairs = np.triu_indices(num, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _subset_keys(points: np.ndarray, x: np.ndarray, ell: int) -> np.ndarray:
     """Search ranking of each subset of ``(P, N, d)``: hull violation
     first, then the objective.
 
-    One ``(violation, objective, stability, diameter)`` per subset, where
-    ``violation`` is 0 when x is in the hull and the node matrix is
-    nonsingular.  The objective is ``stability * diam ** (ell + 1)``.
-    ``stability`` equals :func:`~flowfit.interp.stability_norm` bit for
-    bit, from one batched SVD; hull membership is decided on the
-    normalised stencil by `_hull_contains`.
+    Rows ``(violation, objective, stability, diameter)`` of a ``(4, P)``
+    array, where ``violation`` is 0 when x is in the hull and the node
+    matrix is nonsingular, else 1.  The objective is
+    ``stability * diam ** (ell + 1)``, infinite with the stability when
+    the node matrix is singular.  ``stability`` equals
+    :func:`~flowfit.interp.stability_norm` bit for bit, from one batched
+    SVD; hull membership is decided on the normalised stencil by
+    `_hull_contains`.  Each subset's key has the bits of that subset
+    scored alone.
     """
     num_subsets, num, _ = points.shape
-    first, second = np.triu_indices(num, 1)
+    first, second = _pairs(num)
     diff = points[:, first] - points[:, second]
     # two diameters on purpose: the key rounds like np.linalg.norm of one pair,
     # the scale like interp._diameter
     sq = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
-    diam = np.sqrt(sq).max(axis=1, initial=0.0)
-    stab = np.full(num_subsets, math.inf)
-    inside = np.zeros(num_subsets, dtype=bool)
+    keys = np.full((4, num_subsets), math.inf)
+    keys[0] = 1.0
+    keys[3] = diam = np.sqrt(sq).max(axis=1, initial=0.0)
     live = np.flatnonzero(diam > 0.0)
     if live.size:
         pts = points[live]
-        centroid = pts.mean(axis=1)
+        centroid = np.add.reduce(pts, axis=1) / num  # np.mean's sum and division
         scale = np.linalg.norm(diff[live], axis=2).max(axis=1)
         normalized = (pts - centroid[:, None, :]) / scale[:, None, None]
         sing = np.linalg.svd(monomial_basis(normalized, ell, mode="plain"), compute_uv=False)
         regular = sing[:, -1] > SINGULAR_RTOL * sing[:, 0]
-        stab[live[regular]] = 1.0 / sing[regular, -1]
-        if regular.any():
-            query = (x - centroid[regular]) / scale[regular, None]
-            inside[live[regular]] = _hull_contains(normalized[regular], query)
-    keys = []
-    for dm, st, ok in zip(diam.tolist(), stab.tolist(), inside.tolist()):
-        if not math.isfinite(st):
-            keys.append((1, math.inf, math.inf, dm))
-        else:
-            keys.append((0 if ok else 1, st * dm ** (ell + 1), st, dm))
+        stab = np.full(live.size, math.inf)
+        stab[regular] = 1.0 / sing[regular, -1]
+        good = np.flatnonzero(np.isfinite(stab))
+        rows, stab = live[good], stab[good]
+        keys[2, rows] = stab
+        # Python's float power, the C library's pow, as for one subset alone:
+        # numpy's vectorised power may round the last bit otherwise
+        keys[1, rows] = stab * (diam[rows].astype(object) ** (ell + 1)).astype(float)
+        query = (x - centroid[good]) / scale[good, None]
+        keys[0, rows] = ~_hull_contains(normalized[good], query)
     return keys
 
 
@@ -494,12 +509,22 @@ def select_stencil(
     Admissible stencils contain ``x`` in their convex hull and have
     stability certificate at most ``2 cfg.s``; among the candidates
     examined, the one minimizing ``stability * diam^(ell+1)`` is
-    returned, so the result is within a factor 2 of the best examined
-    candidate by construction.  Candidates are drawn from a bounded
-    pool of cached curve points (see `StencilConfig`), seeded by
-    nearest points, farthest-point traversal, and even spacing, then
-    improved by single-point swaps; all swaps at one position are
-    scored together by `_subset_keys`.
+    returned (ties to the smallest pool indices), so the result is
+    within a factor 2 of the best examined candidate by construction.
+    Candidates are drawn from a bounded pool of cached curve points (see
+    `StencilConfig`).  Up to three seeds (the N nearest points, a
+    farthest-point traversal from the nearest, and N evenly spaced pool
+    points) are scored first, in one `_subset_keys` call; each distinct
+    seed starts a chain of single-point swaps.  The chains advance in
+    lockstep, one stencil position per step for ``cfg.sweeps`` rounds:
+    one `_subset_keys` call scores every running chain's subset with
+    each non-member in turn at that position, and each chain moves to
+    its first strictly smallest key (its current subset first, then the
+    swaps in pool order; a stable ``np.lexsort``).  A chain stops once
+    it has gone N steps without a move, and skips the position that
+    holds the point its last move brought in: either step would score
+    only subsets it has scored already, and would not move.  With
+    ``cfg.sweeps = 0`` the best admissible seed is returned.
 
     On a circular trajectory no quadratic stencil (``ell = 2``) is ever
     admitted: its six points lie on one conic, the circle, so every
@@ -534,62 +559,66 @@ def select_stencil(
     if pool < num:
         raise NoStencilFound(f"only {pool} candidate curve points near x={x}")
 
-    dists_x = np.linalg.norm(pool_states - x, axis=1)
-    order = np.argsort(dists_x, kind="stable")
+    order = np.argsort(np.linalg.norm(pool_states - x, axis=1), kind="stable")
+    far = [order[0]]  # farthest-point traversal from the nearest point
+    mind = np.full(pool, np.inf)
+    while len(far) < num:
+        mind = np.minimum(mind, np.linalg.norm(pool_states - pool_states[far[-1]], axis=1))
+        mind[far[-1]] = -np.inf
+        far.append(np.argmax(mind))
+    seeds = [order[:num], far]
+    even = np.round(np.linspace(0, pool - 1, num)).astype(int)
+    if np.all(even[1:] > even[:-1]):
+        seeds.append(even)
+    # one chain per distinct seed
+    current = np.array(list(dict.fromkeys(map(tuple, np.sort(seeds, axis=1).tolist()))))
+    keys = _subset_keys(pool_states[current], x, ell)
+    scored, scored_keys = [current.copy()], [keys.copy()]
 
-    def farthest_point_seed() -> tuple[int, ...]:
-        chosen = [int(order[0])]
-        while len(chosen) < num:
-            mind = np.full(pool, np.inf)
-            for c in chosen:
-                mind = np.minimum(mind, np.linalg.norm(pool_states - pool_states[c], axis=1))
-            mind[chosen] = -np.inf
-            chosen.append(int(np.argmax(mind)))
-        return tuple(sorted(chosen))
+    # steps since each chain last moved, and the point its last move brought in
+    quiet = np.zeros(current.shape[0], dtype=int)
+    brought = np.full(current.shape[0], -1)
+    for step in range(cfg.sweeps * num):
+        pos = step % num
+        # a chain quiet for N steps would only score its subsets again; so would
+        # one whose point at pos came in by its last move (that move's swaps)
+        run = np.flatnonzero((quiet < num) & (current[:, pos] != brought))
+        quiet += 1
+        if run.size:
+            # each chain's subset with every non-member in turn at pos
+            outside = np.ones((run.size, pool), dtype=bool)
+            outside[np.arange(run.size)[:, None], current[run]] = False
+            cand = np.nonzero(outside)[1].reshape(run.size, pool - num)
+            swaps = np.repeat(current[run, None, :], pool - num, axis=1)
+            swaps[:, :, pos] = cand
+            swaps.sort(axis=2)
+            swap_keys = _subset_keys(pool_states[swaps.reshape(-1, num)], x, ell)
+            scored.append(swaps.reshape(-1, num))
+            scored_keys.append(swap_keys)
+            swap_keys = swap_keys.reshape(4, run.size, pool - num)
+            # a stable sort with the current subset in column 0 keeps the
+            # first strictly smallest key
+            trial = np.concatenate([keys[:, run, None], swap_keys], axis=2)
+            best = np.lexsort(trial[::-1], axis=-1)[:, 0] - 1
+            moved = np.flatnonzero(best >= 0)
+            chain, best = run[moved], best[moved]
+            current[chain] = swaps[moved, best]
+            keys[:, chain] = swap_keys[:, moved, best]
+            quiet[chain] = 0
+            brought[chain] = cand[moved, best]
+        if not np.any(quiet < num):
+            break
 
-    even = tuple(sorted({int(round(v)) for v in np.linspace(0, pool - 1, num)}))
-    seeds = {tuple(sorted(int(i) for i in order[:num])), farthest_point_seed()}
-    if len(even) == num:
-        seeds.add(even)
-
-    cache: dict[tuple[int, ...], tuple[int, float, float, float]] = {}
-
-    for seed in list(seeds):
-        current = seed
-        for _ in range(cfg.sweeps):
-            improved = False
-            for pos in range(num):
-                # the current subset, then its swaps at pos, scored in one batch
-                subsets = [current] + [
-                    tuple(sorted(current[:pos] + (cand,) + current[pos + 1:]))
-                    for cand in range(pool)
-                    if cand not in current
-                ]
-                fresh = [s for s in subsets if s not in cache]
-                if fresh:
-                    cache.update(zip(fresh, _subset_keys(pool_states[np.array(fresh)], x, ell)))
-                best_local, best_key = current, cache[current]
-                for trial in subsets[1:]:
-                    k = cache[trial]
-                    if k < best_key:
-                        best_local, best_key = trial, k
-                if best_local != current:
-                    current = best_local
-                    improved = True
-            if not improved:
-                break
-
-    admissible = [
-        (key[1], subset)
-        for subset, key in cache.items()
-        if key[0] == 0 and key[2] <= 2 * cfg.s
-    ]
-    if not admissible:
+    subsets = np.concatenate(scored)
+    violation, objective, stability, _ = np.concatenate(scored_keys, axis=1)
+    admissible = (violation == 0) & (stability <= 2 * cfg.s)
+    if not admissible.any():
         raise NoStencilFound(
-            f"no admissible stencil among {len(cache)} candidates near x={x}"
+            f"no admissible stencil among {len(subsets)} scored subsets near x={x}"
         )
-    _, best = min(admissible)
-    sel = list(best)
+    # the smallest objective, ties to the smallest indices
+    subsets = subsets[admissible]
+    sel = subsets[np.lexsort(np.vstack([subsets.T[::-1], objective[admissible]]))[0]]
     return Stencil.from_points(pool_states[sel], pool_times[sel], ell)
 
 

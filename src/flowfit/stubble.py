@@ -16,7 +16,10 @@ the equally spaced times ``i dt`` is the fixed weighted sum
 (Fornberg 1988).  With ``beta = 1`` it is the Lipschitz estimator: one
 horizon, a local constant fit, and ``h_1 / dt``, which is rate optimal
 when only a Lipschitz bound on the field is available.  Larger ``beta``
-lifts the rate to the smoothness the field actually has.
+lifts the rate to the smoothness the field actually has.  The increments,
+regression data and bandwidth of each horizon depend only on the
+dataset: :func:`horizon_regressions` sets them up once, and every query
+reuses them.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ from .localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_estimate, 
 
 __all__ = [
     "IncrementRegressor",
+    "HorizonRegressions",
     "grid_initials",
     "flow_stubble",
     "observe_stubble",
     "generate_stubble",
+    "horizon_regressions",
     "estimate_general",
     "default_query_points",
 ]
@@ -145,12 +150,37 @@ class IncrementRegressor:
         return _horizon_bandwidth(ds, horizon, degree, ds.n)
 
 
-def estimate_general(
-    ds: TrajectoryData,
-    x: np.ndarray,
-    regressor: IncrementRegressor | None = None,
-) -> np.ndarray:
-    """Estimate ``f(x)`` using all ``beta = ds.n`` horizons of the grid trajectories.
+@dataclass(frozen=True)
+class HorizonRegressions:
+    """The per-horizon regressions of one dataset, set up once for all
+    its queries by :func:`horizon_regressions`.
+
+    One ``(w_i, data, fit)`` per horizon ``i = 1..beta``: the derivative
+    weight, the increments at ``i dt`` as regression data on the initial
+    grid, and the local polynomial fit (degree and bandwidth).
+    """
+
+    dt: float
+    horizons: tuple[tuple[float, RegressionData, LocalPolyFit], ...]
+
+
+def horizon_regressions(
+    ds: TrajectoryData, regressor: IncrementRegressor | None = None
+) -> HorizonRegressions:
+    """Set up the regressions of all ``beta = ds.n`` horizons of a dataset,
+    with the degree and bandwidths `regressor` resolves for it."""
+    if regressor is None:
+        regressor = IncrementRegressor()
+    degree = regressor.resolve_degree(ds.n)
+    return HorizonRegressions(ds.dt, tuple(
+        (w, RegressionData(points=ds.initials, targets=ds.increments(i), extent=1.0),
+         LocalPolyFit(degree=degree, bandwidth=regressor.resolve_bandwidth(ds, i)))
+        for i, w in enumerate(_derivative_weights(ds.n), start=1)
+    ))
+
+
+def estimate_general(regressions: HorizonRegressions, x: np.ndarray) -> np.ndarray:
+    """Estimate ``f(x)`` from all horizons of a dataset's `regressions`.
 
     Per horizon ``i`` a local polynomial fit of the increments is
     evaluated at ``x``; the estimate is the derivative at time 0 of the
@@ -162,18 +192,13 @@ def estimate_general(
     divided by ``dt``.  Raises :class:`~flowfit.localpoly.SingularDesign`
     when a horizon's fit is singular at ``x``.
     """
-    if regressor is None:
-        regressor = IncrementRegressor()
     x = np.asarray(x, dtype=float)
     kernel = epanechnikov()
-    degree = regressor.resolve_degree(ds.n)
     total = None
-    for i, w in enumerate(_derivative_weights(ds.n), start=1):
-        data = RegressionData(points=ds.initials, targets=ds.increments(i), extent=1.0)
-        fit = LocalPolyFit(degree=degree, bandwidth=regressor.resolve_bandwidth(ds, i))
+    for w, data, fit in regressions.horizons:
         term = w * lp_estimate(x, data, fit, kernel)
         total = term if total is None else total + term
-    return total / ds.dt
+    return total / regressions.dt
 
 
 def default_query_points(d: int, per_dim: int = 5, margin: float = 0.1) -> np.ndarray:

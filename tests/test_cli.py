@@ -224,12 +224,13 @@ def test_estimate_stubble(stubble_config, tmp_path):
     # the bandwidth estimate_general picks for beta = 1 when none is given
     fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
+    regressions = stubble.horizon_regressions(ds)
     for row in rows:
         assert row["provenance"] == "regression"
         x = np.array([float(row["x_1"]), float(row["x_2"])])
         fhat = [row["fhat_1"], row["fhat_2"]]
         # the CLI writes exactly the library estimate on the stored dataset
-        assert fhat == [repr(float(v)) for v in stubble.estimate_general(ds, x)]
+        assert fhat == [repr(float(v)) for v in stubble.estimate_general(regressions, x)]
         # constant field (1, 0): the local constant fit is unbiased, and each
         # component's noise has standard deviation (sigma / dt) * ||w(x)||_2
         w = lp_weights(x, reg, fit, epanechnikov())

@@ -488,6 +488,8 @@ def reference_search(curve, x, cfg, ell):
             cache[subset] = reference_key(states[list(subset)], x, ell)
         return cache[subset]
 
+    for seed in seeds:  # scored before the first sweep, so sweeps = 0 picks among them
+        key_of(seed)
     for seed in list(seeds):
         current = seed
         for _ in range(cfg.sweeps):
@@ -577,7 +579,7 @@ def test_batched_keys_match_scalar_keys(d, ell, data):
             assume(math.isinf(reference_key(pts, x, ell)[2]))
         else:
             assume(abs(slack.min()) > 1e-9)
-    got = _subset_keys(points, x, ell)
+    got = list(zip(*_subset_keys(points, x, ell).tolist()))
     want = [reference_key(pts, x, ell) for pts in points]
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -594,7 +596,7 @@ def test_keys_agree_just_off_each_facet(d, ell):
         for eq, facet in zip(hull.equations, hull.simplices):
             for gap in (-2e-9, 2e-9):  # outside, inside
                 x = pts[facet].mean(axis=0) - gap * eq[:-1]
-                got = _subset_keys(pts[None], x, ell)[0]
+                got = tuple(_subset_keys(pts[None], x, ell)[:, 0].tolist())
                 assert got == reference_key(pts, x, ell)
                 violations.add(got[0])
     assert violations == {0, 1}
@@ -607,10 +609,24 @@ def wobbly_loop(resolution=32):
     return CurveEstimate.from_functions(u, du, horizon=2 * math.pi, degree=3, resolution=resolution)
 
 
-@pytest.mark.parametrize("ell", [1, 2])
-def test_search_picks_the_scalar_reference_stencils(ell):
-    curve = wobbly_loop()
-    cfg = StencilConfig(pool_size=32)
+def twisted_loop(resolution=8):
+    """A closed curve in space."""
+    u = lambda t: np.array([math.cos(t), math.sin(t) + 0.3 * math.cos(3 * t), 0.5 * math.sin(2 * t)])
+    du = lambda t: np.array([-math.sin(t), math.cos(t) - 0.9 * math.sin(3 * t), math.cos(2 * t)])
+    return CurveEstimate.from_functions(u, du, horizon=2 * math.pi, degree=2, resolution=resolution)
+
+
+@pytest.mark.parametrize("case,ell,sweeps", [
+    ("plane", 1, 0), ("plane", 1, 1), ("plane", 1, 2), ("plane", 2, 0), ("plane", 2, 2),
+    ("small-grid", 1, 2), ("small-grid", 2, 1), ("space", 1, 2), ("space", 1, 0),
+])
+def test_search_picks_the_scalar_reference_stencils(case, ell, sweeps):
+    # "small-grid": 14 grid points for a pool of 32, so the pool is the whole
+    # grid with no strided half; "space": a 3-D curve with 4-point stencils
+    curve = {"plane": wobbly_loop, "small-grid": lambda: wobbly_loop(resolution=2),
+             "space": twisted_loop}[case]()
+    cfg = StencilConfig(pool_size=32, sweeps=sweeps)
+    assert (curve.grid_times.size < cfg.pool_size) == (case == "small-grid")
     rng = np.random.default_rng(40 + ell)
     found = 0
     for _ in range(20):
@@ -626,7 +642,7 @@ def test_search_picks_the_scalar_reference_stencils(ell):
         else:
             found += 1
             assert np.array_equal(got, want)
-    assert found >= 10
+    assert found >= (10 if sweeps else 4)  # the seeds alone admit fewer
 
 
 def test_non_simplex_search_in_four_dimensions():

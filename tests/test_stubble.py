@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowfit.stubble as stubble
 from flowfit.flow import TrajectoryData, make_field
 from flowfit.localpoly import (
     LocalPolyFit,
@@ -17,6 +19,7 @@ from flowfit.localpoly import (
     epanechnikov,
     lp_estimate,
 )
+from flowfit.models import MODELS
 from flowfit.stubble import (
     IncrementRegressor,
     _derivative_weights,
@@ -25,6 +28,7 @@ from flowfit.stubble import (
     estimate_general,
     generate_stubble,
     grid_initials,
+    horizon_regressions,
 )
 
 
@@ -63,26 +67,24 @@ def test_constant_field_exact_everywhere():
     # the first horizon and the interpolation route both return c up to
     # integrator noise
     fld = make_field("constant")
-    lip_ds = generate_stubble(fld, n0=5, dt=0.05, beta=1, sigma=0.0)
+    lip = horizon_regressions(generate_stubble(fld, n0=5, dt=0.05, beta=1, sigma=0.0))
     for beta in (1, 2, 3):
-        ds = generate_stubble(fld, n0=5, dt=0.05, beta=beta, sigma=0.0)
+        gen = horizon_regressions(generate_stubble(fld, n0=5, dt=0.05, beta=beta, sigma=0.0))
         for x in [np.array([0.4, 0.4]), np.array([0.8, 0.2])]:
-            lip = estimate_general(lip_ds, x)
-            assert np.abs(lip - np.array([1.0, 0.0])).max() <= 1e-9
-            gen = estimate_general(ds, x)
-            assert np.abs(gen - np.array([1.0, 0.0])).max() <= 1e-8
+            assert np.abs(estimate_general(lip, x) - np.array([1.0, 0.0])).max() <= 1e-9
+            assert np.abs(estimate_general(gen, x) - np.array([1.0, 0.0])).max() <= 1e-8
 
 
 def test_constant_field_exact_d3():
     ds = generate_stubble(make_field("zero", ), n0=3, dt=0.05, beta=2, sigma=0.0)
-    got = estimate_general(ds, np.array([0.5, 0.5]))
+    got = estimate_general(horizon_regressions(ds), np.array([0.5, 0.5]))
     assert np.abs(got).max() <= 1e-12
 
 
 def test_rotation_fine_step_bias():
     ds = generate_stubble(make_field("rotation"), n0=24, dt=1e-3, beta=1, sigma=0.0)
     x0 = np.array([0.5, 0.5])
-    err = np.linalg.norm(estimate_general(ds, x0) - np.array([-0.5, 0.5]))
+    err = np.linalg.norm(estimate_general(horizon_regressions(ds), x0) - np.array([-0.5, 0.5]))
     assert err <= 5e-3
 
 
@@ -94,7 +96,7 @@ def test_rmse_decreases_when_grid_doubles():
         errs = []
         for seed in range(50):
             ds = generate_stubble(fld, n0=n0, dt=0.02, beta=1, sigma=0.1, seed=seed)
-            errs.append(np.linalg.norm(estimate_general(ds, x0) - fld(x0)) ** 2)
+            errs.append(np.linalg.norm(estimate_general(horizon_regressions(ds), x0) - fld(x0)) ** 2)
         rmses.append(math.sqrt(np.mean(errs)))
     assert rmses[1] < rmses[0]
 
@@ -106,9 +108,10 @@ def test_general_beta1_reduces_to_lipschitz():
     ds = generate_stubble(make_field("rotation"), n0=8, dt=0.05, beta=1, sigma=0.05, seed=3)
     data = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1))
+    regressions = horizon_regressions(ds)
     for x in default_query_points(2, per_dim=3):
         lip = lp_estimate(x, data, fit, epanechnikov()) / ds.dt
-        assert np.array_equal(estimate_general(ds, x), lip)
+        assert np.array_equal(estimate_general(regressions, x), lip)
 
 
 @pytest.mark.parametrize("beta", range(1, 7))
@@ -134,24 +137,48 @@ def test_estimator_is_linear_in_increments():
     )
     reg = IncrementRegressor(degree=1, bandwidth=0.5)
     x = np.array([0.5, 0.5])
-    combo = a * estimate_general(base, x, reg) + b * estimate_general(
-        TrajectoryData(
+    combo = a * estimate_general(horizon_regressions(base, reg), x) + b * estimate_general(
+        horizon_regressions(TrajectoryData(
             initials=base.initials,
             dt=base.dt,
             observations=base.initials[:, None, :] + (other.observations - base.initials[:, None, :]),
             meta=base.meta,
-        ),
+        ), reg),
         x,
-        reg,
     )
-    got = estimate_general(mixed, x, reg)
+    got = estimate_general(horizon_regressions(mixed, reg), x)
     assert np.allclose(got, combo, rtol=1e-9, atol=1e-12)
 
 
 def test_singular_design_far_outside():
     ds = generate_stubble(make_field("rotation"), n0=6, dt=0.05, beta=1, sigma=0.0)
     with pytest.raises(SingularDesign):
-        estimate_general(ds, np.array([3.0, 3.0]), IncrementRegressor(bandwidth=0.1))
+        estimate_general(horizon_regressions(ds, IncrementRegressor(bandwidth=0.1)),
+                         np.array([3.0, 3.0]))
+
+
+def test_fit_sets_up_each_horizon_once(monkeypatch):
+    # the increments, regression data and plug-in bandwidth of a horizon
+    # depend only on the dataset: beta bandwidths per fit, not per query
+    beta = 3
+    ds = generate_stubble(make_field("rotation"), n0=8, dt=0.05, beta=beta, sigma=0.05, seed=3)
+    queries = default_query_points(2, per_dim=3)
+    real = stubble._horizon_bandwidth
+    horizons = []
+    monkeypatch.setattr(stubble, "_horizon_bandwidth",
+                        lambda ds, i, *rest: horizons.append(i) or real(ds, i, *rest))
+    got = MODELS["stubble-gen"].fit(SimpleNamespace(bandwidth=None), ds, beta)(queries)
+    assert horizons == [1, 2, 3]
+    # bit for bit the estimate that sets every horizon up for its own query
+    kernel = epanechnikov()
+    for x, value in zip(queries, got.values):
+        want = sum(
+            w * lp_estimate(x, RegressionData(points=ds.initials, targets=ds.increments(i),
+                                              extent=1.0),
+                            LocalPolyFit(beta - 1, real(ds, i, beta - 1, beta)), kernel)
+            for i, w in enumerate(_derivative_weights(beta), start=1)
+        ) / ds.dt
+        assert np.array_equal(value, want)
 
 
 def test_default_queries_stay_interior():
