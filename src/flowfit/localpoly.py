@@ -29,9 +29,9 @@ within one bandwidth of ``x``, found by bisection; any other design is
 scanned in full.  Both paths apply the same exact ``radius < 1`` test to the points
 they scan and keep the full ``n`` in the weight scale, so they return
 the same bits.  On such sorted data :func:`lp_coefficients` also fits a
-stack of query times, one stacked solve per group of times whose
-in-bandwidth ranges have equal length, with the same bits as fitting
-each time alone.
+stack of query times in padded blocks that mix windows of every length:
+the elementwise terms and the solve run once per block, the window sums
+once per distinct length, with the same bits as fitting each time alone.
 """
 
 from __future__ import annotations
@@ -387,11 +387,15 @@ def _stacked_coefficients(
     the design holds.
 
     The in-bandwidth points of a time form one index range: `_reach`,
-    trimmed at both ends by the exact ``radius < 1`` test.  Times whose
-    ranges have equal length share one stacked solve, in blocks of at
-    most `SOLVE_BLOCK` entries.  Every row takes the operations of
-    `_solve_design` in the same order on the same points, so it gets the
-    same bits.  Rows that are singular hold NaN.
+    trimmed at both ends by the exact ``radius < 1`` test.  The times are
+    fitted in padded blocks of at most `SOLVE_BLOCK` entries, longest
+    ranges first: each row of a block is as wide as the block's longest
+    range and repeats its last index past its own, so the elementwise
+    terms are made once per block.  The two window sums run once per
+    distinct length on the unpadded rows, then each block makes one
+    batched eigendecomposition and solve.  Every row takes the operations
+    of `_solve_design` in the same order on the same points, so it gets
+    the same bits.  Rows that are singular hold NaN.
     """
     h = fit.bandwidth
     num = x.shape[0]
@@ -413,27 +417,30 @@ def _stacked_coefficients(
         hi[cut] -= 1
     lengths = hi - lo
     scale = data.extent / (data.n * h)  # the weight scale at d = 1
-    order = np.argsort(lengths, kind="stable")
-    starts = np.flatnonzero(np.diff(lengths[order])) + 1
-    for group in np.split(order, starts):
-        m = int(lengths[group[0]])
-        if m == 0:
-            continue
-        step = max(1, SOLVE_BLOCK // m)
-        for rows in (group[k:k + step] for k in range(0, group.size, step)):
-            idx = lo[rows, None] + np.arange(m)
-            diffs = (data.points[idx] - x[rows, None, :]) / h
-            psi = monomial_basis(diffs, fit.degree)
-            kvals = kernel(np.linalg.norm(diffs, axis=2))
-            weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
-            bmat = weighted @ psi
-            eigvals, eigvecs = np.linalg.eigh(bmat)
-            floor = 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
-            held = eigvals[:, 0] > floor
-            lam_min[rows] = np.where(held, np.nan, eigvals[:, 0])
-            eigvals, eigvecs = eigvals[held], eigvecs[held]
-            inv = eigvecs @ (eigvecs / eigvals[:, None, :]).transpose(0, 2, 1)
-            theta[rows[held]] = inv @ (weighted[held] @ data.targets[idx[held]])
+    order = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths)]
+    while order.size:
+        width = int(lengths[order[0]])
+        rows, order = np.split(order, [max(1, SOLVE_BLOCK // width)])
+        own = lengths[rows]
+        idx = lo[rows, None] + np.minimum(np.arange(width), own[:, None] - 1)
+        diffs = (data.points[idx] - x[rows, None, :]) / h
+        psi = monomial_basis(diffs, fit.degree)
+        kvals = kernel(np.linalg.norm(diffs, axis=2))
+        weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
+        bmat = np.empty((rows.size, basis, basis))
+        avec = np.empty((rows.size,) + theta.shape[1:])
+        cuts = np.flatnonzero(np.diff(own)) + 1
+        for a, b in zip(np.append(0, cuts), np.append(cuts, rows.size)):  # rows of one length
+            m = own[a]
+            bmat[a:b] = weighted[a:b, :, :m] @ psi[a:b, :m]
+            avec[a:b] = weighted[a:b, :, :m] @ data.targets[idx[a:b, :m]]
+        eigvals, eigvecs = np.linalg.eigh(bmat)
+        floor = 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
+        held = eigvals[:, 0] > floor
+        lam_min[rows] = np.where(held, np.nan, eigvals[:, 0])
+        eigvals, eigvecs = eigvals[held], eigvecs[held]
+        inv = eigvecs @ (eigvecs / eigvals[:, None, :]).transpose(0, 2, 1)
+        theta[rows[held]] = inv @ avec[held]
     return theta, lam_min
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .flow import NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
@@ -248,8 +249,12 @@ def fit_curve(
     time, and ``T``.  Where the window lies inside ``[0, T]`` the grid fit
     is one fixed filter of the observations, its equivalent kernel (Fan &
     Gijbels 1996, sec. 3.2), equal to the per-point fit up to rounding.
-    The middle time, whose fit sets the filter's bandwidth, and the grid
-    times within one bandwidth of an end are fitted in one stacked call.
+    The filter is one product per coordinate, the sliding windows of the
+    coordinate's observations at the grid stride times the filter's
+    taps; it adds each time's terms in tap order.  A lone interior time
+    is fitted instead.  The middle time, whose fit sets the filter's
+    bandwidth, and the grid times within one bandwidth of an end are
+    fitted in one stacked call.
     """
     if ds.initials.shape[0] != 1:
         raise ValueError(f"fit_curve fits one trajectory, but the dataset has K = "
@@ -291,11 +296,15 @@ def fit_curve(
         tried.append(tried[-1] * WIDEN_FACTOR)
     tie = any(abs(round(b / ds.dt) * ds.dt - b) <= 1e-12 * (ds.horizon + b) for b in tried)
     inner = (grid >= held[0]) & (grid <= ds.horizon - held[0]) & (not tie)
+    inner &= inner.sum() > 1  # one row would make the product a BLAS dot, added in another order
     states = np.empty((idx.size, ds.dim))
     if inner.any():
         lo, hi = idx[inner][[0, -1]] - mid
-        taps = np.flatnonzero(weights)
-        states[inner] = sum(weights[k] * data.targets[lo + k:hi + k + 1:stride] for k in taps)
+        a, b = np.flatnonzero(weights)[[0, -1]] + (0, 1)
+        # the rows overlap (stride < b - a), so numpy adds each row's terms in tap order
+        for j, col in enumerate(np.ascontiguousarray(data.targets.T)):
+            rows = sliding_window_view(col, b - a)[lo + a:hi + a + 1:stride]
+            states[inner, j] = rows @ weights[a:b]
     states[ends] = theta[1:, 0]
     rest = ~inner & ~ends  # more times near the ends when the middle widened, all on a tie
     if rest.any():

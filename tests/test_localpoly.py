@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfit.localpoly import (
+    SOLVE_BLOCK,
     KernelSpec,
     LocalPolyFit,
     RegressionData,
@@ -438,3 +439,44 @@ def test_stacked_curve_fits_match_full_scan(beta, window, kernel, ticks, where, 
     want = [widened_full_scan(t, data, beta, curve.bandwidth, kernel) for t in times]
     assert np.array_equal(curve.u(times), np.array([theta[0] for theta, _ in want]))
     assert np.array_equal(curve.du(times), np.array([theta[1] / h for theta, h in want]))
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), uniform_kernel()], ids=["epan", "uniform"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree, kernel):
+    # n = 2^14 times with a gap of three bandwidths: windows of 301 to 601
+    # points, mixed lengths in one padded block, more entries than one block
+    # holds, and singular rows (a window of a few points at the gap's edge,
+    # an empty one inside it) beside regular ones
+    n = 2**14
+    dt = 2 * math.pi / n
+    h = 300.5 * dt
+    times = np.arange(n + 1) * dt
+    edge = times[n // 4]
+    times = times[(times <= edge) | (times >= edge + 3 * h)]
+    rng = np.random.default_rng(degree)
+    data = RegressionData(points=times[:, None], targets=rng.standard_normal((times.size, 2)),
+                          extent=2 * math.pi)
+    query = np.concatenate([
+        np.linspace(0.0, 2 * h, 9),  # one-sided windows growing from the left end
+        times[-1] - np.linspace(0.0, 2 * h, 9),
+        rng.uniform(2 * h, edge - 2 * h, 6),  # whole windows
+        edge + h - (np.arange(degree + 2) + 0.5) * dt,  # 1 .. degree + 2 points
+        [edge + 1.5 * h],  # no point
+    ])
+    query = rng.permutation(query)
+    lengths = np.array([np.sum(np.abs((times - t) / h) < 1.0) for t in query])
+    blocks, rest = [], np.sort(lengths[lengths > 0])[::-1]  # the padded blocks, widest first
+    while rest.size:
+        blocks.append(rest[:SOLVE_BLOCK // rest[0]])
+        rest = rest[blocks[-1].size:]
+    assert blocks[0][0] > 256 and len(blocks) > 2
+    # a block mixes long windows with one of at most `degree` points, which is singular
+    assert any(b[-1] <= degree and b[0] > 256 for b in blocks)
+    fit = LocalPolyFit(degree=degree, bandwidth=h)
+    theta, singular = lp_coefficients(query[:, None], data, fit, kernel)
+    want = [or_singular(full_scan_fit, np.array([t]), data, fit, kernel) for t in query]
+    assert singular.tolist() == [isinstance(w, str) for w in want]
+    assert 0 < np.sum(singular & (lengths > 0)) and np.sum(~singular) > 20
+    assert np.all(np.isnan(theta[singular]))
+    assert np.array_equal(theta[~singular], np.array([w[0] for w in want if not isinstance(w, str)]))

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
+from flowfit import localpoly
 from flowfit.flow import TrajectoryData, make_field
 from flowfit.interp import (
     Stencil,
@@ -24,10 +25,12 @@ from flowfit.localpoly import (
     SingularDesign,
     epanechnikov,
     lp_coefficients,
+    lp_weights,
     n_basis,
     uniform_kernel,
 )
 from flowfit.snake import (
+    GRID_PER_BANDWIDTH,
     CurveEstimate,
     NoStencilFound,
     StencilConfig,
@@ -196,6 +199,49 @@ def test_grid_holds_observation_times_and_fits_only_boundary_times(monkeypatch):
     # the boundary times, and the middle time whose fit sets the filter's bandwidth
     assert fits[0] == ds.times[n // 2]
     assert 0 < len(fits) - 1 == sum(curve.boundary(t) for t in grid) < grid.size
+
+
+def reference_filter(ds: TrajectoryData, curve: CurveEstimate, kernel) -> tuple:
+    """The interior grid times of a curve fitted at its own bandwidth, and
+    their states as the tap-by-tap sum of the fit's weights at the middle
+    observation, one numpy operation per tap."""
+    data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
+    h = curve.bandwidth
+    mid = ds.n // 2
+    weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(curve.degree, h), kernel)
+    idx = np.searchsorted(ds.times, curve.grid_times)
+    stride = idx[1] - idx[0]
+    inner = (curve.grid_times >= h) & (curve.grid_times <= ds.horizon - h)
+    lo, hi = idx[inner][[0, -1]] - mid
+    taps = np.flatnonzero(weights)
+    return inner, sum(weights[k] * data.targets[lo + k:hi + k + 1:stride] for k in taps)
+
+
+@pytest.mark.parametrize("n", [1024, 2**14])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_interior_filter_equals_the_tap_by_tap_sum(beta, kernel, n):
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=5)
+    curve = fit_curve(ds, beta=beta, kernel=KERNELS[kernel])
+    inner, want = reference_filter(ds, curve, KERNELS[kernel])
+    assert inner.sum() > 2 * GRID_PER_BANDWIDTH
+    assert np.array_equal(curve.grid_states[inner], want)
+
+
+@pytest.mark.parametrize("n, most", [(2**10, 2), (2**14, 6)])
+def test_curve_fit_makes_few_eigendecompositions(n, most, monkeypatch):
+    # one for the filter's weights, and one per padded block of the stacked fit
+    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=1)
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(localpoly.np.linalg, "eigh", counted)
+    fit_curve(ds, beta=1)
+    assert 0 < len(calls) <= most
 
 
 def test_nn_time_exact_at_grid_points():
