@@ -60,7 +60,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else cfg.ns[0]
     dt = cfg.dt_for(n, beta, fld.dim)
     family = MODELS[cfg.model].family
-    ds = family.observe(cfg, fld, n, dt, family.flow(cfg, fld, beta, n, dt), cfg.seed)
+    (paths,) = family.flow(cfg, fld, beta, [(n, dt)])
+    ds = family.observe(cfg, fld, n, dt, paths, cfg.seed)
     write_dataset(args.out, ds, {"kind": family.name, **family.record(ds)})
     print(f"wrote {len(ds.initials)} trajectories to {Path(args.out)}")
     return 0

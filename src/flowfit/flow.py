@@ -14,7 +14,8 @@ output (Dormand & Prince 1980; Shampine 1986; Hairer, Norsett & Wanner
 1993, II.4-II.6), written here so that importing the package loads no
 scipy.  It repeats scipy's ``solve_ivp(method="RK45", t_eval=...)``
 operation for operation, so its values, steps and field evaluations are
-those of scipy bit for bit.
+those of scipy bit for bit.  Its steps depend only on the end time, so one
+solve fills several output grids that share it, each as its own solve would.
 """
 
 from __future__ import annotations
@@ -271,49 +272,59 @@ def integrate_flow(field: VectorField, x0: Sequence[float] | np.ndarray, t: floa
 def integrate_flow_grid(
     field: VectorField,
     x0s: np.ndarray,
-    times: np.ndarray,
+    times: np.ndarray | list[np.ndarray],
     cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> np.ndarray:
-    """Flow of many initial states over a shared nonneg time grid.
+) -> np.ndarray | list[np.ndarray]:
+    """Flow of many initial states over a shared nonneg time grid, or over several.
 
     All initial states are advanced as one stacked system so a large
     batch costs a single adaptive solve.  Returns an array of shape
     ``(len(times), m, d)``.  ``times`` must be nondecreasing with
     ``times[0] >= 0``; states at time 0 are the initials exactly.
+    ``times`` may also be a list of such grids that share their last
+    time, which one solve fills: the result is the list of their arrays,
+    each equal bit for bit to a call with its grid alone.  Grids whose
+    last times differ raise ValueError.
+
     Raises :class:`IntegrationError`, with the time the solve reached,
-    when the step size collapses before ``times[-1]``.
+    when the step size collapses before the last time.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     m, d = x0s.shape
     if d != field.dim:
         raise ValueError("initial states have wrong dimension")
-    times = np.asarray(times, dtype=float)
-    if times.size and (times[0] < 0 or np.any(np.diff(times) < 0)):
-        raise ValueError("times must be nondecreasing and nonnegative")
-    out = np.empty((times.size, m, d))
-    if out.size == 0:
-        return out
-    t_end = times[-1]
-    if t_end == 0.0:
-        out[:] = x0s
-        return out
+    several = isinstance(times, list) and any(np.ndim(grid) > 0 for grid in times)
+    grids = [np.asarray(grid, dtype=float) for grid in (times if several else [times])]
+    for grid in grids:
+        if grid.size and (grid[0] < 0 or np.any(np.diff(grid) < 0)):
+            raise ValueError("times must be nondecreasing and nonnegative")
+    ends = {grid[-1] for grid in grids if grid.size}
+    if len(ends) > 1:
+        raise ValueError(f"the time grids must share their last time, not end at {sorted(ends)}")
+    t_end = max(ends, default=0.0)
+    outs = [np.empty((grid.size, m, d)) for grid in grids]
+    starts = [np.searchsorted(grid, 0.0, side="right") for grid in grids]  # the zeros lead
+    for out, k in zip(outs, starts):
+        out[:k] = x0s
+    if x0s.size == 0 or t_end == 0.0:
+        return outs if several else outs[0]
     if not np.isfinite(x0s).all():
         raise ValueError("initial states must be finite")
 
     def rhs(y: np.ndarray) -> np.ndarray:
         return field(y.reshape(m, d)).reshape(-1)
 
-    positive = times > 0
-    values, reached = _dopri45(rhs, x0s.reshape(-1), times[positive], cfg)
-    if values.shape[0] < positive.sum():
+    filled, reached = _dopri45(
+        rhs, x0s.reshape(-1), [grid[k:] for grid, k in zip(grids, starts)],
+        [out[k:].reshape(-1, m * d) for out, k in zip(outs, starts)], cfg,
+    )
+    if not filled:
         raise IntegrationError(
             f"integration of {field.name!r} stalled at t={reached:.6g} "
             f"(target {t_end:.6g}): the step size collapsed",
             reached_time=reached,
         )
-    out[~positive] = x0s
-    out[positive] = values.reshape(-1, m, d)
-    return out
+    return outs if several else outs[0]
 
 
 # Dormand-Prince 5(4) tableau and the quartic dense output of Shampine (1986),
@@ -345,17 +356,21 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _dopri45(
-    fun: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_out: np.ndarray, cfg: FlowConfig
-) -> tuple[np.ndarray, float]:
-    """Integrate ``y' = fun(y)`` from ``y(0) = y`` and read it at ``t_out``.
+    fun: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_outs: list[np.ndarray],
+    values: list[np.ndarray], cfg: FlowConfig,
+) -> tuple[bool, float]:
+    """Integrate ``y' = fun(y)`` from ``y(0) = y``, writing its value at each
+    time of each grid in `t_outs` to that time's row of the grid's array in `values`.
 
-    ``t_out`` is nondecreasing and positive; its last entry is the end
-    time.  Returns the ``(k, len(y))`` values at the first k output times
-    and the time reached: k is ``len(t_out)`` unless the step size fell
-    below ten float spacings of the current time, or became NaN, where the
-    solve stops.
+    The grids are nondecreasing and positive, and the nonempty ones end at
+    one time, the end time.  Each grid gets its own dense-output product
+    per step, so its values do not depend on the other grids.  Returns
+    whether every row was written, and the time reached: the solve stops
+    where the step size falls below ten float spacings of the current
+    time, or becomes NaN.
     """
-    rtol, atol, t_end = cfg.rel_tol, cfg.abs_tol, t_out[-1]
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    t_end = max(t_out[-1] for t_out in t_outs if t_out.size)
     f = fun(y)
     # first step size (Hairer, Norsett & Wanner 1993, II.4)
     scale = atol + np.abs(y) * rtol
@@ -369,16 +384,16 @@ def _dopri45(
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, t_end)
 
-    values = np.empty((t_out.size, y.size))
+    sizes = [t_out.size for t_out in t_outs]
     stages = np.empty((7, y.size))
-    t, done = 0.0, 0
-    while done < t_out.size:
+    t, done = 0.0, [0] * len(t_outs)
+    while done != sizes:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if not h_abs >= min_step:  # NaN too: a NaN field never shrinks the step
-                return values[:done], float(t)
+                return False, float(t)
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
@@ -396,15 +411,16 @@ def _dopri45(
                 break
             h_abs *= max(0.2, 0.9 * error ** _ERROR_EXPONENT)
             rejected = True
-        upto = np.searchsorted(t_out, t_new, side="right")
-        if upto > done:
-            # quartic dense output on [t, t_new]
-            x = (t_out[done:upto] - t) / h
-            powers = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            values[done:upto] = (h * np.dot(stages.T.dot(_DP_P), powers) + y[:, None]).T
-            done = upto
+        for g, (t_out, vals) in enumerate(zip(t_outs, values)):
+            upto = np.searchsorted(t_out, t_new, side="right")
+            if upto > done[g]:
+                # quartic dense output on [t, t_new]
+                x = (t_out[done[g]:upto] - t) / h
+                powers = x[None].repeat(4, axis=0).cumprod(axis=0)  # x, x^2, x^3, x^4
+                vals[done[g]:upto] = (h * np.dot(stages.T.dot(_DP_P), powers) + y[:, None]).T
+                done[g] = upto
         t, y, f = t_new, y_new, f_new
-    return values, float(t)
+    return True, float(t)
 
 
 def increment(field: VectorField, dt: float, x: Sequence[float] | np.ndarray) -> np.ndarray:

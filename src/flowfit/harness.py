@@ -2,9 +2,10 @@
 
 An :class:`ExperimentConfig` names one estimation model, a field, a
 grid of sample sizes, and a replication plan.  :func:`run_experiment`
-integrates the noise-free paths once per n, adds each replicate's own
-noise, estimates the field on a query set, aggregates errors per n,
-fits a log-log slope, and compares it with :func:`reference_rate`.
+integrates the noise-free paths once per trajectory (the sample sizes of
+one snake horizon share one), adds each replicate's own noise,
+estimates the field on a query set, aggregates errors per n, fits a
+log-log slope, and compares it with :func:`reference_rate`.
 
 Outputs are deterministic byte for byte given the same config: floats
 are written via ``repr`` (shortest round-trip form), replicate ``r``
@@ -466,10 +467,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     family = MODELS[cfg.model].family
     qspec = cfg.queries or QuerySpec(kind=family.default_queries)
 
+    sizes = [(n, cfg.dt_for(n, beta, fld.dim)) for n in cfg.ns]
     rows: list[ReplicateRow] = []
     curves: dict[float, np.ndarray] = {}  # true curve per horizon, for tube queries
-    for n in cfg.ns:
-        dt = cfg.dt_for(n, beta, fld.dim)
+    solved: dict[int, np.ndarray | None] = {}  # paths of solved trajectories, by n, until used
+    for n, dt in sizes:
         rng = np.random.default_rng([cfg.seed, 24301, n])
         curve_pts = None
         if qspec.kind == "tube":
@@ -477,10 +479,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 curves[n * dt] = _true_curve(fld, cfg.x1, n * dt)
             curve_pts = curves[n * dt]
         queries = qspec.build(fld.dim, rng, curve_pts)
-        try:
-            paths = family.flow(cfg, fld, beta, n, dt)
-        except IntegrationError:  # every replicate at this n fails all its queries
-            paths = None
+        if n not in solved:  # the first size of its trajectory: one solve for all its sizes
+            key = family.trajectory(n, dt)
+            group = [(m, t) for m, t in sizes if family.trajectory(m, t) == key]
+            try:
+                solved.update(zip([m for m, _ in group], family.flow(cfg, fld, beta, group)))
+            except IntegrationError:  # every replicate at these n fails all its queries
+                solved.update(dict.fromkeys(m for m, _ in group))
+        paths = solved.pop(n)
         total_failures = 0
         for r in range(cfg.replicates):
             ds = None if paths is None else family.observe(cfg, fld, n, dt, paths, cfg.seed + r)

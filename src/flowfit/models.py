@@ -93,8 +93,10 @@ def _per_query(estimate: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray]
 class Family:
     """What the two models of one sampling scheme share.
 
-    ``flow`` integrates the noise-free paths of one sample size and
-    ``observe`` adds one replicate's noise to them; ``record`` gives the
+    ``trajectory(n, dt)`` keys the noise-free trajectory a sample size
+    observes; ``flow`` integrates in one solve the paths of a list of
+    sample sizes ``(n, dt)`` with one key, one path per size, and
+    ``observe`` adds one replicate's noise to a path; ``record`` gives the
     family's own keys of a stored dataset's meta and ``initials`` reads the
     initial states back from that meta (see :func:`~flowfit.flow.read_dataset`);
     ``error`` reduces one replicate's per-query error norms
@@ -105,7 +107,8 @@ class Family:
     """
 
     name: str
-    flow: Callable  # (cfg, fld, beta, n, dt) -> noise-free paths
+    trajectory: Callable[[int, float], object]
+    flow: Callable  # (cfg, fld, beta, [(n, dt), ...]) -> noise-free paths, one per size
     observe: Callable  # (cfg, fld, n, dt, paths, seed) -> dataset
     record: Callable[[TrajectoryData], dict]
     initials: Callable[[dict], np.ndarray]
@@ -133,9 +136,11 @@ def stubble_grid_size(n: int, d: int) -> int:
 
 STUBBLE = Family(
     name="stubble",
-    flow=lambda cfg, fld, beta, n, dt: stubble.flow_stubble(
-        fld, stubble_grid_size(n, fld.dim), dt, beta=beta
-    ),
+    trajectory=lambda n, dt: n,  # the initial grid changes with n
+    flow=lambda cfg, fld, beta, sizes: [
+        stubble.flow_stubble(fld, stubble_grid_size(n, fld.dim), dt, beta=beta)
+        for n, dt in sizes
+    ],
     observe=lambda cfg, fld, n, dt, paths, seed: stubble.observe_stubble(
         fld, stubble_grid_size(n, fld.dim), paths, dt, cfg.sigma, seed, cfg.noise
     ),
@@ -154,7 +159,8 @@ STUBBLE = Family(
 
 SNAKE = Family(
     name="snake",
-    flow=lambda cfg, fld, beta, n, dt: snake.flow_snake(fld, cfg.x1, n, dt),
+    trajectory=lambda n, dt: n * dt,  # one path from x1 up to the horizon
+    flow=lambda cfg, fld, beta, sizes: snake.flow_snake(fld, cfg.x1, sizes),
     observe=lambda cfg, fld, n, dt, paths, seed: snake.observe_snake(
         fld, paths, dt, cfg.sigma, seed, cfg.noise
     ),

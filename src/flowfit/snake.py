@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,15 +65,21 @@ class NoStencilFound(Exception):
     """
 
 
-def flow_snake(fld: VectorField, x1: np.ndarray, n: int, dt: float) -> np.ndarray:
-    """The noise-free path ``u(i dt)``, ``i = 0..n``, of one continued
-    integration from ``u(0) = x1`` (row 0, exactly): shape ``(n + 1, 1, d)``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def flow_snake(
+    fld: VectorField, x1: np.ndarray, sizes: Sequence[tuple[int, float]]
+) -> list[np.ndarray]:
+    """The noise-free paths ``u(i dt)``, ``i = 0..n``, of the sample sizes
+    ``(n, dt)`` in `sizes`, all read off one continued integration from
+    ``u(0) = x1`` (row 0, exactly): one ``(n + 1, 1, d)`` array each.  The
+    sizes must share their horizon ``n dt``; each path is, bit for bit,
+    the one its size alone would give."""
+    for n, dt in sizes:
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if dt <= 0:
+            raise ValueError("dt must be positive")
     x1 = np.asarray(x1, dtype=float)
-    return integrate_flow_grid(fld, x1[None, :], dt * np.arange(n + 1))
+    return integrate_flow_grid(fld, x1[None, :], [dt * np.arange(n + 1) for n, dt in sizes])
 
 
 def observe_snake(
@@ -97,7 +103,7 @@ def generate_snake(
 ) -> TrajectoryData:
     """Simulate the long-trajectory sampling scheme for a known field:
     :func:`observe_snake` of :func:`flow_snake`."""
-    return observe_snake(fld, flow_snake(fld, x1, n, dt), dt, sigma, seed, noise)
+    return observe_snake(fld, flow_snake(fld, x1, [(n, dt)])[0], dt, sigma, seed, noise)
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,46 @@ def test_repeated_times_give_equal_rows():
     assert np.array_equal(states[[0, 1, 3]], integrate_flow_grid(ROT, x0s, [0.0, 0.5, 1.0]))
 
 
+SHARED_END_GRIDS = {
+    # the sample grids of one snake horizon, and a grid that is not among them
+    "rotation": (ROT, [1.0, 0.0], [2 * math.pi / 2**k * np.arange(2**k + 1) for k in range(10, 15)]
+                 + [np.linspace(0.0, 2 * math.pi, 2049)]),
+    # read off the union grid, the n = 1024 path here differs from its own solve
+    "pendulum": (make_field("pendulum"), [2.0, 0.0],
+                 [30.0 / n * np.arange(n + 1) for n in (1024, 4096, 16384)]),
+    # n that are not nested, on grids that all end at 30 exactly
+    "non-nested": (make_field("pendulum"), [2.0, 0.0],
+                   [np.linspace(0.0, 30.0, n + 1) for n in (1000, 1500, 3000, 7001)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_END_GRIDS))
+def test_one_solve_fills_each_grid_as_its_own_solve(case):
+    fld, x0, grids = SHARED_END_GRIDS[case]
+    together = integrate_flow_grid(fld, [x0], grids)
+    assert len(together) == len(grids)
+    for grid, got in zip(grids, together):
+        assert np.array_equal(got, integrate_flow_grid(fld, [x0], grid))
+
+
+def test_grids_with_different_last_times_refused():
+    with pytest.raises(ValueError, match="share their last time"):
+        integrate_flow_grid(ROT, [[1.0, 0.0]], [np.linspace(0, 1, 5), np.linspace(0, 1.5, 5)])
+
+
+def test_stall_fails_the_whole_shared_solve():
+    with pytest.raises(IntegrationError, match="'square' stalled") as err:
+        integrate_flow_grid(SQUARE, [[1.0]], [np.linspace(0.0, 2.0, 3), np.linspace(0.0, 2.0, 9)])
+    assert 0.5 < err.value.reached_time <= 1.0
+
+
+def test_all_zero_grids_return_the_initials():
+    x0s = np.array([[1.0, 0.0], [0.2, 0.3]])
+    got = integrate_flow_grid(ROT, x0s, [np.zeros(1), np.zeros(3)])
+    assert [a.shape for a in got] == [(1, 2, 2), (3, 2, 2)]
+    assert all(np.array_equal(a, np.broadcast_to(x0s, a.shape)) for a in got)
+
+
 def test_rel_tol_below_hundred_eps_refused():
     eps = np.finfo(float).eps
     with pytest.raises(ValueError, match="rel_tol must be at least 100 \\* eps"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -457,13 +458,24 @@ def test_shared_flow_rows_equal_per_replicate_simulation(monkeypatch, model):
 
     monkeypatch.setattr(module, "integrate_flow_grid", counted)
     rows = run_experiment(cfg).rows
-    assert len(calls) == len(cfg.ns)  # one integration per sample size
+    # one integration per trajectory: every snake n observes one path up to 2 pi,
+    # every stubble n has an initial grid of its own
+    assert len(calls) == (1 if module is snake else len(cfg.ns))
     assert rows == reference_rows(cfg)
 
 
-@pytest.mark.parametrize("model", ["stubble-lip", "snake-lip"])
+# configs whose sample sizes each observe a trajectory of their own
+OWN_FLOW_CONFIGS = {
+    "stubble-lip": SHARED_FLOW_CONFIGS["stubble-lip"],
+    # a fixed dt gives each n its own horizon n dt
+    "snake-lip": lambda: dataclasses.replace(
+        SHARED_FLOW_CONFIGS["snake-lip"](), dt_rule="fixed", dt_value=0.02),
+}
+
+
+@pytest.mark.parametrize("model", sorted(OWN_FLOW_CONFIGS))
 def test_integration_failure_fails_every_replicate_at_that_n(monkeypatch, model):
-    cfg = SHARED_FLOW_CONFIGS[model]()
+    cfg = OWN_FLOW_CONFIGS[model]()
     want = run_experiment(cfg).rows
     module = snake if MODELS[model].family.name == "snake" else stubble
     name = "flow_snake" if module is snake else "flow_stubble"
@@ -485,6 +497,34 @@ def test_integration_failure_fails_every_replicate_at_that_n(monkeypatch, model)
     assert len(failed) == cfg.replicates
     assert all(row.failures == q and math.isnan(row.error) for row in failed)
     assert [row for row in rows if row.n != bad_n] == [row for row in want if row.n != bad_n]
+
+
+def stalled(calls):
+    def stall(*args, **kwargs):
+        calls.append(1)
+        raise IntegrationError("stalled", reached_time=0.0)
+
+    return stall
+
+
+def test_stalled_shared_solve_fails_every_n_of_its_horizon(monkeypatch):
+    cfg = SHARED_FLOW_CONFIGS["snake-lip"]()  # both n observe one path up to 2 pi
+    calls = []
+    monkeypatch.setattr(snake, "flow_snake", stalled(calls))
+    monkeypatch.setattr(harness, "FAILURE_LIMIT", 1.0)
+    rows = run_experiment(cfg).rows
+    assert len(calls) == 1
+    assert [(row.n, row.replicate) for row in rows] == [
+        (n, r) for n in cfg.ns for r in range(cfg.replicates)]
+    assert all(row.failures == len(cfg.queries.points) and math.isnan(row.error) for row in rows)
+
+
+def test_failure_at_first_n_costs_no_later_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(stubble, "flow_stubble", stalled(calls))
+    with pytest.raises(ExperimentError, match="at n=16 "):
+        run_experiment(SHARED_FLOW_CONFIGS["stubble-lip"]())
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dt_rule, horizons", [("fixed-horizon", 1), ("fixed", 3)])
