@@ -279,8 +279,8 @@ def integrate_flow_grid(
 
     All initial states are advanced as one stacked system so a large
     batch costs a single adaptive solve.  Returns an array of shape
-    ``(len(times), m, d)``.  ``times`` must be nondecreasing with
-    ``times[0] >= 0``; states at time 0 are the initials exactly.
+    ``(len(times), m, d)``.  ``times`` must be finite and nondecreasing
+    with ``times[0] >= 0``; states at time 0 are the initials exactly.
     ``times`` may also be a list of such grids that share their last
     time, which one solve fills: the result is the list of their arrays,
     each equal bit for bit to a call with its grid alone.  Grids whose
@@ -296,8 +296,9 @@ def integrate_flow_grid(
     several = isinstance(times, list) and any(np.ndim(grid) > 0 for grid in times)
     grids = [np.asarray(grid, dtype=float) for grid in (times if several else [times])]
     for grid in grids:
-        if grid.size and (grid[0] < 0 or np.any(np.diff(grid) < 0)):
-            raise ValueError("times must be nondecreasing and nonnegative")
+        if grid.size and not (np.all(np.isfinite(grid)) and grid[0] >= 0
+                              and np.all(np.diff(grid) >= 0)):
+            raise ValueError("times must be finite, nondecreasing and nonnegative")
     ends = {grid[-1] for grid in grids if grid.size}
     if len(ends) > 1:
         raise ValueError(f"the time grids must share their last time, not end at {sorted(ends)}")

@@ -329,8 +329,8 @@ class ExperimentConfig:
         NoiseSpec(distribution=self.noise, sigma=self.sigma)  # raises on a bad noise or sigma
         for name in ("dt_value", "horizon"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.beta is not None and self.beta < 1:
             raise ValueError("beta must be at least 1")
         try:

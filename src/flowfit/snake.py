@@ -258,9 +258,10 @@ def fit_curve(
     The filter is one product per coordinate, the sliding windows of the
     coordinate's observations at the grid stride times the filter's
     taps; it adds each time's terms in tap order.  A lone interior time
-    is fitted instead.  The middle time, whose fit sets the filter's
-    bandwidth, and the grid times within one bandwidth of an end are
-    fitted in one stacked call.
+    is fitted instead.  The filter's weights are the fit's at the middle
+    observation, solved once, at the bandwidth that holds there.  The
+    grid times within one bandwidth of an end are fitted in one stacked
+    call.
     """
     if ds.initials.shape[0] != 1:
         raise ValueError(f"fit_curve fits one trajectory, but the dataset has K = "
@@ -288,22 +289,30 @@ def fit_curve(
     stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
     idx = np.append(np.arange(0, ds.n, stride), ds.n)
     grid = ds.times[idx]
-    # the filter is the fit's weights at the middle observation, at the bandwidth
-    # that held there; the grid times within one bandwidth of an end are fitted
-    # in the same stacked call
-    mid = ds.n // 2
+    # the grid times within one bandwidth of an end are fitted first: the filter's
+    # weights and columns, alive during a later fit, would raise the peak memory
     ends = (grid < bandwidth) | (grid > ds.horizon - bandwidth)
-    theta, held = _widened_fits(np.append(ds.times[mid], grid[ends]), data, degree, bandwidth,
-                                kernel)
-    weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(degree, held[0]), kernel)
-    # where an offset k dt meets a bandwidth tried, rounding decides if a fit keeps that point
-    tried = [bandwidth]
-    while tried[-1] < held[0]:
-        tried.append(tried[-1] * WIDEN_FACTOR)
-    tie = any(abs(round(b / ds.dt) * ds.dt - b) <= 1e-12 * (ds.horizon + b) for b in tried)
-    inner = (grid >= held[0]) & (grid <= ds.horizon - held[0]) & (not tie)
-    inner &= inner.sum() > 1  # one row would make the product a BLAS dot, added in another order
     states = np.empty((idx.size, ds.dim))
+    states[ends] = u(grid[ends])
+    # the filter is the fit's weights at the middle observation, at the bandwidth
+    # that holds there: lp_weights raises SingularDesign on the designs that
+    # `_widened_fits` widens, bit for bit (see localpoly._stacked_coefficients)
+    mid = ds.n // 2
+    tried = [bandwidth]
+    while True:
+        try:
+            weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(degree, tried[-1]),
+                                 kernel)
+            break
+        except SingularDesign:
+            if len(tried) == MAX_WIDENINGS:
+                raise
+            tried.append(tried[-1] * WIDEN_FACTOR)
+    # where an offset k dt meets a bandwidth tried, rounding decides if a fit keeps that point
+    tie = any(abs(round(b / ds.dt) * ds.dt - b) <= 1e-12 * (ds.horizon + b) for b in tried)
+    held = tried[-1]
+    inner = (grid >= held) & (grid <= ds.horizon - held) & (not tie)
+    inner &= inner.sum() > 1  # one row would make the product a BLAS dot, added in another order
     if inner.any():
         lo, hi = idx[inner][[0, -1]] - mid
         a, b = np.flatnonzero(weights)[[0, -1]] + (0, 1)
@@ -311,7 +320,6 @@ def fit_curve(
         for j, col in enumerate(np.ascontiguousarray(data.targets.T)):
             rows = sliding_window_view(col, b - a)[lo + a:hi + a + 1:stride]
             states[inner, j] = rows @ weights[a:b]
-    states[ends] = theta[1:, 0]
     rest = ~inner & ~ends  # more times near the ends when the middle widened, all on a tie
     if rest.any():
         states[rest] = u(grid[rest])
@@ -459,6 +467,35 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     ], dtype=bool)
 
 
+# Gilbert steps spent on certifying a query outside its pool's hull; a query
+# inside would otherwise step on towards its min-norm point for hundreds.
+GILBERT_STEPS = 8
+
+
+def _separated(rel: np.ndarray, z: np.ndarray, tol: float) -> bool:
+    """Whether at most `GILBERT_STEPS` steps of Gilbert's min-norm-point
+    iteration (Gilbert 1966) over the hull of the rows of ``rel``, from
+    its row ``z``, find a plane through the origin that every row clears
+    by more than ``tol``.
+
+    Each step takes the row ``r`` least along ``z``.  Unless ``r`` clears
+    the plane normal to ``z``, ``z`` moves to the point of the segment to
+    ``r`` nearest the origin; the search gives up when that does not move
+    it (``z`` is then the hull's min-norm point).
+    """
+    for _ in range(GILBERT_STEPS):
+        dots = rel @ z
+        s = np.argmin(dots)
+        if dots[s] > tol * math.sqrt(z @ z):
+            return True
+        step = rel[s] - z
+        gap = z @ z - dots[s]  # minus the slope of |z|^2 / 2 towards rel[s]
+        if not gap > 0.0:
+            return False
+        z = rel[s] if gap >= step @ step else z + gap / (step @ step) * step
+    return False
+
+
 @functools.lru_cache(maxsize=None)
 def _pairs(num: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs ``i < j`` of an N-point subset, made once per N and
@@ -527,19 +564,30 @@ def select_stencil(
     returned (ties to the smallest pool indices), so the result is
     within a factor 2 of the best examined candidate by construction.
     Candidates are drawn from a bounded pool of cached curve points (see
-    `StencilConfig`).  Up to three seeds (the N nearest points, a
-    farthest-point traversal from the nearest, and N evenly spaced pool
-    points) are scored first, in one `_subset_keys` call; each distinct
-    seed starts a chain of single-point swaps.  The chains advance in
-    lockstep, one stencil position per step for ``cfg.sweeps`` rounds:
-    one `_subset_keys` call scores every running chain's subset with
-    each non-member in turn at that position, and each chain moves to
-    its first strictly smallest key (its current subset first, then the
-    swaps in pool order; a stable ``np.lexsort``).  A chain stops once
-    it has gone N steps without a move, and skips the position that
-    holds the point its last move brought in: either step would score
-    only subsets it has scored already, and would not move.  With
-    ``cfg.sweeps = 0`` the best admissible seed is returned.
+    `StencilConfig`).
+
+    A query outside the pool's convex hull is refused before any subset
+    is scored, when at most `GILBERT_STEPS` steps of Gilbert's
+    min-norm-point iteration (`_separated`) find a plane through ``x``
+    that every pool point clears by a margin: twice the distance by
+    which an admissible subset, normalised, can hold ``x`` outside its
+    hull and still pass `_hull_contains`.  That certificate rules out
+    every subset, so the refusal is the one the full search would make.
+
+    Other queries are searched.  Up to three seeds (the N nearest
+    points, a farthest-point traversal from the nearest, and N evenly
+    spaced pool points) are scored first, in one `_subset_keys` call;
+    each distinct seed starts a chain of single-point swaps.  The chains
+    advance in lockstep, one stencil position per step for
+    ``cfg.sweeps`` rounds: one `_subset_keys` call scores every running
+    chain's subset with each non-member in turn at that position, and
+    each chain moves to its first strictly smallest key (its current
+    subset first, then the swaps in pool order; a stable
+    ``np.lexsort``).  A chain stops once it has gone N steps without a
+    move, and skips the position that holds the point its last move
+    brought in: either step would score only subsets it has scored
+    already, and would not move.  With ``cfg.sweeps = 0`` the best
+    admissible seed is returned.
 
     On a circular trajectory no quadratic stencil (``ell = 2``) is ever
     admitted: its six points lie on one conic, the circle, so every
@@ -549,8 +597,9 @@ def select_stencil(
     Raises
     ------
     NoStencilFound
-        When no examined candidate is admissible; the query point is
-        outside the region covered by the curve.
+        When no examined candidate is admissible, or ``x`` is certified
+        outside the pool's hull; the query point is outside the region
+        covered by the curve.
     """
     x = np.asarray(x, dtype=float)
     if ell is None:
@@ -574,7 +623,17 @@ def select_stencil(
     if pool < num:
         raise NoStencilFound(f"only {pool} candidate curve points near x={x}")
 
-    order = np.argsort(np.linalg.norm(pool_states - x, axis=1), kind="stable")
+    rel = pool_states - x
+    dists = np.linalg.norm(rel, axis=1)
+    order = np.argsort(dists, kind="stable")
+    # how far outside a normalised stencil of stability at most 2 s `_hull_contains`
+    # can pass a query: d HULL_RTOL 2 s past a simplex's facets, sqrt(2) HULL_RTOL
+    # by least squares; no stencil is wider than 2 max |rel|, and the plane must
+    # clear twice that
+    reach = HULL_RTOL * max(d * 2 * cfg.s, 2.0)
+    if _separated(rel, rel[order[0]], 2 * reach * 2 * dists.max()):
+        raise NoStencilFound(f"x={x} is outside the convex hull of its {pool} candidate points")
+
     far = [order[0]]  # farthest-point traversal from the nearest point
     mind = np.full(pool, np.inf)
     while len(far) < num:

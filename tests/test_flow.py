@@ -201,6 +201,16 @@ def test_grids_with_different_last_times_refused():
         integrate_flow_grid(ROT, [[1.0, 0.0]], [np.linspace(0, 1, 5), np.linspace(0, 1.5, 5)])
 
 
+@pytest.mark.parametrize("times", [
+    [math.nan, 1.0], [0.0, math.nan, 1.0], [np.linspace(0.0, 1.0, 5), [math.nan, 1.0]],
+])
+def test_non_finite_times_refused(times):
+    # a grid ending at nan or inf would be stepped towards forever; a nan
+    # inside a grid that ends at 1 is refused as well
+    with pytest.raises(ValueError, match="times must be finite"):
+        integrate_flow_grid(ROT, [[1.0, 0.0]], times)
+
+
 def test_stall_fails_the_whole_shared_solve():
     with pytest.raises(IntegrationError, match="'square' stalled") as err:
         integrate_flow_grid(SQUARE, [[1.0]], [np.linspace(0.0, 2.0, 3), np.linspace(0.0, 2.0, 9)])

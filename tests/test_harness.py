@@ -285,6 +285,9 @@ def from_json(make):
         (constant_config, dict(dt_value=-0.05)),
         (constant_config, dict(beta=0)),
         (snake_config, dict(horizon=-1.0)),
+        (from_json(snake_config), dict(horizon=math.inf)),
+        (from_json(snake_config), dict(horizon=math.nan)),
+        (from_json(constant_config), dict(dt_value=math.inf)),
         (snake_config, dict(x1=(1.0, 0.0, 0.0))),
         (constant_config, dict(seed=-1)),
         # tube queries follow one observed trajectory, which stubble data lacks
@@ -309,7 +312,8 @@ def from_json(make):
         (from_json(constant_config),
          dict(queries={"kind": "box", "lo": [0.0, 0.6], "hi": [1.0, 0.4]})),
     ],
-    ids=["sigma", "noise", "dt_value", "beta", "horizon", "x1", "seed", "stubble-tube",
+    ids=["sigma", "noise", "dt_value", "beta", "horizon", "horizon-inf", "horizon-nan",
+         "dt_value-inf", "x1", "seed", "stubble-tube",
          "stubble-tube-x1", "points-dimension", "box-dimension", "grid-margin",
          "grid-per-dim", "grid-per-dim-float", "tube-count-float", "points-nan", "box-lo-inf",
          "box-hi-nan", "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",

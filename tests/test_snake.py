@@ -167,7 +167,7 @@ def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, kernel, monkeyp
     reach = curve.bandwidth / ds.dt  # the floor 1.25 (beta + 1) dt
     if beta == 3:  # offset 5 dt sits on the window edge: every time is fitted alone
         assert math.isclose(reach, 5.0)
-        assert len(fits) == curve.grid_times.size + 1  # and the middle time, for the filter
+        assert sorted(fits) == curve.grid_times.tolist()
     else:
         assert reach % 1.0 > 0.1 and len(fits) < curve.grid_times.size
     assert_grid_is_per_point_fit(curve)
@@ -196,9 +196,9 @@ def test_grid_holds_observation_times_and_fits_only_boundary_times(monkeypatch):
     assert np.all(np.isin(grid, ds.times))
     assert grid[0] == 0.0 and grid[-1] == ds.horizon
     assert np.all(np.diff(grid) > 0)
-    # the boundary times, and the middle time whose fit sets the filter's bandwidth
-    assert fits[0] == ds.times[n // 2]
-    assert 0 < len(fits) - 1 == sum(curve.boundary(t) for t in grid) < grid.size
+    # the boundary times alone; the filter's weights are solved by lp_weights
+    assert 0 < len(fits) < grid.size
+    assert fits == [t for t in grid.tolist() if curve.boundary(t)]
 
 
 def reference_filter(ds: TrajectoryData, curve: CurveEstimate, kernel) -> tuple:
@@ -228,9 +228,10 @@ def test_interior_filter_equals_the_tap_by_tap_sum(beta, kernel, n):
     assert np.array_equal(curve.grid_states[inner], want)
 
 
-@pytest.mark.parametrize("n, most", [(2**10, 2), (2**14, 6)])
+@pytest.mark.parametrize("n, most", [(2**10, 2), (2**14, 5)])
 def test_curve_fit_makes_few_eigendecompositions(n, most, monkeypatch):
-    # one for the filter's weights, and one per padded block of the stacked fit
+    # one call for the filter's weights, and one per padded block of the boundary
+    # fit; each matrix is one time's design, and no time's is decomposed twice
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=1)
     calls = []
     real = np.linalg.eigh
@@ -240,8 +241,10 @@ def test_curve_fit_makes_few_eigendecompositions(n, most, monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(localpoly.np.linalg, "eigh", counted)
-    fit_curve(ds, beta=1)
+    curve = fit_curve(ds, beta=1)
     assert 0 < len(calls) <= most
+    matrices = sum(math.prod(shape[:-2]) for shape in calls)
+    assert matrices == 1 + sum(curve.boundary(t) for t in curve.grid_times.tolist())
 
 
 def test_nn_time_exact_at_grid_points():
@@ -711,3 +714,75 @@ def test_non_simplex_search_in_four_dimensions():
         assert _hull_membership_lp(stencil.points, x)
         assert estimate_general(x, curve, cfg).provenance == "interpolated"
     assert found >= 1
+
+
+# --- the early exit for a query outside its pool's hull ---------------------
+
+
+def count_key_calls(monkeypatch) -> list:
+    """Record the number of subsets of every `_subset_keys` call."""
+    import flowfit.snake as snake
+
+    calls = []
+    real = snake._subset_keys
+
+    def counted(points, x, ell):
+        calls.append(points.shape[0])
+        return real(points, x, ell)
+
+    monkeypatch.setattr(snake, "_subset_keys", counted)
+    return calls
+
+
+def sine_line():
+    """A curve in d = 1 that sweeps [-1, 1] back and forth."""
+    return CurveEstimate.from_functions(lambda t: np.array([math.sin(t)]),
+                                        lambda t: np.array([math.cos(t)]),
+                                        horizon=2 * math.pi, degree=2, resolution=8)
+
+
+@pytest.mark.parametrize("t", np.linspace(0.0, 2 * math.pi, 12, endpoint=False).tolist())
+def test_query_outside_the_loop_exits_before_scoring(t, monkeypatch):
+    curve = wobbly_loop()
+    calls = count_key_calls(monkeypatch)
+    with pytest.raises(NoStencilFound, match="outside the convex hull"):
+        select_stencil(curve, 1.1 * curve.u(t))
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", ["vertex", "edge-midpoint"])
+def test_query_on_the_pool_hull_is_searched(where, monkeypatch):
+    curve = wobbly_loop(resolution=8)  # 52 grid points: the pool is the whole grid
+    assert curve.grid_times.size <= StencilConfig().pool_size
+    hull = ConvexHull(curve.grid_states)
+    if where == "vertex":
+        x = curve.grid_states[hull.vertices[0]]
+    else:  # two hull vertices joined by a hull edge
+        x = curve.grid_states[hull.simplices[0]].mean(axis=0)
+    calls = count_key_calls(monkeypatch)
+    try:
+        select_stencil(curve, x)
+    except NoStencilFound as exc:
+        assert "outside the convex hull" not in str(exc)
+    assert len(calls) > 0
+
+
+@pytest.mark.parametrize("case,ell", [("plane", 1), ("plane", 2), ("space", 1), ("line", 1)])
+def test_exit_agrees_with_the_full_search(case, ell, monkeypatch):
+    # `reference_search` scores every chain and has no exit
+    curve = {"plane": wobbly_loop, "space": twisted_loop, "line": sine_line}[case]()
+    cfg = StencilConfig(pool_size=32, sweeps=2)
+    calls = count_key_calls(monkeypatch)
+    rng = np.random.default_rng(60 + ell)
+    exits = 0
+    for _ in range(20):
+        x = curve.u(rng.uniform(0.0, curve.horizon)) * rng.uniform(1.0, 1.15)
+        want = reference_search(curve, x, cfg, ell)
+        calls.clear()
+        try:
+            got = select_stencil(curve, x, cfg, ell=ell).times
+        except NoStencilFound:
+            got = None
+            exits += calls == []
+        assert (got is None) if want is None else np.array_equal(got, want)
+    assert exits >= 5
