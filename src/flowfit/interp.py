@@ -13,14 +13,15 @@ polynomial when the node matrix is singular; callers that need a hard
 failure should inspect :func:`psi_matrix` or :func:`stability_norm`
 first.
 
-:func:`mu_interior_contains` decides hull membership from qhull facets
-(d <= 3) or simplex facets; it is what :func:`flowfit.snake.check_stencil`
+:func:`in_hull` decides hull membership in any dimension by a witness:
+convex weights, found by one nonnegative least-squares solve and verified
+from the raw points.  It is what :func:`flowfit.snake.check_stencil`
 re-certifies with.  The stencil search does not call it: it scores whole
-stacks of candidates with its own plain-membership test (min/max in d = 1,
+stacks of candidates with its own membership test (min/max in d = 1,
 barycentric coordinates for simplices, nonnegative least squares
-otherwise) and builds no hull.  scipy (qhull, and the HiGHS LP for flat
-hulls) is imported inside these checks only, so the package loads it
-only when one runs.
+otherwise), so the re-check stays independent of the search.  Both read
+one tolerance, `HULL_RTOL`.  scipy's ``nnls`` is imported inside these
+checks only, so the package loads it only when one runs.
 """
 
 from __future__ import annotations
@@ -35,29 +36,24 @@ from .localpoly import monomial_basis, n_basis
 __all__ = [
     "Stencil",
     "ZeroDiameter",
-    "DimensionUnsupported",
     "psi_matrix",
     "interp_multivariate",
     "normalize",
     "stability_norm",
-    "mu_interior_contains",
+    "in_hull",
 ]
 
 # Relative singular-value threshold below which node matrices are treated
 # as singular (the zero-polynomial branch of the interpolation operator).
 SINGULAR_RTOL = 1e-12
 
+# Distance outside a convex hull, relative to the hull's diameter, within
+# which a point still counts as inside.
+HULL_RTOL = 1e-12
+
 
 class ZeroDiameter(ValueError):
     """Normalization requires at least two distinct points."""
-
-
-class DimensionUnsupported(NotImplementedError):
-    """:func:`mu_interior_contains` handles d <= 3 and simplex stencils.
-
-    The stencil search in :mod:`flowfit.snake` never raises it: it
-    decides plain membership itself, in every dimension.
-    """
 
 
 def psi_matrix(points: np.ndarray, ell: int) -> np.ndarray:
@@ -182,105 +178,23 @@ class Stencil:
         )
 
 
-def _simplex_halfspaces(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Facet normals/offsets (unit normals, A x <= b inside) of a simplex.
+def in_hull(points: np.ndarray, x: np.ndarray) -> bool:
+    """Whether ``x`` lies in the convex hull of the points, by a witness.
 
-    Returns None when the simplex is degenerate.
+    One nonnegative least-squares solve of ``sum_k w_k (p_k - x) = 0``,
+    ``sum_k w_k = 1`` over ``w >= 0`` (the first rows scaled by the
+    diameter) gives convex weights ``lambda = w / sum(w)``; ``x`` is inside
+    when ``|sum_k lambda_k (p_k - x)| <= HULL_RTOL * diam``, recomputed
+    from the raw points.  Such weights prove membership in any dimension,
+    whatever found them; for ``x`` outside, the residual of any convex
+    weights is at least the distance to the hull.
     """
-    n_pts, d = pts.shape
-    normals = []
-    offsets = []
-    for omit in range(n_pts):
-        facet = np.delete(pts, omit, axis=0)
-        base = facet[0]
-        span = facet[1:] - base
-        # Normal = null direction of the facet's span; a rank-deficient
-        # span means the simplex is degenerate.
-        _, sing, vt = np.linalg.svd(span, full_matrices=True)
-        if sing.size and sing.min() <= 1e-12 * max(sing.max(), 1.0):
-            return None
-        normal = vt[-1]
-        side = float(normal @ (pts[omit] - base))
-        if abs(side) <= 1e-14 * max(1.0, float(np.abs(pts).max())):
-            return None
-        if side > 0:  # orient outward: omitted vertex on the inside
-            normal = -normal
-        normals.append(normal)
-        offsets.append(float(normal @ base))
-    return np.array(normals), np.array(offsets)
+    from scipy.optimize import nnls
 
-
-def _hull_membership_lp(pts: np.ndarray, x: np.ndarray) -> bool:
-    """Exact membership x in conv(pts) via LP feasibility (any dimension).
-
-    HiGHS accepts equality residuals up to its feasibility tolerance
-    (~1e-7), which would let points just off a flat hull in; so its
-    weights must also be nonnegative and meet every equality row,
-    the weight sum included, to 1e-12 relative.
-    """
-    from scipy.optimize import linprog
-
-    n_pts = pts.shape[0]
-    a_eq = np.vstack([pts.T, np.ones(n_pts)])
-    b_eq = np.append(np.asarray(x, dtype=float), 1.0)
-    res = linprog(
-        c=np.zeros(n_pts),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, 1.0)] * n_pts,
-        method="highs",
-    )
-    if not res.success:
-        return False
-    w = res.x
-    tol = 1e-12 * (np.abs(a_eq) @ np.abs(w) + np.abs(b_eq))
-    return bool(np.all(w >= -1e-12) and np.all(np.abs(a_eq @ w - b_eq) <= tol))
-
-
-def mu_interior_contains(points: np.ndarray, mu: float, x: np.ndarray) -> bool:
-    """Whether the ball of radius ``mu * diam(points)`` around ``x`` lies
-    in the convex hull of the points.
-
-    ``mu = 0`` is plain (closed) hull membership.  Decided by signed
-    distances to hull facets: exact for simplex stencils in any
-    dimension, and via hull facet enumeration for d <= 3; other cases
-    raise :class:`DimensionUnsupported`.
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.asarray(x, dtype=float)
-    n_pts, d = pts.shape
-    radius = mu * _diameter(pts)
-
-    if d == 1:
-        lo, hi = pts.min(), pts.max()
-        return bool(lo <= x[0] - radius and x[0] + radius <= hi)
-
-    halfspaces: tuple[np.ndarray, np.ndarray] | None = None
-    if d <= 3:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(pts)
-            # qhull equations are A x + b <= 0 with unit-norm rows.
-            halfspaces = (hull.equations[:, :-1], -hull.equations[:, -1])
-        except QhullError:
-            halfspaces = None  # degenerate cloud: flat hull, empty interior
-    elif n_pts == d + 1:
-        halfspaces = _simplex_halfspaces(pts)
-    else:
-        raise DimensionUnsupported(
-            f"hull membership for d={d} with {n_pts} > d+1 points is not supported"
-        )
-
-    if halfspaces is None:
-        # Flat hull: no ball of positive radius fits; membership itself
-        # is still decidable exactly.
-        if radius > 0:
-            return False
-        return _hull_membership_lp(pts, x)
-
-    normals, offsets = halfspaces
-    slack = offsets - normals @ x
-    return bool(np.all(slack >= radius - 1e-12 * max(1.0, float(np.abs(offsets).max()))))
+    rel = pts - np.asarray(x, dtype=float)
+    diam = _diameter(pts)
+    target = np.zeros(pts.shape[1] + 1)
+    target[-1] = 1.0
+    w = nnls(np.vstack([rel.T / (diam or 1.0), np.ones(pts.shape[0])]), target)[0]
+    return bool(np.linalg.norm(w / w.sum() @ rel) <= HULL_RTOL * diam)

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .flow import NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
-from .interp import SINGULAR_RTOL, Stencil, interp_multivariate, mu_interior_contains, stability_norm
+from .interp import HULL_RTOL, SINGULAR_RTOL, Stencil, in_hull, interp_multivariate, stability_norm
 from .localpoly import (
     KernelSpec,
     LocalPolyFit,
@@ -398,10 +398,8 @@ def estimate_lipschitz(x: np.ndarray, curve: CurveEstimate) -> np.ndarray:
 class StencilConfig:
     """Tuning constants of the stencil search.
 
-    ``s`` caps the admissible stability certificate at ``2 s``; ``big_d``
-    sets the diameter window ``[delta / big_d, big_d delta]`` of the
-    estimable-region diagnostics (`check_stencil`).  The search
-    examines at most `pool_size` candidate curve times: the half
+    ``s`` caps the admissible stability certificate at ``2 s``.  The
+    search examines at most `pool_size` candidate curve times: the half
     nearest to the query in state space plus an even stride across the
     whole time range, so both tight and wide stencils are reachable.
     Up to three seeds are scored, then improved by at most `sweeps`
@@ -411,15 +409,12 @@ class StencilConfig:
     """
 
     s: float = 50.0
-    big_d: float = 4.0
     pool_size: int = 64
     sweeps: int = 2
 
     def __post_init__(self) -> None:
         if self.s <= 0:
             raise ValueError("s must be positive")
-        if self.big_d <= 1:
-            raise ValueError("big_d must exceed 1")
         if self.pool_size < 2:
             raise ValueError("pool_size must be at least 2")
         if self.sweeps < 0:
@@ -429,19 +424,15 @@ class StencilConfig:
 DEFAULT_STENCIL_CONFIG = StencilConfig()
 
 
-# Distance outside a normalised stencil's hull (centroid 0, diameter 1)
-# within which a query still counts as inside.
-HULL_RTOL = 1e-12
-
-
 def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Whether ``x[k]`` lies in the convex hull of ``points[k]``, for a
     stack of normalised subsets ``(P, N, d)`` and queries ``(P, d)``.
 
-    Plain (``mu = 0``) membership without building a hull: min/max in
-    d = 1; for simplices (N = d + 1) the barycentric coordinates, turned
-    into distances to the facets; otherwise the distance to the hull by
-    nonnegative least squares, one subset at a time.
+    Closed-hull membership, to within `HULL_RTOL`, without building a
+    hull: min/max in d = 1; for simplices (N = d + 1) the barycentric
+    coordinates, turned into distances to the facets; otherwise the
+    distance to the hull by nonnegative least squares, one subset at a
+    time.
     """
     num_subsets, num, d = points.shape
     if d == 1:
@@ -700,25 +691,20 @@ def check_stencil(
     stencil: Stencil,
     x: np.ndarray,
     cfg: StencilConfig = DEFAULT_STENCIL_CONFIG,
-    delta: float | None = None,
 ) -> list[str]:
     """Independent re-check of a stencil's certificate; empty means pass.
 
-    Recomputes the stability norm and hull membership from the raw
-    points.  With ``delta`` given, additionally checks the diameter
-    window ``[delta / big_d, big_d delta]`` of the estimable-region
-    definition.
+    Recomputes the stability norm from the raw points, and hull
+    membership by :func:`~flowfit.interp.in_hull`: convex weights that
+    it finds and verifies itself, in any dimension, without the search's
+    own membership test.
     """
     problems = []
     stab = stability_norm(stencil.points, stencil.ell)
     if not stab <= 2 * cfg.s:
         problems.append(f"stability {stab:.3g} exceeds 2s = {2 * cfg.s:.3g}")
-    if not mu_interior_contains(stencil.points, 0.0, np.asarray(x, dtype=float)):
+    if not in_hull(stencil.points, x):
         problems.append("query point outside the convex hull")
-    if delta is not None:
-        lo, hi = delta / cfg.big_d, delta * cfg.big_d
-        if not lo <= stencil.diameter <= hi:
-            problems.append(f"diameter {stencil.diameter:.3g} outside [{lo:.3g}, {hi:.3g}]")
     return problems
 
 

@@ -30,7 +30,7 @@ from flowfit.cli import main as cli_main
 from flowfit.flow import DEFAULT_FLOW_CONFIG
 from flowfit.harness import read_results_csv
 from flowfit.interp import (
-    mu_interior_contains,
+    in_hull,
     normalize,
     psi_matrix,
     stability_norm,
@@ -329,7 +329,7 @@ def test_criterion_07_snake_affine_exactness():
         # independent certificate re-check, from the raw points
         recomputed = stability_norm(est.stencil.points, est.stencil.ell)
         assert recomputed <= 2 * cfg.s
-        assert mu_interior_contains(est.stencil.points, 0.0, x)
+        assert in_hull(est.stencil.points, x)
         certified += 1
     elapsed = time.time() - t0
     _verdict(

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from flowfit import interp
 from flowfit.interp import (
-    DimensionUnsupported,
     Stencil,
+    in_hull,
     interp_multivariate,
-    mu_interior_contains,
     normalize,
     psi_matrix,
     stability_norm,
@@ -137,36 +137,40 @@ def test_stability_frozen_example():
     assert abs(got - 1.4142135623730951) <= 1e-12
 
 
-def test_mu_interior_unit_simplex_centroid():
+def test_convex_combinations_are_inside():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    centroid = pts.mean(axis=0)
-    # centroid-to-edge distance is 0.2357; diameter sqrt(2); ratio 1/6
-    assert mu_interior_contains(pts, 0.1, centroid)
-    assert not mu_interior_contains(pts, 0.5, centroid)
+    assert in_hull(pts, pts.mean(axis=0))
+    rng = np.random.default_rng(22)
+    tri = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 0.9]])
+    for _ in range(50):
+        assert in_hull(tri, rng.dirichlet(np.ones(3)) @ tri)
+    # six points in d = 4, more than a simplex: x is the midpoint of two of them
+    cloud = np.vstack([np.eye(4), np.zeros(4), np.full(4, 0.2)])
+    assert in_hull(cloud, np.full(4, 0.1))
 
 
 def test_outside_hull_is_rejected():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert not mu_interior_contains(pts, 0.0, np.array([0.8, 0.8]))
-    assert not mu_interior_contains(pts, 0.1, np.array([-0.2, 0.5]))
+    assert not in_hull(pts, np.array([0.8, 0.8]))
+    assert not in_hull(pts, np.array([-0.2, 0.5]))
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_point_just_off_a_flat_hull_is_outside(d):
-    # collinear points in d = 2, coplanar in d = 3: qhull builds no hull,
-    # so membership is decided by the LP on the points
+    # collinear points in d = 2, coplanar in d = 3: a flat hull with no
+    # interior, which the witness decides like any other
     rng = np.random.default_rng(d)
     basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
     span, normal = basis[:, : d - 1], basis[:, d - 1]
     pts = 0.3 + rng.uniform(-1.0, 1.0, (d + 3, d - 1)) @ span.T
     for _ in range(20):
         inside = rng.dirichlet(np.ones(d + 3)) @ pts
-        assert mu_interior_contains(pts, 0.0, inside)
-        assert not mu_interior_contains(pts, 0.0, inside + 1e-9 * normal)
+        assert in_hull(pts, inside)
+        assert not in_hull(pts, inside + 1e-9 * normal)
         along = span @ rng.standard_normal(d - 1)
         along /= np.linalg.norm(along)
         beyond = pts[np.argmax(pts @ along)] + 1e-9 * along
-        assert not mu_interior_contains(pts, 0.0, beyond)
+        assert not in_hull(pts, beyond)
 
 
 def _barycentric_inside(tri, x, tol=0.0):
@@ -188,41 +192,39 @@ def test_simplex_membership_matches_barycentric_oracle():
         outside_strict = not _barycentric_inside(tri, x, tol=lam_margin)
         if not inside_strict and not outside_strict:
             continue  # too close to the boundary to compare
-        assert mu_interior_contains(tri, 0.0, x) == inside_strict
+        assert in_hull(tri, x) == inside_strict
         checked += 1
     assert checked > 100
 
 
-def test_mu_interior_means_ball_fits():
-    # definitional check: ball of radius mu * diam around x stays in hull
-    rng = np.random.default_rng(22)
-    tri = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 0.9]])
-    diam = max(
-        np.linalg.norm(tri[i] - tri[j]) for i in range(3) for j in range(3)
-    )
-    mu = 0.05
-    for _ in range(50):
-        x = rng.dirichlet(np.ones(3)) @ tri
-        if not mu_interior_contains(tri, mu, x):
-            continue
-        for ang in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
-            probe = x + 0.999 * mu * diam * np.array([math.cos(ang), math.sin(ang)])
-            assert _barycentric_inside(tri, probe, tol=1e-12)
+def _facet_slack(pts, x):
+    """Largest signed distance from x to the planes of qhull's facets of
+    the points: positive outside the hull, minus the distance to the
+    boundary inside."""
+    eq = ConvexHull(pts).equations
+    return float(np.max(eq[:, :-1] @ x + eq[:, -1]))
 
 
 def test_quadratic_stencil_membership_beyond_simplex():
-    # six points, ell = 2: hull handled by facet enumeration
+    # six points, ell = 2: more points than a simplex has vertices
     pts = np.array(
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -0.3], [0.5, 1.3]]
     )
-    assert mu_interior_contains(pts, 0.0, np.array([0.5, 0.5]))
-    assert not mu_interior_contains(pts, 0.0, np.array([1.4, 0.5]))
-
-
-def test_high_dimensional_hull_unsupported():
-    pts = np.eye(5)[:, :4][: 5 + 2] if False else np.vstack([np.eye(4), np.zeros(4), np.full(4, 0.2)])
-    with pytest.raises(DimensionUnsupported):
-        mu_interior_contains(pts, 0.0, np.full(4, 0.1))
+    assert in_hull(pts, np.array([0.5, 0.5]))
+    assert not in_hull(pts, np.array([1.4, 0.5]))
+    # seeded random 6- and 10-point clouds against qhull's facet planes
+    for num, d in [(6, 2), (10, 2), (6, 3), (10, 3)]:
+        rng = np.random.default_rng(100 * num + d)
+        checked = 0
+        for _ in range(20):
+            pts = rng.uniform(size=(num, d))
+            for x in rng.uniform(-0.2, 1.2, size=(20, d)):
+                slack = _facet_slack(pts, x)
+                if abs(slack) <= 1e-7:
+                    continue  # too close to the boundary to compare
+                assert in_hull(pts, x) == (slack < 0)
+                checked += 1
+        assert checked >= 390
 
 
 def test_stencil_from_points_records_certificate():
