@@ -13,15 +13,15 @@ polynomial when the node matrix is singular; callers that need a hard
 failure should inspect :func:`psi_matrix` or :func:`stability_norm`
 first.
 
-:func:`in_hull` decides hull membership in any dimension by a witness:
-convex weights, found by one nonnegative least-squares solve and verified
+:func:`min_norm_point` is the one hull algorithm: Wolfe's (1976) method
+for the point of a hull nearest the origin.  :func:`in_hull` decides
+membership in any dimension with its weights, which it verifies itself
 from the raw points.  It is what :func:`flowfit.snake.check_stencil`
 re-certifies with.  The stencil search does not call it: it scores whole
 stacks of candidates with its own membership test (min/max in d = 1,
-barycentric coordinates for simplices, nonnegative least squares
-otherwise), so the re-check stays independent of the search.  Both read
-one tolerance, `HULL_RTOL`.  scipy's ``nnls`` is imported inside these
-checks only, so the package loads it only when one runs.
+barycentric coordinates for simplices, the min-norm point otherwise), so
+the re-check stays independent of the search's decision.  Both read one
+tolerance, `HULL_RTOL`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "interp_multivariate",
     "normalize",
     "stability_norm",
+    "min_norm_point",
     "in_hull",
 ]
 
@@ -178,23 +179,77 @@ class Stencil:
         )
 
 
+def _affine_weights(pts: np.ndarray) -> np.ndarray:
+    """Weights, summing to one, of the point of the affine hull of the rows
+    nearest the origin; by least squares, so rows that are coincident or
+    affinely dependent get the minimum-norm solution."""
+    base = pts[0]
+    alpha = np.linalg.lstsq((pts[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate(([1.0 - alpha.sum()], alpha))
+
+
+def min_norm_point(rel: np.ndarray) -> np.ndarray:
+    """Convex weights ``(M,)`` of the point of the hull of the rows of
+    ``rel`` ``(M, d)`` nearest the origin, by Wolfe's (1976) method.
+
+    A corral of rows holds the current point z as the nearest point of
+    its affine hull, with positive weights.  Each major cycle adds the row
+    least along z, if it lies strictly below the plane ``r . z = |z|^2``;
+    minor cycles then move the weights towards the affine minimiser of the
+    corral until all are positive, dropping the rows whose weight reaches
+    zero.  In exact arithmetic every major cycle lowers ``|z|^2`` and no
+    corral repeats, so the method ends without a step cap.  In floating
+    point it also stops when a major cycle does not strictly lower
+    ``|z|^2`` (keeping the corral before it), and when the corral holds
+    d + 1 rows, whose hull then holds the origin.
+    """
+    pts = np.atleast_2d(np.asarray(rel, dtype=float))
+    num, d = pts.shape
+    sq = np.einsum("ij,ij->i", pts, pts)
+    corral = [int(sq.argmin())]
+    lam = np.ones(1)
+    z, zz = pts[corral[0]], sq[corral[0]]
+    while len(corral) <= d:
+        dots = pts @ z
+        dots[corral] = np.inf
+        j = int(dots.argmin())
+        if not dots[j] < zz:
+            break  # no row below the plane: z is the min-norm point
+        trial, weights = corral + [j], np.concatenate((lam, [0.0]))
+        mu = _affine_weights(pts[trial])
+        while not (mu > 0.0).all():
+            # move from the weights towards mu until the first one reaches zero
+            gap = weights - mu
+            ratio = np.where(mu <= 0.0, weights / np.where(gap > 0.0, gap, 1.0), np.inf)
+            k = int(ratio.argmin())
+            weights = weights + ratio[k] * (mu - weights)
+            weights[k] = 0.0
+            keep = np.flatnonzero(weights > 0.0)
+            trial, weights = [trial[i] for i in keep], weights[keep]
+            mu = _affine_weights(pts[trial])
+        z_new = mu @ pts[trial]
+        zz_new = z_new @ z_new
+        if not zz_new < zz:
+            break
+        corral, lam, z, zz = trial, mu, z_new, zz_new
+    w = np.zeros(num)
+    w[corral] = lam
+    return w
+
+
 def in_hull(points: np.ndarray, x: np.ndarray) -> bool:
     """Whether ``x`` lies in the convex hull of the points, by a witness.
 
-    One nonnegative least-squares solve of ``sum_k w_k (p_k - x) = 0``,
-    ``sum_k w_k = 1`` over ``w >= 0`` (the first rows scaled by the
-    diameter) gives convex weights ``lambda = w / sum(w)``; ``x`` is inside
-    when ``|sum_k lambda_k (p_k - x)| <= HULL_RTOL * diam``, recomputed
-    from the raw points.  Such weights prove membership in any dimension,
-    whatever found them; for ``x`` outside, the residual of any convex
-    weights is at least the distance to the hull.
+    The weights of :func:`min_norm_point` on ``p_k - x``, if nonnegative,
+    give convex weights ``lambda = w / sum(w)``; ``x`` is inside when
+    ``|sum_k lambda_k (p_k - x)| <= HULL_RTOL * diam``, recomputed from the
+    raw points.  Such weights prove membership in any dimension, whatever
+    found them, so wrong weights can only refuse; for ``x`` outside, the
+    residual of any convex weights is at least the distance to the hull.
     """
-    from scipy.optimize import nnls
-
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rel = pts - np.asarray(x, dtype=float)
-    diam = _diameter(pts)
-    target = np.zeros(pts.shape[1] + 1)
-    target[-1] = 1.0
-    w = nnls(np.vstack([rel.T / (diam or 1.0), np.ones(pts.shape[0])]), target)[0]
-    return bool(np.linalg.norm(w / w.sum() @ rel) <= HULL_RTOL * diam)
+    w = min_norm_point(rel)
+    if not np.all(w >= 0.0):
+        return False
+    return bool(np.linalg.norm(w / w.sum() @ rel) <= HULL_RTOL * _diameter(pts))

@@ -25,7 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .flow import NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
-from .interp import HULL_RTOL, SINGULAR_RTOL, Stencil, in_hull, interp_multivariate, stability_norm
+from .interp import HULL_RTOL, SINGULAR_RTOL, Stencil, in_hull, interp_multivariate
+from .interp import min_norm_point, stability_norm
 from .localpoly import (
     KernelSpec,
     LocalPolyFit,
@@ -334,19 +335,25 @@ def fit_curve(
 DISTANCE_BLOCK = 32768
 
 
-def _nearest_grid_times(curve: CurveEstimate, x: np.ndarray) -> np.ndarray:
-    """`nn_time` of each point of the stack ``x`` ``(Q, d)``.
+def _squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distances ``(Q, M)`` from each point of the stack ``x``
+    ``(Q, d)`` to each of ``points`` ``(M, d)``.
 
-    Squared distances are summed one coordinate at a time over whole
-    ``(Q, grid)`` blocks, in the order in which ``np.sum`` adds fewer than
-    8 terms; from 8 coordinates on, ``np.sum`` adds pairwise, and a
-    distance may differ from it in the last bit.
+    They are summed one coordinate at a time over the whole block, in the
+    order in which ``np.sum`` adds fewer than 8 terms; from 8 coordinates
+    on, ``np.sum`` adds pairwise, and a distance may differ from it in the
+    last bit.
     """
-    times = curve.grid_times
-    states = curve.grid_states
-    d2 = (states[:, 0] - x[:, :1]) ** 2
+    d2 = (points[:, 0] - x[:, :1]) ** 2
     for k in range(1, x.shape[1]):
-        d2 = d2 + (states[:, k] - x[:, k:k + 1]) ** 2
+        d2 = d2 + (points[:, k] - x[:, k:k + 1]) ** 2
+    return d2
+
+
+def _nearest_grid_times(curve: CurveEstimate, x: np.ndarray) -> np.ndarray:
+    """`nn_time` of each point of the stack ``x`` ``(Q, d)``."""
+    times = curve.grid_times
+    d2 = _squared_distances(curve.grid_states, x)
     rows = np.arange(x.shape[0])
     k = np.argmin(d2, axis=1)
     out = times[k]
@@ -431,8 +438,8 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     Closed-hull membership, to within `HULL_RTOL`, without building a
     hull: min/max in d = 1; for simplices (N = d + 1) the barycentric
     coordinates, turned into distances to the facets; otherwise the
-    distance to the hull by nonnegative least squares, one subset at a
-    time.
+    distance to the hull, from the weights of
+    :func:`~flowfit.interp.min_norm_point`, one subset at a time.
     """
     num_subsets, num, d = points.shape
     if d == 1:
@@ -446,45 +453,10 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
         lam = np.matmul(inv, np.concatenate([x, np.ones((num_subsets, 1))], axis=1)[..., None])
         slack = lam[..., 0] / np.linalg.norm(inv[:, :, :d], axis=2)
         return np.all(slack >= -HULL_RTOL, axis=1)
-    from scipy.optimize import nnls
-
     rel = points - x[:, None, :]
-    # min |sum_k w_k (p_k - x)|^2 + (sum_k w_k - 1)^2 over w >= 0 is
-    # dist^2 / (1 + dist^2), dist the distance from x to the hull
-    target = np.zeros(d + 1)
-    target[d] = 1.0
     return np.array([
-        nnls(np.vstack([r.T, np.ones(num)]), target)[1] <= HULL_RTOL for r in rel
+        np.linalg.norm(min_norm_point(r) @ r) <= HULL_RTOL for r in rel
     ], dtype=bool)
-
-
-# Gilbert steps spent on certifying a query outside its pool's hull; a query
-# inside would otherwise step on towards its min-norm point for hundreds.
-GILBERT_STEPS = 8
-
-
-def _separated(rel: np.ndarray, z: np.ndarray, tol: float) -> bool:
-    """Whether at most `GILBERT_STEPS` steps of Gilbert's min-norm-point
-    iteration (Gilbert 1966) over the hull of the rows of ``rel``, from
-    its row ``z``, find a plane through the origin that every row clears
-    by more than ``tol``.
-
-    Each step takes the row ``r`` least along ``z``.  Unless ``r`` clears
-    the plane normal to ``z``, ``z`` moves to the point of the segment to
-    ``r`` nearest the origin; the search gives up when that does not move
-    it (``z`` is then the hull's min-norm point).
-    """
-    for _ in range(GILBERT_STEPS):
-        dots = rel @ z
-        s = np.argmin(dots)
-        if dots[s] > tol * math.sqrt(z @ z):
-            return True
-        step = rel[s] - z
-        gap = z @ z - dots[s]  # minus the slope of |z|^2 / 2 towards rel[s]
-        if not gap > 0.0:
-            return False
-        z = rel[s] if gap >= step @ step else z + gap / (step @ step) * step
-    return False
 
 
 @functools.lru_cache(maxsize=None)
@@ -558,12 +530,13 @@ def select_stencil(
     `StencilConfig`).
 
     A query outside the pool's convex hull is refused before any subset
-    is scored, when at most `GILBERT_STEPS` steps of Gilbert's
-    min-norm-point iteration (`_separated`) find a plane through ``x``
-    that every pool point clears by a margin: twice the distance by
-    which an admissible subset, normalised, can hold ``x`` outside its
-    hull and still pass `_hull_contains`.  That certificate rules out
-    every subset, so the refusal is the one the full search would make.
+    is scored, when the plane through ``x`` normal to the pool's
+    min-norm point relative to ``x`` (Wolfe's method,
+    :func:`~flowfit.interp.min_norm_point`) is cleared by every pool
+    point by a margin: twice the distance by which an admissible subset,
+    normalised, can hold ``x`` outside its hull and still pass
+    `_hull_contains`.  That certificate rules out every subset, so the
+    refusal is the one the full search would make.
 
     Other queries are searched.  Up to three seeds (the N nearest
     points, a farthest-point traversal from the nearest, and N evenly
@@ -618,11 +591,12 @@ def select_stencil(
     dists = np.linalg.norm(rel, axis=1)
     order = np.argsort(dists, kind="stable")
     # how far outside a normalised stencil of stability at most 2 s `_hull_contains`
-    # can pass a query: d HULL_RTOL 2 s past a simplex's facets, sqrt(2) HULL_RTOL
-    # by least squares; no stencil is wider than 2 max |rel|, and the plane must
-    # clear twice that
+    # can pass a query: d HULL_RTOL 2 s past a simplex's facets, HULL_RTOL (at most
+    # the 2 used here) by the min-norm distance; no stencil is wider than 2 max |rel|,
+    # and the plane must clear twice that
     reach = HULL_RTOL * max(d * 2 * cfg.s, 2.0)
-    if _separated(rel, rel[order[0]], 2 * reach * 2 * dists.max()):
+    z = min_norm_point(rel) @ rel
+    if (rel @ z).min() > 2 * reach * 2 * dists.max() * math.sqrt(z @ z):
         raise NoStencilFound(f"x={x} is outside the convex hull of its {pool} candidate points")
 
     far = [order[0]]  # farthest-point traversal from the nearest point
@@ -754,10 +728,14 @@ def delta_nn(curve_points: np.ndarray, targets: np.ndarray) -> float:
 
     Computed as the max over target points of the min distance to the
     sampled curve points; resolution is inherited from both samplings.
+    The targets are compared with every curve point in blocks of at most
+    `DISTANCE_BLOCK` squared distances.
     """
-    from scipy.spatial import cKDTree
-
     curve_points = np.atleast_2d(np.asarray(curve_points, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    nearest, _ = cKDTree(curve_points).query(targets)
-    return float(nearest.max(initial=0.0))
+    step = max(1, DISTANCE_BLOCK // curve_points.size)
+    nearest = max((
+        _squared_distances(curve_points, targets[k:k + step]).min(axis=1).max()
+        for k in range(0, targets.shape[0], step)
+    ), default=0.0)
+    return math.sqrt(nearest)

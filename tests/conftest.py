@@ -1,6 +1,9 @@
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from flowfit import interp
 
 settings.register_profile(
     "ci",
@@ -11,3 +14,19 @@ settings.register_profile(
 )
 settings.register_profile("fast", max_examples=15, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
+
+
+@pytest.fixture
+def affine_solves(monkeypatch):
+    """The sizes of the affine systems `interp.min_norm_point` solves; after
+    1000 of them it fails instead of running on."""
+    solves = []
+    real = interp._affine_weights
+
+    def counted(pts):
+        solves.append(pts.shape[0])
+        assert len(solves) <= 1000, "no end after 1000 affine solves"
+        return real(pts)
+
+    monkeypatch.setattr(interp, "_affine_weights", counted)
+    return solves

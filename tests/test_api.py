@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,36 @@ def test_fit_and_predict_load_no_scipy(model):
         f"run_experiment(ExperimentConfig.from_dict({cfg!r}))"
     )
     assert lazy_modules_after(code) == []
+
+
+def test_runs_with_scipy_blocked():
+    # scipy is a test dependency only: with its import blocked, every model
+    # fits and predicts, and the stencil re-check and the tube radius run
+    studies = [dict(TINY_STUDIES[model], model=model, beta=2, sigma=0.05, replicates=2, seed=3)
+               for model in sorted(TINY_STUDIES)]
+    code = textwrap.dedent(f"""\
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        from flowfit import snake
+        from flowfit.flow import make_field
+        from flowfit.harness import ExperimentConfig, run_experiment
+        from flowfit.models import MODELS
+        for study in {studies!r}:
+            run_experiment(ExperimentConfig.from_dict(study))
+        # beta = 3 on a damped pendulum, whose spiral lies on no conic: its
+        # 6-point stencils are regular, so the non-simplex hull test runs
+        cfg = ExperimentConfig.from_dict(dict(
+            model="snake-gen", field="pendulum", d=2, beta=3, ns=[512],
+            dt_rule="fixed-horizon", horizon=20.0, x1=[2.0, 0.0], sigma=0.01))
+        ds = snake.generate_snake(make_field("pendulum"), np.array([2.0, 0.0]), 512, 20.0 / 512, 0.01, 5)
+        predict = MODELS["snake-gen"].fit(cfg, ds, 3)
+        queries = 0.97 * predict.curve_points[[50, 200, 400]]
+        out = predict(queries)
+        assert "interpolated" in out.status, out.status
+        k = out.status.index("interpolated")
+        assert snake.check_stencil(out.stencils[k], queries[k]) == []
+        assert snake.delta_nn(predict.curve_points, queries) > 0.0
+    """)
+    # the blocked entry itself is all of scipy the run has
+    assert [m for m in lazy_modules_after(code) if m.startswith("scipy")] == ["scipy"]

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -15,6 +15,7 @@ from flowfit.interp import (
     Stencil,
     in_hull,
     interp_multivariate,
+    min_norm_point,
     normalize,
     psi_matrix,
     stability_norm,
@@ -251,3 +252,75 @@ def test_interpolation_constant_bound():
             vals[k] = 1.0
             total += max(abs(interp_multivariate(pts, vals, z)) for z in sample)
         assert total <= 3.0**1.5 * stab * 1.01
+
+
+# --- the min-norm point of a hull (Wolfe's method), against scipy's nnls ---
+
+
+def nnls_hull_distance(rel):
+    """Distance from the origin to the hull of the rows of ``rel``, from the
+    convex weights of one nonnegative least-squares solve."""
+    from scipy.optimize import nnls
+
+    target = np.zeros(rel.shape[1] + 1)
+    target[-1] = 1.0
+    w = nnls(np.vstack([rel.T, np.ones(rel.shape[0])]), target)[0]
+    return float(np.linalg.norm(w / w.sum() @ rel))
+
+
+COORD = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def clouds(draw, d):
+    """Points and a query in the layouts of the stencil search's subsets:
+    generic, on a lattice, with coincident points or collinear; the query
+    on a vertex, just off one, a convex combination or anywhere."""
+    num = draw(st.integers(1, 12))
+    layout = draw(st.sampled_from(["generic", "lattice", "coincident", "collinear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "lattice":
+        pts = rng.integers(-2, 3, size=(num, d)).astype(float)
+    else:
+        pts = rng.uniform(-2.0, 2.0, size=(num, d))
+    if layout == "coincident":
+        pts[1:draw(st.integers(1, num))] = pts[0]
+    elif layout == "collinear":
+        pts = pts[0] + rng.uniform(-2.0, 2.0, size=(num, 1)) * pts[-1]
+    where = draw(st.sampled_from(["vertex", "off-vertex", "combination", "free"]))
+    if where == "free":
+        return pts, np.array(draw(st.lists(COORD, min_size=d, max_size=d)))
+    if where == "combination":
+        return pts, rng.dirichlet(np.ones(num)) @ pts
+    x = pts[draw(st.integers(0, num - 1))].copy()
+    if where == "off-vertex":
+        x += draw(st.sampled_from([2e-9, 1e-6, 1e-3])) * rng.standard_normal(d)
+    return pts, x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_min_norm_point_matches_nnls(d, data, affine_solves):
+    pts, x = data.draw(clouds(d))
+    affine_solves.clear()  # the fixture's count spans every example
+    rel = pts - x
+    w = min_norm_point(rel)
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    # 1e-12 relative, or 1e-14 absolute for a query inside the hull
+    assert np.linalg.norm(w @ rel) == pytest.approx(nnls_hull_distance(rel), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_min_norm_point_ends_on_repeated_points(d, affine_solves):
+    # every point three times over, so a corral can take in a copy of its own
+    # point and its affine system become singular
+    rng = np.random.default_rng(70 + d)
+    base = rng.uniform(-1.0, 1.0, size=(8, d))
+    pts = np.repeat(base, 3, axis=0)
+    for x in (base.mean(axis=0), base[0], 0.5 * (base[0] + base[1]), np.full(d, 3.0)):
+        rel = pts - x
+        w = min_norm_point(rel)
+        assert np.all(w >= 0.0)
+        assert np.linalg.norm(w @ rel) == pytest.approx(nnls_hull_distance(rel), rel=1e-12, abs=1e-14)

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from flowfit import localpoly
+from flowfit import interp, localpoly
 from flowfit.flow import TrajectoryData, make_field
 from flowfit.interp import (
     HULL_RTOL,
@@ -608,9 +608,9 @@ def test_batched_keys_match_scalar_keys(d, ell, data):
             continue
         slack = facet_slacks(pts, x)
         if slack is None:
-            # qhull cannot build a flat hull, and the scalar search fell back
-            # to an LP that accepts points ~1e-7 outside: compare such
-            # subsets only where no hull test is made
+            # qhull cannot build a flat hull, so no facet says how near x is:
+            # compare such subsets only where no hull test is made (points in
+            # one hyperplane make the node matrix singular)
             assume(math.isinf(reference_key(pts, x, ell)[2]))
         else:
             assume(abs(slack.min()) > 1e-9)
@@ -811,3 +811,48 @@ def test_exit_agrees_with_the_full_search(case, ell, monkeypatch):
             exits += calls == []
         assert (got is None) if want is None else np.array_equal(got, want)
     assert exits >= 5
+
+
+def seed_one_curve():
+    """The curve of the snake-gen benchmark workload at seed 1 and n = 4096:
+    the rotation field from (1, 0) over one period, noise sigma 0.05 drawn
+    from seed 3024, beta = 2."""
+    n = 4096
+    return fit_curve(generate_snake(ROT, np.array([1.0, 0.0]), n, 2 * math.pi / n, 0.05, 3024),
+                     beta=2)
+
+
+# queries of that workload just outside their pool's hull (by 4.1e-4 and 3.1e-5),
+# towards which Gilbert's plain min-norm-point iteration zig-zags for many steps
+CAP_MISSED = [[-0.41080003946041554, 0.9149567058523925],
+              [-0.28839411393837455, 0.954336796566473]]
+
+
+@pytest.mark.parametrize("x", CAP_MISSED)
+def test_query_near_a_pool_face_exits_before_scoring(x, monkeypatch):
+    curve = seed_one_curve()
+    calls = count_key_calls(monkeypatch)
+    with pytest.raises(NoStencilFound, match="outside the convex hull"):
+        select_stencil(curve, np.array(x))
+    assert calls == []
+
+
+def test_min_norm_point_ends_on_an_inside_pool(monkeypatch, affine_solves):
+    # the exit's pool for an admitted query of the same workload: Wolfe's
+    # method without its floating-point stops cycles here with |z|^2 near 1e-35
+    import flowfit.snake as snake
+
+    pools = []
+
+    def recorded(rel):
+        pools.append(rel)
+        return interp.min_norm_point(rel)
+
+    monkeypatch.setattr(snake, "min_norm_point", recorded)
+    x = np.array([-0.9595941933077259, 0.23076382695251207])
+    select_stencil(seed_one_curve(), x)
+    (rel,) = pools
+    w = interp.min_norm_point(rel)
+    assert np.all(w >= 0.0)
+    assert np.count_nonzero(w) == 3  # a triangle around x
+    assert np.linalg.norm(w @ rel) <= 1e-14
