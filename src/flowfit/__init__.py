@@ -36,7 +36,6 @@ from .harness import (
 )
 from .interp import Stencil, interp_multivariate
 from .localpoly import (
-    KernelSpec,
     LocalPolyFit,
     RegressionData,
     SingularDesign,
@@ -44,7 +43,6 @@ from .localpoly import (
     lp_estimate,
     lp_weights,
     optimal_bandwidth,
-    uniform_kernel,
 )
 from .snake import (
     CurveEstimate,
@@ -67,7 +65,6 @@ __all__ = [
     "FlowConfig",
     "IncrementRegressor",
     "IntegrationError",
-    "KernelSpec",
     "LocalPolyFit",
     "NoStencilFound",
     "NoiseSpec",
@@ -96,5 +93,4 @@ __all__ = [
     "reference_rate",
     "run_experiment",
     "select_stencil",
-    "uniform_kernel",
 ]

@@ -11,7 +11,8 @@ with weights
 
     w_i(x) = T^d / (n h^(d+s)) * Dpsi(0)^T B(x)^{-1} psi((x_i-x)/h) K(||x_i-x||/h)
 
-where ``B(x)`` is the kernel-weighted second-moment matrix of the basis.
+where ``B(x)`` is the kernel-weighted second-moment matrix of the basis
+and ``K`` is the Epanechnikov kernel, the one kernel of every fit.
 Weights vanish identically outside the bandwidth ball and reproduce
 polynomials of degree <= ell exactly: ``sum_i w_i q(x_i) = D_v q(x)``.
 
@@ -21,17 +22,18 @@ Fits use the ``factorial-scaled`` basis, which divides each monomial
 ordered by total degree, then lexicographically with earlier coordinates
 taking precedence, e.g. for d=2, ell=2: 1, a, b, a^2, ab, b^2.
 
-Weights, estimates and coefficients all read one solve of ``B(x)`` at
-the query point.  Because the weights vanish outside the bandwidth
-ball, a fit on 1-D design points that are nondecreasing (every time
-grid of a long trajectory) scans only the index range that can lie
-within one bandwidth of ``x``, found by bisection; any other design is
-scanned in full.  Both paths apply the same exact ``radius < 1`` test to the points
-they scan and keep the full ``n`` in the weight scale, so they return
-the same bits.  On such sorted data :func:`lp_coefficients` also fits a
-stack of query times in padded blocks that mix windows of every length:
-the elementwise terms and the solve run once per block, the window sums
-once per distinct length, with the same bits as fitting each time alone.
+Weights and estimates come from one solve of ``B(x)`` at one query
+point.  Because the weights vanish outside the bandwidth ball, a fit on
+1-D design points that are nondecreasing (every time grid of a long
+trajectory) scans only the index range that can lie within one bandwidth
+of ``x``, found by bisection; any other design is scanned in full.  Both
+paths apply the same exact ``radius < 1`` test to the points they scan
+and keep the full ``n`` in the weight scale, so they return the same
+bits.  Coefficients come from one batched solve per block:
+:func:`lp_coefficients` fits a stack of query times on such sorted data
+in padded blocks that mix windows of every length, the elementwise terms
+and the solve once per block and the window sums once per distinct
+length, with the same bits as fitting each time alone.
 """
 
 from __future__ import annotations
@@ -40,17 +42,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "KernelSpec",
     "LocalPolyFit",
     "RegressionData",
     "SingularDesign",
     "epanechnikov",
-    "uniform_kernel",
     "multi_indices",
     "n_basis",
     "monomial_basis",
@@ -80,56 +80,13 @@ class SingularDesign(Exception):
         self.x = np.asarray(x)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A nonnegative kernel supported on [0, 1].
+def epanechnikov(z: np.ndarray) -> np.ndarray:
+    """The fit kernel ``K(z) = (1 - z^2)_+`` at the scaled radii `z`.
 
-    `func` is evaluated on ``z = ||x_i - x|| / h`` and must vanish for
-    ``z > 1``, stay below `upper_bound`, and not be identically zero.
-    `lipschitz` marks kernels that are Lipschitz on their support, the
-    stronger assumption some sup-norm results need.
+    Nonnegative, at most 1, zero for ``z >= 1``, and Lipschitz on its
+    support, as the sup-norm results need.
     """
-
-    func: Callable[[np.ndarray], np.ndarray]
-    upper_bound: float = 1.0
-    lipschitz: bool = True
-    name: str = "kernel"
-
-    def __post_init__(self) -> None:
-        if self.upper_bound <= 0:
-            raise ValueError("upper_bound must be positive")
-        probe = np.asarray(self.func(np.array([0.0, 0.5, 1.5, 3.0])), dtype=float)
-        if np.any(probe < 0):
-            raise ValueError("kernel must be nonnegative")
-        if np.any(probe[2:] != 0.0):
-            raise ValueError("kernel must vanish beyond z = 1")
-        if np.all(probe == 0.0):
-            raise ValueError("kernel must not be identically zero")
-        if np.any(probe > self.upper_bound * (1 + 1e-12)):
-            raise ValueError("kernel exceeds its declared upper bound")
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(z, dtype=float)), dtype=float)
-
-
-def epanechnikov() -> KernelSpec:
-    """Default kernel ``K(z) = (1 - z^2)_+``."""
-    return KernelSpec(
-        func=lambda z: np.clip(1.0 - np.square(z), 0.0, None) * (z <= 1.0),
-        upper_bound=1.0,
-        lipschitz=True,
-        name="epanechnikov",
-    )
-
-
-def uniform_kernel() -> KernelSpec:
-    """Indicator kernel on [0, 1); bounded but not Lipschitz."""
-    return KernelSpec(
-        func=lambda z: 1.0 * (z < 1.0),
-        upper_bound=1.0,
-        lipschitz=False,
-        name="uniform",
-    )
+    return np.clip(1.0 - np.square(z), 0.0, None) * (z <= 1.0)
 
 
 def multi_indices(d: int, ell: int) -> list[tuple[int, ...]]:
@@ -310,21 +267,21 @@ def _window(x: np.ndarray, data: RegressionData, bandwidth: float) -> slice:
 
 
 def _local_terms(
-    x: np.ndarray, points: np.ndarray, fit: LocalPolyFit, kernel: KernelSpec
+    x: np.ndarray, points: np.ndarray, fit: LocalPolyFit
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask, basis rows, and kernel values of the in-bandwidth `points`."""
     diffs = (points - x) / fit.bandwidth
     radii = np.linalg.norm(diffs, axis=1)
     inside = radii < 1.0  # weights are exactly zero at radius >= bandwidth
     psi = monomial_basis(diffs[inside], fit.degree)
-    kvals = kernel(radii[inside])
+    kvals = epanechnikov(radii[inside])
     return inside, psi, kvals
 
 
 def _solve_design(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
+    x: np.ndarray, data: RegressionData, fit: LocalPolyFit
 ) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The one solve every fit reads: (window, inside, psi, kvals, B(x)^{-1}).
+    """The solve of the weights at one point: (window, inside, psi, kvals, B(x)^{-1}).
 
     `inside` masks the in-bandwidth points of ``data.points[window]``;
     ``B^{-1}`` comes from the eigendecomposition of ``B(x)``.
@@ -332,7 +289,7 @@ def _solve_design(
     x = np.asarray(x, dtype=float)
     d = data.dim
     window = _window(x, data, fit.bandwidth)
-    inside, psi, kvals = _local_terms(x, data.points[window], fit, kernel)
+    inside, psi, kvals = _local_terms(x, data.points[window], fit)
     if psi.shape[0] == 0:
         raise SingularDesign(0.0, x)
     scale = data.extent ** d / (data.n * fit.bandwidth ** d)
@@ -345,9 +302,7 @@ def _solve_design(
     return window, inside, psi, kvals, inv
 
 
-def lp_weights(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
-) -> np.ndarray:
+def lp_weights(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> np.ndarray:
     """Estimation weights ``w_i(x)``, zero outside the bandwidth ball.
 
     For ``deriv_order = 0`` the weights sum to one; in general they
@@ -359,7 +314,7 @@ def lp_weights(
         When the smallest eigenvalue of ``B(x)`` falls at or below the
         scale-aware floor ``1e-10 * trace(B) / N``.
     """
-    window, inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
+    window, inside, psi, kvals, inv = _solve_design(x, data, fit)
     d = data.dim
     dpsi0 = deriv_basis_at_zero(d, fit.degree, [np.asarray(v) for v in fit.directions])
     scale = data.extent ** d / (data.n * fit.bandwidth ** (d + fit.deriv_order))
@@ -368,23 +323,27 @@ def lp_weights(
     return w
 
 
-def lp_estimate(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
-) -> np.ndarray:
+def lp_estimate(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> np.ndarray:
     """Componentwise estimate ``sum_i w_i(x) Y_i`` of ``D_v g(x)``."""
-    return lp_weights(x, data, fit, kernel) @ data.targets
+    return lp_weights(x, data, fit) @ data.targets
 
 
 # Largest number of window entries (times x points) one stacked solve gathers.
 SOLVE_BLOCK = 4096
 
 
-def _stacked_coefficients(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
+def lp_coefficients(
+    x: np.ndarray, data: RegressionData, fit: LocalPolyFit
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``(Q, N, dy)`` at the times ``x`` ``(Q, 1)`` of sorted
-    1-D data, and the smallest eigenvalue of each ``B(x)``, or NaN where
-    the design holds.
+    """Fitted coefficient blocks of the local fits at a stack of times.
+
+    `x` is a ``(Q, 1)`` stack of times and `data` holds sorted 1-D design
+    points; any other input raises ValueError.  Returns ``(theta,
+    singular)``: the blocks ``(Q, N, dy)``, NaN in the rows whose design
+    is singular, and those rows ``(Q,)``.  In the factorial-scaled basis,
+    row ``k`` of a block approximates ``h^k D^k g(t)``, so one solve
+    yields the value estimate (row 0) and every derivative estimate up to
+    the fitted degree.  ``fit.deriv_order`` is ignored.
 
     The in-bandwidth points of a time form one index range: `_reach`,
     trimmed at both ends by the exact ``radius < 1`` test.  The times are
@@ -395,15 +354,18 @@ def _stacked_coefficients(
     distinct length on the unpadded rows, then each block makes one
     batched eigendecomposition and solve.  Every row takes the operations
     of `_solve_design` in the same order on the same points, so it gets
-    the same bits.  Rows that are singular hold NaN.
+    the bits of a fit of that time alone.
     """
+    x = np.asarray(x, dtype=float)
+    if data.sorted_times is None:
+        raise ValueError("lp_coefficients needs sorted 1-D design points")
+    if x.ndim != 2 or x.shape[1] != 1:
+        raise ValueError(f"lp_coefficients takes a (Q, 1) stack of times, not shape {x.shape}")
     h = fit.bandwidth
     num = x.shape[0]
     basis = n_basis(1, fit.degree)
     theta = np.full((num, basis, data.targets.shape[1]), np.nan)
-    lam_min = np.zeros(num)  # an empty range is singular at 0
-    if num == 0:
-        return theta, lam_min
+    singular = np.ones(num, dtype=bool)  # an empty range is singular
     times, t = data.sorted_times, x[:, 0]
     lo, hi = _reach(times, t, h)
 
@@ -425,7 +387,7 @@ def _stacked_coefficients(
         idx = lo[rows, None] + np.minimum(np.arange(width), own[:, None] - 1)
         diffs = (data.points[idx] - x[rows, None, :]) / h
         psi = monomial_basis(diffs, fit.degree)
-        kvals = kernel(np.linalg.norm(diffs, axis=2))
+        kvals = epanechnikov(np.linalg.norm(diffs, axis=2))
         weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
         bmat = np.empty((rows.size, basis, basis))
         avec = np.empty((rows.size,) + theta.shape[1:])
@@ -437,49 +399,11 @@ def _stacked_coefficients(
         eigvals, eigvecs = np.linalg.eigh(bmat)
         floor = 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
         held = eigvals[:, 0] > floor
-        lam_min[rows] = np.where(held, np.nan, eigvals[:, 0])
+        singular[rows] = ~held
         eigvals, eigvecs = eigvals[held], eigvecs[held]
         inv = eigvecs @ (eigvecs / eigvals[:, None, :]).transpose(0, 2, 1)
         theta[rows[held]] = inv @ avec[held]
-    return theta, lam_min
-
-
-def lp_coefficients(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, kernel: KernelSpec
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Fitted coefficient block ``theta`` of the local fit at ``x``.
-
-    Shape ``(N, dy)``.  In the factorial-scaled basis, row ``k``
-    approximates ``h^{|alpha_k|} D^{alpha_k} g(x)``, so one solve yields
-    the value estimate (row of the zero index) and every derivative
-    estimate up to the fitted degree.  ``fit.deriv_order`` is ignored.
-
-    On sorted 1-D data ``x`` may be a stack of times ``(Q, 1)``: the
-    result is then ``(theta, singular)``, the blocks ``(Q, N, dy)`` (NaN
-    in singular rows) and the rows whose design is singular, instead of
-    a raise.  A single point is the stack's ``Q = 1`` case.
-
-    Raises
-    ------
-    SingularDesign
-        For a single point, as :func:`lp_weights` does.
-    """
-    x = np.asarray(x, dtype=float)
-    if data.sorted_times is not None:
-        theta, lam_min = _stacked_coefficients(x.reshape(-1, 1), data, fit, kernel)
-        singular = ~np.isnan(lam_min)
-        if x.ndim == 2:
-            return theta, singular
-        if singular[0]:
-            raise SingularDesign(float(lam_min[0]), x)
-        return theta[0]
-    if x.ndim == 2:
-        raise ValueError("a stack of query points needs sorted 1-D design points")
-    window, inside, psi, kvals, inv = _solve_design(x, data, fit, kernel)
-    d = data.dim
-    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    avec = scale * (psi.T * kvals) @ data.targets[window][inside]
-    return inv @ avec
+    return theta, singular
 
 
 def optimal_bandwidth(

@@ -28,11 +28,9 @@ from .flow import integrate_flow_grid, noise_draw
 from .interp import HULL_RTOL, SINGULAR_RTOL, Stencil, in_hull, interp_multivariate
 from .interp import min_norm_point, stability_norm
 from .localpoly import (
-    KernelSpec,
     LocalPolyFit,
     RegressionData,
     SingularDesign,
-    epanechnikov,
     lp_coefficients,
     lp_weights,
     monomial_basis,
@@ -182,7 +180,7 @@ MAX_WIDENINGS = 8
 
 
 def _widened_fits(
-    times: np.ndarray, data: RegressionData, degree: int, bandwidth: float, kernel: KernelSpec
+    times: np.ndarray, data: RegressionData, degree: int, bandwidth: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``(..., N, d)`` of the curve fit at each of `times`
     (one time or a stack), and the bandwidth ``(...)`` each one held at.
@@ -198,7 +196,7 @@ def _widened_fits(
     rows = np.arange(stack.shape[0])
     h = bandwidth
     for _ in range(MAX_WIDENINGS):
-        coef, singular = lp_coefficients(stack[rows], data, LocalPolyFit(degree, h), kernel)
+        coef, singular = lp_coefficients(stack[rows], data, LocalPolyFit(degree, h))
         theta[rows[~singular]] = coef[~singular]
         held[rows[~singular]] = h
         rows = rows[singular]
@@ -233,7 +231,6 @@ def _curve_bandwidth(ds: TrajectoryData, beta: int) -> float:
 def fit_curve(
     ds: TrajectoryData,
     beta: int | None = None,
-    kernel: KernelSpec | None = None,
     bandwidth: float | None = None,
 ) -> CurveEstimate:
     """Reconstruct the path and its velocity from the observations of a
@@ -273,18 +270,16 @@ def fit_curve(
         raise ValueError("beta must be at least 1")
     if ds.n < beta + 2:
         raise ValueError(f"need at least beta + 2 = {beta + 2} observations")
-    if kernel is None:
-        kernel = epanechnikov()
     if bandwidth is None:
         bandwidth = _curve_bandwidth(ds, beta)
     degree = max(1, beta)
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
 
     def u(t: float | np.ndarray) -> np.ndarray:
-        return _widened_fits(t, data, degree, bandwidth, kernel)[0][..., 0, :]
+        return _widened_fits(t, data, degree, bandwidth)[0][..., 0, :]
 
     def du(t: float | np.ndarray) -> np.ndarray:
-        theta, held = _widened_fits(t, data, degree, bandwidth, kernel)
+        theta, held = _widened_fits(t, data, degree, bandwidth)
         return theta[..., 1, :] / held[..., None]
 
     stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
@@ -297,13 +292,12 @@ def fit_curve(
     states[ends] = u(grid[ends])
     # the filter is the fit's weights at the middle observation, at the bandwidth
     # that holds there: lp_weights raises SingularDesign on the designs that
-    # `_widened_fits` widens, bit for bit (see localpoly._stacked_coefficients)
+    # `_widened_fits` widens, bit for bit (see localpoly.lp_coefficients)
     mid = ds.n // 2
     tried = [bandwidth]
     while True:
         try:
-            weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(degree, tried[-1]),
-                                 kernel)
+            weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(degree, tried[-1]))
             break
         except SingularDesign:
             if len(tried) == MAX_WIDENINGS:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .flow import NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
-from .localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_estimate, optimal_bandwidth
+from .localpoly import LocalPolyFit, RegressionData, lp_estimate, optimal_bandwidth
 
 __all__ = [
     "IncrementRegressor",
@@ -193,10 +193,9 @@ def estimate_general(regressions: HorizonRegressions, x: np.ndarray) -> np.ndarr
     when a horizon's fit is singular at ``x``.
     """
     x = np.asarray(x, dtype=float)
-    kernel = epanechnikov()
     total = None
     for w, data, fit in regressions.horizons:
-        term = w * lp_estimate(x, data, fit, kernel)
+        term = w * lp_estimate(x, data, fit)
         total = term if total is None else total + term
     return total / regressions.dt
 

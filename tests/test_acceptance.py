@@ -88,7 +88,6 @@ def test_criterion_01_polynomial_reproduction():
         for s in (0, 1)
         if s <= ell
     ]
-    kern = epanechnikov()
     t0 = time.time()
     worst = 0.0
     for trial in range(200):
@@ -109,7 +108,7 @@ def test_criterion_01_polynomial_reproduction():
             directions=dirs,
         )
         data = RegressionData(points=points, targets=qvals, extent=1.0)
-        w = lp_weights(x, data, fit, kern)
+        w = lp_weights(x, data, fit)
         want = directional(x, np.asarray(dirs[0])) if s == 1 else value(x)
         worst = max(worst, abs(float(w @ qvals) - want))
     elapsed = time.time() - t0
@@ -124,7 +123,6 @@ def test_criterion_01_polynomial_reproduction():
 
 def test_criterion_02_weighted_ls_oracle():
     rng = np.random.default_rng(202)
-    kern = epanechnikov()
     t0 = time.time()
     worst = 0.0
     checked = 0
@@ -142,12 +140,12 @@ def test_criterion_02_weighted_ls_oracle():
         data = RegressionData(points=points, targets=targets, extent=1.0)
         x = rng.uniform(0.25, 0.75, size=d)
         fit = LocalPolyFit(degree=ell, bandwidth=0.5, deriv_order=s, directions=dirs)
-        got = lp_estimate(x, data, fit, kern)
+        got = lp_estimate(x, data, fit)
 
         z = (points - x) / fit.bandwidth
         radii = np.linalg.norm(z, axis=1)
         keep = radii < 1.0
-        sqrtk = np.sqrt(kern(radii[keep]))
+        sqrtk = np.sqrt(epanechnikov(radii[keep]))
         psi = monomial_basis(z[keep], ell)
         theta, *_ = np.linalg.lstsq(
             psi * sqrtk[:, None], targets[keep] * sqrtk[:, None], rcond=None

@@ -14,7 +14,7 @@ from flowfit import stubble
 from flowfit.cli import main
 from flowfit.flow import TrajectoryData, make_field, read_dataset, write_dataset
 from flowfit.harness import ExperimentConfig, read_results_csv
-from flowfit.localpoly import LocalPolyFit, RegressionData, epanechnikov, lp_estimate, lp_weights
+from flowfit.localpoly import LocalPolyFit, RegressionData, lp_estimate, lp_weights
 from flowfit.models import MODELS, SUCCESSES
 
 
@@ -233,7 +233,7 @@ def test_estimate_stubble(stubble_config, tmp_path):
         assert fhat == [repr(float(v)) for v in stubble.estimate_general(regressions, x)]
         # constant field (1, 0): the local constant fit is unbiased, and each
         # component's noise has standard deviation (sigma / dt) * ||w(x)||_2
-        w = lp_weights(x, reg, fit, epanechnikov())
+        w = lp_weights(x, reg, fit)
         tol = 5 * meta["sigma"] / ds.dt * np.linalg.norm(w)
         assert np.all(np.abs(np.array(fhat, dtype=float) - [1.0, 0.0]) <= tol)
 
@@ -254,7 +254,7 @@ def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
     assert len(rows) == 9
     for row in rows:
         x = np.array([float(row["x_1"]), float(row["x_2"])])
-        want = lp_estimate(x, reg, fit, epanechnikov()) / ds.dt
+        want = lp_estimate(x, reg, fit) / ds.dt
         assert [row["fhat_1"], row["fhat_2"]] == [repr(float(v)) for v in want]
     # a model whose beta exceeds the dataset's horizons is refused
     refused = tmp_path / "refused.csv"

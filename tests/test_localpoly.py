@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from flowfit.localpoly import (
     SOLVE_BLOCK,
-    KernelSpec,
     LocalPolyFit,
     RegressionData,
     SingularDesign,
@@ -25,7 +24,6 @@ from flowfit.localpoly import (
     multi_indices,
     n_basis,
     optimal_bandwidth,
-    uniform_kernel,
 )
 
 
@@ -67,8 +65,7 @@ def test_design_matrix_matches_bruteforce():
     rng = np.random.default_rng(3)
     for d, degree in [(1, 2), (2, 1), (3, 1)]:
         data, fit, x = random_instance(rng, d, degree)
-        kern = epanechnikov()
-        inv = _solve_design(x, data, fit, kern)[-1]
+        inv = _solve_design(x, data, fit)[-1]
         nb = n_basis(d, degree)
         want = np.zeros((nb, nb))
         for i in range(data.n):
@@ -76,7 +73,7 @@ def test_design_matrix_matches_bruteforce():
             if np.linalg.norm(z) >= 1.0:
                 continue
             psi = monomial_basis(z, degree)
-            k = kern(np.linalg.norm(z))
+            k = epanechnikov(np.linalg.norm(z))
             for a in range(nb):
                 for b in range(nb):
                     want[a, b] += k * psi[a] * psi[b]
@@ -88,7 +85,7 @@ def test_weight_locality():
     pts = np.array([[0.1], [0.2], [0.5], [0.9]])
     data = RegressionData(points=pts, targets=np.zeros(4), extent=1.0)
     fit = LocalPolyFit(degree=0, bandwidth=0.25)
-    w = lp_weights(np.array([0.15]), data, fit, epanechnikov())
+    w = lp_weights(np.array([0.15]), data, fit)
     assert w[2] == 0.0 and w[3] == 0.0
     assert w[0] != 0.0 and w[1] != 0.0
 
@@ -96,7 +93,7 @@ def test_weight_locality():
 def test_value_weights_sum_to_one():
     rng = np.random.default_rng(8)
     data, fit, x = random_instance(rng, 2, 1)
-    w = lp_weights(x, data, fit, epanechnikov())
+    w = lp_weights(x, data, fit)
     assert abs(w.sum() - 1.0) <= 1e-10
 
 
@@ -131,7 +128,7 @@ def test_polynomial_reproduction():
             return (q(pt + step * v)[0] - q(pt - step * v)[0]) / (2 * step)
 
         try:
-            w = lp_weights(x, data, fit, epanechnikov())
+            w = lp_weights(x, data, fit)
         except SingularDesign:
             continue
         got = w @ q(data.points)
@@ -155,15 +152,14 @@ def test_estimate_matches_weighted_least_squares():
         fit = LocalPolyFit(
             degree=degree, bandwidth=0.5, deriv_order=s, directions=tuple(dirs)
         )
-        kern = epanechnikov()
         try:
-            got = lp_estimate(x, data, fit, kern)
+            got = lp_estimate(x, data, fit)
         except SingularDesign:
             continue
         z = (data.points - x) / fit.bandwidth
         radii = np.linalg.norm(z, axis=1)
         keep = radii < 1.0
-        sqrtk = np.sqrt(kern(radii[keep]))
+        sqrtk = np.sqrt(epanechnikov(radii[keep]))
         psi = monomial_basis(z[keep], degree)
         theta, *_ = np.linalg.lstsq(
             psi * sqrtk[:, None], data.targets[keep] * sqrtk[:, None], rcond=None
@@ -178,20 +174,34 @@ def test_linearity_in_targets(lam):
     rng = np.random.default_rng(21)
     data, fit, x = random_instance(rng, 2, 1)
     scaled = RegressionData(points=data.points, targets=lam * data.targets, extent=1.0)
-    a = lp_estimate(x, data, fit, epanechnikov())
-    b = lp_estimate(x, scaled, fit, epanechnikov())
+    a = lp_estimate(x, data, fit)
+    b = lp_estimate(x, scaled, fit)
     assert np.allclose(b, lam * a, rtol=1e-9, atol=1e-12)
 
 
 def test_coefficients_expose_value_and_slope():
     rng = np.random.default_rng(4)
     data, fit, x = random_instance(rng, 1, 1)
-    theta = lp_coefficients(x, data, fit, epanechnikov())
-    value = lp_estimate(x, data, fit, epanechnikov())
+    data = RegressionData(points=np.sort(data.points, axis=0), targets=data.targets, extent=1.0)
+    (theta,), singular = lp_coefficients(x[None], data, fit)
+    assert not singular[0]
+    value = lp_estimate(x, data, fit)
     assert np.allclose(theta[0], value, atol=1e-12)
     dfit = LocalPolyFit(degree=1, bandwidth=fit.bandwidth, deriv_order=1, directions=((1.0,),))
-    slope = lp_estimate(x, data, dfit, epanechnikov())
+    slope = lp_estimate(x, data, dfit)
     assert np.allclose(theta[1] / fit.bandwidth, slope, atol=1e-12)
+
+
+def test_coefficients_take_only_a_stack_of_times_on_sorted_data():
+    rng = np.random.default_rng(4)
+    data, fit, x = random_instance(rng, 1, 1)
+    assert data.sorted_times is None
+    with pytest.raises(ValueError, match="sorted"):
+        lp_coefficients(x[None], data, fit)
+    data = RegressionData(points=np.sort(data.points, axis=0), targets=data.targets, extent=1.0)
+    for times in (x, x[None, :, None], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="stack"):
+            lp_coefficients(times, data, fit)
 
 
 def test_pointwise_bandwidth_closed_form():
@@ -218,19 +228,13 @@ def test_singular_design_far_from_data():
     data = RegressionData(points=pts, targets=np.zeros(3), extent=1.0)
     fit = LocalPolyFit(degree=1, bandwidth=0.1)
     with pytest.raises(SingularDesign) as err:
-        lp_estimate(np.array([0.9, 0.9]), data, fit, epanechnikov())
+        lp_estimate(np.array([0.9, 0.9]), data, fit)
     assert err.value.lambda_min == 0.0
 
 
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(func=lambda z: -np.ones_like(z))
-    with pytest.raises(ValueError):
-        KernelSpec(func=lambda z: np.ones_like(z))  # does not vanish past 1
-    with pytest.raises(ValueError):
-        KernelSpec(func=lambda z: np.zeros_like(z))
-    assert epanechnikov()(np.array([2.0])) == 0.0
-    assert uniform_kernel().lipschitz is False
+def test_kernel_values():
+    # K(z) = (1 - z^2)_+: 1 at the centre, 0 on and past the edge of the support
+    assert epanechnikov(np.array([0.0, 0.5, 1.0, 1.5])).tolist() == [1.0, 0.75, 0.0, 0.0]
 
 
 # --- windowed fits on sorted 1-D points against a full scan -----------------
@@ -253,7 +257,7 @@ def reference_basis(z, ell, mode):
     return out
 
 
-def full_scan_fit(x, data, fit, kernel):
+def full_scan_fit(x, data, fit):
     """Coefficients and weights of the fit at ``x`` with every point scanned.
 
     The same operations, in the same order, as the package applies to the
@@ -266,7 +270,7 @@ def full_scan_fit(x, data, fit, kernel):
     radii = np.linalg.norm(diffs, axis=1)
     inside = radii < 1.0
     psi = reference_basis(diffs[inside], fit.degree, "factorial-scaled")
-    kvals = kernel(radii[inside])
+    kvals = epanechnikov(radii[inside])
     if psi.shape[0] == 0:
         raise SingularDesign(0.0, x)
     bmat = scale * (psi.T * kvals) @ psi
@@ -284,8 +288,16 @@ def full_scan_fit(x, data, fit, kernel):
     return coef, w
 
 
-def package_fit(x, data, fit, kernel):
-    return lp_coefficients(x, data, fit, kernel), lp_weights(x, data, fit, kernel)
+def package_fit(x, data, fit):
+    """Coefficients and weights of the package's fit at ``x``; coefficients
+    only on sorted data, the one design `lp_coefficients` fits."""
+    coef = None
+    if data.sorted_times is not None:
+        theta, singular = lp_coefficients(x[None], data, fit)
+        if singular[0]:
+            raise SingularDesign(0.0, x)
+        coef = theta[0]
+    return coef, lp_weights(x, data, fit)
 
 
 def or_singular(fn, *args):
@@ -295,14 +307,14 @@ def or_singular(fn, *args):
         return "singular"
 
 
-def assert_same_as_full_scan(x, data, fit, kernel):
-    want = or_singular(full_scan_fit, x, data, fit, kernel)
-    got = or_singular(package_fit, x, data, fit, kernel)
+def assert_same_as_full_scan(x, data, fit):
+    want = or_singular(full_scan_fit, x, data, fit)
+    got = or_singular(package_fit, x, data, fit)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
     for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+        assert g is None or np.array_equal(g, w)
 
 
 def make_fit(degree, bandwidth, slope):
@@ -310,9 +322,6 @@ def make_fit(degree, bandwidth, slope):
         return LocalPolyFit(degree=degree, bandwidth=bandwidth, deriv_order=1,
                             directions=((1.0,),))
     return LocalPolyFit(degree=degree, bandwidth=bandwidth)
-
-
-KERNELS = st.sampled_from([epanechnikov(), uniform_kernel()])
 
 
 @given(
@@ -324,11 +333,10 @@ KERNELS = st.sampled_from([epanechnikov(), uniform_kernel()])
     exact_edges=st.booleans(),
     degree=st.integers(0, 3),
     slope=st.booleans(),
-    kernel=KERNELS,
     seed=st.integers(0, 2**16),
 )
 def test_windowed_fit_matches_full_scan(
-    extent, ticks, step, at_tick, where, exact_edges, degree, slope, kernel, seed
+    extent, ticks, step, at_tick, where, exact_edges, degree, slope, seed
 ):
     # times on a lattice of spacing extent / 60 with repeated ticks; the
     # bandwidth is a whole number of spacings, and a query on a tick puts
@@ -344,30 +352,29 @@ def test_windowed_fit_matches_full_scan(
     targets = np.random.default_rng(seed).standard_normal((times.size, 2))
     data = RegressionData(points=times[:, None], targets=targets, extent=extent)
     assert data.sorted_times is not None
-    assert_same_as_full_scan(np.array([x]), data, make_fit(degree, h, slope), kernel)
+    assert_same_as_full_scan(np.array([x]), data, make_fit(degree, h, slope))
 
 
 @given(
     d=st.integers(1, 3),
     degree=st.integers(0, 2),
     bandwidth=st.floats(0.1, 0.8),
-    kernel=KERNELS,
     seed=st.integers(0, 2**16),
 )
-def test_unsorted_and_multivariate_fits_match_full_scan(d, degree, bandwidth, kernel, seed):
+def test_unsorted_and_multivariate_fits_match_full_scan(d, degree, bandwidth, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(50, d))  # in d=1, unsorted: a full scan
     data = RegressionData(points=pts, targets=rng.standard_normal((50, 2)), extent=1.0)
     assert data.sorted_times is None
     x = rng.uniform(-0.2, 1.2, size=d)
-    assert_same_as_full_scan(x, data, make_fit(degree, bandwidth, slope=d == 1), kernel)
+    assert_same_as_full_scan(x, data, make_fit(degree, bandwidth, slope=d == 1))
 
 
 def test_nan_point_forces_a_full_scan():
     times = np.array([[0.0], [0.1], [np.nan], [0.3], [0.4]])
     data = RegressionData(points=times, targets=np.arange(5.0), extent=1.0)
     assert data.sorted_times is None
-    assert_same_as_full_scan(np.array([0.2]), data, make_fit(0, 0.25, False), epanechnikov())
+    assert_same_as_full_scan(np.array([0.2]), data, make_fit(0, 0.25, False))
 
 
 @given(beta=st.integers(1, 3), seed=st.integers(0, 2**16))
@@ -386,7 +393,7 @@ def test_curve_widening_at_both_ends_matches_full_scan(beta, seed):
         h = h0
         for _ in range(MAX_WIDENINGS):
             fit = LocalPolyFit(degree=beta, bandwidth=h)
-            want = or_singular(full_scan_fit, np.array([t]), data, fit, epanechnikov())
+            want = or_singular(full_scan_fit, np.array([t]), data, fit)
             if not isinstance(want, str):
                 break
             h *= WIDEN_FACTOR
@@ -397,7 +404,7 @@ def test_curve_widening_at_both_ends_matches_full_scan(beta, seed):
     assert widened == 4
 
 
-def widened_full_scan(t, data, degree, bandwidth, kernel):
+def widened_full_scan(t, data, degree, bandwidth):
     """`full_scan_fit` coefficients at ``t``, widened as the curve fit widens,
     and the bandwidth that held."""
     from flowfit.snake import MAX_WIDENINGS, WIDEN_FACTOR
@@ -405,7 +412,7 @@ def widened_full_scan(t, data, degree, bandwidth, kernel):
     h = bandwidth
     for _ in range(MAX_WIDENINGS):
         want = or_singular(full_scan_fit, np.array([t]), data,
-                           LocalPolyFit(degree=degree, bandwidth=h), kernel)
+                           LocalPolyFit(degree=degree, bandwidth=h))
         if not isinstance(want, str):
             return want[0], h
         h *= WIDEN_FACTOR
@@ -415,12 +422,11 @@ def widened_full_scan(t, data, degree, bandwidth, kernel):
 @given(
     beta=st.integers(1, 3),
     window=st.sampled_from(["plug-in", "floor", "short"]),
-    kernel=KERNELS,
     ticks=st.lists(st.integers(0, 64), max_size=4),
     where=st.lists(st.floats(0.0, 1.0), max_size=4),
     seed=st.integers(0, 2**16),
 )
-def test_stacked_curve_fits_match_full_scan(beta, window, kernel, ticks, where, seed):
+def test_stacked_curve_fits_match_full_scan(beta, window, ticks, where, seed):
     # "floor": noiseless data gets the floor 1.25 (beta + 1) dt, which at beta = 3
     # puts observations exactly on the window edge; "short" is one point short of
     # a one-sided window, so the ends widen
@@ -432,18 +438,17 @@ def test_stacked_curve_fits_match_full_scan(beta, window, kernel, ticks, where, 
     ds = generate_snake(make_field("rotation"), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
                         sigma=sigma, seed=seed)
     bandwidth = (beta - 0.5) * ds.dt if window == "short" else None
-    curve = fit_curve(ds, beta=beta, kernel=kernel, bandwidth=bandwidth)
+    curve = fit_curve(ds, beta=beta, bandwidth=bandwidth)
     times = np.concatenate([[0.0, ds.horizon, 0.3 * ds.dt, ds.horizon - 0.3 * ds.dt],
                             ds.times[ticks], np.array(where) * ds.horizon])
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
-    want = [widened_full_scan(t, data, beta, curve.bandwidth, kernel) for t in times]
+    want = [widened_full_scan(t, data, beta, curve.bandwidth) for t in times]
     assert np.array_equal(curve.u(times), np.array([theta[0] for theta, _ in want]))
     assert np.array_equal(curve.du(times), np.array([theta[1] / h for theta, h in want]))
 
 
-@pytest.mark.parametrize("kernel", [epanechnikov(), uniform_kernel()], ids=["epan", "uniform"])
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree, kernel):
+def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree):
     # n = 2^14 times with a gap of three bandwidths: windows of 301 to 601
     # points, mixed lengths in one padded block, more entries than one block
     # holds, and singular rows (a window of a few points at the gap's edge,
@@ -474,8 +479,8 @@ def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree, kernel):
     # a block mixes long windows with one of at most `degree` points, which is singular
     assert any(b[-1] <= degree and b[0] > 256 for b in blocks)
     fit = LocalPolyFit(degree=degree, bandwidth=h)
-    theta, singular = lp_coefficients(query[:, None], data, fit, kernel)
-    want = [or_singular(full_scan_fit, np.array([t]), data, fit, kernel) for t in query]
+    theta, singular = lp_coefficients(query[:, None], data, fit)
+    want = [or_singular(full_scan_fit, np.array([t]), data, fit) for t in query]
     assert singular.tolist() == [isinstance(w, str) for w in want]
     assert 0 < np.sum(singular & (lengths > 0)) and np.sum(~singular) > 20
     assert np.all(np.isnan(theta[singular]))

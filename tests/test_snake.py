@@ -22,12 +22,9 @@ from flowfit.interp import (
 from flowfit.localpoly import (
     LocalPolyFit,
     RegressionData,
-    SingularDesign,
-    epanechnikov,
     lp_coefficients,
     lp_weights,
     n_basis,
-    uniform_kernel,
 )
 from flowfit.snake import (
     GRID_PER_BANDWIDTH,
@@ -143,27 +140,22 @@ def assert_grid_is_per_point_fit(curve: CurveEstimate) -> None:
     assert np.all(err <= 1e-12 * np.linalg.norm(fits, axis=1))
 
 
-KERNELS = {"epanechnikov": epanechnikov(), "uniform": uniform_kernel()}
-
-
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("beta", [1, 2, 3])
-def test_grid_equals_per_point_fits_on_noisy_data(beta, kernel, monkeypatch):
+def test_grid_equals_per_point_fits_on_noisy_data(beta, monkeypatch):
     n = 1024
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=7)
     fits = count_fits(monkeypatch)
-    curve = fit_curve(ds, beta=beta, kernel=KERNELS[kernel])
+    curve = fit_curve(ds, beta=beta)
     assert len(fits) < curve.grid_times.size  # interior times come from the filter
     assert_grid_is_per_point_fit(curve)
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("beta", [1, 2, 3])
-def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, kernel, monkeypatch):
+def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, monkeypatch):
     n = 512
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.0)
     fits = count_fits(monkeypatch)
-    curve = fit_curve(ds, beta=beta, kernel=KERNELS[kernel])
+    curve = fit_curve(ds, beta=beta)
     reach = curve.bandwidth / ds.dt  # the floor 1.25 (beta + 1) dt
     if beta == 3:  # offset 5 dt sits on the window edge: every time is fitted alone
         assert math.isclose(reach, 5.0)
@@ -178,9 +170,9 @@ def test_grid_equals_per_point_fits_where_the_interior_design_widens(beta, reach
     n = 256
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=3)
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
-    with pytest.raises(SingularDesign):  # too few points in a two-sided window
-        lp_coefficients(ds.times[n // 2:n // 2 + 1], data,
-                        LocalPolyFit(degree=beta, bandwidth=reach * ds.dt), epanechnikov())
+    _, singular = lp_coefficients(ds.times[n // 2:n // 2 + 1, None], data,
+                                  LocalPolyFit(degree=beta, bandwidth=reach * ds.dt))
+    assert singular.tolist() == [True]  # too few points in a two-sided window
     fits = count_fits(monkeypatch)
     curve = fit_curve(ds, beta=beta, bandwidth=reach * ds.dt)
     assert len(fits) < curve.grid_times.size
@@ -201,14 +193,14 @@ def test_grid_holds_observation_times_and_fits_only_boundary_times(monkeypatch):
     assert fits == [t for t in grid.tolist() if curve.boundary(t)]
 
 
-def reference_filter(ds: TrajectoryData, curve: CurveEstimate, kernel) -> tuple:
+def reference_filter(ds: TrajectoryData, curve: CurveEstimate) -> tuple:
     """The interior grid times of a curve fitted at its own bandwidth, and
     their states as the tap-by-tap sum of the fit's weights at the middle
     observation, one numpy operation per tap."""
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
     h = curve.bandwidth
     mid = ds.n // 2
-    weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(curve.degree, h), kernel)
+    weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(curve.degree, h))
     idx = np.searchsorted(ds.times, curve.grid_times)
     stride = idx[1] - idx[0]
     inner = (curve.grid_times >= h) & (curve.grid_times <= ds.horizon - h)
@@ -218,12 +210,11 @@ def reference_filter(ds: TrajectoryData, curve: CurveEstimate, kernel) -> tuple:
 
 
 @pytest.mark.parametrize("n", [1024, 2**14])
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("beta", [1, 2, 3])
-def test_interior_filter_equals_the_tap_by_tap_sum(beta, kernel, n):
+def test_interior_filter_equals_the_tap_by_tap_sum(beta, n):
     ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=5)
-    curve = fit_curve(ds, beta=beta, kernel=KERNELS[kernel])
-    inner, want = reference_filter(ds, curve, KERNELS[kernel])
+    curve = fit_curve(ds, beta=beta)
+    inner, want = reference_filter(ds, curve)
     assert inner.sum() > 2 * GRID_PER_BANDWIDTH
     assert np.array_equal(curve.grid_states[inner], want)
 
@@ -799,10 +790,14 @@ def test_exit_agrees_with_the_full_search(case, ell, monkeypatch):
     cfg = StencilConfig(pool_size=32, sweeps=2)
     calls = count_key_calls(monkeypatch)
     rng = np.random.default_rng(60 + ell)
-    exits = 0
+    # scales below 1 put loop queries inside the loop, where stencils exist; the
+    # line has few exits below 1
+    low = 1.0 if case == "line" else 0.85
+    exits = admitted = 0
     for _ in range(20):
-        x = curve.u(rng.uniform(0.0, curve.horizon)) * rng.uniform(1.0, 1.15)
+        x = curve.u(rng.uniform(0.0, curve.horizon)) * rng.uniform(low, 1.15)
         want = reference_search(curve, x, cfg, ell)
+        admitted += want is not None
         calls.clear()
         try:
             got = select_stencil(curve, x, cfg, ell=ell).times
@@ -810,7 +805,7 @@ def test_exit_agrees_with_the_full_search(case, ell, monkeypatch):
             got = None
             exits += calls == []
         assert (got is None) if want is None else np.array_equal(got, want)
-    assert exits >= 5
+    assert exits >= 5 and admitted >= 3
 
 
 def seed_one_curve():

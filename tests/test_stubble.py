@@ -16,7 +16,6 @@ from flowfit.localpoly import (
     LocalPolyFit,
     RegressionData,
     SingularDesign,
-    epanechnikov,
     lp_estimate,
 )
 from flowfit.models import MODELS
@@ -110,7 +109,7 @@ def test_general_beta1_reduces_to_lipschitz():
     fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1))
     regressions = horizon_regressions(ds)
     for x in default_query_points(2, per_dim=3):
-        lip = lp_estimate(x, data, fit, epanechnikov()) / ds.dt
+        lip = lp_estimate(x, data, fit) / ds.dt
         assert np.array_equal(estimate_general(regressions, x), lip)
 
 
@@ -170,12 +169,11 @@ def test_fit_sets_up_each_horizon_once(monkeypatch):
     got = MODELS["stubble-gen"].fit(SimpleNamespace(bandwidth=None), ds, beta)(queries)
     assert horizons == [1, 2, 3]
     # bit for bit the estimate that sets every horizon up for its own query
-    kernel = epanechnikov()
     for x, value in zip(queries, got.values):
         want = sum(
             w * lp_estimate(x, RegressionData(points=ds.initials, targets=ds.increments(i),
                                               extent=1.0),
-                            LocalPolyFit(beta - 1, real(ds, i, beta - 1, beta)), kernel)
+                            LocalPolyFit(beta - 1, real(ds, i, beta - 1, beta)))
             for i, w in enumerate(_derivative_weights(beta), start=1)
         ) / ds.dt
         assert np.array_equal(value, want)
