@@ -447,8 +447,9 @@ def test_stacked_curve_fits_match_full_scan(beta, window, ticks, where, seed):
     assert np.array_equal(curve.du(times), np.array([theta[1] / h for theta, h in want]))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree):
+def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree, dim):
     # n = 2^14 times with a gap of three bandwidths: windows of 301 to 601
     # points, mixed lengths in one padded block, more entries than one block
     # holds, and singular rows (a window of a few points at the gap's edge,
@@ -460,7 +461,7 @@ def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree):
     edge = times[n // 4]
     times = times[(times <= edge) | (times >= edge + 3 * h)]
     rng = np.random.default_rng(degree)
-    data = RegressionData(points=times[:, None], targets=rng.standard_normal((times.size, 2)),
+    data = RegressionData(points=times[:, None], targets=rng.standard_normal((times.size, dim)),
                           extent=2 * math.pi)
     query = np.concatenate([
         np.linspace(0.0, 2 * h, 9),  # one-sided windows growing from the left end

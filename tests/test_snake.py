@@ -140,20 +140,24 @@ def assert_grid_is_per_point_fit(curve: CurveEstimate) -> None:
     assert np.all(err <= 1e-12 * np.linalg.norm(fits, axis=1))
 
 
+@pytest.mark.parametrize("field", ["rotation", "pendulum"])
 @pytest.mark.parametrize("beta", [1, 2, 3])
-def test_grid_equals_per_point_fits_on_noisy_data(beta, monkeypatch):
+def test_grid_equals_per_point_fits_on_noisy_data(beta, field, monkeypatch):
     n = 1024
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=7)
+    ds = generate_snake(make_field(field), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
+                        sigma=0.05, seed=7)
     fits = count_fits(monkeypatch)
     curve = fit_curve(ds, beta=beta)
     assert len(fits) < curve.grid_times.size  # interior times come from the filter
     assert_grid_is_per_point_fit(curve)
 
 
+@pytest.mark.parametrize("field", ["rotation", "pendulum"])
 @pytest.mark.parametrize("beta", [1, 2, 3])
-def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, monkeypatch):
+def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, field, monkeypatch):
     n = 512
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.0)
+    ds = generate_snake(make_field(field), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
+                        sigma=0.0)
     fits = count_fits(monkeypatch)
     curve = fit_curve(ds, beta=beta)
     reach = curve.bandwidth / ds.dt  # the floor 1.25 (beta + 1) dt
@@ -209,10 +213,12 @@ def reference_filter(ds: TrajectoryData, curve: CurveEstimate) -> tuple:
     return inner, sum(weights[k] * data.targets[lo + k:hi + k + 1:stride] for k in taps)
 
 
+@pytest.mark.parametrize("field", ["rotation", "pendulum"])
 @pytest.mark.parametrize("n", [1024, 2**14])
 @pytest.mark.parametrize("beta", [1, 2, 3])
-def test_interior_filter_equals_the_tap_by_tap_sum(beta, n):
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=5)
+def test_interior_filter_equals_the_tap_by_tap_sum(beta, n, field):
+    ds = generate_snake(make_field(field), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
+                        sigma=0.05, seed=5)
     curve = fit_curve(ds, beta=beta)
     inner, want = reference_filter(ds, curve)
     assert inner.sum() > 2 * GRID_PER_BANDWIDTH
