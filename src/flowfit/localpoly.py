@@ -22,18 +22,20 @@ Fits use the ``factorial-scaled`` basis, which divides each monomial
 ordered by total degree, then lexicographically with earlier coordinates
 taking precedence, e.g. for d=2, ell=2: 1, a, b, a^2, ab, b^2.
 
-Weights and estimates come from one solve of ``B(x)`` at one query
-point.  Because the weights vanish outside the bandwidth ball, a fit on
-1-D design points that are nondecreasing (every time grid of a long
-trajectory) scans only the index range that can lie within one bandwidth
-of ``x``, found by bisection; any other design is scanned in full.  Both
-paths apply the same exact ``radius < 1`` test to the points they scan
-and keep the full ``n`` in the weight scale, so they return the same
-bits.  Coefficients come from one batched solve per block:
-:func:`lp_coefficients` fits a stack of query times on such sorted data
-in padded blocks that mix windows of every length, the elementwise terms
-and the solve once per block and the window sums once per distinct
-length, with the same bits as fitting each time alone.
+Weights come from one solve of ``B(x)`` at one query point
+(:func:`lp_weights`).  Estimates come from the batched coefficient solve
+of :func:`lp_coefficients` over a stack of query points:
+:func:`lp_estimate` reads ``D_v g`` off the fitted coefficients, with no
+weight vector over the whole design.  Because the weights vanish outside
+the bandwidth ball, a fit on 1-D design points that are nondecreasing
+(every time grid of a long trajectory) scans only the index range that
+can lie within one bandwidth of ``x``, found by bisection; any other
+design is scanned in full.  Both paths apply the same exact
+``radius < 1`` test to the points they scan and keep the full ``n`` in
+the weight scale, so they return the same bits.  A stack is solved in
+batches, padded blocks that mix windows of every length on sorted data
+and groups of equal in-ball count elsewhere, with the same bits as
+fitting each point alone.
 """
 
 from __future__ import annotations
@@ -323,9 +325,25 @@ def lp_weights(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> np.nda
     return w
 
 
-def lp_estimate(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> np.ndarray:
-    """Componentwise estimate ``sum_i w_i(x) Y_i`` of ``D_v g(x)``."""
-    return lp_weights(x, data, fit) @ data.targets
+def lp_estimate(
+    x: np.ndarray, data: RegressionData, fit: LocalPolyFit
+) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise estimates of ``D_v g`` at a ``(Q, d)`` stack of points.
+
+    Returns ``(values, singular)``: the ``(Q, dy)`` estimates, NaN in the
+    rows whose design is singular, and those rows ``(Q,)``.  Each value is
+    ``Dpsi(0) . theta / h^s`` read off the coefficients of
+    :func:`lp_coefficients`, so it gets the bits of its point estimated
+    alone; it equals ``sum_i w_i(x) Y_i`` with the :func:`lp_weights` up
+    to rounding.
+    """
+    theta, singular = lp_coefficients(x, data, fit)
+    read = deriv_basis_at_zero(data.dim, fit.degree, [np.asarray(v) for v in fit.directions])
+    values = None
+    for k in np.flatnonzero(read):  # one column at a time: the same bits in any stack
+        term = read[k] * theta[:, k]
+        values = term if values is None else values + term
+    return values / fit.bandwidth ** fit.deriv_order, singular
 
 
 # Largest number of window entries (times x points) one stacked solve gathers.
@@ -335,37 +353,74 @@ SOLVE_BLOCK = 4096
 def lp_coefficients(
     x: np.ndarray, data: RegressionData, fit: LocalPolyFit
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted coefficient blocks of the local fits at a stack of times.
+    """Fitted coefficient blocks of the local fits at a stack of points.
 
-    `x` is a ``(Q, 1)`` stack of times and `data` holds sorted 1-D design
-    points; any other input raises ValueError.  Returns ``(theta,
-    singular)``: the blocks ``(Q, N, dy)``, NaN in the rows whose design
-    is singular, and those rows ``(Q,)``.  In the factorial-scaled basis,
-    row ``k`` of a block approximates ``h^k D^k g(t)``, so one solve
-    yields the value estimate (row 0) and every derivative estimate up to
-    the fitted degree.  ``fit.deriv_order`` is ignored.
+    `x` is a ``(Q, d)`` stack of points in the dimension of `data`; any
+    other shape raises ValueError.  Returns ``(theta, singular)``: the
+    blocks ``(Q, N, dy)``, NaN in the rows whose design is singular, and
+    those rows ``(Q,)``.  In the factorial-scaled basis, entry ``alpha``
+    of a block approximates ``h^|alpha| D^alpha g(x)``, so one solve yields
+    the value estimate (entry 0) and every derivative estimate up to the
+    fitted degree.  ``fit.deriv_order`` is ignored.
 
-    The in-bandwidth points of a time form one index range: `_reach`,
-    trimmed at both ends by the exact ``radius < 1`` test.  The times are
-    fitted in padded blocks of at most `SOLVE_BLOCK` entries, longest
-    ranges first: each row of a block is as wide as the block's longest
-    range and repeats its last index past its own, so the elementwise
-    terms are made once per block.  The two window sums run once per
-    distinct length on the unpadded rows, then each block makes one
-    batched eigendecomposition and solve.  Every row takes the operations
-    of `_solve_design` in the same order on the same points, so it gets
-    the bits of a fit of that time alone.
+    Every row takes the operations of `_solve_design` in the same order on
+    the same points, so it gets the bits of a fit of that point alone,
+    however the stack is batched.  On sorted 1-D data the in-bandwidth
+    points of a time form one index range: `_reach`, trimmed at both ends
+    by the exact ``radius < 1`` test (see `_range_fits`).  Any other
+    design is scanned in full at each point by `_local_terms`, and the
+    points with equally many in-ball points share one product and one
+    batched eigendecomposition and solve.
     """
     x = np.asarray(x, dtype=float)
-    if data.sorted_times is None:
-        raise ValueError("lp_coefficients needs sorted 1-D design points")
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise ValueError(f"lp_coefficients takes a (Q, 1) stack of times, not shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != data.dim:
+        raise ValueError(
+            f"lp_coefficients takes a (Q, {data.dim}) stack of points, not shape {x.shape}")
+    basis = n_basis(data.dim, fit.degree)
+    theta = np.full((x.shape[0], basis, data.targets.shape[1]), np.nan)
+    singular = np.ones(x.shape[0], dtype=bool)  # an empty ball is singular
+    if data.n == 0:
+        return theta, singular
+    fits = _scanned_fits if data.sorted_times is None else _range_fits
+    for rows, bmat, avec in fits(x, data, fit):
+        eigvals, eigvecs = np.linalg.eigh(bmat)
+        floor = 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
+        held = eigvals[:, 0] > floor
+        singular[rows] = ~held
+        eigvals, eigvecs = eigvals[held], eigvecs[held]
+        inv = eigvecs @ (eigvecs / eigvals[:, None, :]).transpose(0, 2, 1)
+        theta[rows[held]] = inv @ avec[held]
+    return theta, singular
+
+
+def _scanned_fits(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
+    """``(rows, B, A)`` per group of the points of `x` whose balls hold
+    equally many points: the stacked designs ``B(x)`` and their products
+    ``A(x)`` with the targets, each point's terms from `_local_terms` over
+    every point of `data`."""
+    d = data.dim
+    terms = [_local_terms(point, data.points, fit) for point in x]
+    counts = np.array([kvals.size for _, _, kvals in terms])
+    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
+    for m in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == m)
+        psi = np.stack([terms[q][1] for q in rows])
+        kvals = np.stack([terms[q][2] for q in rows])
+        targets = np.stack([data.targets[terms[q][0]] for q in rows])
+        weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
+        yield rows, weighted @ psi, weighted @ targets
+
+
+def _range_fits(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
+    """``(rows, B, A)`` per padded block of the times of `x` on sorted 1-D data.
+
+    The times are fitted in padded blocks of at most `SOLVE_BLOCK` entries,
+    longest ranges first: each row of a block is as wide as the block's
+    longest range and repeats its last index past its own, so the
+    elementwise terms are made once per block.  The two window sums run
+    once per distinct length on the unpadded rows.
+    """
     h = fit.bandwidth
-    num = x.shape[0]
-    basis = n_basis(1, fit.degree)
-    theta = np.full((num, basis, data.targets.shape[1]), np.nan)
-    singular = np.ones(num, dtype=bool)  # an empty range is singular
     times, t = data.sorted_times, x[:, 0]
     lo, hi = _reach(times, t, h)
 
@@ -389,21 +444,14 @@ def lp_coefficients(
         psi = monomial_basis(diffs, fit.degree)
         kvals = epanechnikov(np.linalg.norm(diffs, axis=2))
         weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
-        bmat = np.empty((rows.size, basis, basis))
-        avec = np.empty((rows.size,) + theta.shape[1:])
+        bmat = np.empty((rows.size, psi.shape[2], psi.shape[2]))
+        avec = np.empty((rows.size, psi.shape[2], data.targets.shape[1]))
         cuts = np.flatnonzero(np.diff(own)) + 1
         for a, b in zip(np.append(0, cuts), np.append(cuts, rows.size)):  # rows of one length
             m = own[a]
             bmat[a:b] = weighted[a:b, :, :m] @ psi[a:b, :m]
             avec[a:b] = weighted[a:b, :, :m] @ data.targets[idx[a:b, :m]]
-        eigvals, eigvecs = np.linalg.eigh(bmat)
-        floor = 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
-        held = eigvals[:, 0] > floor
-        singular[rows] = ~held
-        eigvals, eigvecs = eigvals[held], eigvecs[held]
-        inv = eigvecs @ (eigvecs / eigvals[:, None, :]).transpose(0, 2, 1)
-        theta[rows[held]] = inv @ avec[held]
-    return theta, singular
+        yield rows, bmat, avec
 
 
 def optimal_bandwidth(

@@ -43,7 +43,9 @@ class Predictor:
     """A fitted model, called on a (Q, d) query array.
 
     ``estimate(queries)`` maps the whole stack to ``(values, status,
-    stencils)``, one entry per query (see `_per_query`).  A query
+    stencils)``, one entry per query: in one stacked call for the stubble
+    models and ``snake-lip``, one query at a time (`_per_query`) for
+    ``snake-gen``.  A query
     whose status is not in :data:`FAILURES` but whose value is not finite
     gets the status ``non-finite``; a stack whose estimate raises
     ``SingularDesign`` fails every query as ``singular``.
@@ -189,8 +191,13 @@ def _fit_stubble(cfg, ds, beta: int) -> Predictor:
         ds = TrajectoryData(ds.initials, ds.dt, ds.observations[:, :beta], ds.meta)
     reg = stubble.IncrementRegressor(bandwidth=cfg.bandwidth)
     regressions = stubble.horizon_regressions(ds, reg)  # shared by every query
-    return Predictor(_per_query(
-        lambda x: (stubble.estimate_general(regressions, x), "regression", None)))
+
+    def estimate(queries):
+        values, singular = stubble.estimate_general(regressions, queries)
+        status = tuple("singular" if s else "regression" for s in singular.tolist())
+        return values, status, (None,) * queries.shape[0]
+
+    return Predictor(estimate)
 
 
 def _fit_snake_lip(cfg, ds, beta: int) -> Predictor:

@@ -18,8 +18,9 @@ horizon, a local constant fit, and ``h_1 / dt``, which is rate optimal
 when only a Lipschitz bound on the field is available.  Larger ``beta``
 lifts the rate to the smoothness the field actually has.  The increments,
 regression data and bandwidth of each horizon depend only on the
-dataset: :func:`horizon_regressions` sets them up once, and every query
-reuses them.
+dataset: :func:`horizon_regressions` sets them up once, and
+:func:`estimate_general` fits each horizon once for a whole stack of
+queries.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ def grid_initials(n0: int, d: int) -> np.ndarray:
     """
     if n0 < 1 or d < 1:
         raise ValueError("need n0 >= 1 and d >= 1")
-    ks = itertools.product(range(1, n0 + 1), repeat=d)
-    return np.array(list(ks), dtype=float) / n0
+    return (np.indices((n0,) * d).reshape(d, -1).T + 1).astype(float) / n0
 
 
 def flow_stubble(fld: VectorField, n0: int, dt: float, beta: int | None = None) -> np.ndarray:
@@ -179,25 +179,32 @@ def horizon_regressions(
     ))
 
 
-def estimate_general(regressions: HorizonRegressions, x: np.ndarray) -> np.ndarray:
-    """Estimate ``f(x)`` from all horizons of a dataset's `regressions`.
+def estimate_general(
+    regressions: HorizonRegressions, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate ``f`` at a ``(Q, d)`` stack of points from all horizons of a
+    dataset's `regressions`.
 
-    Per horizon ``i`` a local polynomial fit of the increments is
-    evaluated at ``x``; the estimate is the derivative at time 0 of the
-    polynomial of degree ``beta`` through these values and the exact
-    zero increment at time 0, ``(1/dt) sum_i w_i h_i``.
+    Per horizon ``i`` one stacked local polynomial fit of the increments
+    is evaluated at every point; the estimate is the derivative at time 0
+    of the polynomial of degree ``beta`` through these values and the
+    exact zero increment at time 0, ``(1/dt) sum_i w_i h_i``.  Returns
+    ``(values, singular)``: the ``(Q, d)`` estimates, and the points whose
+    fit is singular at some horizon (their values are NaN).  Each row has
+    the bits of its point estimated alone.
 
     With ``beta = 1`` and degree 0 this is the Lipschitz estimator:
     exactly the local constant fit of the first-horizon increments
-    divided by ``dt``.  Raises :class:`~flowfit.localpoly.SingularDesign`
-    when a horizon's fit is singular at ``x``.
+    divided by ``dt``.
     """
     x = np.asarray(x, dtype=float)
-    total = None
+    total, singular = None, np.zeros(x.shape[0], dtype=bool)
     for w, data, fit in regressions.horizons:
-        term = w * lp_estimate(x, data, fit)
+        values, failed = lp_estimate(x, data, fit)
+        term = w * values
         total = term if total is None else total + term
-    return total / regressions.dt
+        singular |= failed
+    return total / regressions.dt, singular
 
 
 def default_query_points(d: int, per_dim: int = 5, margin: float = 0.1) -> np.ndarray:

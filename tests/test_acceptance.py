@@ -140,7 +140,8 @@ def test_criterion_02_weighted_ls_oracle():
         data = RegressionData(points=points, targets=targets, extent=1.0)
         x = rng.uniform(0.25, 0.75, size=d)
         fit = LocalPolyFit(degree=ell, bandwidth=0.5, deriv_order=s, directions=dirs)
-        got = lp_estimate(x, data, fit)
+        (got,), (singular,) = lp_estimate(x[None], data, fit)
+        assert not singular
 
         z = (points - x) / fit.bandwidth
         radii = np.linalg.norm(z, axis=1)
@@ -212,8 +213,9 @@ def test_criterion_04_bias_slope():
             ds = generate_stubble(field, n0=16, dt=dt, beta=beta, sigma=0.0, seed=7)
             regressions = horizon_regressions(ds, spec)
             worst = 0.0
-            for x in queries:
-                fhat = stubble_estimate(regressions, x)
+            fhats, singular = stubble_estimate(regressions, queries)
+            assert not singular.any()
+            for x, fhat in zip(queries, fhats):
                 worst = max(worst, float(np.linalg.norm(fhat - field(x))))
             errors.append(worst)
         slope, _ = fit_rate(dts, errors)

@@ -230,7 +230,8 @@ def test_estimate_stubble(stubble_config, tmp_path):
         x = np.array([float(row["x_1"]), float(row["x_2"])])
         fhat = [row["fhat_1"], row["fhat_2"]]
         # the CLI writes exactly the library estimate on the stored dataset
-        assert fhat == [repr(float(v)) for v in stubble.estimate_general(regressions, x)]
+        (alone,), _ = stubble.estimate_general(regressions, x[None])
+        assert fhat == [repr(float(v)) for v in alone]
         # constant field (1, 0): the local constant fit is unbiased, and each
         # component's noise has standard deviation (sigma / dt) * ||w(x)||_2
         w = lp_weights(x, reg, fit)
@@ -254,7 +255,7 @@ def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
     assert len(rows) == 9
     for row in rows:
         x = np.array([float(row["x_1"]), float(row["x_2"])])
-        want = lp_estimate(x, reg, fit) / ds.dt
+        want = lp_estimate(x[None], reg, fit)[0][0] / ds.dt
         assert [row["fhat_1"], row["fhat_2"]] == [repr(float(v)) for v in want]
     # a model whose beta exceeds the dataset's horizons is refused
     refused = tmp_path / "refused.csv"
@@ -404,8 +405,10 @@ def test_estimate_failed_rows_name_their_kind(stubble_config, tmp_path, monkeypa
 
     def nan_on_first_query(*args, **kwargs):
         calls.append(1)
-        est = real(*args, **kwargs)
-        return np.full_like(est, np.nan) if len(calls) == 1 else est
+        est, singular = real(*args, **kwargs)
+        if len(calls) == 1:  # the stack's first row
+            est[0] = np.nan
+        return est, singular
 
     data = tmp_path / "data"
     main(["simulate", "--config", str(stubble_config), "--out", str(data)])

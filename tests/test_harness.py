@@ -376,10 +376,11 @@ def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
 
     def nan_on_first_query(*args, **kwargs):
         calls.append(1)
-        est = np.array(real(*args, **kwargs))
-        if len(calls) == 1:  # stubble: the call's one query; snake-lip: the stack's first row
-            est.reshape(-1, est.shape[-1])[0] = np.nan
-        return est
+        out = real(*args, **kwargs)
+        est = out[0] if model == "stubble-lip" else out  # stubble: (values, singular)
+        if len(calls) == 1:  # the stack's first row
+            est[0] = np.nan
+        return out
 
     monkeypatch.setattr(module, name, nan_on_first_query)
     if model == "stubble-lip":

@@ -152,9 +152,8 @@ def test_estimate_matches_weighted_least_squares():
         fit = LocalPolyFit(
             degree=degree, bandwidth=0.5, deriv_order=s, directions=tuple(dirs)
         )
-        try:
-            got = lp_estimate(x, data, fit)
-        except SingularDesign:
+        (got,), (singular,) = lp_estimate(x[None], data, fit)
+        if singular:
             continue
         z = (data.points - x) / fit.bandwidth
         radii = np.linalg.norm(z, axis=1)
@@ -174,8 +173,8 @@ def test_linearity_in_targets(lam):
     rng = np.random.default_rng(21)
     data, fit, x = random_instance(rng, 2, 1)
     scaled = RegressionData(points=data.points, targets=lam * data.targets, extent=1.0)
-    a = lp_estimate(x, data, fit)
-    b = lp_estimate(x, scaled, fit)
+    a, _ = lp_estimate(x[None], data, fit)
+    b, _ = lp_estimate(x[None], scaled, fit)
     assert np.allclose(b, lam * a, rtol=1e-9, atol=1e-12)
 
 
@@ -185,23 +184,23 @@ def test_coefficients_expose_value_and_slope():
     data = RegressionData(points=np.sort(data.points, axis=0), targets=data.targets, extent=1.0)
     (theta,), singular = lp_coefficients(x[None], data, fit)
     assert not singular[0]
-    value = lp_estimate(x, data, fit)
+    (value,), _ = lp_estimate(x[None], data, fit)
     assert np.allclose(theta[0], value, atol=1e-12)
     dfit = LocalPolyFit(degree=1, bandwidth=fit.bandwidth, deriv_order=1, directions=((1.0,),))
-    slope = lp_estimate(x, data, dfit)
+    (slope,), _ = lp_estimate(x[None], data, dfit)
     assert np.allclose(theta[1] / fit.bandwidth, slope, atol=1e-12)
 
 
-def test_coefficients_take_only_a_stack_of_times_on_sorted_data():
+def test_coefficients_take_a_stack_of_points_of_the_data_dimension():
     rng = np.random.default_rng(4)
     data, fit, x = random_instance(rng, 1, 1)
     assert data.sorted_times is None
-    with pytest.raises(ValueError, match="sorted"):
-        lp_coefficients(x[None], data, fit)
-    data = RegressionData(points=np.sort(data.points, axis=0), targets=data.targets, extent=1.0)
-    for times in (x, x[None, :, None], np.zeros((2, 2))):
-        with pytest.raises(ValueError, match="stack"):
-            lp_coefficients(times, data, fit)
+    ranged = RegressionData(points=np.sort(data.points, axis=0), targets=data.targets, extent=1.0)
+    for design in (data, ranged):
+        for times in (x, x[None, :, None], np.zeros((2, 2))):
+            for fn in (lp_coefficients, lp_estimate):
+                with pytest.raises(ValueError, match="stack"):
+                    fn(times, design, fit)
 
 
 def test_pointwise_bandwidth_closed_form():
@@ -228,8 +227,26 @@ def test_singular_design_far_from_data():
     data = RegressionData(points=pts, targets=np.zeros(3), extent=1.0)
     fit = LocalPolyFit(degree=1, bandwidth=0.1)
     with pytest.raises(SingularDesign) as err:
-        lp_estimate(np.array([0.9, 0.9]), data, fit)
+        lp_weights(np.array([0.9, 0.9]), data, fit)
     assert err.value.lambda_min == 0.0
+    # in a stack the empty ball is flagged, and the ball holding all three points fits
+    values, singular = lp_estimate(np.array([[0.9, 0.9], [0.11, 0.11]]), data, fit)
+    assert singular.tolist() == [True, False]
+    assert np.isnan(values[0]).all() and values[1].tolist() == [0.0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_empty_data_is_singular(d):
+    data = RegressionData(points=np.empty((0, d)), targets=np.empty((0, 2)), extent=1.0)
+    fit = LocalPolyFit(degree=1, bandwidth=0.5)
+    x = np.full((3, d), 0.5)
+    with pytest.raises(SingularDesign):
+        lp_weights(x[0], data, fit)
+    theta, singular = lp_coefficients(x, data, fit)
+    assert singular.tolist() == [True] * 3 and theta.shape == (3, d + 1, 2)
+    assert np.all(np.isnan(theta))
+    values, singular = lp_estimate(x, data, fit)
+    assert singular.tolist() == [True] * 3 and np.all(np.isnan(values))
 
 
 def test_kernel_values():
@@ -289,15 +306,11 @@ def full_scan_fit(x, data, fit):
 
 
 def package_fit(x, data, fit):
-    """Coefficients and weights of the package's fit at ``x``; coefficients
-    only on sorted data, the one design `lp_coefficients` fits."""
-    coef = None
-    if data.sorted_times is not None:
-        theta, singular = lp_coefficients(x[None], data, fit)
-        if singular[0]:
-            raise SingularDesign(0.0, x)
-        coef = theta[0]
-    return coef, lp_weights(x, data, fit)
+    """Coefficients and weights of the package's fit at ``x``."""
+    theta, singular = lp_coefficients(x[None], data, fit)
+    if singular[0]:
+        raise SingularDesign(0.0, x)
+    return theta[0], lp_weights(x, data, fit)
 
 
 def or_singular(fn, *args):
@@ -314,7 +327,7 @@ def assert_same_as_full_scan(x, data, fit):
         assert got == want
         return
     for g, w in zip(got, want):
-        assert g is None or np.array_equal(g, w)
+        assert np.array_equal(g, w)
 
 
 def make_fit(degree, bandwidth, slope):
@@ -368,6 +381,56 @@ def test_unsorted_and_multivariate_fits_match_full_scan(d, degree, bandwidth, se
     assert data.sorted_times is None
     x = rng.uniform(-0.2, 1.2, size=d)
     assert_same_as_full_scan(x, data, make_fit(degree, bandwidth, slope=d == 1))
+
+
+@given(
+    design=st.sampled_from(["sorted", "unsorted", "plane", "space"]),
+    n=st.integers(0, 60),
+    degree=st.integers(0, 2),
+    slope=st.booleans(),
+    bandwidth=st.floats(0.05, 0.8),
+    num=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_estimates_match_single_points_and_weights(
+    design, n, degree, slope, bandwidth, num, seed
+):
+    # each row of a stacked estimate has the bits of its point estimated alone,
+    # agrees with sum_i w_i(x) Y_i up to rounding, and is flagged singular
+    # exactly where `lp_weights` raises
+    d = {"sorted": 1, "unsorted": 1, "plane": 2, "space": 3}[design]
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(n, d))
+    if d == 1:
+        pts = np.sort(pts, axis=0)
+        if design == "unsorted":  # the smallest time last
+            pts = np.concatenate([rng.permutation(pts[1:]), pts[:1]])
+    data = RegressionData(points=pts, targets=rng.standard_normal((n, 2)), extent=1.0)
+    assert (data.sorted_times is None) == (design != "sorted" and (d > 1 or n > 1))
+    dirs = ()
+    if slope and degree >= 1:
+        v = rng.standard_normal(d)
+        dirs = (tuple(v / np.linalg.norm(v)),)
+    fit = LocalPolyFit(degree=degree, bandwidth=bandwidth, deriv_order=len(dirs), directions=dirs)
+    x = rng.uniform(-0.2, 1.2, size=(num, d))
+    values, singular = lp_estimate(x, data, fit)
+    assert values.shape == (num, 2) and singular.shape == (num,)
+    dpsi0 = np.abs(deriv_basis_at_zero(d, degree, [np.asarray(v) for v in dirs]))
+    for q in range(num):
+        alone, flag = lp_estimate(x[q:q + 1], data, fit)
+        assert np.array_equal(alone[0], values[q], equal_nan=True) and flag[0] == singular[q]
+        w = or_singular(lp_weights, x[q], data, fit)
+        if isinstance(w, str) or singular[q]:
+            assert isinstance(w, str) and singular[q] and np.all(np.isnan(values[q]))
+            continue
+        # rounding bound of dpsi0 . B^-1 (Psi^T K Y) / h^s in absolute values: it
+        # holds |w| @ |Y|, and bounds both orders of the sums on a design near
+        # the singular floor, where |w| @ |Y| alone does not
+        window, inside, psi, kvals, inv = _solve_design(x[q], data, fit)
+        scale = data.extent ** d / (data.n * bandwidth ** (d + fit.deriv_order))
+        bound = scale * (dpsi0 @ np.abs(inv) @ (np.abs(psi).T * kvals)
+                         @ np.abs(data.targets[window][inside]))
+        assert np.all(np.abs(values[q] - w @ data.targets) <= 1e-12 * bound)
 
 
 def test_nan_point_forces_a_full_scan():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -12,12 +13,7 @@ from hypothesis import strategies as st
 
 import flowfit.stubble as stubble
 from flowfit.flow import TrajectoryData, make_field
-from flowfit.localpoly import (
-    LocalPolyFit,
-    RegressionData,
-    SingularDesign,
-    lp_estimate,
-)
+from flowfit.localpoly import LocalPolyFit, RegressionData, lp_estimate
 from flowfit.models import MODELS
 from flowfit.stubble import (
     IncrementRegressor,
@@ -40,6 +36,13 @@ def test_grid_covers_half_open_cube():
         # all lattice multiples of 1/n0 appear exactly once
         scaled = np.round(pts * n0).astype(int)
         assert len({tuple(row) for row in scaled}) == n0**d
+
+
+@pytest.mark.parametrize("n0, d", [(16384, 1), (128, 2), (16, 3), (7, 2), (1, 4)])
+def test_grid_is_the_lexicographic_product(n0, d):
+    ks = itertools.product(range(1, n0 + 1), repeat=d)
+    want = np.array(list(ks), dtype=float) / n0
+    assert grid_initials(n0, d).tobytes() == want.tobytes()
 
 
 def test_beta_one_has_single_observation():
@@ -69,33 +72,33 @@ def test_constant_field_exact_everywhere():
     lip = horizon_regressions(generate_stubble(fld, n0=5, dt=0.05, beta=1, sigma=0.0))
     for beta in (1, 2, 3):
         gen = horizon_regressions(generate_stubble(fld, n0=5, dt=0.05, beta=beta, sigma=0.0))
-        for x in [np.array([0.4, 0.4]), np.array([0.8, 0.2])]:
-            assert np.abs(estimate_general(lip, x) - np.array([1.0, 0.0])).max() <= 1e-9
-            assert np.abs(estimate_general(gen, x) - np.array([1.0, 0.0])).max() <= 1e-8
+        x = np.array([[0.4, 0.4], [0.8, 0.2]])
+        assert np.abs(estimate_general(lip, x)[0] - np.array([1.0, 0.0])).max() <= 1e-9
+        assert np.abs(estimate_general(gen, x)[0] - np.array([1.0, 0.0])).max() <= 1e-8
 
 
 def test_constant_field_exact_d3():
     ds = generate_stubble(make_field("zero", ), n0=3, dt=0.05, beta=2, sigma=0.0)
-    got = estimate_general(horizon_regressions(ds), np.array([0.5, 0.5]))
+    got, _ = estimate_general(horizon_regressions(ds), np.array([[0.5, 0.5]]))
     assert np.abs(got).max() <= 1e-12
 
 
 def test_rotation_fine_step_bias():
     ds = generate_stubble(make_field("rotation"), n0=24, dt=1e-3, beta=1, sigma=0.0)
-    x0 = np.array([0.5, 0.5])
-    err = np.linalg.norm(estimate_general(horizon_regressions(ds), x0) - np.array([-0.5, 0.5]))
+    x0 = np.array([[0.5, 0.5]])
+    err = np.linalg.norm(estimate_general(horizon_regressions(ds), x0)[0] - np.array([-0.5, 0.5]))
     assert err <= 5e-3
 
 
 def test_rmse_decreases_when_grid_doubles():
     fld = make_field("cubic")
-    x0 = np.array([0.5])
+    x0 = np.array([[0.5]])
     rmses = []
     for n0 in (64, 256):
         errs = []
         for seed in range(50):
             ds = generate_stubble(fld, n0=n0, dt=0.02, beta=1, sigma=0.1, seed=seed)
-            errs.append(np.linalg.norm(estimate_general(horizon_regressions(ds), x0) - fld(x0)) ** 2)
+            errs.append(np.linalg.norm(estimate_general(horizon_regressions(ds), x0)[0] - fld(x0)) ** 2)
         rmses.append(math.sqrt(np.mean(errs)))
     assert rmses[1] < rmses[0]
 
@@ -108,9 +111,9 @@ def test_general_beta1_reduces_to_lipschitz():
     data = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1))
     regressions = horizon_regressions(ds)
-    for x in default_query_points(2, per_dim=3):
-        lip = lp_estimate(x, data, fit) / ds.dt
-        assert np.array_equal(estimate_general(regressions, x), lip)
+    x = default_query_points(2, per_dim=3)
+    lip, _ = lp_estimate(x, data, fit)
+    assert np.array_equal(estimate_general(regressions, x)[0], lip / ds.dt)
 
 
 @pytest.mark.parametrize("beta", range(1, 7))
@@ -135,8 +138,8 @@ def test_estimator_is_linear_in_increments():
         initials=base.initials, dt=base.dt, observations=mixed_obs, meta=base.meta
     )
     reg = IncrementRegressor(degree=1, bandwidth=0.5)
-    x = np.array([0.5, 0.5])
-    combo = a * estimate_general(horizon_regressions(base, reg), x) + b * estimate_general(
+    x = np.array([[0.5, 0.5]])
+    combo = a * estimate_general(horizon_regressions(base, reg), x)[0] + b * estimate_general(
         horizon_regressions(TrajectoryData(
             initials=base.initials,
             dt=base.dt,
@@ -144,16 +147,18 @@ def test_estimator_is_linear_in_increments():
             meta=base.meta,
         ), reg),
         x,
-    )
-    got = estimate_general(horizon_regressions(mixed, reg), x)
+    )[0]
+    got, _ = estimate_general(horizon_regressions(mixed, reg), x)
     assert np.allclose(got, combo, rtol=1e-9, atol=1e-12)
 
 
 def test_singular_design_far_outside():
     ds = generate_stubble(make_field("rotation"), n0=6, dt=0.05, beta=1, sigma=0.0)
-    with pytest.raises(SingularDesign):
-        estimate_general(horizon_regressions(ds, IncrementRegressor(bandwidth=0.1)),
-                         np.array([3.0, 3.0]))
+    values, singular = estimate_general(
+        horizon_regressions(ds, IncrementRegressor(bandwidth=0.1)),
+        np.array([[3.0, 3.0], [0.5, 0.5]]))
+    assert singular.tolist() == [True, False]
+    assert np.isnan(values[0]).all() and np.isfinite(values[1]).all()
 
 
 def test_fit_sets_up_each_horizon_once(monkeypatch):
@@ -171,9 +176,9 @@ def test_fit_sets_up_each_horizon_once(monkeypatch):
     # bit for bit the estimate that sets every horizon up for its own query
     for x, value in zip(queries, got.values):
         want = sum(
-            w * lp_estimate(x, RegressionData(points=ds.initials, targets=ds.increments(i),
-                                              extent=1.0),
-                            LocalPolyFit(beta - 1, real(ds, i, beta - 1, beta)))
+            w * lp_estimate(x[None], RegressionData(points=ds.initials, targets=ds.increments(i),
+                                                    extent=1.0),
+                            LocalPolyFit(beta - 1, real(ds, i, beta - 1, beta)))[0][0]
             for i, w in enumerate(_derivative_weights(beta), start=1)
         ) / ds.dt
         assert np.array_equal(value, want)
