@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -139,6 +140,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     try:  # a missing file, too few sample sizes or no reference: one line, not a traceback
+        if not 0 <= args.tolerance < math.inf:
+            raise ValueError(f"--tolerance must be nonnegative and finite, not {args.tolerance!r}")
         model, rows = harness.read_results_csv(Path(args.results))
         ns = sorted({r.n for r in rows})
         means = []

@@ -191,8 +191,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.distribution not in ("gaussian", "uniform-bounded", "none"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r}")
 
 
 @dataclass(frozen=True)

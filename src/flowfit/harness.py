@@ -331,6 +331,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.rate_tolerance < math.inf:
+            raise ValueError(
+                f"rate_tolerance must be nonnegative and finite, not {self.rate_tolerance!r}")
         if self.beta is not None and self.beta < 1:
             raise ValueError("beta must be at least 1")
         try:
@@ -339,6 +342,8 @@ class ExperimentConfig:
             raise ValueError(exc.args[0]) from None
         if self.x1 is not None and len(self.x1) != fld.dim:
             raise ValueError(f"x1 must have the dimension of the field {self.field!r}")
+        if self.x1 is not None and not all(math.isfinite(v) for v in self.x1):
+            raise ValueError(f"x1 must be finite, not {list(self.x1)}")
         if self.queries is not None:
             self.queries.check_dim(fld.dim)
         for n in self.ns:

@@ -22,20 +22,18 @@ Fits use the ``factorial-scaled`` basis, which divides each monomial
 ordered by total degree, then lexicographically with earlier coordinates
 taking precedence, e.g. for d=2, ell=2: 1, a, b, a^2, ab, b^2.
 
-Weights come from one solve of ``B(x)`` at one query point
-(:func:`lp_weights`).  Estimates come from the batched coefficient solve
-of :func:`lp_coefficients` over a stack of query points:
-:func:`lp_estimate` reads ``D_v g`` off the fitted coefficients, with no
-weight vector over the whole design.  Because the weights vanish outside
-the bandwidth ball, a fit on 1-D design points that are nondecreasing
-(every time grid of a long trajectory) scans only the index range that
-can lie within one bandwidth of ``x``, found by bisection; any other
-design is scanned in full.  Both paths apply the same exact
-``radius < 1`` test to the points they scan and keep the full ``n`` in
-the weight scale, so they return the same bits.  A stack is solved in
-batches, padded blocks that mix windows of every length on sorted data
-and groups of equal in-ball count elsewhere, with the same bits as
-fitting each point alone.
+Every fit takes one gather and one block solve.  The in-ball points of
+a query are those that pass the exact ``radius < 1`` test: on 1-D design
+points that are nondecreasing (every time grid of a long trajectory)
+they form one index range, found by bisection and trimmed by the test,
+and any other design is tested at every point (`_balls`).  A stack of
+query points is fitted in padded blocks, with one batched
+eigendecomposition of ``B(x)`` per block (`_block_solves`), and every
+point gets the bits of its fit alone.  :func:`lp_coefficients` multiplies
+the inverses into the kernel-weighted sums of the targets;
+:func:`lp_weights` is a stack of one, spread over the design; and
+:func:`lp_estimate` reads ``D_v g`` off the coefficients, with no weight
+vector over the whole design.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -247,9 +245,9 @@ class LocalPolyFit:
                 raise ValueError("directions must be unit vectors")
 
 
-def _reach(times: np.ndarray, t: float | np.ndarray, bandwidth: float) -> np.ndarray:
-    """Bounds ``lo, hi`` of the index range of sorted `times` that can lie
-    within `bandwidth` of the time `t`, or of each of a stack of times.
+def _reach(times: np.ndarray, t: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Bounds ``lo, hi`` of the index ranges of sorted `times` that can lie
+    within `bandwidth` of each of the times `t`.
 
     Bisection; ``reach`` adds a relative 1e-12, far above the roundings
     in a radius, so no point that the exact ``radius < 1`` test keeps is
@@ -259,69 +257,126 @@ def _reach(times: np.ndarray, t: float | np.ndarray, bandwidth: float) -> np.nda
     return np.searchsorted(times, (t - reach, t + reach))
 
 
-def _window(x: np.ndarray, data: RegressionData, bandwidth: float) -> slice:
-    """Index range of the points that can lie within `bandwidth` of ``x``:
-    `_reach` on sorted 1-D points; other data is scanned in full."""
-    if data.sorted_times is None:
-        return slice(0, data.n)
-    lo, hi = _reach(data.sorted_times, x.item(), bandwidth)
-    return slice(int(lo), int(hi))
+def _balls(x: np.ndarray, data: RegressionData, h: float):
+    """In-ball counts of the ``(Q, d)`` stack `x`, and a gather of the indices.
 
-
-def _local_terms(
-    x: np.ndarray, points: np.ndarray, fit: LocalPolyFit
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask, basis rows, and kernel values of the in-bandwidth `points`."""
-    diffs = (points - x) / fit.bandwidth
-    radii = np.linalg.norm(diffs, axis=1)
-    inside = radii < 1.0  # weights are exactly zero at radius >= bandwidth
-    psi = monomial_basis(diffs[inside], fit.degree)
-    kvals = epanechnikov(radii[inside])
-    return inside, psi, kvals
-
-
-def _solve_design(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit
-) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The solve of the weights at one point: (window, inside, psi, kvals, B(x)^{-1}).
-
-    `inside` masks the in-bandwidth points of ``data.points[window]``;
-    ``B^{-1}`` comes from the eigendecomposition of ``B(x)``.
+    Returns ``(counts, gather)``: ``counts[q]`` is the number of points of
+    `data` that pass the exact ``radius < 1`` test at ``x[q]``, and
+    ``gather(rows, width)`` gives their indices, ascending, one row per
+    entry of `rows`, each repeating its last index out to `width`.  On
+    sorted 1-D data the balls are the `_reach` ranges trimmed at both ends
+    by the test; any other design is tested at every point.
     """
-    x = np.asarray(x, dtype=float)
-    d = data.dim
-    window = _window(x, data, fit.bandwidth)
-    inside, psi, kvals = _local_terms(x, data.points[window], fit)
-    if psi.shape[0] == 0:
-        raise SingularDesign(0.0, x)
-    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    bmat = scale * (psi.T * kvals) @ psi
-    eigvals, eigvecs = np.linalg.eigh(bmat)
-    floor = 1e-10 * np.trace(bmat) / n_basis(d, fit.degree)
-    if eigvals[0] <= floor:
-        raise SingularDesign(float(eigvals[0]), x)
-    inv = eigvecs @ (eigvecs / eigvals).T
-    return window, inside, psi, kvals, inv
+    if data.sorted_times is None:
+        hits = [np.flatnonzero(np.linalg.norm((data.points - p) / h, axis=1) < 1.0) for p in x]
+        counts = np.array([ind.size for ind in hits], dtype=np.intp)
+        return counts, lambda rows, width: np.stack(
+            [hits[q][np.minimum(np.arange(width), counts[q] - 1)] for q in rows])
+    times, t = data.sorted_times, x[:, 0]
+    lo, hi = _reach(times, t, h)
+
+    def outside(idx: np.ndarray) -> np.ndarray:
+        # |z| is the 1-D norm sqrt(z * z) exactly wherever the test can fail
+        return (lo < hi) & (np.abs((times[np.minimum(idx, data.n - 1)] - t) / h) >= 1.0)
+
+    while (cut := outside(lo)).any():
+        lo[cut] += 1
+    while (cut := outside(hi - 1)).any():
+        hi[cut] -= 1
+    counts = hi - lo
+    return counts, lambda rows, width: (
+        lo[rows, None] + np.minimum(np.arange(width), counts[rows, None] - 1))
+
+
+# Largest number of in-ball entries (points x ball size) one block solve gathers.
+SOLVE_BLOCK = 4096
+
+
+class _Block(NamedTuple):
+    """One padded block of fits: row ``r`` fits the point ``rows[r]`` from the
+    ``m`` points ``idx[r, :m]`` of a run ``(a, b, m)`` with ``a <= r < b``."""
+
+    rows: np.ndarray  # (R,) stack positions, longest balls first
+    idx: np.ndarray  # (R, width) in-ball indices into the design
+    psi: np.ndarray  # (R, width, N) basis rows of the scaled differences
+    kvals: np.ndarray  # (R, width) kernel values
+    weighted: np.ndarray  # (R, N, width) psi^T K times the weight scale
+    runs: list[tuple[int, int, int]]
+    eigmin: np.ndarray  # (R,) smallest eigenvalue of each B(x)
+    held: np.ndarray  # (R,) B(x) passes the floor test
+    inv: np.ndarray  # B(x)^{-1} of the held rows
+
+
+def _block_solves(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
+    """The `_Block` solves of the ``(Q, d)`` stack `x`; an empty ball is in none.
+
+    The points are fitted in padded blocks of at most `SOLVE_BLOCK`
+    entries, longest balls first, so the elementwise terms are made once
+    per block.  ``B(x)`` is summed once per run of equal counts, on the
+    unpadded rows; one batched eigendecomposition per block gives the
+    floor test ``lambda_min > 1e-10 * trace(B) / N`` and the inverses of
+    the rows that pass it.  Each row takes the same operations on the same
+    points in any stack, so it gets the bits of its point fitted alone.
+    """
+    if data.n == 0:
+        return
+    h, d = fit.bandwidth, data.dim
+    counts, gather = _balls(x, data, h)
+    scale = data.extent ** d / (data.n * h ** d)
+    basis = n_basis(d, fit.degree)
+    order = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
+    while order.size:
+        width = int(counts[order[0]])
+        rows, order = np.split(order, [max(1, SOLVE_BLOCK // width)])
+        own = counts[rows]
+        idx = gather(rows, width)
+        diffs = (data.points[idx] - x[rows, None, :]) / h
+        psi = monomial_basis(diffs, fit.degree)
+        kvals = epanechnikov(np.linalg.norm(diffs, axis=2))
+        weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
+        cuts = np.flatnonzero(np.diff(own)) + 1
+        starts, ends = np.append(0, cuts), np.append(cuts, rows.size)
+        runs = [(a, b, int(own[a])) for a, b in zip(starts, ends)]
+        bmat = np.empty((rows.size, basis, basis))
+        for a, b, m in runs:
+            bmat[a:b] = weighted[a:b, :, :m] @ psi[a:b, :m]
+        eigvals, eigvecs = np.linalg.eigh(bmat)
+        held = eigvals[:, 0] > 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
+        kept, vecs = eigvals[held], eigvecs[held]
+        inv = vecs @ (vecs / kept[:, None, :]).transpose(0, 2, 1)
+        yield _Block(rows, idx, psi, kvals, weighted, runs, eigvals[:, 0], held, inv)
 
 
 def lp_weights(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> np.ndarray:
-    """Estimation weights ``w_i(x)``, zero outside the bandwidth ball.
+    """Estimation weights ``w_i(x)`` at one point, zero outside the bandwidth ball.
 
-    For ``deriv_order = 0`` the weights sum to one; in general they
-    reproduce degree-<=ell polynomials: ``sum_i w_i q(x_i) = D_v q(x)``.
+    `x` has shape ``(d,)`` in the dimension of `data`; any other shape
+    raises ValueError.  The fit is a stack of one through the block solve
+    of :func:`lp_coefficients`, its weights spread over the in-ball
+    indices.  For ``deriv_order = 0`` the weights sum to one; in general
+    they reproduce degree-<=ell polynomials: ``sum_i w_i q(x_i) = D_v q(x)``.
 
     Raises
     ------
     SingularDesign
         When the smallest eigenvalue of ``B(x)`` falls at or below the
-        scale-aware floor ``1e-10 * trace(B) / N``.
+        scale-aware floor ``1e-10 * trace(B) / N``; ``lambda_min`` is 0.0
+        for an empty ball.
     """
-    window, inside, psi, kvals, inv = _solve_design(x, data, fit)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (data.dim,):
+        raise ValueError(
+            f"lp_weights takes one point of shape ({data.dim},), not shape {x.shape}")
+    block = next(_block_solves(x[None], data, fit), None)
+    if block is None:
+        raise SingularDesign(0.0, x)
+    if not block.held[0]:
+        raise SingularDesign(float(block.eigmin[0]), x)
     d = data.dim
     dpsi0 = deriv_basis_at_zero(d, fit.degree, [np.asarray(v) for v in fit.directions])
     scale = data.extent ** d / (data.n * fit.bandwidth ** (d + fit.deriv_order))
     w = np.zeros(data.n)
-    w[window][inside] = scale * ((inv @ dpsi0) @ psi.T) * kvals
+    w[block.idx[0]] = scale * ((block.inv[0] @ dpsi0) @ block.psi[0].T) * block.kvals[0]
     return w
 
 
@@ -346,10 +401,6 @@ def lp_estimate(
     return values / fit.bandwidth ** fit.deriv_order, singular
 
 
-# Largest number of window entries (times x points) one stacked solve gathers.
-SOLVE_BLOCK = 4096
-
-
 def lp_coefficients(
     x: np.ndarray, data: RegressionData, fit: LocalPolyFit
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -363,95 +414,26 @@ def lp_coefficients(
     the value estimate (entry 0) and every derivative estimate up to the
     fitted degree.  ``fit.deriv_order`` is ignored.
 
-    Every row takes the operations of `_solve_design` in the same order on
-    the same points, so it gets the bits of a fit of that point alone,
-    however the stack is batched.  On sorted 1-D data the in-bandwidth
-    points of a time form one index range: `_reach`, trimmed at both ends
-    by the exact ``radius < 1`` test (see `_range_fits`).  Any other
-    design is scanned in full at each point by `_local_terms`, and the
-    points with equally many in-ball points share one product and one
-    batched eigendecomposition and solve.
+    Each row is ``B(x)^{-1} A(x)``: the inverse of the block solve that
+    :func:`lp_weights` also takes (`_block_solves`) times the sum
+    ``A(x)``, run once per run of equal in-ball counts on the unpadded
+    rows.  So a row gets the bits of a fit of that point alone, however
+    the stack is batched, and is singular exactly where `lp_weights` raises.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != data.dim:
         raise ValueError(
             f"lp_coefficients takes a (Q, {data.dim}) stack of points, not shape {x.shape}")
-    basis = n_basis(data.dim, fit.degree)
-    theta = np.full((x.shape[0], basis, data.targets.shape[1]), np.nan)
+    shape = (n_basis(data.dim, fit.degree), data.targets.shape[1])
+    theta = np.full((x.shape[0], *shape), np.nan)
     singular = np.ones(x.shape[0], dtype=bool)  # an empty ball is singular
-    if data.n == 0:
-        return theta, singular
-    fits = _scanned_fits if data.sorted_times is None else _range_fits
-    for rows, bmat, avec in fits(x, data, fit):
-        eigvals, eigvecs = np.linalg.eigh(bmat)
-        floor = 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
-        held = eigvals[:, 0] > floor
-        singular[rows] = ~held
-        eigvals, eigvecs = eigvals[held], eigvecs[held]
-        inv = eigvecs @ (eigvecs / eigvals[:, None, :]).transpose(0, 2, 1)
-        theta[rows[held]] = inv @ avec[held]
+    for block in _block_solves(x, data, fit):
+        singular[block.rows] = ~block.held
+        avec = np.empty((block.rows.size, *shape))
+        for a, b, m in block.runs:
+            avec[a:b] = block.weighted[a:b, :, :m] @ data.targets[block.idx[a:b, :m]]
+        theta[block.rows[block.held]] = block.inv @ avec[block.held]
     return theta, singular
-
-
-def _scanned_fits(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
-    """``(rows, B, A)`` per group of the points of `x` whose balls hold
-    equally many points: the stacked designs ``B(x)`` and their products
-    ``A(x)`` with the targets, each point's terms from `_local_terms` over
-    every point of `data`."""
-    d = data.dim
-    terms = [_local_terms(point, data.points, fit) for point in x]
-    counts = np.array([kvals.size for _, _, kvals in terms])
-    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
-    for m in np.unique(counts[counts > 0]):
-        rows = np.flatnonzero(counts == m)
-        psi = np.stack([terms[q][1] for q in rows])
-        kvals = np.stack([terms[q][2] for q in rows])
-        targets = np.stack([data.targets[terms[q][0]] for q in rows])
-        weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
-        yield rows, weighted @ psi, weighted @ targets
-
-
-def _range_fits(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
-    """``(rows, B, A)`` per padded block of the times of `x` on sorted 1-D data.
-
-    The times are fitted in padded blocks of at most `SOLVE_BLOCK` entries,
-    longest ranges first: each row of a block is as wide as the block's
-    longest range and repeats its last index past its own, so the
-    elementwise terms are made once per block.  The two window sums run
-    once per distinct length on the unpadded rows.
-    """
-    h = fit.bandwidth
-    times, t = data.sorted_times, x[:, 0]
-    lo, hi = _reach(times, t, h)
-
-    def outside(idx: np.ndarray) -> np.ndarray:
-        # |z| is the 1-D norm sqrt(z * z) exactly wherever the test can fail
-        return (lo < hi) & (np.abs((times[np.minimum(idx, data.n - 1)] - t) / h) >= 1.0)
-
-    while (cut := outside(lo)).any():
-        lo[cut] += 1
-    while (cut := outside(hi - 1)).any():
-        hi[cut] -= 1
-    lengths = hi - lo
-    scale = data.extent / (data.n * h)  # the weight scale at d = 1
-    order = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths)]
-    while order.size:
-        width = int(lengths[order[0]])
-        rows, order = np.split(order, [max(1, SOLVE_BLOCK // width)])
-        own = lengths[rows]
-        idx = lo[rows, None] + np.minimum(np.arange(width), own[:, None] - 1)
-        diffs = (data.points[idx] - x[rows, None, :]) / h
-        psi = monomial_basis(diffs, fit.degree)
-        kvals = epanechnikov(np.linalg.norm(diffs, axis=2))
-        weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
-        bmat = np.empty((rows.size, psi.shape[2], psi.shape[2]))
-        avec = np.empty((rows.size, psi.shape[2], data.targets.shape[1]))
-        cuts = np.flatnonzero(np.diff(own)) + 1
-        for a, b in zip(np.append(0, cuts), np.append(cuts, rows.size)):  # rows of one length
-            m = own[a]
-            bmat[a:b] = weighted[a:b, :, :m] @ psi[a:b, :m]
-            avec[a:b] = weighted[a:b, :, :m] @ data.targets[idx[a:b, :m]]
-        yield rows, bmat, avec
 
 
 def optimal_bandwidth(

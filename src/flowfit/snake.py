@@ -291,8 +291,8 @@ def fit_curve(
     states = np.empty((idx.size, ds.dim))
     states[ends] = u(grid[ends])
     # the filter is the fit's weights at the middle observation, at the bandwidth
-    # that holds there: lp_weights raises SingularDesign on the designs that
-    # `_widened_fits` widens, bit for bit (see localpoly.lp_coefficients)
+    # that holds there: lp_weights raises SingularDesign on exactly the designs
+    # that `_widened_fits` widens, as both take localpoly's one block solve
     mid = ds.n // 2
     tried = [bandwidth]
     while True:

@@ -88,6 +88,8 @@ def test_bad_override_exits(stubble_config, tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "estimate", "benchmark"])
 @pytest.mark.parametrize("override, field", [
     ("sigma=-1", "sigma"),
+    ("sigma=NaN", "sigma must be nonnegative and finite"),
+    ("rate_tolerance=-1", "rate_tolerance must be nonnegative and finite"),
     ('queries={"kind": "tube"}', "tube queries"),
     ('replicates="3"', "config refused: replicates must be an integer"),
     ("replicates=2.5", "config refused: replicates must be an integer"),
@@ -332,7 +334,12 @@ def power_law_results(ns) -> str:
      "stubble has no regime 'fixed-horizon'"),
     ("model,n,error\nstubble-lip,64,0.5\n", [], "lacks the columns ['replicate', 'failures']"),
     (RESULTS_HEADER + "stubble-lip,64,0\n", [], "does not have 5 fields"),
-], ids=["missing-file", "two-sample-sizes", "no-reference", "missing-column", "short-row"])
+    (power_law_results([64, 144, 256]), ["--tolerance", "-1"],
+     "--tolerance must be nonnegative and finite"),
+    (power_law_results([64, 144, 256]), ["--tolerance", "nan"],
+     "--tolerance must be nonnegative and finite"),
+], ids=["missing-file", "two-sample-sizes", "no-reference", "missing-column", "short-row",
+        "negative-tolerance", "nan-tolerance"])
 def test_rates_refused_exits_with_one_line(text, regime, message, tmp_path):
     results = tmp_path / "results.csv"
     if text is not None:

@@ -311,13 +311,23 @@ def from_json(make):
         (from_json(snake_config), dict(queries={"kind": "tube", "delta": 0.0})),
         (from_json(constant_config),
          dict(queries={"kind": "box", "lo": [0.0, 0.6], "hi": [1.0, 0.4]})),
+        # a NaN or infinite noise level or initial state would fail mid-experiment
+        (constant_config, dict(sigma=math.nan)),
+        (constant_config, dict(sigma=math.inf)),
+        (snake_config, dict(x1=(math.nan, 0.0))),
+        (snake_config, dict(x1=(math.inf, 0.0))),
+        # a negative or NaN tolerance fails every slope
+        (constant_config, dict(rate_tolerance=-1.0)),
+        (constant_config, dict(rate_tolerance=math.nan)),
+        (constant_config, dict(rate_tolerance=math.inf)),
     ],
     ids=["sigma", "noise", "dt_value", "beta", "horizon", "horizon-inf", "horizon-nan",
          "dt_value-inf", "x1", "seed", "stubble-tube",
          "stubble-tube-x1", "points-dimension", "box-dimension", "grid-margin",
          "grid-per-dim", "grid-per-dim-float", "tube-count-float", "points-nan", "box-lo-inf",
          "box-hi-nan", "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",
-         "box-lo-above-hi"],
+         "box-lo-above-hi", "sigma-nan", "sigma-inf", "x1-nan", "x1-inf",
+         "rate-tolerance-negative", "rate-tolerance-nan", "rate-tolerance-inf"],
 )
 def test_config_rejects_bad_values(make, overrides):
     make()  # the base config is valid

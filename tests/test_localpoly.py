@@ -14,7 +14,6 @@ from flowfit.localpoly import (
     LocalPolyFit,
     RegressionData,
     SingularDesign,
-    _solve_design,
     deriv_basis_at_zero,
     epanechnikov,
     lp_coefficients,
@@ -65,7 +64,7 @@ def test_design_matrix_matches_bruteforce():
     rng = np.random.default_rng(3)
     for d, degree in [(1, 2), (2, 1), (3, 1)]:
         data, fit, x = random_instance(rng, d, degree)
-        inv = _solve_design(x, data, fit)[-1]
+        inv = full_scan_solve(x, data, fit)[-1]
         nb = n_basis(d, degree)
         want = np.zeros((nb, nb))
         for i in range(data.n):
@@ -274,11 +273,12 @@ def reference_basis(z, ell, mode):
     return out
 
 
-def full_scan_fit(x, data, fit):
-    """Coefficients and weights of the fit at ``x`` with every point scanned.
+def full_scan_solve(x, data, fit):
+    """In-ball mask, basis rows, kernel values and ``B(x)^{-1}`` at ``x``
+    with every point scanned.
 
     The same operations, in the same order, as the package applies to the
-    points it scans; raises SingularDesign in the same cases.
+    in-ball points; raises SingularDesign in the same cases.
     """
     x = np.asarray(x, dtype=float)
     d = data.dim
@@ -294,7 +294,14 @@ def full_scan_fit(x, data, fit):
     eigvals, eigvecs = np.linalg.eigh(bmat)
     if eigvals[0] <= 1e-10 * np.trace(bmat) / n_basis(d, fit.degree):
         raise SingularDesign(float(eigvals[0]), x)
-    inv = eigvecs @ (eigvecs / eigvals).T
+    return inside, psi, kvals, eigvecs @ (eigvecs / eigvals).T
+
+
+def full_scan_fit(x, data, fit):
+    """Coefficients and weights of the fit at ``x`` with every point scanned."""
+    inside, psi, kvals, inv = full_scan_solve(x, data, fit)
+    d = data.dim
+    scale = data.extent ** d / (data.n * fit.bandwidth ** d)
     coef = inv @ (scale * (psi.T * kvals) @ data.targets[inside])
     dpsi0 = deriv_basis_at_zero(d, fit.degree, [np.asarray(v) for v in fit.directions])
     w = np.zeros(data.n)
@@ -426,10 +433,10 @@ def test_stacked_estimates_match_single_points_and_weights(
         # rounding bound of dpsi0 . B^-1 (Psi^T K Y) / h^s in absolute values: it
         # holds |w| @ |Y|, and bounds both orders of the sums on a design near
         # the singular floor, where |w| @ |Y| alone does not
-        window, inside, psi, kvals, inv = _solve_design(x[q], data, fit)
+        inside, psi, kvals, inv = full_scan_solve(x[q], data, fit)
         scale = data.extent ** d / (data.n * bandwidth ** (d + fit.deriv_order))
         bound = scale * (dpsi0 @ np.abs(inv) @ (np.abs(psi).T * kvals)
-                         @ np.abs(data.targets[window][inside]))
+                         @ np.abs(data.targets[inside]))
         assert np.all(np.abs(values[q] - w @ data.targets) <= 1e-12 * bound)
 
 
@@ -549,3 +556,30 @@ def test_padded_blocks_match_full_scan_on_a_long_trajectory(degree, dim):
     assert 0 < np.sum(singular & (lengths > 0)) and np.sum(~singular) > 20
     assert np.all(np.isnan(theta[singular]))
     assert np.array_equal(theta[~singular], np.array([w[0] for w in want if not isinstance(w, str)]))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_multi_block_scanned_fits_match_full_scan(degree):
+    # a d = 2 design scanned in full: balls of many sizes, more entries than one
+    # block holds, and a far cluster of three points that a degree-2 fit cannot pin
+    rng = np.random.default_rng(40 + degree)
+    cluster = np.array([[2.0, 2.0], [2.01, 2.0], [2.0, 2.01]])
+    pts = np.concatenate([rng.uniform(0.0, 1.0, size=(300, 2)), cluster])
+    data = RegressionData(points=pts, targets=rng.standard_normal((pts.shape[0], 3)), extent=1.0)
+    assert data.sorted_times is None
+    fit = LocalPolyFit(degree=degree, bandwidth=0.45)
+    query = np.concatenate([rng.uniform(-0.1, 1.1, size=(80, 2)), [[2.0, 2.0], [5.0, 5.0]]])
+    counts = np.array([np.sum(np.linalg.norm((pts - x) / fit.bandwidth, axis=1) < 1.0)
+                       for x in query])
+    assert counts.sum() > 2 * SOLVE_BLOCK and np.unique(counts).size > 10
+    theta, singular = lp_coefficients(query, data, fit)
+    want = [or_singular(full_scan_fit, x, data, fit) for x in query]
+    assert singular.tolist() == [isinstance(w, str) for w in want]
+    assert singular[-1] and singular[-2] == (degree == 2) and np.sum(~singular) > 60
+    assert np.all(np.isnan(theta[singular]))
+    assert np.array_equal(theta[~singular], np.array([w[0] for w in want if not isinstance(w, str)]))
+    for x, w in zip(query, want):  # a stack of one through the same block solve
+        got = or_singular(lp_weights, x, data, fit)
+        assert np.array_equal(got, w if isinstance(w, str) else w[1])
+    with pytest.raises(ValueError, match="one point"):
+        lp_weights(query[:1], data, fit)
