@@ -49,11 +49,10 @@ from .snake import (
     NoStencilFound,
     StencilConfig,
     fit_curve,
-    generate_snake,
     nn_time,
     select_stencil,
 )
-from .stubble import IncrementRegressor, generate_stubble
+from .stubble import IncrementRegressor
 
 __version__ = "0.1.0"
 
@@ -80,8 +79,6 @@ __all__ = [
     "epanechnikov",
     "fit_curve",
     "fit_rate",
-    "generate_snake",
-    "generate_stubble",
     "increment",
     "integrate_flow",
     "interp_multivariate",

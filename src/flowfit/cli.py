@@ -59,8 +59,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fld = make_field(cfg.field, cfg.d)
     beta = cfg.effective_beta(fld)
     n = args.n if args.n is not None else cfg.ns[0]
-    dt = cfg.dt_for(n, beta, fld.dim)
     family = MODELS[cfg.model].family
+    try:  # the config checks its own ns, but not --n
+        if n < 1:
+            raise ValueError(f"--n must be at least 1, not {n}")
+        family.check_n(n, fld.dim)
+    except ValueError as exc:
+        raise SystemExit(f"simulate refused: {exc}") from None
+    dt = cfg.dt_for(n, beta, fld.dim)
     (paths,) = family.flow(cfg, fld, beta, [(n, dt)])
     ds = family.observe(cfg, fld, n, dt, paths, cfg.seed)
     write_dataset(args.out, ds, {"kind": family.name, **family.record(ds)})

@@ -2,12 +2,13 @@
 
 The estimation problem treats an autonomous ODE ``du/dt = f(u)`` whose
 right-hand side ``f`` is unknown.  This module supplies the forward
-machinery: declared vector fields with certified smoothness bounds, a
-numerical realization of the flow ``U(f, x, t)`` and of the increment map
-``Upsilon(f, dt, x) = U(f, x, dt) - x`` (one adaptive solve of a stacked
-system behind both), reproducible observation noise, the one dataset
-type both sampling schemes observe (:class:`TrajectoryData`), and the
-one writer and one reader of its directory on disk.
+machinery: declared vector fields with certified smoothness bounds, the
+flow ``U(f, x, t)``, ``t >= 0``, and the increment map ``Upsilon(f, dt,
+x) = U(f, x, dt) - x``, all read off one integrator
+(:func:`integrate_flow_grid`, an adaptive solve of a stacked system),
+reproducible observation noise, the one dataset type both sampling
+schemes observe (:class:`TrajectoryData`), and the one writer and one
+reader of its directory on disk.
 
 The adaptive solve is the Dormand-Prince 5(4) pair with its quartic dense
 output (Dormand & Prince 1980; Shampine 1986; Hairer, Norsett & Wanner
@@ -138,18 +139,6 @@ class VectorField:
         """Lipschitz bound ``L_1``."""
         return self.derivative_bounds[1]
 
-    def flipped(self) -> "VectorField":
-        """The field ``-f``; integrating it forward runs time backwards."""
-        f = self.func
-        return VectorField(
-            name=f"-{self.name}",
-            dim=self.dim,
-            func=lambda x: -f(x),
-            smoothness=self.smoothness,
-            derivative_bounds=self.derivative_bounds,
-            box=self.box,
-        )
-
 
 # scipy's RK45 floor too: below it the error estimate is rounding noise
 _MIN_REL_TOL = 100 * np.finfo(float).eps
@@ -256,16 +245,14 @@ class TrajectoryData:
 
 
 def integrate_flow(field: VectorField, x0: Sequence[float] | np.ndarray, t: float) -> np.ndarray:
-    """Approximate the flow ``U(f, x0, t)``.
+    """Approximate the flow ``U(f, x0, t)`` at one time ``t >= 0``: the one
+    value :func:`integrate_flow_grid` gives for the grid ``[t]``.
 
-    ``t = 0`` returns ``x0`` exactly.  Negative ``t`` integrates the
-    sign-flipped field forward, realizing the backward solution.
+    ``t = 0`` returns ``x0`` exactly; a negative ``t`` raises ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.dim,):
         raise ValueError(f"x0 must have shape ({field.dim},)")
-    if t < 0.0:
-        field, t = field.flipped(), -t
     return integrate_flow_grid(field, x0[None, :], np.array([t]))[0, 0]
 
 

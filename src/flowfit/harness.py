@@ -3,7 +3,8 @@
 An :class:`ExperimentConfig` names one estimation model, a field, a
 grid of sample sizes, and a replication plan.  :func:`run_experiment`
 integrates the noise-free paths once per trajectory (the sample sizes of
-one snake horizon share one), adds each replicate's own noise,
+one snake horizon share one, with the true curve that ``tube`` queries
+follow), adds each replicate's own noise,
 estimates the field on a query set, aggregates errors per n, fits a
 log-log slope, and compares it with :func:`reference_rate`.
 
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stubble
-from .flow import IntegrationError, NoiseSpec, VectorField, integrate_flow_grid, make_field
+from .flow import IntegrationError, NoiseSpec, VectorField, make_field
 from .localpoly import SingularDesign
 from .models import FAILURES, MODELS
 
@@ -327,7 +328,7 @@ class ExperimentConfig:
         if self.queries is not None and self.queries.kind == "tube" and not family.needs_x1:
             raise ValueError(f"tube queries need a single-trajectory model, not {self.model}")
         NoiseSpec(distribution=self.noise, sigma=self.sigma)  # raises on a bad noise or sigma
-        for name in ("dt_value", "horizon"):
+        for name in ("dt_value", "horizon", "bandwidth"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -423,12 +424,6 @@ class ExperimentResult:
     report: RateReport | None
 
 
-def _true_curve(fld: VectorField, x1, horizon: float, num: int = 2048) -> np.ndarray:
-    times = np.linspace(0.0, horizon, num + 1)
-    x1 = np.asarray(x1, dtype=float)
-    return integrate_flow_grid(fld, x1[None, :], times)[:, 0, :]
-
-
 def _replicate_errors(
     cfg: ExperimentConfig, fld: VectorField, beta: int, ds, queries: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -436,13 +431,13 @@ def _replicate_errors(
 
     Every query fails when `ds` is None: its noise-free flow did not integrate.
     """
-    truth = fld(queries)
     try:
         predict = None if ds is None else MODELS[cfg.model].fit(cfg, ds, beta)
     except SingularDesign:
         predict = None
     if predict is None:
         return np.full(queries.shape[0], np.nan), queries.shape[0]
+    truth = fld(queries)
     pred = predict(queries)
     # one norm per query: a batched norm may round differently
     errs = np.array([np.linalg.norm(value - t) for value, t in zip(pred.values, truth)])
@@ -474,24 +469,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     sizes = [(n, cfg.dt_for(n, beta, fld.dim)) for n in cfg.ns]
     rows: list[ReplicateRow] = []
-    curves: dict[float, np.ndarray] = {}  # true curve per horizon, for tube queries
+    curves: dict[float, np.ndarray | None] = {}  # true curve per horizon, for tube queries
     solved: dict[int, np.ndarray | None] = {}  # paths of solved trajectories, by n, until used
     for n, dt in sizes:
-        rng = np.random.default_rng([cfg.seed, 24301, n])
-        curve_pts = None
-        if qspec.kind == "tube":
-            if n * dt not in curves:
-                curves[n * dt] = _true_curve(fld, cfg.x1, n * dt)
-            curve_pts = curves[n * dt]
-        queries = qspec.build(fld.dim, rng, curve_pts)
+        key = family.trajectory(n, dt)
         if n not in solved:  # the first size of its trajectory: one solve for all its sizes
-            key = family.trajectory(n, dt)
             group = [(m, t) for m, t in sizes if family.trajectory(m, t) == key]
+            # a tube follows the true curve, one more path of 2048 steps up to the horizon
+            tube = [(2048, n * dt / 2048)] if qspec.kind == "tube" else []
             try:
-                solved.update(zip([m for m, _ in group], family.flow(cfg, fld, beta, group)))
+                paths = family.flow(cfg, fld, beta, group + tube)
             except IntegrationError:  # every replicate at these n fails all its queries
-                solved.update(dict.fromkeys(m for m, _ in group))
+                paths = [None] * len(group + tube)
+            if tube:
+                curve = paths.pop()
+                curves[key] = None if curve is None else curve[:, 0, :]
+            solved.update(zip([m for m, _ in group], paths))
         paths = solved.pop(n)
+        rng = np.random.default_rng([cfg.seed, 24301, n])
+        curve = curves.get(key)
+        if qspec.kind == "tube" and curve is None:  # the solve failed: no curve to draw around
+            queries = np.full((qspec.count, fld.dim), np.nan)  # each fails, as paths is None
+        else:
+            queries = qspec.build(fld.dim, rng, curve)
         total_failures = 0
         for r in range(cfg.replicates):
             ds = None if paths is None else family.observe(cfg, fld, n, dt, paths, cfg.seed + r)

@@ -4,9 +4,9 @@ Each model is the Lipschitz or the general estimator of one sampling
 scheme (its :class:`Family`): many short trajectories (``stubble``) or
 one long trajectory (``snake``).  :data:`MODELS` holds all that differs
 between the four, so the harness and the CLI never branch on a name.
-Estimators and generators are looked up on their modules at call time,
-never captured here, so wrappers set on those module attributes see
-every call.
+Estimators and the flow and observe steps of the simulation are looked
+up on their modules at call time, never captured here, so wrappers set
+on those module attributes see every call.
 """
 
 from __future__ import annotations

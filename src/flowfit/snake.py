@@ -45,7 +45,6 @@ __all__ = [
     "NoStencilFound",
     "flow_snake",
     "observe_snake",
-    "generate_snake",
     "fit_curve",
     "nn_time",
     "estimate_lipschitz",
@@ -94,15 +93,6 @@ def observe_snake(
                 seed=seed, lip=fld.lip, smoothness=fld.smoothness,
                 deriv_bounds=[float(b) for b in fld.derivative_bounds])
     return TrajectoryData(path[0], dt, obs, meta)
-
-
-def generate_snake(
-    fld: VectorField, x1: np.ndarray, n: int, dt: float, sigma: float = 0.0, seed: int = 0,
-    noise: str = "gaussian",
-) -> TrajectoryData:
-    """Simulate the long-trajectory sampling scheme for a known field:
-    :func:`observe_snake` of :func:`flow_snake`."""
-    return observe_snake(fld, flow_snake(fld, x1, [(n, dt)])[0], dt, sigma, seed, noise)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "grid_initials",
     "flow_stubble",
     "observe_stubble",
-    "generate_stubble",
     "horizon_regressions",
     "estimate_general",
     "default_query_points",
@@ -82,15 +81,6 @@ def observe_stubble(
                 lip=fld.lip, smoothness=fld.smoothness,
                 deriv_bounds=[float(b) for b in fld.derivative_bounds])
     return TrajectoryData(states[0], dt, obs, meta)
-
-
-def generate_stubble(
-    fld: VectorField, n0: int, dt: float, sigma: float = 0.0, seed: int = 0,
-    noise: str = "gaussian", beta: int | None = None,
-) -> TrajectoryData:
-    """Simulate the short-trajectory sampling scheme for a known field:
-    :func:`observe_stubble` of :func:`flow_stubble`."""
-    return observe_stubble(fld, n0, flow_stubble(fld, n0, dt, beta), dt, sigma, seed, noise)
 
 
 def _min_bandwidth(m: int, d: int, degree: int) -> float:

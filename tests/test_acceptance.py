@@ -46,7 +46,7 @@ from flowfit.localpoly import (
 )
 from flowfit.snake import CurveEstimate, StencilConfig, estimate_general
 from flowfit.stubble import estimate_general as stubble_estimate
-from flowfit.stubble import generate_stubble, horizon_regressions
+from flowfit.stubble import flow_stubble, horizon_regressions, observe_stubble
 
 
 def _verdict(label: str, ok: bool, detail: str, elapsed: float, budget: float) -> None:
@@ -210,7 +210,8 @@ def test_criterion_04_bias_slope():
         spec = IncrementRegressor(degree=beta - 1)
         errors = []
         for dt in dts:
-            ds = generate_stubble(field, n0=16, dt=dt, beta=beta, sigma=0.0, seed=7)
+            states = flow_stubble(field, 16, dt, beta=beta)
+            ds = observe_stubble(field, 16, states, dt, sigma=0.0, seed=7)
             regressions = horizon_regressions(ds, spec)
             worst = 0.0
             fhats, singular = stubble_estimate(regressions, queries)

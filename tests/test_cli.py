@@ -90,6 +90,7 @@ def test_bad_override_exits(stubble_config, tmp_path):
     ("sigma=-1", "sigma"),
     ("sigma=NaN", "sigma must be nonnegative and finite"),
     ("rate_tolerance=-1", "rate_tolerance must be nonnegative and finite"),
+    ("bandwidth=-1", "bandwidth must be positive and finite"),
     ('queries={"kind": "tube"}', "tube queries"),
     ('replicates="3"', "config refused: replicates must be an integer"),
     ("replicates=2.5", "config refused: replicates must be an integer"),
@@ -387,6 +388,24 @@ def test_estimate_refuses_a_dataset_of_another_dimension(sets, tmp_path):
     assert refused.value.code == ("dataset refused: the dataset has dimension 1, "
                                   "but the field 'rotation' has dimension 2")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("script, n, sets, message", [
+    # a size the config's own ns check would refuse
+    ("snake-rate", 0, [], "simulate refused: --n must be at least 1, not 0"),
+    ("snake-rate", -5, [], "simulate refused: --n must be at least 1, not -5"),
+    ("stubble-rate", 300, ["field=rotation", "d=2", "ns=[256,1024]"],
+     "simulate refused: sample size 300 is not a d-th power for d=2"),
+], ids=["snake-zero", "snake-negative", "stubble-not-a-square"])
+def test_simulate_refuses_a_size_the_scheme_cannot_draw(script, n, sets, message, tmp_path):
+    args = ["simulate", "--config", str(STUBBLE_RATE.parent / f"{script}.json"),
+            "--n", str(n), "--out", str(tmp_path / "out")]
+    for pair in sets:
+        args += ["--set", pair]
+    with pytest.raises(SystemExit) as refused:
+        main(args)
+    assert refused.value.code == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_exits():

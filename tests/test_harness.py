@@ -320,6 +320,10 @@ def from_json(make):
         (constant_config, dict(rate_tolerance=-1.0)),
         (constant_config, dict(rate_tolerance=math.nan)),
         (constant_config, dict(rate_tolerance=math.inf)),
+        # a negative bandwidth crashes the fit, a NaN or infinite one fails every query
+        (constant_config, dict(bandwidth=-1.0)),
+        (constant_config, dict(bandwidth=math.nan)),
+        (constant_config, dict(bandwidth=math.inf)),
     ],
     ids=["sigma", "noise", "dt_value", "beta", "horizon", "horizon-inf", "horizon-nan",
          "dt_value-inf", "x1", "seed", "stubble-tube",
@@ -327,7 +331,8 @@ def from_json(make):
          "grid-per-dim", "grid-per-dim-float", "tube-count-float", "points-nan", "box-lo-inf",
          "box-hi-nan", "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",
          "box-lo-above-hi", "sigma-nan", "sigma-inf", "x1-nan", "x1-inf",
-         "rate-tolerance-negative", "rate-tolerance-nan", "rate-tolerance-inf"],
+         "rate-tolerance-negative", "rate-tolerance-nan", "rate-tolerance-inf",
+         "bandwidth-negative", "bandwidth-nan", "bandwidth-inf"],
 )
 def test_config_rejects_bad_values(make, overrides):
     make()  # the base config is valid
@@ -416,8 +421,8 @@ def test_singular_stacked_estimate_fails_every_query():
 
 
 def reference_rows(cfg: ExperimentConfig) -> tuple[ReplicateRow, ...]:
-    """The rows of `cfg`, simulating every replicate with the public
-    generators, so each one integrates its own noise-free flow."""
+    """The rows of `cfg`, simulating every replicate with the public flow
+    and observe steps, so each one integrates its own noise-free flow."""
     fld = make_field(cfg.field, cfg.d)
     beta = cfg.effective_beta(fld)
     spec = MODELS[cfg.model]
@@ -429,10 +434,12 @@ def reference_rows(cfg: ExperimentConfig) -> tuple[ReplicateRow, ...]:
         for r in range(cfg.replicates):
             noise = dict(sigma=cfg.sigma, seed=cfg.seed + r, noise=cfg.noise)
             if spec.family.name == "snake":
-                ds = snake.generate_snake(fld, cfg.x1, n, dt, **noise)
+                (path,) = snake.flow_snake(fld, cfg.x1, [(n, dt)])
+                ds = snake.observe_snake(fld, path, dt, **noise)
             else:
                 n0 = stubble_grid_size(n, fld.dim)
-                ds = stubble.generate_stubble(fld, n0, dt, beta=beta, **noise)
+                states = stubble.flow_stubble(fld, n0, dt, beta=beta)
+                ds = stubble.observe_stubble(fld, n0, states, dt, **noise)
             pred = spec.fit(cfg, ds, beta)(queries)
             errs = np.array([np.linalg.norm(v - t) for v, t in zip(pred.values, truth)])
             valid = errs[np.isfinite(errs)]
@@ -522,8 +529,19 @@ def stalled(calls):
     return stall
 
 
-def test_stalled_shared_solve_fails_every_n_of_its_horizon(monkeypatch):
-    cfg = SHARED_FLOW_CONFIGS["snake-lip"]()  # both n observe one path up to 2 pi
+# both n observe one path up to 2 pi; a tube's true curve is one more path of that solve
+STALLED_QUERIES = {
+    "points": (None, 3),
+    "tube": (QuerySpec(kind="tube", count=7, delta=0.02), 7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STALLED_QUERIES))
+def test_stalled_shared_solve_fails_every_n_of_its_horizon(monkeypatch, kind):
+    queries, count = STALLED_QUERIES[kind]
+    cfg = SHARED_FLOW_CONFIGS["snake-lip"]()
+    if queries is not None:
+        cfg = dataclasses.replace(cfg, queries=queries)
     calls = []
     monkeypatch.setattr(snake, "flow_snake", stalled(calls))
     monkeypatch.setattr(harness, "FAILURE_LIMIT", 1.0)
@@ -531,7 +549,7 @@ def test_stalled_shared_solve_fails_every_n_of_its_horizon(monkeypatch):
     assert len(calls) == 1
     assert [(row.n, row.replicate) for row in rows] == [
         (n, r) for n in cfg.ns for r in range(cfg.replicates)]
-    assert all(row.failures == len(cfg.queries.points) and math.isnan(row.error) for row in rows)
+    assert all(row.failures == count and math.isnan(row.error) for row in rows)
 
 
 def test_failure_at_first_n_costs_no_later_solve(monkeypatch):
@@ -548,12 +566,14 @@ def test_true_curve_integrated_once_per_horizon(monkeypatch, dt_rule, horizons):
         model="snake-gen", beta=2, ns=(128, 256, 512), sigma=0.05, replicates=1, seed=5,
         dt_rule=dt_rule, horizon=2 * math.pi, dt_value=0.01,
     )
-    real, lengths = harness.integrate_flow_grid, []
+    real, lengths = snake.integrate_flow_grid, []
 
     def counted(fld, x0s, times, *args, **kwargs):
-        lengths.append(len(times))
+        lengths.append(sorted(len(grid) for grid in times))
         return real(fld, x0s, times, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "integrate_flow_grid", counted)
+    monkeypatch.setattr(snake, "integrate_flow_grid", counted)
     run_experiment(cfg)
-    assert lengths == [2049] * horizons  # the tube's true curve, once per horizon n * dt
+    # one solve per horizon n * dt, whose grids hold the tube's 2049-point true curve
+    assert len(lengths) == horizons
+    assert all(2049 in grids for grids in lengths)

@@ -450,11 +450,12 @@ def test_nan_point_forces_a_full_scan():
 @given(beta=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_curve_widening_at_both_ends_matches_full_scan(beta, seed):
     from flowfit.flow import make_field
-    from flowfit.snake import MAX_WIDENINGS, WIDEN_FACTOR, fit_curve, generate_snake
+    from flowfit.snake import MAX_WIDENINGS, WIDEN_FACTOR, fit_curve, flow_snake, observe_snake
 
     n = 48
-    ds = generate_snake(make_field("rotation"), np.array([1.0, 0.0]), n=n, dt=0.05,
-                        sigma=0.05, seed=seed)
+    fld = make_field("rotation")
+    (path,) = flow_snake(fld, np.array([1.0, 0.0]), [(n, 0.05)])
+    ds = observe_snake(fld, path, 0.05, sigma=0.05, seed=seed)
     h0 = (beta - 0.5) * ds.dt  # a one-sided window holds beta points, one too few
     curve = fit_curve(ds, beta=beta, bandwidth=h0)
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
@@ -501,12 +502,13 @@ def test_stacked_curve_fits_match_full_scan(beta, window, ticks, where, seed):
     # puts observations exactly on the window edge; "short" is one point short of
     # a one-sided window, so the ends widen
     from flowfit.flow import make_field
-    from flowfit.snake import fit_curve, generate_snake
+    from flowfit.snake import fit_curve, flow_snake, observe_snake
 
     n = 64
     sigma = 0.0 if window == "floor" else 0.05
-    ds = generate_snake(make_field("rotation"), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
-                        sigma=sigma, seed=seed)
+    fld = make_field("rotation")
+    (path,) = flow_snake(fld, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(fld, path, 2 * math.pi / n, sigma=sigma, seed=seed)
     bandwidth = (beta - 0.5) * ds.dt if window == "short" else None
     curve = fit_curve(ds, beta=beta, bandwidth=bandwidth)
     times = np.concatenate([[0.0, ds.horizon, 0.3 * ds.dt, ds.horizon - 0.3 * ds.dt],

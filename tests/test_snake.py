@@ -36,8 +36,9 @@ from flowfit.snake import (
     estimate_general,
     estimate_lipschitz,
     fit_curve,
-    generate_snake,
+    flow_snake,
     nn_time,
+    observe_snake,
     select_stencil,
     _subset_keys,
 )
@@ -52,7 +53,8 @@ def circle_curve(resolution: int = 64) -> CurveEstimate:
 
 
 def test_single_observation():
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=1, dt=0.1, sigma=0.0)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(1, 0.1)])
+    ds = observe_snake(ROT, path, 0.1)
     assert ds.observations.shape == (1, 1, 2)
     assert np.array_equal(ds.times, np.array([0.0, 0.1]))
     assert ds.states.shape == (1, 2, 2)
@@ -60,25 +62,28 @@ def test_single_observation():
 
 def test_zero_field_stays_at_initial():
     zero = make_field("zero")
-    ds = generate_snake(zero, np.array([0.3, 0.7]), n=5, dt=0.2, sigma=0.0)
+    (path,) = flow_snake(zero, np.array([0.3, 0.7]), [(5, 0.2)])
+    ds = observe_snake(zero, path, 0.2)
     assert np.array_equal(ds.observations, np.tile([0.3, 0.7], (1, 5, 1)))
 
 
 def test_rotation_orbit_closes():
     n = 256
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.0)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(ROT, path, 2 * math.pi / n)
     assert np.linalg.norm(ds.observations[0, -1] - ds.initials[0]) <= 1e-5
 
 
 def test_noise_reproducible():
-    kw = dict(n=16, dt=0.1, sigma=0.3, seed=21)
-    a = generate_snake(ROT, np.array([1.0, 0.0]), **kw)
-    b = generate_snake(ROT, np.array([1.0, 0.0]), **kw)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(16, 0.1)])
+    a = observe_snake(ROT, path, 0.1, sigma=0.3, seed=21)
+    b = observe_snake(ROT, path, 0.1, sigma=0.3, seed=21)
     assert np.array_equal(a.observations, b.observations)
 
 
 def test_fit_curve_refuses_several_trajectories():
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=64, dt=0.1, sigma=0.05, seed=4)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(64, 0.1)])
+    ds = observe_snake(ROT, path, 0.1, sigma=0.05, seed=4)
     two = TrajectoryData(
         np.vstack([ds.initials, 0.5 * ds.initials]), ds.dt,
         np.concatenate([ds.observations, 0.5 * ds.observations]), ds.meta,
@@ -91,7 +96,8 @@ def test_fit_curve_refuses_several_trajectories():
 def test_affine_motion_fits_exactly():
     # u(t) = x1 + c t; a degree >= 1 local fit reproduces it and its slope
     fld = make_field("constant")
-    ds = generate_snake(fld, np.array([0.1, 0.5]), n=64, dt=0.02, sigma=0.0)
+    (path,) = flow_snake(fld, np.array([0.1, 0.5]), [(64, 0.02)])
+    ds = observe_snake(fld, path, 0.02)
     curve = fit_curve(ds, beta=1)
     for t in np.linspace(0.0, curve.horizon, 17):
         want = np.array([0.1 + t, 0.5])
@@ -101,7 +107,8 @@ def test_affine_motion_fits_exactly():
 
 def test_noiseless_circle_sup_error():
     n = 4096
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.0)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(ROT, path, 2 * math.pi / n)
     curve = fit_curve(ds)
     ts = np.linspace(0.0, curve.horizon, 200)
     worst = max(
@@ -111,7 +118,8 @@ def test_noiseless_circle_sup_error():
 
 
 def test_boundary_flag_covers_edges():
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=64, dt=0.05, sigma=0.0)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(64, 0.05)])
+    ds = observe_snake(ROT, path, 0.05)
     curve = fit_curve(ds)
     assert curve.boundary(0.0)
     assert curve.boundary(curve.horizon)
@@ -144,8 +152,9 @@ def assert_grid_is_per_point_fit(curve: CurveEstimate) -> None:
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_grid_equals_per_point_fits_on_noisy_data(beta, field, monkeypatch):
     n = 1024
-    ds = generate_snake(make_field(field), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
-                        sigma=0.05, seed=7)
+    fld = make_field(field)
+    (path,) = flow_snake(fld, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(fld, path, 2 * math.pi / n, sigma=0.05, seed=7)
     fits = count_fits(monkeypatch)
     curve = fit_curve(ds, beta=beta)
     assert len(fits) < curve.grid_times.size  # interior times come from the filter
@@ -156,8 +165,9 @@ def test_grid_equals_per_point_fits_on_noisy_data(beta, field, monkeypatch):
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, field, monkeypatch):
     n = 512
-    ds = generate_snake(make_field(field), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
-                        sigma=0.0)
+    fld = make_field(field)
+    (path,) = flow_snake(fld, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(fld, path, 2 * math.pi / n)
     fits = count_fits(monkeypatch)
     curve = fit_curve(ds, beta=beta)
     reach = curve.bandwidth / ds.dt  # the floor 1.25 (beta + 1) dt
@@ -172,7 +182,8 @@ def test_grid_equals_per_point_fits_at_the_bandwidth_floor(beta, field, monkeypa
 @pytest.mark.parametrize("beta, reach", [(1, 0.9), (2, 0.7), (3, 1.5)])
 def test_grid_equals_per_point_fits_where_the_interior_design_widens(beta, reach, monkeypatch):
     n = 256
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=3)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(ROT, path, 2 * math.pi / n, sigma=0.05, seed=3)
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
     _, singular = lp_coefficients(ds.times[n // 2:n // 2 + 1, None], data,
                                   LocalPolyFit(degree=beta, bandwidth=reach * ds.dt))
@@ -185,7 +196,8 @@ def test_grid_equals_per_point_fits_where_the_interior_design_widens(beta, reach
 
 def test_grid_holds_observation_times_and_fits_only_boundary_times(monkeypatch):
     n = 2**14
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=1)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(ROT, path, 2 * math.pi / n, sigma=0.05, seed=1)
     fits = count_fits(monkeypatch)
     curve = fit_curve(ds, beta=1)
     grid = curve.grid_times
@@ -217,8 +229,9 @@ def reference_filter(ds: TrajectoryData, curve: CurveEstimate) -> tuple:
 @pytest.mark.parametrize("n", [1024, 2**14])
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_interior_filter_equals_the_tap_by_tap_sum(beta, n, field):
-    ds = generate_snake(make_field(field), np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n,
-                        sigma=0.05, seed=5)
+    fld = make_field(field)
+    (path,) = flow_snake(fld, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(fld, path, 2 * math.pi / n, sigma=0.05, seed=5)
     curve = fit_curve(ds, beta=beta)
     inner, want = reference_filter(ds, curve)
     assert inner.sum() > 2 * GRID_PER_BANDWIDTH
@@ -229,7 +242,8 @@ def test_interior_filter_equals_the_tap_by_tap_sum(beta, n, field):
 def test_curve_fit_makes_few_eigendecompositions(n, most, monkeypatch):
     # one call for the filter's weights, and one per padded block of the boundary
     # fit; each matrix is one time's design, and no time's is decomposed twice
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.05, seed=1)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(ROT, path, 2 * math.pi / n, sigma=0.05, seed=1)
     calls = []
     real = np.linalg.eigh
 
@@ -321,7 +335,8 @@ def test_nn_estimate_exact_on_affine_curve():
 
 def test_nn_estimate_on_fitted_circle():
     n = 4096
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=n, dt=2 * math.pi / n, sigma=0.0)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    ds = observe_snake(ROT, path, 2 * math.pi / n)
     curve = fit_curve(ds, beta=1)
     for theta in (0.5, 2.5, 5.0):
         x = np.array([math.cos(theta), math.sin(theta)])
@@ -458,7 +473,8 @@ def test_stencil_config_validation():
 
 
 def test_nearest_time_search_makes_no_fit(monkeypatch):
-    ds = generate_snake(ROT, np.array([1.0, 0.0]), n=256, dt=2 * math.pi / 256, sigma=0.05)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(256, 2 * math.pi / 256)])
+    ds = observe_snake(ROT, path, 2 * math.pi / 256, sigma=0.05)
     curve = fit_curve(ds, beta=1)
     x = np.array([0.0, 1.01])
     fits = count_fits(monkeypatch)
@@ -819,8 +835,8 @@ def seed_one_curve():
     the rotation field from (1, 0) over one period, noise sigma 0.05 drawn
     from seed 3024, beta = 2."""
     n = 4096
-    return fit_curve(generate_snake(ROT, np.array([1.0, 0.0]), n, 2 * math.pi / n, 0.05, 3024),
-                     beta=2)
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, 2 * math.pi / n)])
+    return fit_curve(observe_snake(ROT, path, 2 * math.pi / n, 0.05, 3024), beta=2)
 
 
 # queries of that workload just outside their pool's hull (by 4.1e-4 and 3.1e-5),

@@ -21,9 +21,10 @@ from flowfit.stubble import (
     _horizon_bandwidth,
     default_query_points,
     estimate_general,
-    generate_stubble,
+    flow_stubble,
     grid_initials,
     horizon_regressions,
+    observe_stubble,
 )
 
 
@@ -46,21 +47,25 @@ def test_grid_is_the_lexicographic_product(n0, d):
 
 
 def test_beta_one_has_single_observation():
-    ds = generate_stubble(make_field("rotation"), n0=3, dt=0.05, beta=1, sigma=0.0)
+    fld = make_field("rotation")
+    states = flow_stubble(fld, 3, 0.05, beta=1)
+    ds = observe_stubble(fld, 3, states, 0.05)
     assert ds.observations.shape == (9, 1, 2)
     assert ds.n == 1
 
 
 def test_zero_field_observations_equal_initials():
-    ds = generate_stubble(make_field("zero"), n0=3, dt=0.1, beta=2, sigma=0.0)
+    fld = make_field("zero")
+    states = flow_stubble(fld, 3, 0.1, beta=2)
+    ds = observe_stubble(fld, 3, states, 0.1)
     for i in range(2):
         assert np.array_equal(ds.observations[:, i, :], ds.initials)
 
 
 def test_noise_reproducible_across_calls():
-    kw = dict(n0=3, dt=0.05, beta=2, sigma=0.2, seed=13)
-    a = generate_stubble(make_field("rotation"), **kw)
-    b = generate_stubble(make_field("rotation"), **kw)
+    fld = make_field("rotation")
+    a = observe_stubble(fld, 3, flow_stubble(fld, 3, 0.05, beta=2), 0.05, sigma=0.2, seed=13)
+    b = observe_stubble(fld, 3, flow_stubble(fld, 3, 0.05, beta=2), 0.05, sigma=0.2, seed=13)
     assert np.array_equal(a.observations, b.observations)
 
 
@@ -69,22 +74,27 @@ def test_constant_field_exact_everywhere():
     # the first horizon and the interpolation route both return c up to
     # integrator noise
     fld = make_field("constant")
-    lip = horizon_regressions(generate_stubble(fld, n0=5, dt=0.05, beta=1, sigma=0.0))
+    lip = horizon_regressions(observe_stubble(fld, 5, flow_stubble(fld, 5, 0.05, beta=1), 0.05))
     for beta in (1, 2, 3):
-        gen = horizon_regressions(generate_stubble(fld, n0=5, dt=0.05, beta=beta, sigma=0.0))
+        states = flow_stubble(fld, 5, 0.05, beta=beta)
+        gen = horizon_regressions(observe_stubble(fld, 5, states, 0.05))
         x = np.array([[0.4, 0.4], [0.8, 0.2]])
         assert np.abs(estimate_general(lip, x)[0] - np.array([1.0, 0.0])).max() <= 1e-9
         assert np.abs(estimate_general(gen, x)[0] - np.array([1.0, 0.0])).max() <= 1e-8
 
 
 def test_constant_field_exact_d3():
-    ds = generate_stubble(make_field("zero", ), n0=3, dt=0.05, beta=2, sigma=0.0)
+    fld = make_field("zero")
+    states = flow_stubble(fld, 3, 0.05, beta=2)
+    ds = observe_stubble(fld, 3, states, 0.05)
     got, _ = estimate_general(horizon_regressions(ds), np.array([[0.5, 0.5]]))
     assert np.abs(got).max() <= 1e-12
 
 
 def test_rotation_fine_step_bias():
-    ds = generate_stubble(make_field("rotation"), n0=24, dt=1e-3, beta=1, sigma=0.0)
+    fld = make_field("rotation")
+    states = flow_stubble(fld, 24, 1e-3, beta=1)
+    ds = observe_stubble(fld, 24, states, 1e-3)
     x0 = np.array([[0.5, 0.5]])
     err = np.linalg.norm(estimate_general(horizon_regressions(ds), x0)[0] - np.array([-0.5, 0.5]))
     assert err <= 5e-3
@@ -97,7 +107,8 @@ def test_rmse_decreases_when_grid_doubles():
     for n0 in (64, 256):
         errs = []
         for seed in range(50):
-            ds = generate_stubble(fld, n0=n0, dt=0.02, beta=1, sigma=0.1, seed=seed)
+            states = flow_stubble(fld, n0, 0.02, beta=1)
+            ds = observe_stubble(fld, n0, states, 0.02, sigma=0.1, seed=seed)
             errs.append(np.linalg.norm(estimate_general(horizon_regressions(ds), x0)[0] - fld(x0)) ** 2)
         rmses.append(math.sqrt(np.mean(errs)))
     assert rmses[1] < rmses[0]
@@ -107,7 +118,9 @@ def test_general_beta1_reduces_to_lipschitz():
     # at beta = 1 the estimate is the local constant fit of the first-horizon
     # increments divided by dt, bit for bit, with the plug-in bandwidth of a
     # degree-0 fit at smoothness 1
-    ds = generate_stubble(make_field("rotation"), n0=8, dt=0.05, beta=1, sigma=0.05, seed=3)
+    fld = make_field("rotation")
+    states = flow_stubble(fld, 8, 0.05, beta=1)
+    ds = observe_stubble(fld, 8, states, 0.05, sigma=0.05, seed=3)
     data = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1))
     regressions = horizon_regressions(ds)
@@ -127,8 +140,10 @@ def test_derivative_weights_match_interpolant(beta):
 
 
 def test_estimator_is_linear_in_increments():
-    base = generate_stubble(make_field("rotation"), n0=6, dt=0.05, beta=2, sigma=0.1, seed=5)
-    other = generate_stubble(make_field("rotation"), n0=6, dt=0.05, beta=2, sigma=0.1, seed=6)
+    fld = make_field("rotation")
+    states = flow_stubble(fld, 6, 0.05, beta=2)
+    base = observe_stubble(fld, 6, states, 0.05, sigma=0.1, seed=5)
+    other = observe_stubble(fld, 6, states, 0.05, sigma=0.1, seed=6)
     a, b = 1.7, -0.4
     mixed_obs = base.initials[:, None, :] + (
         a * (base.observations - base.initials[:, None, :])
@@ -153,7 +168,9 @@ def test_estimator_is_linear_in_increments():
 
 
 def test_singular_design_far_outside():
-    ds = generate_stubble(make_field("rotation"), n0=6, dt=0.05, beta=1, sigma=0.0)
+    fld = make_field("rotation")
+    states = flow_stubble(fld, 6, 0.05, beta=1)
+    ds = observe_stubble(fld, 6, states, 0.05)
     values, singular = estimate_general(
         horizon_regressions(ds, IncrementRegressor(bandwidth=0.1)),
         np.array([[3.0, 3.0], [0.5, 0.5]]))
@@ -165,7 +182,9 @@ def test_fit_sets_up_each_horizon_once(monkeypatch):
     # the increments, regression data and plug-in bandwidth of a horizon
     # depend only on the dataset: beta bandwidths per fit, not per query
     beta = 3
-    ds = generate_stubble(make_field("rotation"), n0=8, dt=0.05, beta=beta, sigma=0.05, seed=3)
+    fld = make_field("rotation")
+    states = flow_stubble(fld, 8, 0.05, beta=beta)
+    ds = observe_stubble(fld, 8, states, 0.05, sigma=0.05, seed=3)
     queries = default_query_points(2, per_dim=3)
     real = stubble._horizon_bandwidth
     horizons = []
