@@ -26,7 +26,8 @@ import numpy as np
 
 from . import harness
 from .flow import make_field, read_dataset, write_dataset
-from .harness import ExperimentConfig, ExperimentError, fit_rate, fmt_float, reference_rate
+from .harness import ExperimentConfig, ExperimentError, fmt_float, reference_rate
+from .localpoly import SingularDesign
 from .models import FAILURES, MODELS, Predictor
 
 __all__ = ["main", "build_parser"]
@@ -94,6 +95,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         queries = _estimate_queries(cfg, ds.dim, predictor)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"dataset refused: {exc}") from None
+    except SingularDesign as exc:  # a curve fit that cannot be made, as benchmark counts it
+        raise SystemExit(f"estimate refused: {exc}") from None
     d = ds.dim
     pred = predictor(queries)
 
@@ -149,24 +152,24 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         if not 0 <= args.tolerance < math.inf:
             raise ValueError(f"--tolerance must be nonnegative and finite, not {args.tolerance!r}")
         model, rows = harness.read_results_csv(Path(args.results))
-        ns = sorted({r.n for r in rows})
-        means = []
-        for n in ns:
-            errs = [r.error for r in rows if r.n == n and np.isfinite(r.error)]
-            if not errs:
-                raise ValueError(f"no valid errors at n={n}")
-            means.append(float(np.mean(errs)))
-        slope, intercept = fit_rate(ns, means)
-        out = {
-            "model": model, "ns": ns, "mean_errors": means,
-            "slope": slope, "intercept": intercept,
-        }
+        summary = harness._aggregate(sorted({r.n for r in rows}), rows)
+        for s in summary:
+            if s.replicates_used == 0:
+                raise ValueError(f"no valid errors at n={s.n}")
+        reference = None
         if args.regime is not None:
-            ref = reference_rate(model, args.d, args.beta, args.regime, scale="rmse")
-            out["reference"] = ref.to_dict()
-            out["passed"] = abs(slope - float(ref.exponent)) <= args.tolerance
+            reference = reference_rate(model, args.d, args.beta, args.regime)
+        report = harness._build_report(summary, reference, args.tolerance)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"rates refused: {exc}") from None
+    out = {
+        "model": model, "ns": [s.n for s in summary],
+        "mean_errors": [s.mean_error for s in summary],
+        "slope": report.slope, "intercept": report.intercept,
+    }
+    if reference is not None:
+        out["reference"] = reference.to_dict()
+        out["passed"] = report.passed
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

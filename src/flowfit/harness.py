@@ -91,21 +91,18 @@ def fit_rate(ns, errors) -> tuple[float, float]:
 class TheoreticalRate:
     """Error-decay exponent of one model regime.
 
-    The mean error behaves like ``n^exponent * (log n)^log_power`` up
-    to constants; ``scale`` records whether the exponent is stated for
-    the squared error or its square root.
+    The reported error (root mean square for stubble, sup for snake)
+    behaves like ``n^exponent * (log n)^log_power`` up to constants: half
+    the squared-error exponent of :attr:`~flowfit.models.Family.exponents`.
     """
 
     exponent: Fraction
     source: str
     log_power: Fraction = Fraction(0)
-    scale: str = "squared"
 
     def __post_init__(self) -> None:
         if self.exponent >= 0:
             raise ValueError("error-rate exponents must be negative")
-        if self.scale not in ("squared", "rmse"):
-            raise ValueError("scale must be 'squared' or 'rmse'")
 
     def curve(self, ns) -> np.ndarray:
         """Unnormalized reference values ``n^exponent (log n)^log_power``."""
@@ -121,14 +118,12 @@ class TheoreticalRate:
             "exponent": [self.exponent.numerator, self.exponent.denominator],
             "log_power": [self.log_power.numerator, self.log_power.denominator],
             "source": self.source,
-            "scale": self.scale,
+            "scale": "rmse",
         }
 
 
-def reference_rate(
-    model: str, d: int, beta: int, regime: str, scale: str = "rmse"
-) -> TheoreticalRate:
-    """Theoretical exponent for a model/regime combination.
+def reference_rate(model: str, d: int, beta: int, regime: str) -> TheoreticalRate:
+    """Theoretical exponent of the reported error for a model/regime combination.
 
     Regimes: ``balanced`` (step size or horizon tuned to n so both
     error sources match), ``fixed-dt`` (stubble with a fixed step: the
@@ -144,16 +139,10 @@ def reference_rate(
     b = 1 if spec.lipschitz else beta
     if regime not in spec.family.exponents:
         raise UnsupportedCombination(f"{spec.family.name} has no regime {regime!r}")
-    exponent = spec.family.exponents[regime](b, d)
-    log_power = -exponent if spec.family.log_rate else Fraction(0)
-    if scale == "rmse":
-        exponent /= 2
-        log_power /= 2
-    elif scale != "squared":
-        raise UnsupportedCombination("scale must be 'squared' or 'rmse'")
+    squared = spec.family.exponents[regime](b, d)
+    log_power = -squared / 2 if spec.family.log_rate else Fraction(0)
     source = f"{model} {regime} regime, beta={b}, d={d}"
-    return TheoreticalRate(exponent=exponent, source=source,
-                           log_power=log_power, scale=scale)
+    return TheoreticalRate(exponent=squared / 2, source=source, log_power=log_power)
 
 
 def _is_a(value, kind) -> bool:
@@ -307,6 +296,9 @@ class ExperimentConfig:
                 optional = value is None and self.__dataclass_fields__[name].default is None
                 if not optional and not _is_a(value, kind):
                     raise TypeError(f"{name} must be {what}, not {value!r}")
+        for n in self.ns:
+            if not _is_a(n, numbers.Integral):
+                raise TypeError(f"ns must be an integer, not {n!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {tuple(MODELS)}")
         if len(self.ns) == 0 or any(b <= a for a, b in zip(self.ns, self.ns[1:])):
@@ -347,7 +339,12 @@ class ExperimentConfig:
             raise ValueError(f"x1 must be finite, not {list(self.x1)}")
         if self.queries is not None:
             self.queries.check_dim(fld.dim)
+        beta = self.effective_beta(fld)
+        least = family.min_n(beta)
         for n in self.ns:
+            if n < least:
+                raise ValueError(f"sample size {n} is below {least}, the smallest "
+                                 f"{self.model} fits at beta={beta}")
             family.check_n(n, fld.dim)
 
     def to_dict(self) -> dict:
@@ -366,7 +363,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "ns" in data:
-            data["ns"] = tuple(int(n) for n in data["ns"])
+            data["ns"] = tuple(data["ns"])
         if data.get("x1") is not None:
             data["x1"] = tuple(float(v) for v in data["x1"])
         if data.get("queries") is not None:
@@ -387,15 +384,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Fitted log-log slope against the theoretical exponent."""
+    """Fitted log-log slope of the mean errors against the theoretical
+    exponent; ``passed`` is False when there is no reference."""
 
-    ns: tuple[int, ...]
-    mean_errors: tuple[float, ...]
-    stderrs: tuple[float, ...]
     slope: float
     intercept: float
     reference: TheoreticalRate | None
-    tolerance: float
     passed: bool
 
 
@@ -444,9 +438,11 @@ def _replicate_errors(
     return errs, sum(kind in FAILURES for kind in pred.status)
 
 
-def _aggregate(cfg: ExperimentConfig, rows: list[ReplicateRow]) -> list[SummaryRow]:
+def _aggregate(ns, rows: list[ReplicateRow]) -> list[SummaryRow]:
+    """One row per sample size of `ns`: the mean and standard error of its
+    finite replicate errors, in replicate order, and its failed queries."""
     summary = []
-    for n in cfg.ns:
+    for n in ns:
         at_n = sorted((r for r in rows if r.n == n), key=lambda r: r.replicate)
         errs = np.array([r.error for r in at_n if math.isfinite(r.error)])
         failures = sum(r.failures for r in at_n)
@@ -454,6 +450,20 @@ def _aggregate(cfg: ExperimentConfig, rows: list[ReplicateRow]) -> list[SummaryR
         stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
         summary.append(SummaryRow(n, mean, stderr, int(errs.size), failures))
     return summary
+
+
+def _build_report(
+    summary: list[SummaryRow], reference: TheoreticalRate | None, tolerance: float
+) -> RateReport:
+    """The slope of the summary's mean errors and its verdict: it passes
+    when it lies within `tolerance` of the reference exponent.
+
+    Raises ValueError, as :func:`fit_rate`, on fewer than three sample
+    sizes or a mean error that is not positive and finite.
+    """
+    slope, intercept = fit_rate([s.n for s in summary], [s.mean_error for s in summary])
+    passed = reference is not None and abs(slope - float(reference.exponent)) <= tolerance
+    return RateReport(slope=slope, intercept=intercept, reference=reference, passed=passed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -506,32 +516,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 f"{frac:.0%} of queries failed at n={n} (limit {FAILURE_LIMIT:.0%})"
             )
 
-    summary = _aggregate(cfg, rows)
-    report = _build_report(cfg, fld.dim, beta, summary)
-    return ExperimentResult(
-        config=cfg, rows=tuple(rows), summary=tuple(summary), report=report
-    )
-
-
-def _build_report(
-    cfg: ExperimentConfig, d: int, beta: int, summary: list[SummaryRow]
-) -> RateReport | None:
-    ns = tuple(s.n for s in summary)
-    means = tuple(s.mean_error for s in summary)
-    stderrs = tuple(s.stderr for s in summary)
-    usable = all(math.isfinite(m) and m > 0 for m in means)
-    if len(ns) < 3 or not usable:
-        return None
-    slope, intercept = fit_rate(ns, means)
+    summary = _aggregate(cfg.ns, rows)
     try:
-        reference = reference_rate(cfg.model, d, beta, RULE_REGIMES[cfg.dt_rule], scale="rmse")
+        reference = reference_rate(cfg.model, fld.dim, beta, RULE_REGIMES[cfg.dt_rule])
     except UnsupportedCombination:  # no reference on record
         reference = None
-    passed = reference is not None and abs(slope - float(reference.exponent)) <= cfg.rate_tolerance
-    return RateReport(
-        ns=ns, mean_errors=means, stderrs=stderrs, slope=slope,
-        intercept=intercept, reference=reference,
-        tolerance=cfg.rate_tolerance, passed=passed,
+    try:
+        report = _build_report(summary, reference, cfg.rate_tolerance)
+    except ValueError:  # too few sample sizes, or one without a usable mean error
+        report = None
+    return ExperimentResult(
+        config=cfg, rows=tuple(rows), summary=tuple(summary), report=report
     )
 
 

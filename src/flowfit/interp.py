@@ -67,7 +67,7 @@ def psi_matrix(points: np.ndarray, ell: int) -> np.ndarray:
     num = n_basis(pts.shape[1], ell)
     if pts.shape[0] != num:
         raise ValueError(f"need exactly N={num} points for d={pts.shape[1]}, ell={ell}")
-    return monomial_basis(pts, ell, mode="plain")
+    return monomial_basis(pts, ell)
 
 
 def _svd_inverse(mat: np.ndarray) -> np.ndarray | None:
@@ -92,12 +92,12 @@ def interp_multivariate(points: np.ndarray, values: np.ndarray, x: np.ndarray) -
         vals = vals[:, None]
     d = pts.shape[1]
     ell = _degree_for(pts.shape[0], d)
-    psi = monomial_basis(pts, ell, mode="plain")
+    psi = monomial_basis(pts, ell)
     inv = _svd_inverse(psi)
     if inv is None:
         out = np.zeros(vals.shape[1])
     else:
-        out = monomial_basis(np.asarray(x, dtype=float), ell, mode="plain") @ (inv @ vals)
+        out = monomial_basis(np.asarray(x, dtype=float), ell) @ (inv @ vals)
     return out[0] if squeeze else out
 
 

@@ -16,9 +16,9 @@ and ``K`` is the Epanechnikov kernel, the one kernel of every fit.
 Weights vanish identically outside the bandwidth ball and reproduce
 polynomials of degree <= ell exactly: ``sum_i w_i q(x_i) = D_v q(x)``.
 
-Fits use the ``factorial-scaled`` basis, which divides each monomial
-``x^alpha`` by ``alpha!``; :func:`monomial_basis` also evaluates the
-``plain`` basis of the interpolation module.  Basis entries are
+Fits use the factorial-scaled basis, which divides each monomial
+``x^alpha`` of :func:`monomial_basis` by ``alpha!``; the interpolation
+module uses the plain monomials.  Basis entries are
 ordered by total degree, then lexicographically with earlier coordinates
 taking precedence, e.g. for d=2, ell=2: 1, a, b, a^2, ab, b^2.
 
@@ -60,9 +60,6 @@ __all__ = [
     "lp_coefficients",
     "optimal_bandwidth",
 ]
-
-BASIS_MODES = ("factorial-scaled", "plain")
-
 
 class SingularDesign(Exception):
     """Local design matrix is numerically singular at the query point.
@@ -113,33 +110,26 @@ def n_basis(d: int, ell: int) -> int:
     return math.comb(ell + d, d)
 
 
-def _factorial_scale(indices: Sequence[tuple[int, ...]]) -> np.ndarray:
-    return np.array([np.prod([math.factorial(a) for a in alpha]) for alpha in indices], dtype=float)
-
-
 @functools.lru_cache(maxsize=None)
 def _basis_plan(d: int, ell: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], np.ndarray]:
     """Per basis column its ``(coordinate, exponent)`` factors, and ``alpha!``."""
     indices = multi_indices(d, ell)
     factors = tuple(tuple((j, a) for j, a in enumerate(alpha) if a) for alpha in indices)
-    scale = _factorial_scale(indices)
+    scale = np.array([math.prod(math.factorial(a) for a in alpha) for alpha in indices],
+                     dtype=float)
     scale.setflags(write=False)
     return factors, scale
 
 
-def monomial_basis(x: np.ndarray, ell: int, mode: str = "factorial-scaled") -> np.ndarray:
-    """Evaluate the monomial basis at points of shape ``(..., d)``.
+def monomial_basis(x: np.ndarray, ell: int) -> np.ndarray:
+    """Evaluate the monomials ``x^alpha`` at points of shape ``(..., d)``.
 
     Returns shape ``(..., N)`` with columns following
-    :func:`multi_indices`; ``factorial-scaled`` divides entry ``alpha``
-    by ``alpha!``.
+    :func:`multi_indices`.
     """
-    if mode not in BASIS_MODES:
-        raise ValueError(f"mode must be one of {BASIS_MODES}")
     x = np.asarray(x, dtype=float)
-    factors, scale = _basis_plan(x.shape[-1], ell)
     cols = []
-    for column in factors:
+    for column in _basis_plan(x.shape[-1], ell)[0]:
         if not column:
             cols.append(np.ones(x.shape[:-1]))
             continue
@@ -149,10 +139,7 @@ def monomial_basis(x: np.ndarray, ell: int, mode: str = "factorial-scaled") -> n
         for j, a in rest:
             col = col * x[..., j] ** a
         cols.append(col)
-    out = np.stack(cols, axis=-1)
-    if mode == "factorial-scaled":
-        out = out / scale
-    return out
+    return np.stack(cols, axis=-1)
 
 
 def deriv_basis_at_zero(d: int, ell: int, directions: Sequence[np.ndarray]) -> np.ndarray:
@@ -166,6 +153,7 @@ def deriv_basis_at_zero(d: int, ell: int, directions: Sequence[np.ndarray]) -> n
     dirs = [np.asarray(v, dtype=float) for v in directions]
     s = len(dirs)
     indices = multi_indices(d, ell)
+    factorials = _basis_plan(d, ell)[1]
     out = np.zeros(len(indices))
     for pos, alpha in enumerate(indices):
         if sum(alpha) != s:
@@ -174,7 +162,7 @@ def deriv_basis_at_zero(d: int, ell: int, directions: Sequence[np.ndarray]) -> n
         total = 0.0
         for perm in itertools.permutations(coords):
             total += math.prod(dirs[r][perm[r]] for r in range(s))
-        out[pos] = total / float(np.prod([math.factorial(a) for a in alpha]))
+        out[pos] = total / factorials[pos]
     return out
 
 
@@ -331,7 +319,7 @@ def _block_solves(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
         own = counts[rows]
         idx = gather(rows, width)
         diffs = (data.points[idx] - x[rows, None, :]) / h
-        psi = monomial_basis(diffs, fit.degree)
+        psi = monomial_basis(diffs, fit.degree) / _basis_plan(d, fit.degree)[1]
         kvals = epanechnikov(np.linalg.norm(diffs, axis=2))
         weighted = scale * (psi.transpose(0, 2, 1) * kvals[:, None, :])
         cuts = np.flatnonzero(np.diff(own)) + 1

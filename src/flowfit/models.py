@@ -105,7 +105,8 @@ class Family:
     (rmse or sup); ``exponents[regime](b, d)`` is the squared-error
     reference exponent ``e``, times ``(log n)^-e`` when ``log_rate``;
     ``check_n(n, d)`` raises ValueError on a sample size the scheme cannot
-    draw.
+    draw, and ``min_n(beta)`` is the smallest sample size a fit of
+    smoothness ``beta`` takes.
     """
 
     name: str
@@ -120,6 +121,7 @@ class Family:
     exponents: dict[str, Callable[[int, int], Fraction]]
     log_rate: bool
     check_n: Callable[[int, int], object]
+    min_n: Callable[[int], int]
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,7 @@ STUBBLE = Family(
     },
     log_rate=False,
     check_n=stubble_grid_size,
+    min_n=lambda beta: 2,  # the plug-in bandwidth's least
 )
 
 SNAKE = Family(
@@ -180,6 +183,7 @@ SNAKE = Family(
     },
     log_rate=True,
     check_n=lambda n, d: None,
+    min_n=lambda beta: beta + 2,  # snake.fit_curve's least
 )
 
 

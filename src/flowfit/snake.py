@@ -482,7 +482,7 @@ def _subset_keys(points: np.ndarray, x: np.ndarray, ell: int) -> np.ndarray:
         centroid = np.add.reduce(pts, axis=1) / num  # np.mean's sum and division
         scale = np.linalg.norm(diff[live], axis=2).max(axis=1)
         normalized = (pts - centroid[:, None, :]) / scale[:, None, None]
-        sing = np.linalg.svd(monomial_basis(normalized, ell, mode="plain"), compute_uv=False)
+        sing = np.linalg.svd(monomial_basis(normalized, ell), compute_uv=False)
         regular = sing[:, -1] > SINGULAR_RTOL * sing[:, 0]
         stab = np.full(live.size, math.inf)
         stab[regular] = 1.0 / sing[regular, -1]

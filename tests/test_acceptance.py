@@ -62,7 +62,7 @@ def _poly_and_directional(rng, d: int, ell: int):
     coeffs = rng.uniform(-1.0, 1.0, size=len(indices))
 
     def value(y: np.ndarray) -> float:
-        return (monomial_basis(np.atleast_2d(y), ell, mode="plain") @ coeffs).item()
+        return (monomial_basis(np.atleast_2d(y), ell) @ coeffs).item()
 
     def directional(y: np.ndarray, v: np.ndarray) -> float:
         total = 0.0
@@ -147,7 +147,9 @@ def test_criterion_02_weighted_ls_oracle():
         radii = np.linalg.norm(z, axis=1)
         keep = radii < 1.0
         sqrtk = np.sqrt(epanechnikov(radii[keep]))
-        psi = monomial_basis(z[keep], ell)
+        # the fits' basis: each monomial divided by alpha!
+        psi = monomial_basis(z[keep], ell) / np.array(
+            [math.prod(math.factorial(a) for a in alpha) for alpha in multi_indices(d, ell)])
         theta, *_ = np.linalg.lstsq(
             psi * sqrtk[:, None], targets[keep] * sqrtk[:, None], rcond=None
         )

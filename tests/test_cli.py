@@ -314,6 +314,36 @@ def test_rates_from_results(stubble_config, tmp_path, capsys):
     assert payload["reference"]["exponent"] == [-1, 4]
 
 
+# A small stubble and a small snake study; `rates` given the config's d,
+# beta, regime and tolerance must repeat the verdict of report.json.
+RATE_AGREEMENT = {
+    "stubble": ({"model": "stubble-lip", "field": "cubic", "d": 1, "ns": [64, 128, 256, 512],
+                 "dt_rule": "balanced", "sigma": 0.1, "replicates": 3, "seed": 3,
+                 "rate_tolerance": 0.05, "queries": {"kind": "grid", "per_dim": 5}},
+                ["--d", "1", "--beta", "1", "--regime", "balanced", "--tolerance", "0.05"]),
+    "snake": ({"model": "snake-lip", "field": "rotation", "d": 2, "ns": [256, 512, 1024],
+               "dt_rule": "fixed-horizon", "horizon": 2 * math.pi, "sigma": 0.05,
+               "replicates": 2, "seed": 3, "x1": [1.0, 0.0],
+               "queries": {"kind": "tube", "count": 8, "delta": 0.02}},
+              ["--d", "2", "--beta", "1", "--regime", "fixed-horizon", "--tolerance", "0.1"]),
+}
+
+
+@pytest.mark.parametrize("study", sorted(RATE_AGREEMENT))
+def test_rates_agrees_with_benchmark(study, tmp_path, capsys):
+    cfg, flags = RATE_AGREEMENT[study]
+    path, out = tmp_path / "config.json", tmp_path / "bench"
+    path.write_text(json.dumps(cfg))
+    assert main(["benchmark", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["rates", "--results", str(out / "results.csv")] + flags) == 0
+    rates = json.loads(capsys.readouterr().out)
+    report = json.loads((out / "report.json").read_text())
+    assert report["reference"] is not None
+    for key in ("ns", "mean_errors", "slope", "intercept", "reference", "passed"):
+        assert rates[key] == report[key], key
+
+
 def test_rates_regime_needs_dimensions(stubble_config, tmp_path):
     out = tmp_path / "bench2"
     main(["benchmark", "--config", str(stubble_config), "--out", str(out)])
@@ -406,6 +436,23 @@ def test_simulate_refuses_a_size_the_scheme_cannot_draw(script, n, sets, message
         main(args)
     assert refused.value.code == message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sets", [[], ["model=snake-gen", "beta=2"]], ids=["snake-lip", "snake-gen"])
+def test_estimate_refuses_a_curve_fit_it_cannot_make(sets, tmp_path):
+    # no observation but the one at t lies within a vanishing bandwidth of t
+    snake_rate = STUBBLE_RATE.parent / "snake-rate.json"
+    data, out = tmp_path / "data", tmp_path / "est.csv"
+    main(["simulate", "--config", str(snake_rate), "--out", str(data)])
+    args = ["estimate", "--config", str(snake_rate), "--data", str(data), "--out", str(out),
+            "--set", "bandwidth=1e-9"]
+    for pair in sets:
+        args += ["--set", pair]
+    with pytest.raises(SystemExit) as refused:
+        main(args)
+    code = refused.value.code
+    assert code.startswith("estimate refused: singular local design") and "\n" not in code
+    assert not out.exists()
 
 
 def test_unknown_command_exits():

@@ -67,18 +67,20 @@ def test_reference_rate_stubble_balanced_rmse():
     rate = reference_rate("stubble-lip", d=1, beta=1, regime="balanced")
     assert rate.exponent == Fraction(-1, 5)
     assert rate.log_power == 0
-    assert rate.scale == "rmse"
+    assert rate.to_dict()["scale"] == "rmse"
 
 
 def test_reference_rate_stubble_balanced_squared():
-    rate = reference_rate("stubble-gen", d=2, beta=2, regime="balanced", scale="squared")
-    assert rate.exponent == Fraction(-1, 2)
+    assert MODELS["stubble-gen"].family.exponents["balanced"](2, 2) == Fraction(-1, 2)
 
 
 def test_reference_rate_snake_balanced_has_log():
-    rate = reference_rate("snake-gen", d=2, beta=1, regime="balanced", scale="squared")
-    assert rate.exponent == Fraction(-1, 3)
-    assert rate.log_power == Fraction(1, 3)
+    family = MODELS["snake-gen"].family
+    exponent = family.exponents["balanced"](1, 2)
+    assert exponent == Fraction(-1, 3)
+    assert family.log_rate and -exponent == Fraction(1, 3)  # the squared log power
+    rate = reference_rate("snake-gen", d=2, beta=1, regime="balanced")
+    assert (rate.exponent, rate.log_power) == (exponent / 2, -exponent / 2)
 
 
 def test_reference_rate_lip_ignores_beta():
@@ -91,12 +93,12 @@ def test_reference_rate_lip_ignores_beta():
     model=st.sampled_from(["stubble-lip", "stubble-gen", "snake-lip", "snake-gen"]),
     d=st.integers(1, 4),
     beta=st.integers(1, 4),
-    scale=st.sampled_from(["rmse", "squared"]),
 )
-def test_reference_exponent_always_negative(model, d, beta, scale):
+def test_reference_exponent_always_negative(model, d, beta):
     regime = "balanced"
-    rate = reference_rate(model, d, beta, regime, scale)
-    assert rate.exponent < 0
+    squared = MODELS[model].family.exponents[regime](beta, d)
+    rate = reference_rate(model, d, beta, regime)
+    assert squared < 0 and rate.exponent < 0
     assert rate.log_power >= 0
 
 
@@ -168,7 +170,7 @@ def test_aggregation_is_order_independent():
     result = run_experiment(cfg)
     rows = list(result.rows)
     shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
-    assert _aggregate(cfg, shuffled) == _aggregate(cfg, rows)
+    assert _aggregate(cfg.ns, shuffled) == _aggregate(cfg.ns, rows)
 
 
 def test_failure_fraction_raises():
@@ -324,6 +326,14 @@ def from_json(make):
         (constant_config, dict(bandwidth=-1.0)),
         (constant_config, dict(bandwidth=math.nan)),
         (constant_config, dict(bandwidth=math.inf)),
+        # a sample size below 2 for stubble (the plug-in bandwidth's least) or below the
+        # beta + 2 of a snake curve fit fails mid-run
+        (constant_config, dict(ns=(0, 16, 64))),
+        (constant_config, dict(ns=(1, 16, 64))),
+        (constant_config, dict(ns=(-5, 16, 64))),
+        (snake_config, dict(ns=(0, 64, 128))),
+        (snake_config, dict(ns=(2, 64, 128))),
+        (snake_config, dict(model="snake-gen", beta=2, ns=(3, 64, 128))),
     ],
     ids=["sigma", "noise", "dt_value", "beta", "horizon", "horizon-inf", "horizon-nan",
          "dt_value-inf", "x1", "seed", "stubble-tube",
@@ -332,7 +342,8 @@ def from_json(make):
          "box-hi-nan", "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",
          "box-lo-above-hi", "sigma-nan", "sigma-inf", "x1-nan", "x1-inf",
          "rate-tolerance-negative", "rate-tolerance-nan", "rate-tolerance-inf",
-         "bandwidth-negative", "bandwidth-nan", "bandwidth-inf"],
+         "bandwidth-negative", "bandwidth-nan", "bandwidth-inf", "ns-zero", "ns-one", "ns-negative",
+         "snake-ns-zero", "snake-ns-below-beta-plus-2", "snake-gen-ns-below-beta-plus-2"],
 )
 def test_config_rejects_bad_values(make, overrides):
     make()  # the base config is valid
@@ -347,11 +358,21 @@ def test_config_rejects_bad_values(make, overrides):
         ("seed", 1.5), ("seed", "1"), ("d", 2.0), ("beta", "2"),
         ("sigma", "0.1"), ("sigma", False), ("dt_value", "0.05"), ("horizon", "1"),
         ("bandwidth", "0.2"), ("rate_tolerance", None),
+        ("ns", (16.5, 64, 256)), ("ns", (True, 64, 256)), ("ns", (16, 64.0, 256)),
     ],
 )
 def test_config_rejects_wrong_types(name, value):
     with pytest.raises(TypeError, match=f"^{name} must be an? (integer|real number), not "):
         constant_config(**{name: value})
+
+
+@pytest.mark.parametrize("ns", [[1024.7, 2048, 4096], [True, 1024, 2048]],
+                         ids=["float", "bool"])
+def test_config_from_dict_keeps_ns_as_read(ns):
+    # read as JSON, a fractional or boolean size is refused, not rounded to an integer
+    data = {**snake_config().to_dict(), "ns": ns}
+    with pytest.raises(TypeError, match="^ns must be an integer, not "):
+        ExperimentConfig.from_dict(data)
 
 
 def test_config_accepts_numpy_numbers():

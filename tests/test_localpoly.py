@@ -43,13 +43,32 @@ def test_multi_index_order():
     assert n_basis(3, 1) == 4
 
 
+def factorials(d, ell):
+    """``alpha!`` per column of the degree-`ell` basis in `d` variables."""
+    return np.array([math.prod(math.factorial(a) for a in alpha)
+                     for alpha in multi_indices(d, ell)], dtype=float)
+
+
+def scaled_basis(z, ell):
+    """The factorial-scaled basis that the fits use."""
+    return monomial_basis(z, ell) / factorials(np.shape(z)[-1], ell)
+
+
 def test_factorial_scaling():
-    x = np.array([2.0, 3.0])
-    plain = monomial_basis(x, 2, mode="plain")
-    scaled = monomial_basis(x, 2, mode="factorial-scaled")
     # entries: 1, a, b, a^2, ab, b^2 with alpha! = 1,1,1,2,1,2
-    assert np.allclose(plain, [1, 2, 3, 4, 6, 9])
-    assert np.allclose(scaled, [1, 2, 3, 2, 6, 4.5])
+    assert np.allclose(monomial_basis(np.array([2.0, 3.0]), 2), [1, 2, 3, 4, 6, 9])
+    assert np.allclose(scaled_basis(np.array([2.0, 3.0]), 2), [1, 2, 3, 2, 6, 4.5])
+    # the fitted block of g = a^2 + 3ab holds h^|alpha| D^alpha g(x) in that basis
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0.0, 1.0, size=(80, 2))
+    data = RegressionData(points=pts, targets=pts[:, 0] ** 2 + 3 * pts[:, 0] * pts[:, 1],
+                          extent=1.0)
+    h = 0.4
+    (theta,), (singular,) = lp_coefficients(np.array([[0.5, 0.5]]), data,
+                                            LocalPolyFit(degree=2, bandwidth=h))
+    assert not singular
+    assert np.allclose(theta[:, 0], [1.0, 2.5 * h, 1.5 * h, 2 * h**2, 3 * h**2, 0.0],
+                       atol=1e-12)
 
 
 def test_deriv_basis_reads_gradient():
@@ -71,7 +90,7 @@ def test_design_matrix_matches_bruteforce():
             z = (data.points[i] - x) / fit.bandwidth
             if np.linalg.norm(z) >= 1.0:
                 continue
-            psi = monomial_basis(z, degree)
+            psi = scaled_basis(z, degree)
             k = epanechnikov(np.linalg.norm(z))
             for a in range(nb):
                 for b in range(nb):
@@ -158,7 +177,7 @@ def test_estimate_matches_weighted_least_squares():
         radii = np.linalg.norm(z, axis=1)
         keep = radii < 1.0
         sqrtk = np.sqrt(epanechnikov(radii[keep]))
-        psi = monomial_basis(z[keep], degree)
+        psi = scaled_basis(z[keep], degree)
         theta, *_ = np.linalg.lstsq(
             psi * sqrtk[:, None], data.targets[keep] * sqrtk[:, None], rcond=None
         )
@@ -256,8 +275,8 @@ def test_kernel_values():
 # --- windowed fits on sorted 1-D points against a full scan -----------------
 
 
-def reference_basis(z, ell, mode):
-    """The monomial basis built column by column from ones."""
+def reference_basis(z, ell):
+    """The factorial-scaled basis built column by column from ones."""
     cols = []
     for alpha in multi_indices(z.shape[-1], ell):
         col = np.ones(z.shape[:-1])
@@ -265,12 +284,7 @@ def reference_basis(z, ell, mode):
             if a:
                 col = col * z[..., j] ** a
         cols.append(col)
-    out = np.stack(cols, axis=-1)
-    if mode == "factorial-scaled":
-        out = out / np.array(
-            [math.prod(math.factorial(a) for a in alpha)
-             for alpha in multi_indices(z.shape[-1], ell)], dtype=float)
-    return out
+    return np.stack(cols, axis=-1) / factorials(z.shape[-1], ell)
 
 
 def full_scan_solve(x, data, fit):
@@ -286,7 +300,7 @@ def full_scan_solve(x, data, fit):
     diffs = (data.points - x) / fit.bandwidth
     radii = np.linalg.norm(diffs, axis=1)
     inside = radii < 1.0
-    psi = reference_basis(diffs[inside], fit.degree, "factorial-scaled")
+    psi = reference_basis(diffs[inside], fit.degree)
     kvals = epanechnikov(radii[inside])
     if psi.shape[0] == 0:
         raise SingularDesign(0.0, x)
