@@ -52,7 +52,6 @@ from .snake import (
     nn_time,
     select_stencil,
 )
-from .stubble import IncrementRegressor
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,6 @@ __all__ = [
     "ExperimentError",
     "ExperimentResult",
     "FlowConfig",
-    "IncrementRegressor",
     "IntegrationError",
     "LocalPolyFit",
     "NoStencilFound",

@@ -41,7 +41,6 @@ __all__ = [
     "integrate_flow_grid",
     "increment",
     "noise_draw",
-    "stack_higher_order",
     "zero_field",
     "constant_field",
     "rotation_field",
@@ -437,30 +436,6 @@ def noise_draw(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-half_width, half_width, size=shape)
 
 
-def stack_higher_order(
-    rhs: Callable[..., np.ndarray], order: int, dim: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """First-order reduction of a higher-order autonomous ODE.
-
-    Given ``v^(order) = rhs(v, v', ..., v^(order-1))`` with ``v(t)``
-    taking values in ``R^dim``, build the evaluator of the stacked
-    system whose state is ``(v, v', ..., v^(order-1))``, of dimension
-    ``dim * order``.
-
-    The returned callable is vectorized over leading axes and can be
-    wrapped in a :class:`VectorField` once bounds are certified.
-    """
-    if order < 1 or dim < 1:
-        raise ValueError("order and dim must be positive")
-
-    def stacked(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        parts = [x[..., k * dim:(k + 1) * dim] for k in range(order)]
-        return np.concatenate(parts[1:] + [np.asarray(rhs(*parts), dtype=float)], axis=-1)
-
-    return stacked
-
-
 # ---------------------------------------------------------------------------
 # Built-in test fields.  Derivative bounds are certified upper bounds on the
 # stated box: analytic where marked, otherwise evaluated on a dense grid with
@@ -526,13 +501,16 @@ def pendulum_field() -> VectorField:
     spectral norm (1.0513, grid-evaluated); L_2, L_3 bound the
     sin/cos-derived tensors by 1 analytically.
     """
-    stacked = stack_higher_order(
-        lambda v, vdot: -np.sin(v) - 0.1 * vdot, order=2, dim=1,
-    )
+
+    def func(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        v, vdot = x[..., :1], x[..., 1:]
+        return np.concatenate([vdot, -np.sin(v) - 0.1 * vdot], axis=-1)
+
     return VectorField(
         name="pendulum",
         dim=2,
-        func=stacked,
+        func=func,
         smoothness=3,
         derivative_bounds=(3.44, 1.11, 1.05, 1.05),
         box=((-3.0, 3.0), (-3.0, 3.0)),

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,18 +196,6 @@ class QuerySpec:
         if self.kind == "box" and not len(self.lo) == len(self.hi) == d:
             raise ValueError(f"box bounds must have dimension {d}")
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "points":
-            out["points"] = [list(map(float, p)) for p in self.points]
-        elif self.kind == "grid":
-            out.update(per_dim=self.per_dim, margin=self.margin)
-        elif self.kind == "box":
-            out.update(lo=list(self.lo), hi=list(self.hi), count=self.count)
-        else:
-            out.update(delta=self.delta, count=self.count)
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "QuerySpec":
         data = dict(data)
@@ -346,15 +334,11 @@ class ExperimentConfig:
                 raise ValueError(f"sample size {n} is below {least}, the smallest "
                                  f"{self.model} fits at beta={beta}")
             family.check_n(n, fld.dim)
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(
-            ns=list(self.ns),
-            x1=None if self.x1 is None else list(self.x1),
-            queries=None if self.queries is None else self.queries.to_dict(),
-        )
-        return out
+        # a trajectory is observed n (snake) or beta (stubble) steps of dt_value
+        steps = max(*self.ns, beta)
+        if self.dt_rule == "fixed" and not math.isfinite(steps * self.dt_value):
+            raise ValueError(f"dt_value {self.dt_value!r} is too large: "
+                             f"{steps} steps of it overflow the time grid")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -117,23 +117,14 @@ def _diameter(pts: np.ndarray) -> float:
     return float(np.linalg.norm(pts[:, None] - pts[None], axis=-1).max())
 
 
-def normalize(points: np.ndarray):
-    """Map the points to centroid 0 and diameter 1.
-
-    Returns ``(eta, normalized_points)`` where ``eta`` is the affine map
-    ``x -> (x - centroid) / diameter`` as a callable, so the same
-    normalization can be applied to query points.
-    """
+def normalize(points: np.ndarray) -> np.ndarray:
+    """The points under ``eta: x -> (x - centroid) / diameter``, the map to
+    centroid 0 and diameter 1."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     diam = _diameter(pts)
     if diam == 0.0:
         raise ZeroDiameter("all points coincide")
-    centroid = pts.mean(axis=0)
-
-    def eta(x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - centroid) / diam
-
-    return eta, eta(pts)
+    return (pts - pts.mean(axis=0)) / diam
 
 
 def stability_norm(points: np.ndarray, ell: int) -> float:
@@ -143,8 +134,7 @@ def stability_norm(points: np.ndarray, ell: int) -> float:
     normalization removes both.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, normalized = normalize(pts)
-    sing = np.linalg.svd(psi_matrix(normalized, ell), compute_uv=False)
+    sing = np.linalg.svd(psi_matrix(normalize(pts), ell), compute_uv=False)
     if sing[-1] <= SINGULAR_RTOL * sing[0]:
         return math.inf
     return float(1.0 / sing[-1])

@@ -189,12 +189,7 @@ SNAKE = Family(
 
 def _fit_stubble(cfg, ds, beta: int) -> Predictor:
     # both stubble models: the general estimator on the first `beta` horizons
-    if ds.n < beta:
-        raise ValueError(f"the model needs {beta} horizons, but the dataset has {ds.n}")
-    if ds.n > beta:
-        ds = TrajectoryData(ds.initials, ds.dt, ds.observations[:, :beta], ds.meta)
-    reg = stubble.IncrementRegressor(bandwidth=cfg.bandwidth)
-    regressions = stubble.horizon_regressions(ds, reg)  # shared by every query
+    regressions = stubble.horizon_regressions(ds, beta, cfg.bandwidth)  # shared by every query
 
     def estimate(queries):
         values, singular = stubble.estimate_general(regressions, queries)

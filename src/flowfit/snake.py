@@ -203,8 +203,7 @@ def _curve_bandwidth(ds: TrajectoryData, beta: int) -> float:
     inherited from the field; the class constant used is
     ``beta! * max(L_1..L_beta) ** (beta + 1)``.
     """
-    degree = max(1, beta)
-    floor = 1.25 * (degree + 1) * ds.dt
+    floor = 1.25 * (beta + 1) * ds.dt
     sigma = ds.meta.get("sigma")
     bounds = ds.meta.get("deriv_bounds")
     if sigma is None or bounds is None:
@@ -220,14 +219,14 @@ def _curve_bandwidth(ds: TrajectoryData, beta: int) -> float:
 
 def fit_curve(
     ds: TrajectoryData,
-    beta: int | None = None,
+    beta: int,
     bandwidth: float | None = None,
 ) -> CurveEstimate:
     """Reconstruct the path and its velocity from the observations of a
     dataset with one trajectory (K = 1; any other K is refused).
 
     Componentwise local polynomial regression in time of degree
-    ``max(1, beta)``.  A call of ``u`` or ``du`` on one time or a stack
+    ``beta >= 1``.  A call of ``u`` or ``du`` on one time or a stack
     of times fits all of them together (`_widened_fits`), with the same
     bits as fitting each time alone.  Windows that touch the ends of
     ``[0, T]`` are one-sided; a time whose window has too few points to
@@ -254,22 +253,19 @@ def fit_curve(
     if ds.initials.shape[0] != 1:
         raise ValueError(f"fit_curve fits one trajectory, but the dataset has K = "
                          f"{ds.initials.shape[0]}")
-    if beta is None:
-        beta = int(ds.meta.get("smoothness", 1))
     if beta < 1:
         raise ValueError("beta must be at least 1")
     if ds.n < beta + 2:
         raise ValueError(f"need at least beta + 2 = {beta + 2} observations")
     if bandwidth is None:
         bandwidth = _curve_bandwidth(ds, beta)
-    degree = max(1, beta)
     data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
 
     def u(t: float | np.ndarray) -> np.ndarray:
-        return _widened_fits(t, data, degree, bandwidth)[0][..., 0, :]
+        return _widened_fits(t, data, beta, bandwidth)[0][..., 0, :]
 
     def du(t: float | np.ndarray) -> np.ndarray:
-        theta, held = _widened_fits(t, data, degree, bandwidth)
+        theta, held = _widened_fits(t, data, beta, bandwidth)
         return theta[..., 1, :] / held[..., None]
 
     stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
@@ -287,7 +283,7 @@ def fit_curve(
     tried = [bandwidth]
     while True:
         try:
-            weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(degree, tried[-1]))
+            weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(beta, tried[-1]))
             break
         except SingularDesign:
             if len(tried) == MAX_WIDENINGS:
@@ -309,7 +305,7 @@ def fit_curve(
     if rest.any():
         states[rest] = u(grid[rest])
     return CurveEstimate(
-        u=u, du=du, horizon=ds.horizon, degree=degree,
+        u=u, du=du, horizon=ds.horizon, degree=beta,
         grid_times=grid, grid_states=states, bandwidth=bandwidth,
     )
 
@@ -501,9 +497,9 @@ def select_stencil(
     curve: CurveEstimate,
     x: np.ndarray,
     cfg: StencilConfig = DEFAULT_STENCIL_CONFIG,
-    ell: int | None = None,
 ) -> Stencil:
-    """Pick N curve points for stable polynomial interpolation at ``x``.
+    """Pick N curve points for stable polynomial interpolation at ``x``,
+    of degree ``ell = curve.degree - 1``.
 
     Admissible stencils contain ``x`` in their convex hull and have
     stability certificate at most ``2 cfg.s``; among the candidates
@@ -550,8 +546,7 @@ def select_stencil(
         covered by the curve.
     """
     x = np.asarray(x, dtype=float)
-    if ell is None:
-        ell = curve.degree - 1
+    ell = curve.degree - 1
     d = curve.grid_states.shape[1]
     num = n_basis(d, ell)
 
@@ -683,22 +678,18 @@ def estimate_general(
     x: np.ndarray,
     curve: CurveEstimate,
     cfg: StencilConfig = DEFAULT_STENCIL_CONFIG,
-    fallback: bool = True,
 ) -> GeneralEstimate:
     """Interpolate the reconstructed velocity between stencil points.
 
     Evaluates the componentwise polynomial through
     ``(u(tau_k), du(tau_k))`` at ``x``.  When no admissible stencil
     exists the nearest-neighbor estimate is returned instead (tagged as
-    fallback), or :class:`NoStencilFound` is raised when ``fallback``
-    is disabled.
+    fallback).
     """
     x = np.asarray(x, dtype=float)
     try:
         stencil = select_stencil(curve, x, cfg)
     except NoStencilFound:
-        if not fallback:
-            raise
         return GeneralEstimate(
             value=estimate_lipschitz(x, curve), provenance="fallback", stencil=None
         )

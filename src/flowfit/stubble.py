@@ -9,7 +9,7 @@ increment curve is differentiated at time zero.
 
 One estimator, :func:`estimate_general`, covers both variants.  It
 fits the increments of each horizon ``i = 1..beta`` by a local
-polynomial of degree ``beta - 1`` (by default), and the derivative at 0
+polynomial of degree ``beta - 1``, and the derivative at 0
 of the polynomial through ``(0, 0)`` and the ``beta`` fits ``h_i`` at
 the equally spaced times ``i dt`` is the fixed weighted sum
 ``(1/dt) sum_i w_i h_i`` with ``w_i = (-1)^(i+1) C(beta, i) / i``
@@ -36,7 +36,6 @@ from .flow import integrate_flow_grid, noise_draw
 from .localpoly import LocalPolyFit, RegressionData, lp_estimate, optimal_bandwidth
 
 __all__ = [
-    "IncrementRegressor",
     "HorizonRegressions",
     "grid_initials",
     "flow_stubble",
@@ -57,12 +56,9 @@ def grid_initials(n0: int, d: int) -> np.ndarray:
     return (np.indices((n0,) * d).reshape(d, -1).T + 1).astype(float) / n0
 
 
-def flow_stubble(fld: VectorField, n0: int, dt: float, beta: int | None = None) -> np.ndarray:
+def flow_stubble(fld: VectorField, n0: int, dt: float, beta: int) -> np.ndarray:
     """The grid initials (row 0, exactly :func:`grid_initials`) and their joint
-    noise-free flow at ``i dt``, ``i = 1..beta``: shape ``(beta + 1, n0^d, d)``.
-    ``beta`` defaults to the field's smoothness order."""
-    if beta is None:
-        beta = fld.smoothness
+    noise-free flow at ``i dt``, ``i = 1..beta``: shape ``(beta + 1, n0^d, d)``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     return integrate_flow_grid(fld, grid_initials(n0, fld.dim), dt * np.arange(beta + 1))
@@ -89,12 +85,12 @@ def _min_bandwidth(m: int, d: int, degree: int) -> float:
     return 2.5 * (degree + 1) * m ** (-1.0 / d)
 
 
-def _horizon_bandwidth(ds: TrajectoryData, horizon: int, degree: int, smoothness: int) -> float:
-    """Plug-in bandwidth for the regression at one horizon.
+def _horizon_bandwidth(ds: TrajectoryData, horizon: int, beta: int) -> float:
+    """Plug-in bandwidth for the degree ``beta - 1`` regression at one horizon.
 
     The regression target is the increment map at time ``horizon * dt``,
-    whose derivative scale shrinks with the horizon; the effective class
-    constant is ``lip * horizon * dt``.
+    of smoothness ``beta``, whose derivative scale shrinks with the
+    horizon; the effective class constant is ``lip * horizon * dt``.
     """
     sigma = ds.meta.get("sigma")
     lip = ds.meta.get("lip")
@@ -103,11 +99,11 @@ def _horizon_bandwidth(ds: TrajectoryData, horizon: int, degree: int, smoothness
             "dataset meta lacks 'sigma' or 'lip'; pass an explicit bandwidth"
         )
     m = ds.initials.shape[0]
-    floor = _min_bandwidth(m, ds.dim, degree)
+    floor = _min_bandwidth(m, ds.dim, beta - 1)
     if sigma == 0.0:
         return floor
     l_eff = lip * horizon * ds.dt
-    h = optimal_bandwidth(m, ds.dim, smoothness, sigma, T=1.0, L=l_eff, mode="pointwise")
+    h = optimal_bandwidth(m, ds.dim, beta, sigma, T=1.0, L=l_eff, mode="pointwise")
     return max(h, floor)
 
 
@@ -115,29 +111,6 @@ def _derivative_weights(beta: int) -> list[float]:
     """Weights ``w_i``, ``i = 1..beta``, with ``p'(0) dt = sum_i w_i p(i dt)`` for
     every polynomial ``p`` of degree ``<= beta`` with ``p(0) = 0``."""
     return [(-1) ** (i + 1) * math.comb(beta, i) / i for i in range(1, beta + 1)]
-
-
-@dataclass(frozen=True)
-class IncrementRegressor:
-    """Configuration of the per-horizon spatial regressions.
-
-    ``degree = None`` uses ``beta - 1``, the largest degree the horizon
-    count supports at the matching rate.  ``bandwidth`` is one number
-    for all horizons, or None for the plug-in choice per horizon (which
-    needs ``sigma`` and ``lip`` in the dataset meta).
-    """
-
-    degree: int | None = None
-    bandwidth: float | None = None
-
-    def resolve_degree(self, beta: int) -> int:
-        return beta - 1 if self.degree is None else self.degree
-
-    def resolve_bandwidth(self, ds: TrajectoryData, horizon: int) -> float:
-        if self.bandwidth is not None:
-            return float(self.bandwidth)
-        degree = self.resolve_degree(ds.n)
-        return _horizon_bandwidth(ds, horizon, degree, ds.n)
 
 
 @dataclass(frozen=True)
@@ -155,17 +128,22 @@ class HorizonRegressions:
 
 
 def horizon_regressions(
-    ds: TrajectoryData, regressor: IncrementRegressor | None = None
+    ds: TrajectoryData, beta: int, bandwidth: float | None = None
 ) -> HorizonRegressions:
-    """Set up the regressions of all ``beta = ds.n`` horizons of a dataset,
-    with the degree and bandwidths `regressor` resolves for it."""
-    if regressor is None:
-        regressor = IncrementRegressor()
-    degree = regressor.resolve_degree(ds.n)
+    """Set up the degree ``beta - 1`` regressions of the first `beta`
+    horizons of a dataset.
+
+    `bandwidth` is one number for all horizons, or None for the plug-in
+    choice per horizon (which needs ``sigma`` and ``lip`` in the dataset
+    meta).
+    """
+    if ds.n < beta:
+        raise ValueError(f"the model needs {beta} horizons, but the dataset has {ds.n}")
     return HorizonRegressions(ds.dt, tuple(
         (w, RegressionData(points=ds.initials, targets=ds.increments(i), extent=1.0),
-         LocalPolyFit(degree=degree, bandwidth=regressor.resolve_bandwidth(ds, i)))
-        for i, w in enumerate(_derivative_weights(ds.n), start=1)
+         LocalPolyFit(degree=beta - 1, bandwidth=_horizon_bandwidth(ds, i, beta)
+                      if bandwidth is None else float(bandwidth)))
+        for i, w in enumerate(_derivative_weights(beta), start=1)
     ))
 
 

@@ -17,7 +17,6 @@ import pytest
 
 from flowfit import (
     ExperimentConfig,
-    IncrementRegressor,
     LocalPolyFit,
     QuerySpec,
     RegressionData,
@@ -209,12 +208,11 @@ def test_criterion_04_bias_slope():
     t0 = time.time()
     slopes = {}
     for beta in (1, 2):
-        spec = IncrementRegressor(degree=beta - 1)
         errors = []
         for dt in dts:
             states = flow_stubble(field, 16, dt, beta=beta)
             ds = observe_stubble(field, 16, states, dt, sigma=0.0, seed=7)
-            regressions = horizon_regressions(ds, spec)
+            regressions = horizon_regressions(ds, beta)
             worst = 0.0
             fhats, singular = stubble_estimate(regressions, queries)
             assert not singular.any()
@@ -326,7 +324,7 @@ def test_criterion_07_snake_affine_exactness():
     for _ in range(50):
         theta = rng.uniform(0, 2 * math.pi)
         x = rng.uniform(0.85, 0.97) * np.array([math.cos(theta), math.sin(theta)])
-        est = estimate_general(x, curve, cfg, fallback=False)
+        est = estimate_general(x, curve, cfg)
         assert est.provenance == "interpolated"
         worst = max(worst, float(np.linalg.norm(est.value - field(x))))
         # independent certificate re-check, from the raw points
@@ -369,9 +367,9 @@ def test_criterion_08_perturbed_inverse_bound():
         )
         moved = points + offsets
 
-        inv_base = np.linalg.inv(psi_matrix(normalize(points)[1], ell))
+        inv_base = np.linalg.inv(psi_matrix(normalize(points), ell))
         assert math.isfinite(stability_norm(moved, ell))
-        inv_moved = np.linalg.inv(psi_matrix(normalize(moved)[1], ell))
+        inv_moved = np.linalg.inv(psi_matrix(normalize(moved), ell))
         diff = float(np.linalg.norm(inv_moved - inv_base, 2))
         bound = 16.0 * num * ell * s**2 * gamma / delta0
         worst_ratio = max(worst_ratio, diff / bound)

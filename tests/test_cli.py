@@ -119,6 +119,21 @@ def test_refused_config_exits_with_one_line(command, override, field, stubble_co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "benchmark"])
+def test_overflowing_time_grid_is_refused_with_one_line(command, snake_config, tmp_path):
+    # 512 steps of a finite 1e306 overflow the snake's time grid, which the flow solve refuses
+    args = [command, "--config", str(snake_config), "--out", str(tmp_path / "out"),
+            "--set", "dt_rule=fixed", "--set", "dt_value=1e306"]
+    if command == "estimate":
+        args += ["--data", str(tmp_path)]
+    with pytest.raises(SystemExit) as refused:
+        main(args)
+    message = refused.value.code
+    assert message.startswith("config refused: dt_value 1e+306 is too large")
+    assert "\n" not in message
+    assert not (tmp_path / "out").exists()
+
+
 # settings that no workload used, removed from the config
 @pytest.mark.parametrize("override", [
     "dt_power=0.5", "dt_coeff=2.0", "bandwidth_constant=2.0", "kernel=uniform",
@@ -225,9 +240,9 @@ def test_estimate_stubble(stubble_config, tmp_path):
     ds = load(data, "stubble-lip")
     meta = ds.meta
     # the bandwidth estimate_general picks for beta = 1 when none is given
-    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1))
+    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 1))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
-    regressions = stubble.horizon_regressions(ds)
+    regressions = stubble.horizon_regressions(ds, 1)
     for row in rows:
         assert row["provenance"] == "regression"
         x = np.array([float(row["x_1"]), float(row["x_2"])])
@@ -251,7 +266,7 @@ def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
     main(["estimate", "--config", str(stubble_config), "--data", str(data), "--out", str(out)])
     ds = load(data, "stubble-gen")
     assert ds.n == 3
-    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 0, 1))
+    fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 1))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))

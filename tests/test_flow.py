@@ -26,7 +26,6 @@ from flowfit.flow import (
     make_field,
     noise_draw,
     read_dataset,
-    stack_higher_order,
     validate_smoothness_bounds,
     write_dataset,
 )
@@ -389,14 +388,14 @@ def test_builtin_bounds_are_certified(name):
     assert validate_smoothness_bounds(fld, np.random.default_rng(7))
 
 
-def test_stacked_system_matches_scalar_ode():
-    # u'' = -u stacked to first order reproduces cosine
-    rhs = lambda u, du: -u
-    stacked = stack_higher_order(rhs, order=2, dim=1)
-    fld = VectorField("osc", 2, stacked, 1, (2.0, 1.0), ((-2, 2),) * 2)
-    end = integrate_flow(fld, [1.0, 0.0], 1.0)
-    assert abs(end[0] - math.cos(1.0)) <= 1e-8
-    assert abs(end[1] + math.sin(1.0)) <= 1e-8
+@pytest.mark.parametrize("shape", [(7, 2), (2, 1, 2)])
+def test_pendulum_is_the_damped_pendulum(shape):
+    # v'' = -sin v - 0.1 v' in the state (x1, x2) = (v, v'), on any stack of states
+    x = np.random.default_rng(11).uniform(-3.0, 3.0, size=shape)
+    want = np.stack([x[..., 1], -np.sin(x[..., 0]) - 0.1 * x[..., 1]], axis=-1)
+    got = PENDULUM(x)
+    assert got.shape == shape
+    assert np.array_equal(got, want)
 
 
 def store(directory, family, ds):

@@ -229,12 +229,12 @@ def test_config_round_trip():
         x1=(1.0, 0.0),
         queries=QuerySpec(kind="tube", count=16, delta=0.02),
     )
-    back = ExperimentConfig.from_dict(cfg.to_dict())
+    back = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
     assert back == cfg
 
 
 def test_config_rejects_unknown_keys():
-    data = constant_config().to_dict()
+    data = dataclasses.asdict(constant_config())
     data["bandwith"] = 0.2
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(data)
@@ -276,7 +276,8 @@ def snake_config(**overrides):
 
 def from_json(make):
     # `make` with its overrides read as JSON, so a query spec is checked as the config is read
-    return lambda **overrides: ExperimentConfig.from_dict({**make().to_dict(), **overrides})
+    return lambda **overrides: ExperimentConfig.from_dict(
+        {**dataclasses.asdict(make()), **overrides})
 
 
 @pytest.mark.parametrize(
@@ -290,6 +291,8 @@ def from_json(make):
         (from_json(snake_config), dict(horizon=math.inf)),
         (from_json(snake_config), dict(horizon=math.nan)),
         (from_json(constant_config), dict(dt_value=math.inf)),
+        # finite, but its time grid overflows, which fails mid-run
+        (snake_config, dict(dt_rule="fixed", dt_value=1e306)),
         (snake_config, dict(x1=(1.0, 0.0, 0.0))),
         (constant_config, dict(seed=-1)),
         # tube queries follow one observed trajectory, which stubble data lacks
@@ -336,7 +339,7 @@ def from_json(make):
         (snake_config, dict(model="snake-gen", beta=2, ns=(3, 64, 128))),
     ],
     ids=["sigma", "noise", "dt_value", "beta", "horizon", "horizon-inf", "horizon-nan",
-         "dt_value-inf", "x1", "seed", "stubble-tube",
+         "dt_value-inf", "dt_value-overflow", "x1", "seed", "stubble-tube",
          "stubble-tube-x1", "points-dimension", "box-dimension", "grid-margin",
          "grid-per-dim", "grid-per-dim-float", "tube-count-float", "points-nan", "box-lo-inf",
          "box-hi-nan", "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",
@@ -370,7 +373,7 @@ def test_config_rejects_wrong_types(name, value):
                          ids=["float", "bool"])
 def test_config_from_dict_keeps_ns_as_read(ns):
     # read as JSON, a fractional or boolean size is refused, not rounded to an integer
-    data = {**snake_config().to_dict(), "ns": ns}
+    data = {**dataclasses.asdict(snake_config()), "ns": ns}
     with pytest.raises(TypeError, match="^ns must be an integer, not "):
         ExperimentConfig.from_dict(data)
 

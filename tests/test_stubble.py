@@ -8,15 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import flowfit.stubble as stubble
 from flowfit.flow import TrajectoryData, make_field
 from flowfit.localpoly import LocalPolyFit, RegressionData, lp_estimate
 from flowfit.models import MODELS
 from flowfit.stubble import (
-    IncrementRegressor,
     _derivative_weights,
     _horizon_bandwidth,
     default_query_points,
@@ -74,10 +71,10 @@ def test_constant_field_exact_everywhere():
     # the first horizon and the interpolation route both return c up to
     # integrator noise
     fld = make_field("constant")
-    lip = horizon_regressions(observe_stubble(fld, 5, flow_stubble(fld, 5, 0.05, beta=1), 0.05))
+    lip = horizon_regressions(observe_stubble(fld, 5, flow_stubble(fld, 5, 0.05, beta=1), 0.05), 1)
     for beta in (1, 2, 3):
         states = flow_stubble(fld, 5, 0.05, beta=beta)
-        gen = horizon_regressions(observe_stubble(fld, 5, states, 0.05))
+        gen = horizon_regressions(observe_stubble(fld, 5, states, 0.05), beta)
         x = np.array([[0.4, 0.4], [0.8, 0.2]])
         assert np.abs(estimate_general(lip, x)[0] - np.array([1.0, 0.0])).max() <= 1e-9
         assert np.abs(estimate_general(gen, x)[0] - np.array([1.0, 0.0])).max() <= 1e-8
@@ -87,7 +84,7 @@ def test_constant_field_exact_d3():
     fld = make_field("zero")
     states = flow_stubble(fld, 3, 0.05, beta=2)
     ds = observe_stubble(fld, 3, states, 0.05)
-    got, _ = estimate_general(horizon_regressions(ds), np.array([[0.5, 0.5]]))
+    got, _ = estimate_general(horizon_regressions(ds, 2), np.array([[0.5, 0.5]]))
     assert np.abs(got).max() <= 1e-12
 
 
@@ -96,7 +93,7 @@ def test_rotation_fine_step_bias():
     states = flow_stubble(fld, 24, 1e-3, beta=1)
     ds = observe_stubble(fld, 24, states, 1e-3)
     x0 = np.array([[0.5, 0.5]])
-    err = np.linalg.norm(estimate_general(horizon_regressions(ds), x0)[0] - np.array([-0.5, 0.5]))
+    err = np.linalg.norm(estimate_general(horizon_regressions(ds, 1), x0)[0] - np.array([-0.5, 0.5]))
     assert err <= 5e-3
 
 
@@ -109,7 +106,7 @@ def test_rmse_decreases_when_grid_doubles():
         for seed in range(50):
             states = flow_stubble(fld, n0, 0.02, beta=1)
             ds = observe_stubble(fld, n0, states, 0.02, sigma=0.1, seed=seed)
-            errs.append(np.linalg.norm(estimate_general(horizon_regressions(ds), x0)[0] - fld(x0)) ** 2)
+            errs.append(np.linalg.norm(estimate_general(horizon_regressions(ds, 1), x0)[0] - fld(x0)) ** 2)
         rmses.append(math.sqrt(np.mean(errs)))
     assert rmses[1] < rmses[0]
 
@@ -122,8 +119,8 @@ def test_general_beta1_reduces_to_lipschitz():
     states = flow_stubble(fld, 8, 0.05, beta=1)
     ds = observe_stubble(fld, 8, states, 0.05, sigma=0.05, seed=3)
     data = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
-    fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 0, 1))
-    regressions = horizon_regressions(ds)
+    fit = LocalPolyFit(degree=0, bandwidth=_horizon_bandwidth(ds, 1, 1))
+    regressions = horizon_regressions(ds, 1)
     x = default_query_points(2, per_dim=3)
     lip, _ = lp_estimate(x, data, fit)
     assert np.array_equal(estimate_general(regressions, x)[0], lip / ds.dt)
@@ -152,18 +149,17 @@ def test_estimator_is_linear_in_increments():
     mixed = TrajectoryData(
         initials=base.initials, dt=base.dt, observations=mixed_obs, meta=base.meta
     )
-    reg = IncrementRegressor(degree=1, bandwidth=0.5)
     x = np.array([[0.5, 0.5]])
-    combo = a * estimate_general(horizon_regressions(base, reg), x)[0] + b * estimate_general(
+    combo = a * estimate_general(horizon_regressions(base, 2, 0.5), x)[0] + b * estimate_general(
         horizon_regressions(TrajectoryData(
             initials=base.initials,
             dt=base.dt,
             observations=base.initials[:, None, :] + (other.observations - base.initials[:, None, :]),
             meta=base.meta,
-        ), reg),
+        ), 2, 0.5),
         x,
     )[0]
-    got, _ = estimate_general(horizon_regressions(mixed, reg), x)
+    got, _ = estimate_general(horizon_regressions(mixed, 2, 0.5), x)
     assert np.allclose(got, combo, rtol=1e-9, atol=1e-12)
 
 
@@ -172,7 +168,7 @@ def test_singular_design_far_outside():
     states = flow_stubble(fld, 6, 0.05, beta=1)
     ds = observe_stubble(fld, 6, states, 0.05)
     values, singular = estimate_general(
-        horizon_regressions(ds, IncrementRegressor(bandwidth=0.1)),
+        horizon_regressions(ds, 1, 0.1),
         np.array([[3.0, 3.0], [0.5, 0.5]]))
     assert singular.tolist() == [True, False]
     assert np.isnan(values[0]).all() and np.isfinite(values[1]).all()
@@ -197,7 +193,7 @@ def test_fit_sets_up_each_horizon_once(monkeypatch):
         want = sum(
             w * lp_estimate(x[None], RegressionData(points=ds.initials, targets=ds.increments(i),
                                                     extent=1.0),
-                            LocalPolyFit(beta - 1, real(ds, i, beta - 1, beta)))[0][0]
+                            LocalPolyFit(beta - 1, real(ds, i, beta)))[0][0]
             for i, w in enumerate(_derivative_weights(beta), start=1)
         ) / ds.dt
         assert np.array_equal(value, want)
