@@ -65,6 +65,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if n < 1:
             raise ValueError(f"--n must be at least 1, not {n}")
         family.check_n(n, fld.dim)
+        cfg.check_steps(n, beta)
     except ValueError as exc:
         raise SystemExit(f"simulate refused: {exc}") from None
     dt = cfg.dt_for(n, beta, fld.dim)

@@ -334,8 +334,13 @@ class ExperimentConfig:
                 raise ValueError(f"sample size {n} is below {least}, the smallest "
                                  f"{self.model} fits at beta={beta}")
             family.check_n(n, fld.dim)
-        # a trajectory is observed n (snake) or beta (stubble) steps of dt_value
-        steps = max(*self.ns, beta)
+        self.check_steps(max(self.ns), beta)
+
+    def check_steps(self, n: int, beta: int) -> None:
+        """Refuse a fixed step whose time grid at sample size `n` overflows:
+        a trajectory is observed n (snake) or beta (stubble) steps of
+        dt_value."""
+        steps = max(n, beta)
         if self.dt_rule == "fixed" and not math.isfinite(steps * self.dt_value):
             raise ValueError(f"dt_value {self.dt_value!r} is too large: "
                              f"{steps} steps of it overflow the time grid")

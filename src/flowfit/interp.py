@@ -19,7 +19,8 @@ membership in any dimension with its weights, which it verifies itself
 from the raw points.  It is what :func:`flowfit.snake.check_stencil`
 re-certifies with.  The stencil search does not call it: it scores whole
 stacks of candidates with its own membership test (min/max in d = 1,
-barycentric coordinates for simplices, the min-norm point otherwise), so
+edge-line distances for triangles, barycentric coordinates for higher
+simplices, the min-norm point otherwise), so
 the re-check stays independent of the search's decision.  Both read one
 tolerance, `HULL_RTOL`.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -178,7 +180,9 @@ def _affine_weights(pts: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0 - alpha.sum()], alpha))
 
 
-def min_norm_point(rel: np.ndarray) -> np.ndarray:
+def min_norm_point(
+    rel: np.ndarray, stop: Callable[[np.ndarray, np.ndarray], bool] | None = None
+) -> np.ndarray:
     """Convex weights ``(M,)`` of the point of the hull of the rows of
     ``rel`` ``(M, d)`` nearest the origin, by Wolfe's (1976) method.
 
@@ -192,6 +196,11 @@ def min_norm_point(rel: np.ndarray) -> np.ndarray:
     point it also stops when a major cycle does not strictly lower
     ``|z|^2`` (keeping the corral before it), and when the corral holds
     d + 1 rows, whose hull then holds the origin.
+
+    `stop`, if given, is called at the start of each major cycle with the
+    products ``rel @ z`` of every row and the current point z; when it
+    returns True, the weights of z are returned at once.  The first z is
+    the row nearest the origin, with unit weight.
     """
     pts = np.atleast_2d(np.asarray(rel, dtype=float))
     num, d = pts.shape
@@ -201,6 +210,8 @@ def min_norm_point(rel: np.ndarray) -> np.ndarray:
     z, zz = pts[corral[0]], sq[corral[0]]
     while len(corral) <= d:
         dots = pts @ z
+        if stop is not None and stop(dots, z):
+            break
         dots[corral] = np.inf
         j = int(dots.argmin())
         if not dots[j] < zz:

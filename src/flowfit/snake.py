@@ -416,22 +416,44 @@ def _hull_contains(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     stack of normalised subsets ``(P, N, d)`` and queries ``(P, d)``.
 
     Closed-hull membership, to within `HULL_RTOL`, without building a
-    hull: min/max in d = 1; for simplices (N = d + 1) the barycentric
+    hull: min/max in d = 1; for triangles in the plane the signed
+    distance from x to each edge line, positive on the side of the
+    opposite vertex; for simplices in d >= 3 the barycentric
     coordinates, turned into distances to the facets; otherwise the
     distance to the hull, from the weights of
-    :func:`~flowfit.interp.min_norm_point`, one subset at a time.
+    :func:`~flowfit.interp.min_norm_point`, one subset at a time.  A
+    simplex whose matrix of barycentric coordinates is exactly singular
+    (for a triangle: of area 0) is outside.
     """
     num_subsets, num, d = points.shape
     if d == 1:
         coord = points[..., 0]
         return (coord.min(axis=1) <= x[:, 0]) & (x[:, 0] <= coord.max(axis=1))
+    if num == 3 and d == 2:
+        # edge k joins the two vertices other than k; the cross products
+        # (p_j - p_i) x (q - p_i) are |edge| times the distances to its line
+        start, end = points[:, [1, 2, 0]], points[:, [2, 0, 1]]
+        edge = end - start
+        rel = x[:, None, :] - start
+        cross = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+        area = edge[:, 1, 0] * edge[:, 2, 1] - edge[:, 1, 1] * edge[:, 2, 0]
+        length = np.sqrt(edge[..., 0] ** 2 + edge[..., 1] ** 2)
+        inside = np.all(np.sign(area)[:, None] * cross >= -HULL_RTOL * length, axis=1)
+        return inside & (area != 0.0)
     if num == d + 1:
         # column k of mat is (p_k, 1); row k of its inverse is the affine
         # map lambda_k, whose gradient norm turns it into a facet distance
         mat = np.concatenate([points.transpose(0, 2, 1), np.ones((num_subsets, 1, num))], axis=1)
-        inv = np.linalg.inv(mat)
-        lam = np.matmul(inv, np.concatenate([x, np.ones((num_subsets, 1))], axis=1)[..., None])
-        slack = lam[..., 0] / np.linalg.norm(inv[:, :, :d], axis=2)
+        # inv raises for the whole stack on one exactly singular matrix, whose
+        # LU factors (the same in det) have a zero pivot
+        regular = np.linalg.det(mat) != 0.0
+        inv = np.full_like(mat, np.nan)
+        inv[regular] = np.linalg.inv(mat[regular])
+        # a nearly singular matrix may give a NaN or infinite slack; it is the
+        # node matrix, transposed, so its key has violation 1 either way
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam = np.matmul(inv, np.concatenate([x, np.ones((num_subsets, 1))], axis=1)[..., None])
+            slack = lam[..., 0] / np.linalg.norm(inv[:, :, :d], axis=2)
         return np.all(slack >= -HULL_RTOL, axis=1)
     rel = points - x[:, None, :]
     return np.array([
@@ -449,7 +471,9 @@ def _pairs(num: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _subset_keys(points: np.ndarray, x: np.ndarray, ell: int) -> np.ndarray:
+def _subset_keys(
+    points: np.ndarray, x: np.ndarray, ell: int, settled: np.ndarray | None = None
+) -> np.ndarray:
     """Search ranking of each subset of ``(P, N, d)``: hull violation
     first, then the objective.
 
@@ -458,12 +482,24 @@ def _subset_keys(points: np.ndarray, x: np.ndarray, ell: int) -> np.ndarray:
     matrix is nonsingular, else 1.  The objective is
     ``stability * diam ** (ell + 1)``, infinite with the stability when
     the node matrix is singular.  ``stability`` equals
-    :func:`~flowfit.interp.stability_norm` bit for bit, from one batched
+    :func:`~flowfit.interp.stability_norm` bit for bit, from a batched
     SVD; hull membership is decided on the normalised stencil by
     `_hull_contains`.  Each subset's key has the bits of that subset
     scored alone.
+
+    Where the hull test is cheaper than the SVD (d = 1, and simplices,
+    N = d + 1), it comes first, and the SVD is taken only where its
+    result is read.  `settled`, if given, splits the subsets into
+    ``G = len(settled)`` equal groups in order, the swaps of one chain
+    step each, and tells whether that chain's current subset has
+    violation 0.  A subset outside the hull of a settled group, or of a
+    group with a subset of violation 0, can neither win the group's move
+    nor be admitted: it keeps violation 1 and an infinite objective and
+    stability, without an SVD.  Every other subset gets its full key.
+    Other subsets (in d >= 2, N > d + 1) all take the SVD first, and the
+    hull test only when the node matrix is nonsingular.
     """
-    num_subsets, num, _ = points.shape
+    num_subsets, num, d = points.shape
     first, second = _pairs(num)
     diff = points[:, first] - points[:, second]
     # two diameters on purpose: the key rounds like np.linalg.norm of one pair,
@@ -473,23 +509,42 @@ def _subset_keys(points: np.ndarray, x: np.ndarray, ell: int) -> np.ndarray:
     keys[0] = 1.0
     keys[3] = diam = np.sqrt(sq).max(axis=1, initial=0.0)
     live = np.flatnonzero(diam > 0.0)
-    if live.size:
-        pts = points[live]
-        centroid = np.add.reduce(pts, axis=1) / num  # np.mean's sum and division
-        scale = np.linalg.norm(diff[live], axis=2).max(axis=1)
-        normalized = (pts - centroid[:, None, :]) / scale[:, None, None]
-        sing = np.linalg.svd(monomial_basis(normalized, ell), compute_uv=False)
+    if not live.size:
+        return keys
+    pts = points[live]
+    centroid = np.add.reduce(pts, axis=1) / num  # np.mean's sum and division
+    scale = np.linalg.norm(diff[live], axis=2).max(axis=1)
+    normalized = (pts - centroid[:, None, :]) / scale[:, None, None]
+    query = (x - centroid) / scale[:, None]
+
+    def score(among: np.ndarray) -> np.ndarray:
+        """Stability and objective of the live subsets `among`; returns
+        those with a nonsingular node matrix."""
+        sing = np.linalg.svd(monomial_basis(normalized[among], ell), compute_uv=False)
         regular = sing[:, -1] > SINGULAR_RTOL * sing[:, 0]
-        stab = np.full(live.size, math.inf)
+        stab = np.full(among.size, math.inf)
         stab[regular] = 1.0 / sing[regular, -1]
-        good = np.flatnonzero(np.isfinite(stab))
-        rows, stab = live[good], stab[good]
+        good = np.isfinite(stab)
+        rows, stab = live[among[good]], stab[good]
         keys[2, rows] = stab
         # Python's float power, the C library's pow, as for one subset alone:
         # numpy's vectorised power may round the last bit otherwise
         keys[1, rows] = stab * (diam[rows].astype(object) ** (ell + 1)).astype(float)
-        query = (x - centroid[good]) / scale[good, None]
-        keys[0, rows] = ~_hull_contains(normalized[good], query)
+        return among[good]
+
+    if d > 1 and num != d + 1:  # one min-norm run per subset costs more than its SVD
+        good = score(np.arange(live.size))
+        keys[0, live[good]] = ~_hull_contains(normalized[good], query[good])
+        return keys
+    inside = _hull_contains(normalized, query)
+    keys[0, live[score(np.flatnonzero(inside))]] = 0.0
+    outside = ~inside
+    if settled is not None:  # only the groups with no subset of violation 0
+        group = np.arange(num_subsets) // (num_subsets // settled.size)
+        open_group = ~settled
+        open_group[group[keys[0] == 0.0]] = False
+        outside &= open_group[group[live]]
+    score(np.flatnonzero(outside))
     return keys
 
 
@@ -516,7 +571,9 @@ def select_stencil(
     point by a margin: twice the distance by which an admissible subset,
     normalised, can hold ``x`` outside its hull and still pass
     `_hull_contains`.  That certificate rules out every subset, so the
-    refusal is the one the full search would make.
+    refusal is the one the full search would make.  Wolfe's run stops at
+    the first of its points that certifies: the min-norm point clears the
+    pool by the most, so it would certify too.
 
     Other queries are searched.  Up to three seeds (the N nearest
     points, a farthest-point traversal from the nearest, and N evenly
@@ -527,7 +584,10 @@ def select_stencil(
     chain's subset with each non-member in turn at that position, and
     each chain moves to its first strictly smallest key (its current
     subset first, then the swaps in pool order; a stable
-    ``np.lexsort``).  A chain stops once it has gone N steps without a
+    ``np.lexsort``).  The seeds get full keys; a swap outside the hull
+    gets its SVD only when neither the chain's subset nor another swap
+    of that step has violation 0 (see `_subset_keys`), as it can win the
+    move only then.  A chain stops once it has gone N steps without a
     move, and skips the position that holds the point its last move
     brought in: either step would score only subsets it has scored
     already, and would not move.  With ``cfg.sweeps = 0`` the best
@@ -574,8 +634,13 @@ def select_stencil(
     # the 2 used here) by the min-norm distance; no stencil is wider than 2 max |rel|,
     # and the plane must clear twice that
     reach = HULL_RTOL * max(d * 2 * cfg.s, 2.0)
-    z = min_norm_point(rel) @ rel
-    if (rel @ z).min() > 2 * reach * 2 * dists.max() * math.sqrt(z @ z):
+    margin = 2 * reach * 2 * dists.max()
+
+    def clears(dots: np.ndarray, z: np.ndarray) -> bool:
+        return dots.min() > margin * math.sqrt(z @ z)
+
+    z = min_norm_point(rel, stop=clears) @ rel
+    if clears(rel @ z, z):
         raise NoStencilFound(f"x={x} is outside the convex hull of its {pool} candidate points")
 
     far = [order[0]]  # farthest-point traversal from the nearest point
@@ -610,7 +675,8 @@ def select_stencil(
             swaps = np.repeat(current[run, None, :], pool - num, axis=1)
             swaps[:, :, pos] = cand
             swaps.sort(axis=2)
-            swap_keys = _subset_keys(pool_states[swaps.reshape(-1, num)], x, ell)
+            swap_keys = _subset_keys(pool_states[swaps.reshape(-1, num)], x, ell,
+                                     settled=keys[0, run] == 0.0)
             scored.append(swaps.reshape(-1, num))
             scored_keys.append(swap_keys)
             swap_keys = swap_keys.reshape(4, run.size, pool - num)

@@ -441,7 +441,10 @@ def test_estimate_refuses_a_dataset_of_another_dimension(sets, tmp_path):
     ("snake-rate", -5, [], "simulate refused: --n must be at least 1, not -5"),
     ("stubble-rate", 300, ["field=rotation", "d=2", "ns=[256,1024]"],
      "simulate refused: sample size 300 is not a d-th power for d=2"),
-], ids=["snake-zero", "snake-negative", "stubble-not-a-square"])
+    # a fixed step that the config's ns leave finite, but --n overflows
+    ("snake-rate", 100000, ["dt_rule=fixed", "dt_value=1e304"],
+     "simulate refused: dt_value 1e+304 is too large: 100000 steps of it overflow the time grid"),
+], ids=["snake-zero", "snake-negative", "stubble-not-a-square", "snake-overflow"])
 def test_simulate_refuses_a_size_the_scheme_cannot_draw(script, n, sets, message, tmp_path):
     args = ["simulate", "--config", str(STUBBLE_RATE.parent / f"{script}.json"),
             "--n", str(n), "--out", str(tmp_path / "out")]

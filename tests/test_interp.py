@@ -313,6 +313,28 @@ def test_min_norm_point_matches_nnls(d, data, affine_solves):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_min_norm_point_stop_test(d, data, affine_solves):
+    pts, x = data.draw(clouds(d))
+    affine_solves.clear()
+    rel = pts - x
+    seen = []
+
+    def never(dots, z):
+        seen.append(np.array_equal(dots, rel @ z))
+        return False
+
+    # a stop test that never holds changes nothing; one that holds at once
+    # stops on the row nearest the origin
+    assert np.array_equal(min_norm_point(rel, stop=never), min_norm_point(rel))
+    assert seen and all(seen)
+    nearest = np.zeros(rel.shape[0])
+    nearest[np.einsum("ij,ij->i", rel, rel).argmin()] = 1.0
+    assert np.array_equal(min_norm_point(rel, stop=lambda dots, z: True), nearest)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_min_norm_point_ends_on_repeated_points(d, affine_solves):
     # every point three times over, so a corral can take in a copy of its own
     # point and its affine system become singular

@@ -763,9 +763,9 @@ def count_key_calls(monkeypatch) -> list:
     calls = []
     real = snake._subset_keys
 
-    def counted(points, x, ell):
+    def counted(points, x, ell, **kwargs):
         calls.append(points.shape[0])
-        return real(points, x, ell)
+        return real(points, x, ell, **kwargs)
 
     monkeypatch.setattr(snake, "_subset_keys", counted)
     return calls
@@ -860,9 +860,9 @@ def test_min_norm_point_ends_on_an_inside_pool(monkeypatch, affine_solves):
 
     pools = []
 
-    def recorded(rel):
+    def recorded(rel, **kwargs):
         pools.append(rel)
-        return interp.min_norm_point(rel)
+        return interp.min_norm_point(rel, **kwargs)
 
     monkeypatch.setattr(snake, "min_norm_point", recorded)
     x = np.array([-0.9595941933077259, 0.23076382695251207])
@@ -872,3 +872,39 @@ def test_min_norm_point_ends_on_an_inside_pool(monkeypatch, affine_solves):
     assert np.all(w >= 0.0)
     assert np.count_nonzero(w) == 3  # a triangle around x
     assert np.linalg.norm(w @ rel) <= 1e-14
+
+
+# --- the search's linear algebra: the hull test first, no inverse -----------
+
+
+def test_search_takes_an_svd_only_where_it_is_read(monkeypatch):
+    # seed-1 snake-gen queries at radius 0.97 and 1.0 around the circle: each
+    # triangle's hull test comes before its SVD, and takes no inverse
+    curve = seed_one_curve()
+    cfg = StencilConfig()
+    angles = 2 * math.pi * (np.arange(6) + 0.25) / 6
+    queries = [r * np.array([math.cos(a), math.sin(a)]) for r in (0.97, 1.0) for a in angles]
+    want = [reference_search(curve, x, cfg, curve.degree - 1) for x in queries]
+    scored = count_key_calls(monkeypatch)
+    svds, invs = [], []
+    real_svd, real_inv = np.linalg.svd, np.linalg.inv
+
+    def svd(a, *args, **kwargs):
+        svds.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+        return real_svd(a, *args, **kwargs)
+
+    def inv(a):
+        invs.append(np.shape(a))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    for x, w in zip(queries, want):
+        try:
+            got = select_stencil(curve, x, cfg).times
+        except NoStencilFound:
+            got = None
+        assert (got is None) if w is None else np.array_equal(got, w)
+    assert sum(w is not None for w in want) >= 6
+    assert sum(svds) <= sum(scored) / 2
+    assert invs == []
