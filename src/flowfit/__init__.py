@@ -14,7 +14,6 @@ type both schemes observe, :class:`~flowfit.flow.TrajectoryData`),
 """
 
 from .flow import (
-    FlowConfig,
     IntegrationError,
     NoiseSpec,
     TrajectoryData,
@@ -60,7 +59,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentError",
     "ExperimentResult",
-    "FlowConfig",
     "IntegrationError",
     "LocalPolyFit",
     "NoStencilFound",

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .flow import make_field, read_dataset, write_dataset
+from .flow import IntegrationError, make_field, read_dataset, write_dataset
 from .harness import ExperimentConfig, ExperimentError, fmt_float, reference_rate
 from .localpoly import SingularDesign
 from .models import FAILURES, MODELS, Predictor
@@ -69,7 +69,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"simulate refused: {exc}") from None
     dt = cfg.dt_for(n, beta, fld.dim)
-    (paths,) = family.flow(cfg, fld, beta, [(n, dt)])
+    try:
+        (paths,) = family.flow(cfg, fld, beta, [(n, dt)])
+    except IntegrationError as exc:  # a collapsed step size or the step budget run out
+        raise SystemExit(f"simulate refused: {exc}") from None
     ds = family.observe(cfg, fld, n, dt, paths, cfg.seed)
     write_dataset(args.out, ds, {"kind": family.name, **family.record(ds)})
     print(f"wrote {len(ds.initials)} trajectories to {Path(args.out)}")

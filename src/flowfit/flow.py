@@ -13,10 +13,13 @@ reader of its directory on disk.
 The adaptive solve is the Dormand-Prince 5(4) pair with its quartic dense
 output (Dormand & Prince 1980; Shampine 1986; Hairer, Norsett & Wanner
 1993, II.4-II.6), written here so that importing the package loads no
-scipy.  It repeats scipy's ``solve_ivp(method="RK45", t_eval=...)``
-operation for operation, so its values, steps and field evaluations are
-those of scipy bit for bit.  Its steps depend only on the end time, so one
-solve fills several output grids that share it, each as its own solve would.
+scipy.  It repeats scipy's ``solve_ivp(method="RK45", t_eval=...)`` at
+``atol = ABS_TOL``, ``rtol = REL_TOL`` operation for operation, so its
+values, steps and field evaluations are those of scipy bit for bit.  Its
+steps depend only on the end time, so one solve fills several output
+grids that share it, each as its own solve would.  A solve ends with
+:class:`IntegrationError` when its step size collapses or after
+``MAX_STEPS`` steps, so no finite end time runs without bound.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import numpy.random  # noqa: F401  (numpy loads it lazily; every run draws noise
 
 __all__ = [
     "VectorField",
-    "FlowConfig",
     "NoiseSpec",
     "TrajectoryData",
     "IntegrationError",
@@ -139,31 +141,6 @@ class VectorField:
         return self.derivative_bounds[1]
 
 
-# scipy's RK45 floor too: below it the error estimate is rounding noise
-_MIN_REL_TOL = 100 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Tolerances of the embedded Runge-Kutta 4(5) pair that realizes the flow.
-
-    Defaults are tight enough that integration error is negligible
-    against the statistical error of any experiment in this package.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.rel_tol < _MIN_REL_TOL:
-            raise ValueError(f"rel_tol must be at least 100 * eps = {_MIN_REL_TOL:.3g}")
-
-
-DEFAULT_FLOW_CONFIG = FlowConfig()
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Observation noise: centered, componentwise variance <= sigma^2.
@@ -252,66 +229,58 @@ def integrate_flow(field: VectorField, x0: Sequence[float] | np.ndarray, t: floa
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.dim,):
         raise ValueError(f"x0 must have shape ({field.dim},)")
-    return integrate_flow_grid(field, x0[None, :], np.array([t]))[0, 0]
+    return integrate_flow_grid(field, x0[None, :], [np.array([t])])[0][0, 0]
 
 
-def integrate_flow_grid(
-    field: VectorField,
-    x0s: np.ndarray,
-    times: np.ndarray | list[np.ndarray],
-    cfg: FlowConfig = DEFAULT_FLOW_CONFIG,
-) -> np.ndarray | list[np.ndarray]:
-    """Flow of many initial states over a shared nonneg time grid, or over several.
+def integrate_flow_grid(field: VectorField, x0s: np.ndarray, grids: list) -> list[np.ndarray]:
+    """Flow of many initial states over a list of time grids that share their last time.
 
-    All initial states are advanced as one stacked system so a large
-    batch costs a single adaptive solve.  Returns an array of shape
-    ``(len(times), m, d)``.  ``times`` must be finite and nondecreasing
-    with ``times[0] >= 0``; states at time 0 are the initials exactly.
-    ``times`` may also be a list of such grids that share their last
-    time, which one solve fills: the result is the list of their arrays,
-    each equal bit for bit to a call with its grid alone.  Grids whose
-    last times differ raise ValueError.
+    All initial states are advanced as one stacked system, and one
+    adaptive solve fills every grid, so a large batch on several grids
+    costs a single solve.  Each grid is a 1-D array of times, finite,
+    nondecreasing and nonnegative; the nonempty ones must end at one
+    time.  Returns one array of shape ``(len(grid), m, d)`` per grid,
+    equal bit for bit to the array of a solve of that grid alone; states
+    at time 0 are the initials exactly.  Anything else, initial states
+    that are not finite included, raises ValueError.
 
     Raises :class:`IntegrationError`, with the time the solve reached,
-    when the step size collapses before the last time.
+    when the step size collapses or ``MAX_STEPS`` steps end before the
+    last time.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     m, d = x0s.shape
     if d != field.dim:
         raise ValueError("initial states have wrong dimension")
-    several = isinstance(times, list) and any(np.ndim(grid) > 0 for grid in times)
-    grids = [np.asarray(grid, dtype=float) for grid in (times if several else [times])]
+    if not np.isfinite(x0s).all():
+        raise ValueError("initial states must be finite")
+    grids = [np.asarray(grid, dtype=float) for grid in grids]
     for grid in grids:
+        if grid.ndim != 1:
+            raise ValueError(f"each grid must be a 1-D array of times, not of shape {grid.shape}")
         if grid.size and not (np.all(np.isfinite(grid)) and grid[0] >= 0
                               and np.all(np.diff(grid) >= 0)):
             raise ValueError("times must be finite, nondecreasing and nonnegative")
     ends = {grid[-1] for grid in grids if grid.size}
     if len(ends) > 1:
         raise ValueError(f"the time grids must share their last time, not end at {sorted(ends)}")
-    t_end = max(ends, default=0.0)
     outs = [np.empty((grid.size, m, d)) for grid in grids]
     starts = [np.searchsorted(grid, 0.0, side="right") for grid in grids]  # the zeros lead
     for out, k in zip(outs, starts):
         out[:k] = x0s
-    if x0s.size == 0 or t_end == 0.0:
-        return outs if several else outs[0]
-    if not np.isfinite(x0s).all():
-        raise ValueError("initial states must be finite")
+    if x0s.size == 0 or max(ends, default=0.0) == 0.0:
+        return outs
 
     def rhs(y: np.ndarray) -> np.ndarray:
         return field(y.reshape(m, d)).reshape(-1)
 
-    filled, reached = _dopri45(
+    reached, stop = _dopri45(
         rhs, x0s.reshape(-1), [grid[k:] for grid, k in zip(grids, starts)],
-        [out[k:].reshape(-1, m * d) for out, k in zip(outs, starts)], cfg,
+        [out[k:].reshape(-1, m * d) for out, k in zip(outs, starts)],
     )
-    if not filled:
-        raise IntegrationError(
-            f"integration of {field.name!r} stalled at t={reached:.6g} "
-            f"(target {t_end:.6g}): the step size collapsed",
-            reached_time=reached,
-        )
-    return outs if several else outs[0]
+    if stop is not None:
+        raise IntegrationError(f"integration of {field.name!r} {stop}", reached_time=reached)
+    return outs
 
 
 # Dormand-Prince 5(4) tableau and the quartic dense output of Shampine (1986),
@@ -338,25 +307,36 @@ _DP_P = np.array([
 _ERROR_EXPONENT = -1 / 5  # the embedded error is O(h^5)
 
 
+# Tolerances of the solve, tight enough that integration error is negligible
+# against the statistical error of any experiment in this package
+ABS_TOL = 1e-10
+REL_TOL = 1e-10
+# Steps after which a solve gives up: about 170 times the 591 of the longest
+# solve in the tests (pendulum to t = 30), about t = 4,300 on rotation
+MAX_STEPS = 100_000
+
+
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
 def _dopri45(
     fun: Callable[[np.ndarray], np.ndarray], y: np.ndarray, t_outs: list[np.ndarray],
-    values: list[np.ndarray], cfg: FlowConfig,
-) -> tuple[bool, float]:
+    values: list[np.ndarray],
+) -> tuple[float, str | None]:
     """Integrate ``y' = fun(y)`` from ``y(0) = y``, writing its value at each
     time of each grid in `t_outs` to that time's row of the grid's array in `values`.
 
     The grids are nondecreasing and positive, and the nonempty ones end at
     one time, the end time.  Each grid gets its own dense-output product
-    per step, so its values do not depend on the other grids.  Returns
-    whether every row was written, and the time reached: the solve stops
-    where the step size falls below ten float spacings of the current
-    time, or becomes NaN.
+    per step, so its values do not depend on the other grids.  The
+    tolerances are ``ABS_TOL`` and ``REL_TOL``, read at each call.
+    Returns the time reached and None when every row was written, or
+    else the reason the solve stopped early: the step size fell below ten
+    float spacings of the current time or became NaN, or ``MAX_STEPS``
+    accepted steps did not reach the end time.
     """
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    rtol, atol = REL_TOL, ABS_TOL
     t_end = max(t_out[-1] for t_out in t_outs if t_out.size)
     f = fun(y)
     # first step size (Hairer, Norsett & Wanner 1993, II.4)
@@ -373,14 +353,19 @@ def _dopri45(
 
     sizes = [t_out.size for t_out in t_outs]
     stages = np.empty((7, y.size))
-    t, done = 0.0, [0] * len(t_outs)
+    t, done, steps = 0.0, [0] * len(t_outs), 0
     while done != sizes:
+        if steps == MAX_STEPS:
+            return float(t), (f"stopped at t={t:.6g} (target {t_end:.6g}): "
+                              f"the step budget of MAX_STEPS = {MAX_STEPS} steps ran out")
+        steps += 1
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if not h_abs >= min_step:  # NaN too: a NaN field never shrinks the step
-                return False, float(t)
+                return float(t), (f"stalled at t={t:.6g} (target {t_end:.6g}): "
+                                  "the step size collapsed")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
@@ -407,7 +392,7 @@ def _dopri45(
                 vals[done[g]:upto] = (h * np.dot(stages.T.dot(_DP_P), powers) + y[:, None]).T
                 done[g] = upto
         t, y, f = t_new, y_new, f_new
-    return True, float(t)
+    return float(t), None
 
 
 def increment(field: VectorField, dt: float, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -455,21 +440,21 @@ def zero_field(d: int = 2) -> VectorField:
     )
 
 
-def constant_field(c: Sequence[float] = (1.0, 0.0)) -> VectorField:
-    """``f = c``: uniform linear motion."""
-    c_arr = np.asarray(c, dtype=float)
+def constant_field(d: int = 2) -> VectorField:
+    """``f = e_1``, the first unit vector of ``R^d``: uniform linear motion."""
+    e_1 = np.eye(1, d)[0]
 
     def func(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(c_arr, x.shape).copy()
+        return np.broadcast_to(e_1, x.shape).copy()
 
     return VectorField(
         name="constant",
-        dim=c_arr.size,
+        dim=d,
         func=func,
         smoothness=3,
-        derivative_bounds=(max(float(np.linalg.norm(c_arr)), 1.0), 1.0, 1.0, 1.0),
-        box=tuple((-10.0, 10.0) for _ in range(c_arr.size)),
+        derivative_bounds=(1.0, 1.0, 1.0, 1.0),
+        box=tuple((-10.0, 10.0) for _ in range(d)),
     )
 
 
@@ -556,17 +541,14 @@ BUILTIN_FIELDS: dict[str, Callable[..., VectorField]] = {
 def make_field(name: str, d: int | None = None) -> VectorField:
     """Instantiate a built-in field by name.
 
-    `d` applies to the dimension-generic fields (zero, constant); the
-    others have fixed dimension.
+    `d` (default 2) is the dimension of the dimension-generic fields,
+    zero and constant, whose factories take it; the others have fixed
+    dimension.
     """
     if name not in BUILTIN_FIELDS:
         raise KeyError(f"unknown field {name!r}; available: {sorted(BUILTIN_FIELDS)}")
-    if name == "zero":
-        return zero_field(d if d is not None else 2)
-    if name == "constant":
-        c = np.zeros(d if d is not None else 2)
-        c[0] = 1.0
-        return constant_field(c)
+    if name in ("zero", "constant"):
+        return BUILTIN_FIELDS[name](2 if d is None else d)
     fld = BUILTIN_FIELDS[name]()
     if d is not None and d != fld.dim:
         raise ValueError(f"field {name!r} has fixed dimension {fld.dim}")

@@ -61,7 +61,7 @@ def flow_stubble(fld: VectorField, n0: int, dt: float, beta: int) -> np.ndarray:
     noise-free flow at ``i dt``, ``i = 1..beta``: shape ``(beta + 1, n0^d, d)``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return integrate_flow_grid(fld, grid_initials(n0, fld.dim), dt * np.arange(beta + 1))
+    return integrate_flow_grid(fld, grid_initials(n0, fld.dim), [dt * np.arange(beta + 1)])[0]
 
 
 def observe_stubble(

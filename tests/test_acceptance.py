@@ -26,7 +26,7 @@ from flowfit import (
     run_experiment,
 )
 from flowfit.cli import main as cli_main
-from flowfit.flow import DEFAULT_FLOW_CONFIG
+from flowfit.flow import ABS_TOL, REL_TOL
 from flowfit.harness import read_results_csv
 from flowfit.interp import (
     in_hull,
@@ -173,7 +173,7 @@ def test_criterion_03_flow_fidelity():
 
     fields = [make_field("rotation"), make_field("pendulum"), make_field("cubic")]
     rng = np.random.default_rng(303)
-    tol_unit = DEFAULT_FLOW_CONFIG.abs_tol + DEFAULT_FLOW_CONFIG.rel_tol
+    tol_unit = ABS_TOL + REL_TOL
     worst_ratio = 0.0
     for trial in range(100):
         fld = fields[trial % len(fields)]
@@ -182,10 +182,7 @@ def test_criterion_03_flow_fidelity():
         t = float(rng.uniform(0.0, 0.75))
         direct = integrate_flow(fld, x, s + t)
         chained = integrate_flow(fld, integrate_flow(fld, x, s), t)
-        tol = 10.0 * (
-            DEFAULT_FLOW_CONFIG.abs_tol
-            + DEFAULT_FLOW_CONFIG.rel_tol * float(np.linalg.norm(direct))
-        )
+        tol = 10.0 * (ABS_TOL + REL_TOL * float(np.linalg.norm(direct)))
         resid = float(np.linalg.norm(chained - direct))
         worst_ratio = max(worst_ratio, resid / tol)
     elapsed = time.time() - t0

@@ -456,6 +456,22 @@ def test_simulate_refuses_a_size_the_scheme_cannot_draw(script, n, sets, message
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("simulate", "simulate refused: integration of 'rotation' stopped at t="),
+    # the failed solve fails every query of its horizon, and the failure limit stops the run
+    ("benchmark", "benchmark refused: 100% of queries failed at n=1024 (limit 20%)"),
+])
+def test_solve_out_of_steps_exits_with_one_line(command, message, tmp_path, monkeypatch):
+    # the circle of scripts/snake-rate.json takes about 150 steps
+    monkeypatch.setattr("flowfit.flow.MAX_STEPS", 50)
+    with pytest.raises(SystemExit) as refused:
+        main([command, "--config", str(STUBBLE_RATE.parent / "snake-rate.json"),
+              "--set", "replicates=1", "--out", str(tmp_path / "out")])
+    code = refused.value.code
+    assert code.startswith(message) and "\n" not in code
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sets", [[], ["model=snake-gen", "beta=2"]], ids=["snake-lip", "snake-gen"])
 def test_estimate_refuses_a_curve_fit_it_cannot_make(sets, tmp_path):
     # no observation but the one at t lies within a vanishing bandwidth of t

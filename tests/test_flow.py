@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfit.flow import (
+    ABS_TOL,
     BUILTIN_FIELDS,
-    FlowConfig,
+    REL_TOL,
     IntegrationError,
     NoiseSpec,
     TrajectoryData,
@@ -35,7 +36,6 @@ from flowfit.stubble import flow_stubble, observe_stubble
 
 ROT = make_field("rotation")
 PENDULUM = make_field("pendulum")
-CFG = FlowConfig()
 
 
 def test_quarter_turn():
@@ -53,13 +53,13 @@ def test_increment_closed_form():
 
 def test_rotation_cycle():
     times = np.array([k * math.pi / 2 for k in range(5)])
-    states = integrate_flow_grid(ROT, [[1.0, 0.0]], times)[:, 0]
+    states = integrate_flow_grid(ROT, [[1.0, 0.0]], [times])[0][:, 0]
     want = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]], dtype=float)
     assert np.abs(states - want).max() <= 1e-5
 
 
 def test_single_time_zero_is_exact_initial():
-    states = integrate_flow_grid(ROT, [[0.3, -0.2]], [0.0])[:, 0]
+    states = integrate_flow_grid(ROT, [[0.3, -0.2]], [[0.0]])[0][:, 0]
     assert states.shape == (1, 2)
     assert np.array_equal(states[0], np.array([0.3, -0.2]))
     assert np.array_equal(integrate_flow(ROT, [0.3, -0.2], 0.0), np.array([0.3, -0.2]))
@@ -67,7 +67,7 @@ def test_single_time_zero_is_exact_initial():
 
 def test_zero_field_is_constant_in_time():
     zero = make_field("zero")
-    states = integrate_flow_grid(zero, [[0.5, 0.5]], [0.0, 1.0, 2.0])[:, 0]
+    states = integrate_flow_grid(zero, [[0.5, 0.5]], [[0.0, 1.0, 2.0]])[0][:, 0]
     assert np.array_equal(states, np.tile([0.5, 0.5], (3, 1)))
 
 
@@ -76,13 +76,13 @@ def test_negative_time_is_refused():
     with pytest.raises(ValueError, match="nonnegative"):
         integrate_flow(ROT, [0.4, 0.8], -0.7)
     with pytest.raises(ValueError, match="nonnegative"):
-        integrate_flow_grid(ROT, [[0.4, 0.8]], [-0.7, 0.0])
+        integrate_flow_grid(ROT, [[0.4, 0.8]], [[-0.7, 0.0]])
 
 
 def test_grid_integration_matches_single():
     x0s = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
     times = np.array([0.0, 0.2, 0.4])
-    states = integrate_flow_grid(ROT, x0s, times)
+    (states,) = integrate_flow_grid(ROT, x0s, [times])
     assert states.shape == (3, 3, 2)
     for j, x0 in enumerate(x0s):
         for i, t in enumerate(times):
@@ -133,11 +133,13 @@ def counting(fld):
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])
 @pytest.mark.parametrize("m", [1, 50])
 @pytest.mark.parametrize("name", ["rotation", "pendulum", "cubic"])
-def test_integrator_is_scipy_rk45_bit_for_bit(name, m, tol):
+def test_integrator_is_scipy_rk45_bit_for_bit(name, m, tol, monkeypatch):
     fld, calls = counting(make_field(name))
     x0s = oracle_initials(name, m)
     want, nfev, _ = scipy_rk45(make_field(name), x0s, ORACLE_TIMES, tol)
-    got = integrate_flow_grid(fld, x0s, ORACLE_TIMES, FlowConfig(tol, tol))
+    monkeypatch.setattr("flowfit.flow.ABS_TOL", tol)
+    monkeypatch.setattr("flowfit.flow.REL_TOL", tol)
+    (got,) = integrate_flow_grid(fld, x0s, [ORACLE_TIMES])
     assert np.array_equal(got, want)
     assert calls[0] == nfev
 
@@ -156,23 +158,23 @@ SQUARE = VectorField("square", 1, lambda u: u ** 2, 1, (math.inf, 2.0), ((-1.0, 
 def test_blow_up_raises_with_the_solver_time(times):
     # u' = u^2 from 1 is 1 / (1 - t): it leaves every bound at t = 1
     with pytest.raises(IntegrationError, match="'square' stalled") as err:
-        integrate_flow_grid(SQUARE, [[1.0]], times)
+        integrate_flow_grid(SQUARE, [[1.0]], [times])
     assert 0.5 < err.value.reached_time <= 1.0
 
 
 def test_nan_field_raises_instead_of_stepping_forever():
     nan = VectorField("nan", 1, lambda u: np.full_like(u, np.nan), 1, (math.inf, 1.0), ((-1, 1),))
     with pytest.raises(IntegrationError, match="'nan' stalled at t=0 ") as err:
-        integrate_flow_grid(nan, [[1.0]], [1.0])
+        integrate_flow_grid(nan, [[1.0]], [[1.0]])
     assert err.value.reached_time == 0.0
 
 
 def test_repeated_times_give_equal_rows():
     x0s = [[1.0, 0.0], [0.2, 0.3]]
-    states = integrate_flow_grid(ROT, x0s, [0.0, 0.5, 0.5, 1.0, 1.0])
+    (states,) = integrate_flow_grid(ROT, x0s, [[0.0, 0.5, 0.5, 1.0, 1.0]])
     assert np.array_equal(states[1], states[2])
     assert np.array_equal(states[3], states[4])
-    assert np.array_equal(states[[0, 1, 3]], integrate_flow_grid(ROT, x0s, [0.0, 0.5, 1.0]))
+    assert np.array_equal(states[[0, 1, 3]], integrate_flow_grid(ROT, x0s, [[0.0, 0.5, 1.0]])[0])
 
 
 SHARED_END_GRIDS = {
@@ -194,7 +196,7 @@ def test_one_solve_fills_each_grid_as_its_own_solve(case):
     together = integrate_flow_grid(fld, [x0], grids)
     assert len(together) == len(grids)
     for grid, got in zip(grids, together):
-        assert np.array_equal(got, integrate_flow_grid(fld, [x0], grid))
+        assert np.array_equal(got, integrate_flow_grid(fld, [x0], [grid])[0])
 
 
 def test_grids_with_different_last_times_refused():
@@ -202,14 +204,14 @@ def test_grids_with_different_last_times_refused():
         integrate_flow_grid(ROT, [[1.0, 0.0]], [np.linspace(0, 1, 5), np.linspace(0, 1.5, 5)])
 
 
-@pytest.mark.parametrize("times", [
-    [math.nan, 1.0], [0.0, math.nan, 1.0], [np.linspace(0.0, 1.0, 5), [math.nan, 1.0]],
+@pytest.mark.parametrize("grids", [
+    [[math.nan, 1.0]], [[0.0, math.nan, 1.0]], [np.linspace(0.0, 1.0, 5), [math.nan, 1.0]],
 ])
-def test_non_finite_times_refused(times):
+def test_non_finite_times_refused(grids):
     # a grid ending at nan or inf would be stepped towards forever; a nan
     # inside a grid that ends at 1 is refused as well
     with pytest.raises(ValueError, match="times must be finite"):
-        integrate_flow_grid(ROT, [[1.0, 0.0]], times)
+        integrate_flow_grid(ROT, [[1.0, 0.0]], grids)
 
 
 def test_stall_fails_the_whole_shared_solve():
@@ -225,16 +227,39 @@ def test_all_zero_grids_return_the_initials():
     assert all(np.array_equal(a, np.broadcast_to(x0s, a.shape)) for a in got)
 
 
-def test_rel_tol_below_hundred_eps_refused():
-    eps = np.finfo(float).eps
-    with pytest.raises(ValueError, match="rel_tol must be at least 100 \\* eps"):
-        FlowConfig(rel_tol=50 * eps)
-    assert FlowConfig(rel_tol=100 * eps).rel_tol == 100 * eps
+@pytest.mark.parametrize("grids", [
+    [0.5], np.array([0.0, 1.0]), [np.zeros((2, 2))], [np.linspace(0.0, 1.0, 5), 1.0],
+])
+def test_grid_that_is_not_one_dimensional_refused(grids):
+    # a bare array of times is a list of 0-d grids: refused by name, not read as one grid
+    with pytest.raises(ValueError, match="each grid must be a 1-D array of times"):
+        integrate_flow_grid(ROT, [[1.0, 0.0]], grids)
+
+
+@pytest.mark.parametrize("grids", [[[0.0, 0.0]], [[0.0, 1.0]], []])
+def test_non_finite_initial_states_refused(grids):
+    # also where no grid reaches past 0 and the initials would be returned as they are
+    for x0 in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="initial states must be finite"):
+            integrate_flow_grid(ROT, [x0], grids)
+
+
+def test_step_budget_ends_a_long_solve(monkeypatch):
+    grid = np.linspace(0.0, 10.0, 11)
+    want = integrate_flow_grid(ROT, [[1.0, 0.0]], [grid])[0]
+    # rotation takes about 23 steps per unit time: 50 steps end before t = 10
+    monkeypatch.setattr("flowfit.flow.MAX_STEPS", 50)
+    with pytest.raises(IntegrationError, match="'rotation' stopped at t=.*MAX_STEPS = 50 ") as err:
+        integrate_flow_grid(ROT, [[1.0, 0.0]], [grid])
+    assert 0.0 < err.value.reached_time < 10.0
+    # a budget the solve stays within changes none of its bits
+    monkeypatch.setattr("flowfit.flow.MAX_STEPS", 1000)
+    assert np.array_equal(integrate_flow_grid(ROT, [[1.0, 0.0]], [grid])[0], want)
 
 
 def observe(spec, times):
     """States of the rotation orbit from (1, 0) after time 0, and their noisy copies."""
-    states = integrate_flow_grid(ROT, [[1.0, 0.0]], times)[1:, 0]
+    states = integrate_flow_grid(ROT, [[1.0, 0.0]], [times])[0][1:, 0]
     return states, states + noise_draw(spec, states.shape)
 
 
@@ -309,11 +334,11 @@ def test_one_noise_draw_per_dataset(monkeypatch):
 def test_noiseless_datasets_are_the_flow(sigma, noise):
     states = flow_stubble(ROT, 3, 0.1, beta=2)
     stub = observe_stubble(ROT, 3, states, 0.1, sigma=sigma, seed=4, noise=noise)
-    flow = integrate_flow_grid(ROT, stub.initials, [0.0, 0.1, 0.2])
+    (flow,) = integrate_flow_grid(ROT, stub.initials, [[0.0, 0.1, 0.2]])
     assert np.array_equal(stub.observations, np.transpose(flow[1:], (1, 0, 2)))
     (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(16, 0.1)])
     snk = observe_snake(ROT, path, 0.1, sigma=sigma, noise=noise)
-    flow = integrate_flow_grid(ROT, [[1.0, 0.0]], 0.1 * np.arange(17))
+    (flow,) = integrate_flow_grid(ROT, [[1.0, 0.0]], [0.1 * np.arange(17)])
     assert np.array_equal(snk.observations, np.transpose(flow[1:], (1, 0, 2)))
 
 
@@ -329,7 +354,7 @@ def test_semigroup(name, coords, s, t):
     x = np.resize(np.asarray(coords, dtype=float), fld.dim)
     full = integrate_flow(fld, x, s + t)
     twice = integrate_flow(fld, integrate_flow(fld, x, s), t)
-    tol = 10.0 * (CFG.abs_tol + CFG.rel_tol * np.linalg.norm(full))
+    tol = 10.0 * (ABS_TOL + REL_TOL * np.linalg.norm(full))
     assert np.linalg.norm(full - twice) <= tol
 
 
