@@ -18,8 +18,9 @@ scipy.  It repeats scipy's ``solve_ivp(method="RK45", t_eval=...)`` at
 values, steps and field evaluations are those of scipy bit for bit.  Its
 steps depend only on the end time, so one solve fills several output
 grids that share it, each as its own solve would.  A solve ends with
-:class:`IntegrationError` when its step size collapses or after
-``MAX_STEPS`` steps, so no finite end time runs without bound.
+:class:`IntegrationError` when its step size collapses or when
+``MAX_STEPS_PER_OUTPUT`` steps pass without reaching the next output
+time, so a solve's work is bounded by the number of times it fills.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def integrate_flow_grid(field: VectorField, x0s: np.ndarray, grids: list) -> lis
     that are not finite included, raises ValueError.
 
     Raises :class:`IntegrationError`, with the time the solve reached,
-    when the step size collapses or ``MAX_STEPS`` steps end before the
-    last time.
+    when the step size collapses, or when ``MAX_STEPS_PER_OUTPUT`` steps
+    pass without reaching the next time of any grid.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     m, d = x0s.shape
@@ -311,9 +312,10 @@ _ERROR_EXPONENT = -1 / 5  # the embedded error is O(h^5)
 # against the statistical error of any experiment in this package
 ABS_TOL = 1e-10
 REL_TOL = 1e-10
-# Steps after which a solve gives up: about 170 times the 591 of the longest
-# solve in the tests (pendulum to t = 30), about t = 4,300 on rotation
-MAX_STEPS = 100_000
+# Steps that may pass between two output times: the most measured is 49 in the
+# tests and 25 on scripts/*.json with any dt rule and a step <= 1; 10,000 span
+# about 430 time units on rotation (about 23 steps each) in about a second
+MAX_STEPS_PER_OUTPUT = 10_000
 
 
 def _rms(x: np.ndarray) -> float:
@@ -333,8 +335,9 @@ def _dopri45(
     tolerances are ``ABS_TOL`` and ``REL_TOL``, read at each call.
     Returns the time reached and None when every row was written, or
     else the reason the solve stopped early: the step size fell below ten
-    float spacings of the current time or became NaN, or ``MAX_STEPS``
-    accepted steps did not reach the end time.
+    float spacings of the current time or became NaN, or
+    ``MAX_STEPS_PER_OUTPUT`` accepted steps did not reach the next output
+    time.
     """
     rtol, atol = REL_TOL, ABS_TOL
     t_end = max(t_out[-1] for t_out in t_outs if t_out.size)
@@ -353,11 +356,13 @@ def _dopri45(
 
     sizes = [t_out.size for t_out in t_outs]
     stages = np.empty((7, y.size))
-    t, done, steps = 0.0, [0] * len(t_outs), 0
+    t, done, steps = 0.0, [0] * len(t_outs), 0  # steps since the last output time
     while done != sizes:
-        if steps == MAX_STEPS:
+        if steps == MAX_STEPS_PER_OUTPUT:
+            t_next = min(t_out[k] for t_out, k in zip(t_outs, done) if k < t_out.size)
             return float(t), (f"stopped at t={t:.6g} (target {t_end:.6g}): "
-                              f"the step budget of MAX_STEPS = {MAX_STEPS} steps ran out")
+                              f"MAX_STEPS_PER_OUTPUT = {MAX_STEPS_PER_OUTPUT} steps "
+                              f"did not reach the next output time {t_next:.6g}")
         steps += 1
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -391,6 +396,7 @@ def _dopri45(
                 powers = x[None].repeat(4, axis=0).cumprod(axis=0)  # x, x^2, x^3, x^4
                 vals[done[g]:upto] = (h * np.dot(stages.T.dot(_DP_P), powers) + y[:, None]).T
                 done[g] = upto
+                steps = 0
         t, y, f = t_new, y_new, f_new
     return float(t), None
 

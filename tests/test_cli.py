@@ -462,14 +462,24 @@ def test_simulate_refuses_a_size_the_scheme_cannot_draw(script, n, sets, message
     ("benchmark", "benchmark refused: 100% of queries failed at n=1024 (limit 20%)"),
 ])
 def test_solve_out_of_steps_exits_with_one_line(command, message, tmp_path, monkeypatch):
-    # the circle of scripts/snake-rate.json takes about 150 steps
-    monkeypatch.setattr("flowfit.flow.MAX_STEPS", 50)
+    # rotation takes about 230 steps from one observation to the next 10 time units on
+    monkeypatch.setattr("flowfit.flow.MAX_STEPS_PER_OUTPUT", 50)
     with pytest.raises(SystemExit) as refused:
         main([command, "--config", str(STUBBLE_RATE.parent / "snake-rate.json"),
-              "--set", "replicates=1", "--out", str(tmp_path / "out")])
+              "--set", "replicates=1", "--set", "dt_rule=fixed", "--set", "dt_value=10",
+              "--out", str(tmp_path / "out")])
     code = refused.value.code
     assert code.startswith(message) and "\n" not in code
     assert not (tmp_path / "out").exists()
+
+
+def test_balanced_snake_simulates_past_the_step_budget(tmp_path, monkeypatch):
+    # the horizon n^(1 - 1/10) = 512 takes about 12,000 steps, at most 8 between observations
+    monkeypatch.setattr("flowfit.flow.MAX_STEPS_PER_OUTPUT", 20)
+    main(["simulate", "--config", str(STUBBLE_RATE.parent / "snake-rate.json"),
+          "--set", "model=snake-gen", "--set", "dt_rule=balanced", "--n", "1024",
+          "--out", str(tmp_path / "out")])
+    assert load(tmp_path / "out", "snake-gen").observations.shape == (1, 1024, 2)
 
 
 @pytest.mark.parametrize("sets", [[], ["model=snake-gen", "beta=2"]], ids=["snake-lip", "snake-gen"])

@@ -244,17 +244,21 @@ def test_non_finite_initial_states_refused(grids):
             integrate_flow_grid(ROT, [x0], grids)
 
 
-def test_step_budget_ends_a_long_solve(monkeypatch):
-    grid = np.linspace(0.0, 10.0, 11)
-    want = integrate_flow_grid(ROT, [[1.0, 0.0]], [grid])[0]
-    # rotation takes about 23 steps per unit time: 50 steps end before t = 10
-    monkeypatch.setattr("flowfit.flow.MAX_STEPS", 50)
-    with pytest.raises(IntegrationError, match="'rotation' stopped at t=.*MAX_STEPS = 50 ") as err:
-        integrate_flow_grid(ROT, [[1.0, 0.0]], [grid])
-    assert 0.0 < err.value.reached_time < 10.0
+def test_step_budget_counts_steps_between_output_times(monkeypatch):
+    sparse = np.array([0.0, 1.0, 11.0])
+    dense = np.linspace(0.0, 100.0, 1001)
+    want = [integrate_flow_grid(ROT, [[1.0, 0.0]], [grid])[0] for grid in (sparse, dense)]
+    # rotation takes about 23 steps per unit time: 50 steps end between t = 1 and t = 11
+    monkeypatch.setattr("flowfit.flow.MAX_STEPS_PER_OUTPUT", 50)
+    with pytest.raises(IntegrationError, match="'rotation' stopped at t=.*: MAX_STEPS_PER_OUTPUT"
+                       " = 50 steps did not reach the next output time 11$") as err:
+        integrate_flow_grid(ROT, [[1.0, 0.0]], [sparse])
+    assert 1.0 < err.value.reached_time < 11.0
+    # about 2,300 steps in all but at most 4 between two output times: the horizon does not count
+    assert np.array_equal(integrate_flow_grid(ROT, [[1.0, 0.0]], [dense])[0], want[1])
     # a budget the solve stays within changes none of its bits
-    monkeypatch.setattr("flowfit.flow.MAX_STEPS", 1000)
-    assert np.array_equal(integrate_flow_grid(ROT, [[1.0, 0.0]], [grid])[0], want)
+    monkeypatch.setattr("flowfit.flow.MAX_STEPS_PER_OUTPUT", 1000)
+    assert np.array_equal(integrate_flow_grid(ROT, [[1.0, 0.0]], [sparse])[0], want[0])
 
 
 def observe(spec, times):
