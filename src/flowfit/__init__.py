@@ -11,7 +11,27 @@ type both schemes observe, :class:`~flowfit.flow.TrajectoryData`),
 :mod:`flowfit.interp` (stable polynomial interpolation);
 :mod:`flowfit.harness` runs Monte Carlo rate experiments and
 :mod:`flowfit.cli` exposes them on the command line.
+
+Importing the package before numpy starts numpy's OpenBLAS with one
+thread: the package's linear algebra is too small to gain from more, the
+idle workers spin on other cores, and a threaded norm rounds differently
+from one thread, so the flow solve's steps would depend on the core
+count.  ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS``, when set, wins, and numpy imported first keeps its
+threads; the environment is left as it was.
 """
+
+import os
+import sys
+
+# OpenBLAS reads these, in this order, only when numpy loads it
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .flow import (
     IntegrationError,

@@ -10,7 +10,10 @@ Four subcommands share one JSON config file describing the experiment
 
 Any config key can be overridden with ``--set key=value`` (the value
 is parsed as JSON when possible, kept as a string otherwise).  All
-outputs are deterministic for a fixed config.
+outputs are deterministic for a fixed config, and do not depend on the
+machine's core count: the package starts OpenBLAS with one thread (see
+:mod:`flowfit`) unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations

@@ -473,7 +473,10 @@ def rotation_field() -> VectorField:
 
     def func(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        out = np.empty_like(x)
+        np.negative(x[..., 1], out=out[..., 0])
+        out[..., 1] = x[..., 0]
+        return out
 
     return VectorField(
         name="rotation",
@@ -495,8 +498,11 @@ def pendulum_field() -> VectorField:
 
     def func(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        v, vdot = x[..., :1], x[..., 1:]
-        return np.concatenate([vdot, -np.sin(v) - 0.1 * vdot], axis=-1)
+        v, vdot = x[..., 0], x[..., 1]
+        out = np.empty_like(x)
+        out[..., 0] = vdot
+        out[..., 1] = -np.sin(v) - 0.1 * vdot
+        return out
 
     return VectorField(
         name="pendulum",

@@ -459,7 +459,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full replication plan described by the config.
 
     Deterministic given the config; raises :class:`ExperimentError`
-    when more than 20% of the queries fail at any sample size.
+    when more than 20% of the queries fail at any sample size, ending
+    with the message of the flow solve when that size's solve failed.
     """
     fld = make_field(cfg.field, cfg.d)
     beta = cfg.effective_beta(fld)
@@ -470,6 +471,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list[ReplicateRow] = []
     curves: dict[float, np.ndarray | None] = {}  # true curve per horizon, for tube queries
     solved: dict[int, np.ndarray | None] = {}  # paths of solved trajectories, by n, until used
+    unsolved: dict[float, str] = {}  # the message of each failed solve, by trajectory
     for n, dt in sizes:
         key = family.trajectory(n, dt)
         if n not in solved:  # the first size of its trajectory: one solve for all its sizes
@@ -478,8 +480,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             tube = [(2048, n * dt / 2048)] if qspec.kind == "tube" else []
             try:
                 paths = family.flow(cfg, fld, beta, group + tube)
-            except IntegrationError:  # every replicate at these n fails all its queries
+            except IntegrationError as exc:  # every replicate at these n fails all its queries
                 paths = [None] * len(group + tube)
+                unsolved[key] = str(exc)
             if tube:
                 curve = paths.pop()
                 curves[key] = None if curve is None else curve[:, 0, :]
@@ -501,8 +504,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             total_failures += failures
         frac = total_failures / (cfg.replicates * queries.shape[0])
         if frac > FAILURE_LIMIT:
+            cause = f": {unsolved[key]}" if paths is None else ""
             raise ExperimentError(
-                f"{frac:.0%} of queries failed at n={n} (limit {FAILURE_LIMIT:.0%})"
+                f"{frac:.0%} of queries failed at n={n} (limit {FAILURE_LIMIT:.0%}){cause}"
             )
 
     summary = _aggregate(cfg.ns, rows)

@@ -30,27 +30,89 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
+# the variables OpenBLAS reads its thread count from, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_run(code: str, **variables: str):
+    """The JSON of the last line `code` prints in a fresh interpreter that
+    imports the package from this source tree.  None of the BLAS thread
+    variables is set there but those of `variables`."""
+    src = str(Path(flowfit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**env, **variables, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def lazy_modules_after(code: str) -> list[str]:
     """The scipy and ``numpy.ma`` modules (numpy and the package load them
     only on demand) a fresh interpreter has loaded after running `code`."""
-    src = str(Path(flowfit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import json, sys\n"
         "names = [m.split('.') for m in sys.modules]\n"
         "late = [n for n in names if n[0] == 'scipy' or n[:2] == ['numpy', 'ma']]\n"
         "print(json.dumps(sorted('.'.join(n) for n in late)))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{probe}"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return fresh_run(f"{code}\n{probe}")
 
 
 def test_import_loads_no_scipy():
     assert lazy_modules_after("import flowfit, flowfit.cli") == []
+
+
+linux_tasks = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task (Linux)")
+
+# the process's thread count and the BLAS thread variables it sees
+THREADS_PROBE = (
+    "import json, os\n"
+    "print(json.dumps([len(os.listdir('/proc/self/task')),"
+    f" {{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}]))"
+)
+UNSET = dict.fromkeys(BLAS_THREAD_VARS)
+
+
+@linux_tasks
+def test_import_starts_one_blas_thread_and_keeps_the_environment():
+    assert fresh_run(f"import flowfit\n{THREADS_PROBE}") == [1, UNSET]
+
+
+@linux_tasks
+@pytest.mark.parametrize("variable", BLAS_THREAD_VARS)
+def test_a_thread_variable_the_user_set_wins(variable):
+    # numpy alone then runs on min(2, cores) threads; the package changes neither that nor the variable
+    tasks, seen = fresh_run(f"import flowfit.cli\n{THREADS_PROBE}", **{variable: "2"})
+    assert [tasks, seen] == fresh_run(f"import numpy\n{THREADS_PROBE}", **{variable: "2"})
+    assert seen == {**UNSET, variable: "2"}
+
+
+@linux_tasks
+def test_numpy_imported_first_keeps_its_threads():
+    alone = fresh_run(f"import numpy\n{THREADS_PROBE}")
+    assert fresh_run(f"import numpy\nimport flowfit\n{THREADS_PROBE}") == alone
+
+
+def test_a_large_solve_has_the_same_bits_on_any_machine():
+    # a threaded BLAS norm splits vectors of more than 10,000 entries across
+    # its threads and rounds differently, and the step control reads it; each
+    # of these sizes moved bits under 2 threads before the import set one
+    code = textwrap.dedent("""\
+        from flowfit.flow import integrate_flow_grid, rotation_field
+        import hashlib, json
+        import numpy as np
+        digest = hashlib.sha256()
+        for m in (6_000, 10_000, 15_000):
+            x0 = np.random.default_rng(0).uniform(-1.0, 1.0, (m, 2))
+            (out,) = integrate_flow_grid(rotation_field(), x0, [np.array([0.5, 1.0])])
+            digest.update(out.tobytes())
+        print(json.dumps(digest.hexdigest()))
+    """)
+    assert fresh_run(code) == fresh_run(code, OPENBLAS_NUM_THREADS="1")
 
 
 # tiny rate studies; snake-gen's default tube queries integrate the true curve

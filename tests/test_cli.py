@@ -459,6 +459,7 @@ def test_simulate_refuses_a_size_the_scheme_cannot_draw(script, n, sets, message
 @pytest.mark.parametrize("command, message", [
     ("simulate", "simulate refused: integration of 'rotation' stopped at t="),
     # the failed solve fails every query of its horizon, and the failure limit stops the run
+    # with a line that ends with the solve's message
     ("benchmark", "benchmark refused: 100% of queries failed at n=1024 (limit 20%)"),
 ])
 def test_solve_out_of_steps_exits_with_one_line(command, message, tmp_path, monkeypatch):
@@ -470,6 +471,7 @@ def test_solve_out_of_steps_exits_with_one_line(command, message, tmp_path, monk
               "--out", str(tmp_path / "out")])
     code = refused.value.code
     assert code.startswith(message) and "\n" not in code
+    assert ": MAX_STEPS_PER_OUTPUT = 50 steps did not reach the next output time" in code
     assert not (tmp_path / "out").exists()
 
 
