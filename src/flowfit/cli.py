@@ -98,7 +98,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         if ds.dim != fld.dim:
             raise ValueError(f"the dataset has dimension {ds.dim}, but the field "
                              f"{cfg.field!r} has dimension {fld.dim}")
-        predictor = MODELS[cfg.model].fit(cfg, ds, beta)
+        predictor = MODELS[cfg.model].fit(cfg, ds, beta, {})  # one dataset: a fresh plan store
         queries = _estimate_queries(cfg, ds.dim, predictor)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"dataset refused: {exc}") from None

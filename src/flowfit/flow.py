@@ -330,9 +330,11 @@ def _dopri45(
     time of each grid in `t_outs` to that time's row of the grid's array in `values`.
 
     The grids are nondecreasing and positive, and the nonempty ones end at
-    one time, the end time.  Each grid gets its own dense-output product
-    per step, so its values do not depend on the other grids.  The
-    tolerances are ``ABS_TOL`` and ``REL_TOL``, read at each call.
+    one time, the end time.  The dense-output coefficients are made once
+    per step that passes an output time, and each grid takes its own
+    product of them with its powers, so its values do not depend on the
+    other grids.  The tolerances are ``ABS_TOL`` and ``REL_TOL``, read at
+    each call.
     Returns the time reached and None when every row was written, or
     else the reason the solve stopped early: the step size fell below ten
     float spacings of the current time or became NaN, or
@@ -388,13 +390,16 @@ def _dopri45(
                 break
             h_abs *= max(0.2, 0.9 * error ** _ERROR_EXPONENT)
             rejected = True
+        coeffs = None
         for g, (t_out, vals) in enumerate(zip(t_outs, values)):
             upto = np.searchsorted(t_out, t_new, side="right")
             if upto > done[g]:
+                if coeffs is None:
+                    coeffs = stages.T.dot(_DP_P)
                 # quartic dense output on [t, t_new]
                 x = (t_out[done[g]:upto] - t) / h
                 powers = x[None].repeat(4, axis=0).cumprod(axis=0)  # x, x^2, x^3, x^4
-                vals[done[g]:upto] = (h * np.dot(stages.T.dot(_DP_P), powers) + y[:, None]).T
+                vals[done[g]:upto] = (h * np.dot(coeffs, powers) + y[:, None]).T
                 done[g] = upto
                 steps = 0
         t, y, f = t_new, y_new, f_new

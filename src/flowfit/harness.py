@@ -4,8 +4,9 @@ An :class:`ExperimentConfig` names one estimation model, a field, a
 grid of sample sizes, and a replication plan.  :func:`run_experiment`
 integrates the noise-free paths once per trajectory (the sample sizes of
 one snake horizon share one, with the true curve that ``tube`` queries
-follow), adds each replicate's own noise,
-estimates the field on a query set, aggregates errors per n, fits a
+follow), adds each replicate's own noise, estimates the field on a query
+set (the replicates of one sample size share the true field there and
+the design half of the stubble fits), aggregates errors per n, fits a
 log-log slope, and compares it with :func:`reference_rate`.
 
 Outputs are deterministic byte for byte given the same config: floats
@@ -408,19 +409,22 @@ class ExperimentResult:
 
 
 def _replicate_errors(
-    cfg: ExperimentConfig, fld: VectorField, beta: int, ds, queries: np.ndarray
+    cfg: ExperimentConfig, beta: int, ds, queries: np.ndarray, truth: np.ndarray | None,
+    plans: dict,
 ) -> tuple[np.ndarray, int]:
-    """Per-query error norms (NaN where a query failed) and the failure count.
+    """Per-query error norms against the field's values `truth` at the
+    `queries` (NaN where a query failed) and the failure count.
 
-    Every query fails when `ds` is None: its noise-free flow did not integrate.
+    Every query fails when `ds` is None: its noise-free flow did not
+    integrate.  `plans` is the plan store of the dataset's sample size
+    (see :class:`~flowfit.models.Model`).
     """
     try:
-        predict = None if ds is None else MODELS[cfg.model].fit(cfg, ds, beta)
+        predict = None if ds is None else MODELS[cfg.model].fit(cfg, ds, beta, plans)
     except SingularDesign:
         predict = None
     if predict is None:
         return np.full(queries.shape[0], np.nan), queries.shape[0]
-    truth = fld(queries)
     pred = predict(queries)
     # one norm per query: a batched norm may round differently
     errs = np.array([np.linalg.norm(value - t) for value, t in zip(pred.values, truth)])
@@ -494,10 +498,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             queries = np.full((qspec.count, fld.dim), np.nan)  # each fails, as paths is None
         else:
             queries = qspec.build(fld.dim, rng, curve)
+        truth = None if paths is None else fld(queries)
+        plans: dict = {}  # the design halves of the fits at n, made by its first replicate
         total_failures = 0
         for r in range(cfg.replicates):
             ds = None if paths is None else family.observe(cfg, fld, n, dt, paths, cfg.seed + r)
-            errs, failures = _replicate_errors(cfg, fld, beta, ds, queries)
+            errs, failures = _replicate_errors(cfg, beta, ds, queries, truth, plans)
             valid = errs[np.isfinite(errs)]
             error = family.error(valid) if valid.size else math.nan
             rows.append(ReplicateRow(n=n, replicate=r, error=error, failures=failures))

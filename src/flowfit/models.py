@@ -126,9 +126,19 @@ class Family:
 
 @dataclass(frozen=True)
 class Model:
+    """One estimator: its sampling scheme, its variant, and
+    ``fit(cfg, dataset, beta, plans)``.
+
+    ``plans`` is a dict shared by the fits of datasets on one design (the
+    replicates of one sample size).  A stubble fit keeps there the design
+    half of each horizon's local fits at each query stack, keyed by
+    ``(horizon, LocalPolyFit, the stack's bytes)``: the first fit makes
+    it and the others read it.  The snake fits ignore it.
+    """
+
     family: Family
     lipschitz: bool
-    fit: Callable[..., Predictor]  # (cfg, dataset, beta)
+    fit: Callable[..., Predictor]  # (cfg, dataset, beta, plans)
 
 
 def stubble_grid_size(n: int, d: int) -> int:
@@ -187,19 +197,19 @@ SNAKE = Family(
 )
 
 
-def _fit_stubble(cfg, ds, beta: int) -> Predictor:
+def _fit_stubble(cfg, ds, beta: int, plans: dict) -> Predictor:
     # both stubble models: the general estimator on the first `beta` horizons
     regressions = stubble.horizon_regressions(ds, beta, cfg.bandwidth)  # shared by every query
 
     def estimate(queries):
-        values, singular = stubble.estimate_general(regressions, queries)
+        values, singular = stubble.estimate_general(regressions, queries, plans)
         status = tuple("singular" if s else "regression" for s in singular.tolist())
         return values, status, (None,) * queries.shape[0]
 
     return Predictor(estimate)
 
 
-def _fit_snake_lip(cfg, ds, beta: int) -> Predictor:
+def _fit_snake_lip(cfg, ds, beta: int, plans: dict) -> Predictor:
     curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth)
 
     def estimate(queries):
@@ -210,7 +220,7 @@ def _fit_snake_lip(cfg, ds, beta: int) -> Predictor:
     return Predictor(estimate, curve.grid_states)
 
 
-def _fit_snake_gen(cfg, ds, beta: int) -> Predictor:
+def _fit_snake_gen(cfg, ds, beta: int, plans: dict) -> Predictor:
     curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth)
 
     def estimate(x):

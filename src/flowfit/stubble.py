@@ -20,7 +20,10 @@ lifts the rate to the smoothness the field actually has.  The increments,
 regression data and bandwidth of each horizon depend only on the
 dataset: :func:`horizon_regressions` sets them up once, and
 :func:`estimate_general` fits each horizon once for a whole stack of
-queries.
+queries.  The design half of a fit (the initial grid, the bandwidth and
+the query stack) is the same for every replicate of one sample size, so
+:func:`estimate_general` can take it as a plan made once
+(:func:`~flowfit.localpoly.lp_plan`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .flow import NoiseSpec, TrajectoryData, VectorField
 from .flow import integrate_flow_grid, noise_draw
-from .localpoly import LocalPolyFit, RegressionData, lp_estimate, optimal_bandwidth
+from .localpoly import LocalPolyFit, RegressionData, lp_estimate, lp_plan, optimal_bandwidth
 
 __all__ = [
     "HorizonRegressions",
@@ -148,7 +151,7 @@ def horizon_regressions(
 
 
 def estimate_general(
-    regressions: HorizonRegressions, x: np.ndarray
+    regressions: HorizonRegressions, x: np.ndarray, plans: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate ``f`` at a ``(Q, d)`` stack of points from all horizons of a
     dataset's `regressions`.
@@ -164,11 +167,24 @@ def estimate_general(
     With ``beta = 1`` and degree 0 this is the Lipschitz estimator:
     exactly the local constant fit of the first-horizon increments
     divided by ``dt``.
+
+    `plans` is a store of the design halves of the fits
+    (:func:`~flowfit.localpoly.lp_plan`), shared by datasets on one
+    initial grid, or None to solve the fits here; the values are the same
+    bits either way.  A horizon's plan is keyed by ``(horizon, fit, the
+    bytes of x)``, made on its first use and read by every later one.
     """
     x = np.asarray(x, dtype=float)
     total, singular = None, np.zeros(x.shape[0], dtype=bool)
-    for w, data, fit in regressions.horizons:
-        values, failed = lp_estimate(x, data, fit)
+    stack = x.tobytes()
+    for i, (w, data, fit) in enumerate(regressions.horizons, start=1):
+        plan = None
+        if plans is not None:
+            key = (i, fit, stack)
+            if key not in plans:
+                plans[key] = lp_plan(x, data, fit)
+            plan = plans[key]
+        values, failed = lp_estimate(x, data, fit, plan)
         term = w * values
         total = term if total is None else total + term
         singular |= failed

@@ -159,7 +159,7 @@ def test_runs_with_scipy_blocked():
         fld = make_field("pendulum")
         (path,) = snake.flow_snake(fld, np.array([2.0, 0.0]), [(512, 20.0 / 512)])
         ds = snake.observe_snake(fld, path, 20.0 / 512, 0.01, 5)
-        predict = MODELS["snake-gen"].fit(cfg, ds, 3)
+        predict = MODELS["snake-gen"].fit(cfg, ds, 3, {{}})
         queries = 0.97 * predict.curve_points[[50, 200, 400]]
         out = predict(queries)
         assert "interpolated" in out.status, out.status

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowfit.harness as harness
-from flowfit import snake, stubble
+from flowfit import localpoly, snake, stubble
 from flowfit.flow import IntegrationError, make_field
 from flowfit.harness import (
     ExperimentConfig,
@@ -464,7 +464,7 @@ def reference_rows(cfg: ExperimentConfig) -> tuple[ReplicateRow, ...]:
                 n0 = stubble_grid_size(n, fld.dim)
                 states = stubble.flow_stubble(fld, n0, dt, beta=beta)
                 ds = stubble.observe_stubble(fld, n0, states, dt, **noise)
-            pred = spec.fit(cfg, ds, beta)(queries)
+            pred = spec.fit(cfg, ds, beta, {})(queries)  # a fresh plan store: its own design solve
             errs = np.array([np.linalg.norm(v - t) for v, t in zip(pred.values, truth)])
             valid = errs[np.isfinite(errs)]
             error = spec.family.error(valid) if valid.size else math.nan
@@ -508,6 +508,41 @@ def test_shared_flow_rows_equal_per_replicate_simulation(monkeypatch, model):
     # every stubble n has an initial grid of its own
     assert len(calls) == (1 if module is snake else len(cfg.ns))
     assert rows == reference_rows(cfg)
+
+
+# grid queries draw nothing from the rng, so a one-replicate run at seed s + r
+# observes and queries what replicate r of a run at seed s does
+PLAN_REUSE_CONFIGS = {
+    "stubble-lip": lambda: constant_config(
+        field="cubic", d=1, ns=(16, 32, 64), sigma=0.1, replicates=3, dt_rule="balanced",
+        queries=QuerySpec(kind="grid", per_dim=5, margin=0.2),
+    ),
+    "stubble-gen": lambda: constant_config(
+        model="stubble-gen", field="pendulum", d=2, beta=2, ns=(64, 144, 256), sigma=0.05,
+        replicates=3, dt_rule="balanced", queries=QuerySpec(kind="grid", per_dim=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PLAN_REUSE_CONFIGS))
+def test_replicates_share_one_design_solve_per_horizon(monkeypatch, tmp_path, model):
+    cfg = PLAN_REUSE_CONFIGS[model]()
+    beta = cfg.effective_beta(make_field(cfg.field, cfg.d))
+    real, calls = localpoly._block_solves, []
+    monkeypatch.setattr(localpoly, "_block_solves", lambda *args: calls.append(1) or real(*args))
+    shared = run_experiment(cfg)
+    # one design per sample size and horizon, whatever the replicate count
+    assert len(calls) == len(cfg.ns) * beta
+
+    def csv_rows(result, name):
+        write_results_csv(result, tmp_path / name)
+        return [line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+
+    alone = [csv_rows(run_experiment(dataclasses.replace(cfg, replicates=1, seed=cfg.seed + r)),
+                      f"alone{r}.csv") for r in range(cfg.replicates)]
+    want = [[model, n, str(r), error, failures]
+            for per_n in zip(*alone) for r, (model, n, _, error, failures) in enumerate(per_n)]
+    assert csv_rows(shared, "shared.csv") == want
 
 
 # configs whose sample sizes each observe a trajectory of their own

@@ -186,7 +186,7 @@ def test_fit_sets_up_each_horizon_once(monkeypatch):
     horizons = []
     monkeypatch.setattr(stubble, "_horizon_bandwidth",
                         lambda ds, i, *rest: horizons.append(i) or real(ds, i, *rest))
-    got = MODELS["stubble-gen"].fit(SimpleNamespace(bandwidth=None), ds, beta)(queries)
+    got = MODELS["stubble-gen"].fit(SimpleNamespace(bandwidth=None), ds, beta, {})(queries)
     assert horizons == [1, 2, 3]
     # bit for bit the estimate that sets every horizon up for its own query
     for x, value in zip(queries, got.values):
