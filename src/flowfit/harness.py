@@ -6,7 +6,7 @@ integrates the noise-free paths once per trajectory (the sample sizes of
 one snake horizon share one, with the true curve that ``tube`` queries
 follow), adds each replicate's own noise, estimates the field on a query
 set (the replicates of one sample size share the true field there and
-the design half of the stubble fits), aggregates errors per n, fits a
+the design of their fits), aggregates errors per n, fits a
 log-log slope, and compares it with :func:`reference_rate`.
 
 Outputs are deterministic byte for byte given the same config: floats
@@ -426,9 +426,15 @@ def _replicate_errors(
     if predict is None:
         return np.full(queries.shape[0], np.nan), queries.shape[0]
     pred = predict(queries)
-    # one norm per query: a batched norm may round differently
-    errs = np.array([np.linalg.norm(value - t) for value, t in zip(pred.values, truth)])
-    return errs, sum(kind in FAILURES for kind in pred.status)
+    return _row_norms(pred.values - truth), sum(kind in FAILURES for kind in pred.status)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a ``(Q, d)`` array, NaN where the
+    row holds one.  Each is the square root of the row's own dot product,
+    one ``ddot``, as :func:`numpy.linalg.norm` takes on that row alone, so
+    it has that norm's bits; a norm along an axis may round differently."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def _aggregate(ns, rows: list[ReplicateRow]) -> list[SummaryRow]:

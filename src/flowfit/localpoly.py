@@ -287,17 +287,20 @@ SOLVE_BLOCK = 4096
 
 class _Block(NamedTuple):
     """One padded block of fits: row ``r`` fits the point ``rows[r]`` from the
-    ``m`` points ``idx[r, :m]`` of a run ``(a, b, m)`` with ``a <= r < b``."""
+    ``m`` points ``idx[r, :m]`` of a run ``(a, b, m)`` with ``a <= r < b``.
+
+    The first six fields are all that the target half reads; the last
+    three, which only :func:`lp_weights` reads, are None in a plan."""
 
     rows: np.ndarray  # (R,) stack positions, longest balls first
     idx: np.ndarray  # (R, width) in-ball indices into the design
-    psi: np.ndarray  # (R, width, N) basis rows of the scaled differences
-    kvals: np.ndarray  # (R, width) kernel values
     weighted: np.ndarray  # (R, N, width) psi^T K times the weight scale
     runs: list[tuple[int, int, int]]
-    eigmin: np.ndarray  # (R,) smallest eigenvalue of each B(x)
     held: np.ndarray  # (R,) B(x) passes the floor test
     inv: np.ndarray  # B(x)^{-1} of the held rows
+    psi: np.ndarray | None = None  # (R, width, N) basis rows of the scaled differences
+    kvals: np.ndarray | None = None  # (R, width) kernel values
+    eigmin: np.ndarray | None = None  # (R,) smallest eigenvalue of each B(x)
 
 
 def _block_solves(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
@@ -337,7 +340,7 @@ def _block_solves(x: np.ndarray, data: RegressionData, fit: LocalPolyFit):
         held = eigvals[:, 0] > 1e-10 * np.trace(bmat, axis1=1, axis2=2) / basis
         kept, vecs = eigvals[held], eigvecs[held]
         inv = vecs @ (vecs / kept[:, None, :]).transpose(0, 2, 1)
-        yield _Block(rows, idx, psi, kvals, weighted, runs, eigvals[:, 0], held, inv)
+        yield _Block(rows, idx, weighted, runs, held, inv, psi, kvals, eigvals[:, 0])
 
 
 def lp_weights(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> np.ndarray:
@@ -406,15 +409,17 @@ def _check_stack(x: np.ndarray, data: RegressionData, name: str) -> np.ndarray:
 def lp_plan(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> tuple[_Block, ...]:
     """The design half of the local fits at a ``(Q, d)`` stack of points.
 
-    These are the block solves (`_block_solves`) of the stack: the in-ball
-    indices, the kernel-weighted basis and the inverse of each ``B(x)``.
-    They read the design points, the extent, the bandwidth and the degree
-    of `data` and `fit`, and never the targets.  So one plan serves every
-    dataset on the same design points, and :func:`lp_coefficients` and
+    These are the block solves (`_block_solves`) of the stack, without
+    the fields that only :func:`lp_weights` reads: the in-ball indices,
+    the kernel-weighted basis and the inverse of each ``B(x)``.  They read
+    the design points, the extent, the bandwidth and the degree of `data`
+    and `fit`, and never the targets.  So one plan serves every dataset
+    on the same design points, and :func:`lp_coefficients` and
     :func:`lp_estimate` on it give the bits of a fit without it.  `x` is
     checked as there.
     """
-    return tuple(_block_solves(_check_stack(x, data, "lp_plan"), data, fit))
+    return tuple(block._replace(psi=None, kvals=None, eigmin=None)
+                 for block in _block_solves(_check_stack(x, data, "lp_plan"), data, fit))
 
 
 def lp_coefficients(

@@ -132,8 +132,11 @@ class Model:
     ``plans`` is a dict shared by the fits of datasets on one design (the
     replicates of one sample size).  A stubble fit keeps there the design
     half of each horizon's local fits at each query stack, keyed by
-    ``(horizon, LocalPolyFit, the stack's bytes)``: the first fit makes
-    it and the others read it.  The snake fits ignore it.
+    ``(horizon, LocalPolyFit, the stack's bytes)``; a snake fit keeps
+    there the design of its curve: the design halves of the grid fits
+    near the ends and the interior filter's weights (see
+    :func:`~flowfit.snake.fit_curve`).  The first fit makes them and the
+    others read them.
     """
 
     family: Family
@@ -210,7 +213,7 @@ def _fit_stubble(cfg, ds, beta: int, plans: dict) -> Predictor:
 
 
 def _fit_snake_lip(cfg, ds, beta: int, plans: dict) -> Predictor:
-    curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth)
+    curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth, plans=plans)
 
     def estimate(queries):
         num = queries.shape[0]
@@ -221,7 +224,7 @@ def _fit_snake_lip(cfg, ds, beta: int, plans: dict) -> Predictor:
 
 
 def _fit_snake_gen(cfg, ds, beta: int, plans: dict) -> Predictor:
-    curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth)
+    curve = snake.fit_curve(ds, beta=beta, bandwidth=cfg.bandwidth, plans=plans)
 
     def estimate(x):
         result = snake.estimate_general(x, curve)

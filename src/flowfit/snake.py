@@ -32,6 +32,7 @@ from .localpoly import (
     RegressionData,
     SingularDesign,
     lp_coefficients,
+    lp_plan,
     lp_weights,
     monomial_basis,
     n_basis,
@@ -170,7 +171,8 @@ MAX_WIDENINGS = 8
 
 
 def _widened_fits(
-    times: np.ndarray, data: RegressionData, degree: int, bandwidth: float
+    times: np.ndarray, data: RegressionData, degree: int, bandwidth: float,
+    plans: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``(..., N, d)`` of the curve fit at each of `times`
     (one time or a stack), and the bandwidth ``(...)`` each one held at.
@@ -178,6 +180,10 @@ def _widened_fits(
     One stacked fit per bandwidth: the times whose design is singular are
     fitted again at `WIDEN_FACTOR` times the bandwidth, at most
     `MAX_WIDENINGS` bandwidths in all, after which SingularDesign is raised.
+    `plans`, if given, keeps the design half of each of these fits
+    (:func:`~flowfit.localpoly.lp_plan`) under ``("curve", fit, the bytes
+    of the times fitted)``, made on its first use and read by every later
+    one; the bits are the same either way.
     """
     shape = np.shape(times)
     stack = np.asarray(times, dtype=float).reshape(-1, 1)
@@ -186,7 +192,13 @@ def _widened_fits(
     rows = np.arange(stack.shape[0])
     h = bandwidth
     for _ in range(MAX_WIDENINGS):
-        coef, singular = lp_coefficients(stack[rows], data, LocalPolyFit(degree, h))
+        x, fit, plan = stack[rows], LocalPolyFit(degree, h), None
+        if plans is not None:
+            key = ("curve", fit, x.tobytes())
+            if key not in plans:
+                plans[key] = lp_plan(x, data, fit)
+            plan = plans[key]
+        coef, singular = lp_coefficients(x, data, fit, plan)
         theta[rows[~singular]] = coef[~singular]
         held[rows[~singular]] = h
         rows = rows[singular]
@@ -217,10 +229,29 @@ def _curve_bandwidth(ds: TrajectoryData, beta: int) -> float:
     return min(max(h, floor), ds.horizon)
 
 
+def _filter_weights(
+    t: np.ndarray, data: RegressionData, beta: int, bandwidth: float
+) -> tuple[list[float], np.ndarray]:
+    """The bandwidths tried for the interior filter, from `bandwidth` on,
+    and its weights: the fit's at the time ``t`` ``(1,)``, at the last
+    bandwidth tried, the first that holds there."""
+    # lp_weights raises SingularDesign on exactly the designs that `_widened_fits`
+    # widens, as both take localpoly's one block solve
+    tried = [bandwidth]
+    while True:
+        try:
+            return tried, lp_weights(t, data, LocalPolyFit(beta, tried[-1]))
+        except SingularDesign:
+            if len(tried) == MAX_WIDENINGS:
+                raise
+            tried.append(tried[-1] * WIDEN_FACTOR)
+
+
 def fit_curve(
     ds: TrajectoryData,
     beta: int,
     bandwidth: float | None = None,
+    plans: dict | None = None,
 ) -> CurveEstimate:
     """Reconstruct the path and its velocity from the observations of a
     dataset with one trajectory (K = 1; any other K is refused).
@@ -249,6 +280,14 @@ def fit_curve(
     observation, solved once, at the bandwidth that holds there.  The
     grid times within one bandwidth of an end are fitted in one stacked
     call.
+
+    `plans` is a store of the curve's design, shared by datasets on one
+    time grid (the replicates of one sample size), or None to solve it
+    here; the curve has the same bits either way.  It keeps the design
+    halves of the grid fits (see `_widened_fits`), and the filter's
+    weights with the bandwidths tried, under ``("filter",
+    LocalPolyFit(beta, bandwidth))``.  ``u`` and ``du`` never read it:
+    the times they fit depend on the data.
     """
     if ds.initials.shape[0] != 1:
         raise ValueError(f"fit_curve fits one trajectory, but the dataset has K = "
@@ -259,7 +298,9 @@ def fit_curve(
         raise ValueError(f"need at least beta + 2 = {beta + 2} observations")
     if bandwidth is None:
         bandwidth = _curve_bandwidth(ds, beta)
-    data = RegressionData(points=ds.times[:, None], targets=ds.states[0], extent=ds.horizon)
+    plans = {} if plans is None else plans  # without a store, one of this call's own
+    times = ds.times  # a property that builds the grid anew on each read
+    data = RegressionData(points=times[:, None], targets=ds.states[0], extent=ds.horizon)
 
     def u(t: float | np.ndarray) -> np.ndarray:
         return _widened_fits(t, data, beta, bandwidth)[0][..., 0, :]
@@ -270,25 +311,19 @@ def fit_curve(
 
     stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
     idx = np.append(np.arange(0, ds.n, stride), ds.n)
-    grid = ds.times[idx]
+    grid = times[idx]
     # the grid times within one bandwidth of an end are fitted first: the filter's
     # weights and columns, alive during a later fit, would raise the peak memory
     ends = (grid < bandwidth) | (grid > ds.horizon - bandwidth)
     states = np.empty((idx.size, ds.dim))
-    states[ends] = u(grid[ends])
+    states[ends] = _widened_fits(grid[ends], data, beta, bandwidth, plans)[0][:, 0, :]
     # the filter is the fit's weights at the middle observation, at the bandwidth
-    # that holds there: lp_weights raises SingularDesign on exactly the designs
-    # that `_widened_fits` widens, as both take localpoly's one block solve
+    # that holds there
     mid = ds.n // 2
-    tried = [bandwidth]
-    while True:
-        try:
-            weights = lp_weights(ds.times[mid:mid + 1], data, LocalPolyFit(beta, tried[-1]))
-            break
-        except SingularDesign:
-            if len(tried) == MAX_WIDENINGS:
-                raise
-            tried.append(tried[-1] * WIDEN_FACTOR)
+    key = ("filter", LocalPolyFit(beta, bandwidth))
+    if key not in plans:
+        plans[key] = _filter_weights(times[mid:mid + 1], data, beta, bandwidth)
+    tried, weights = plans[key]
     # where an offset k dt meets a bandwidth tried, rounding decides if a fit keeps that point
     tie = any(abs(round(b / ds.dt) * ds.dt - b) <= 1e-12 * (ds.horizon + b) for b in tried)
     held = tried[-1]
@@ -303,7 +338,7 @@ def fit_curve(
             states[inner, j] = rows @ weights[a:b]
     rest = ~inner & ~ends  # more times near the ends when the middle widened, all on a tie
     if rest.any():
-        states[rest] = u(grid[rest])
+        states[rest] = _widened_fits(grid[rest], data, beta, bandwidth, plans)[0][:, 0, :]
     return CurveEstimate(
         u=u, du=du, horizon=ds.horizon, degree=beta,
         grid_times=grid, grid_states=states, bandwidth=bandwidth,

@@ -23,6 +23,7 @@ from flowfit.harness import (
     ReplicateRow,
     UnsupportedCombination,
     _aggregate,
+    _row_norms,
     fit_rate,
     read_results_csv,
     reference_rate,
@@ -435,6 +436,18 @@ def test_nonfinite_estimate_counts_as_failure(monkeypatch, model):
     assert math.isfinite(row.error)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_row_norms_equal_the_norm_of_each_row_alone(d):
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(4000, d)) * 10.0 ** rng.uniform(-8, 3, size=(4000, 1))
+    rows[::37] = np.nan
+    rows[5::41, 0] = np.nan  # a row with a NaN among finite entries
+    want = np.array([np.linalg.norm(row) for row in rows])
+    got = _row_norms(rows)
+    assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(want).any()
+    assert np.array_equal(got[~np.isnan(want)], want[~np.isnan(want)])
+
+
 def test_singular_stacked_estimate_fails_every_query():
     def estimate(queries):  # as a stacked curve fit that no widening rescues
         raise SingularDesign(0.0, queries[:1])
@@ -510,9 +523,11 @@ def test_shared_flow_rows_equal_per_replicate_simulation(monkeypatch, model):
     assert rows == reference_rows(cfg)
 
 
-# grid queries draw nothing from the rng, so a one-replicate run at seed s + r
-# observes and queries what replicate r of a run at seed s does
+# grid and points queries draw nothing from the rng, so a one-replicate run at
+# seed s + r observes and queries what replicate r of a run at seed s does
 PLAN_REUSE_CONFIGS = {
+    "snake-lip": SHARED_FLOW_CONFIGS["snake-lip"],
+    "snake-gen": SHARED_FLOW_CONFIGS["snake-gen"],
     "stubble-lip": lambda: constant_config(
         field="cubic", d=1, ns=(16, 32, 64), sigma=0.1, replicates=3, dt_rule="balanced",
         queries=QuerySpec(kind="grid", per_dim=5, margin=0.2),
@@ -524,22 +539,55 @@ PLAN_REUSE_CONFIGS = {
 }
 
 
+def count_design_solves(monkeypatch, model: str) -> list:
+    """Record each `_block_solves` pass that solves a run's design: all of
+    them for the stubble models, and for the snake models those made inside
+    `snake.fit_curve` (the fits of ``u`` and ``du`` at the query-dependent
+    times come on top)."""
+    real, calls = localpoly._block_solves, []
+    counting = [MODELS[model].family.name == "stubble"]
+
+    def counted(*args):
+        if counting[0]:
+            calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(localpoly, "_block_solves", counted)
+    if not counting[0]:
+        fit_curve = snake.fit_curve
+
+        def counted_fit(*args, **kwargs):
+            counting[0] = True
+            try:
+                return fit_curve(*args, **kwargs)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(snake, "fit_curve", counted_fit)
+    return calls
+
+
 @pytest.mark.parametrize("model", sorted(PLAN_REUSE_CONFIGS))
 def test_replicates_share_one_design_solve_per_horizon(monkeypatch, tmp_path, model):
     cfg = PLAN_REUSE_CONFIGS[model]()
-    beta = cfg.effective_beta(make_field(cfg.field, cfg.d))
-    real, calls = localpoly._block_solves, []
-    monkeypatch.setattr(localpoly, "_block_solves", lambda *args: calls.append(1) or real(*args))
+    calls = count_design_solves(monkeypatch, model)
     shared = run_experiment(cfg)
-    # one design per sample size and horizon, whatever the replicate count
-    assert len(calls) == len(cfg.ns) * beta
+    solves = len(calls)
+    if MODELS[model].family.name == "stubble":  # one per sample size and horizon
+        assert solves == len(cfg.ns) * cfg.effective_beta(make_field(cfg.field, cfg.d))
 
     def csv_rows(result, name):
         write_results_csv(result, tmp_path / name)
         return [line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
 
-    alone = [csv_rows(run_experiment(dataclasses.replace(cfg, replicates=1, seed=cfg.seed + r)),
-                      f"alone{r}.csv") for r in range(cfg.replicates)]
+    alone = []
+    for r in range(cfg.replicates):
+        calls.clear()
+        alone.append(csv_rows(
+            run_experiment(dataclasses.replace(cfg, replicates=1, seed=cfg.seed + r)),
+            f"alone{r}.csv"))
+        # one design per sample size, whatever the replicate count
+        assert len(calls) == solves
     want = [[model, n, str(r), error, failures]
             for per_n in zip(*alone) for r, (model, n, _, error, failures) in enumerate(per_n)]
     assert csv_rows(shared, "shared.csv") == want

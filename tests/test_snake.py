@@ -259,6 +259,28 @@ def test_curve_fit_makes_few_eigendecompositions(n, most, monkeypatch):
     assert matrices == 1 + sum(curve.boundary(t) for t in curve.grid_times.tolist())
 
 
+@pytest.mark.parametrize("beta, reach", [(1, None), (3, None), (1, 0.9), (2, 0.7), (3, 1.5)])
+def test_curve_on_a_store_filled_by_another_replicate_has_the_same_bits(beta, reach):
+    n = 256
+    dt = 2 * math.pi / n
+    (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(n, dt)])
+    first, second = (observe_snake(ROT, path, dt, sigma=0.05, seed=seed) for seed in (3, 4))
+    bandwidth = None if reach is None else reach * dt
+    plans = {}
+    fit_curve(first, beta, bandwidth, plans)
+    made = set(plans)
+    shared = fit_curve(second, beta, bandwidth, plans)
+    alone = fit_curve(second, beta, bandwidth)
+    if reach is not None:  # a window at an end held at a widened bandwidth only
+        assert any(key[0] == "curve" and key[1].bandwidth > bandwidth for key in plans)
+    assert np.array_equal(shared.grid_states, alone.grid_states)
+    t = np.append(np.random.default_rng(beta).uniform(0.0, shared.horizon, 40),
+                  [0.0, shared.horizon])
+    assert np.array_equal(shared.u(t), alone.u(t))
+    assert np.array_equal(shared.du(t), alone.du(t))
+    assert set(plans) == made  # read by the second fit; u and du keep nothing there
+
+
 def test_nn_time_exact_at_grid_points():
     curve = circle_curve()
     for k in (0, 10, 31):
