@@ -35,7 +35,6 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 
 from .flow import (
     IntegrationError,
-    NoiseSpec,
     TrajectoryData,
     VectorField,
     increment,
@@ -82,7 +81,6 @@ __all__ = [
     "IntegrationError",
     "LocalPolyFit",
     "NoStencilFound",
-    "NoiseSpec",
     "QuerySpec",
     "RateReport",
     "RegressionData",

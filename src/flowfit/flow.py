@@ -6,9 +6,9 @@ machinery: declared vector fields with certified smoothness bounds, the
 flow ``U(f, x, t)``, ``t >= 0``, and the increment map ``Upsilon(f, dt,
 x) = U(f, x, dt) - x``, all read off one integrator
 (:func:`integrate_flow_grid`, an adaptive solve of a stacked system),
-reproducible observation noise, the one dataset type both sampling
-schemes observe (:class:`TrajectoryData`), and the one writer and one
-reader of its directory on disk.
+reproducible Gaussian observation noise (:func:`noise_draw`), the one
+dataset type both sampling schemes observe (:class:`TrajectoryData`),
+and the one writer and one reader of its directory on disk.
 
 The adaptive solve is the Dormand-Prince 5(4) pair with its quartic dense
 output (Dormand & Prince 1980; Shampine 1986; Hairer, Norsett & Wanner
@@ -37,7 +37,6 @@ import numpy.random  # noqa: F401  (numpy loads it lazily; every run draws noise
 
 __all__ = [
     "VectorField",
-    "NoiseSpec",
     "TrajectoryData",
     "IntegrationError",
     "integrate_flow",
@@ -140,25 +139,6 @@ class VectorField:
     def lip(self) -> float:
         """Lipschitz bound ``L_1``."""
         return self.derivative_bounds[1]
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Observation noise: centered, componentwise variance <= sigma^2.
-
-    ``uniform-bounded`` draws from ``U(-sigma*sqrt(3), sigma*sqrt(3))``
-    per component, which has variance exactly ``sigma^2``.
-    """
-
-    distribution: str = "gaussian"
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.distribution not in ("gaussian", "uniform-bounded", "none"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -416,20 +396,19 @@ def increment(field: VectorField, dt: float, x: Sequence[float] | np.ndarray) ->
     return integrate_flow(field, x, dt) - x
 
 
-def noise_draw(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
-    """The centered noise block of a whole dataset, from ``default_rng(spec.seed)``.
+def noise_draw(sigma: float, seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The Gaussian noise block of a whole dataset: componentwise
+    ``N(0, sigma^2)`` from ``default_rng(seed)``, zeros when ``sigma = 0``.
 
-    A pure function of ``(seed, shape)``, filled in C order, so it is
-    prefix-stable: a block is the leading rows of any longer block with
+    A pure function of ``(sigma, seed, shape)``, filled in C order, so it
+    is prefix-stable: a block is the leading rows of any longer block with
     the same trailing shape.
     """
-    if spec.distribution == "none" or spec.sigma == 0.0:
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, not {sigma!r}")
+    if sigma == 0.0:
         return np.zeros(shape)
-    rng = np.random.default_rng(spec.seed)
-    if spec.distribution == "gaussian":
-        return rng.normal(0.0, spec.sigma, size=shape)
-    half_width = spec.sigma * math.sqrt(3.0)
-    return rng.uniform(-half_width, half_width, size=shape)
+    return np.random.default_rng(seed).normal(0.0, sigma, size=shape)
 
 
 # ---------------------------------------------------------------------------

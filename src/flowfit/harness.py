@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stubble
-from .flow import IntegrationError, NoiseSpec, VectorField, make_field
+from .flow import IntegrationError, VectorField, make_field
 from .localpoly import SingularDesign
 from .models import FAILURES, MODELS
 
@@ -151,27 +151,27 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+_QUERY_KINDS = ("points", "grid", "tube")
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """Where the field estimate is evaluated.
 
-    kinds: ``points`` (explicit list), ``grid`` (uniform interior grid
-    with a margin), ``box`` (uniform random points in a box), ``tube``
-    (random points within ``delta`` of the true trajectory; available
-    in simulation only).
+    kinds: ``points`` (an explicit list), ``grid`` (a uniform interior
+    grid with a margin), ``tube`` (random points within ``delta`` of the
+    true trajectory; available in simulation only).
     """
 
     kind: str
     points: tuple = ()
     per_dim: int = 5
     margin: float = 0.1
-    lo: tuple = ()
-    hi: tuple = ()
     delta: float = 0.02
     count: int = 64
 
     def __post_init__(self) -> None:
-        if self.kind not in ("points", "grid", "box", "tube"):
+        if self.kind not in _QUERY_KINDS:
             raise ValueError(f"unknown query kind {self.kind!r}")
         if self.kind == "points" and len(self.points) == 0:
             raise ValueError("explicit query spec needs points")
@@ -182,29 +182,25 @@ class QuerySpec:
         if not 0 <= self.margin < 0.5:
             raise ValueError("margin must be in [0, 0.5)")
         for name, values in (("points", [v for p in self.points for v in p]),
-                             ("lo", self.lo), ("hi", self.hi), ("delta", [self.delta])):
+                             ("delta", [self.delta])):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"query {name} must be finite")
         if self.kind == "tube" and not self.delta > 0:
             raise ValueError(f"tube delta must be positive, not {self.delta!r}")
-        if self.kind == "box" and any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("box lo must not exceed hi in any coordinate")
 
     def check_dim(self, d: int) -> None:
-        """Raise ValueError unless explicit points and box bounds have dimension `d`."""
+        """Raise ValueError unless explicit points have dimension `d`."""
         if self.kind == "points" and any(len(p) != d for p in self.points):
             raise ValueError(f"query points must have dimension {d}")
-        if self.kind == "box" and not len(self.lo) == len(self.hi) == d:
-            raise ValueError(f"box bounds must have dimension {d}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuerySpec":
         data = dict(data)
+        # the kind first, so an unknown kind is named rather than the fields it brings
+        if data.get("kind") not in _QUERY_KINDS:
+            raise ValueError(f"unknown query kind {data.get('kind')!r}")
         if "points" in data:
             data["points"] = tuple(tuple(p) for p in data["points"])
-        for key in ("lo", "hi"):
-            if key in data:
-                data[key] = tuple(data[key])
         return cls(**data)
 
     def build(self, d: int, rng: np.random.Generator,
@@ -214,10 +210,6 @@ class QuerySpec:
             return np.array([list(p) for p in self.points], dtype=float)
         if self.kind == "grid":
             return stubble.default_query_points(d, self.per_dim, self.margin)
-        if self.kind == "box":
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
-            return lo + rng.uniform(size=(self.count, d)) * (hi - lo)
         if curve_points is None:
             raise ValueError("tube queries need the true trajectory")
         idx = rng.integers(0, curve_points.shape[0], size=self.count)
@@ -237,7 +229,7 @@ _TYPED_FIELDS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one rate experiment; its 16 fields are the
+    """Full description of one rate experiment; its 15 fields are the
     config keys, and :meth:`from_dict` refuses any other key.
 
     - ``model``, ``field``, ``d``: the estimator (a key of
@@ -246,7 +238,7 @@ class ExperimentConfig:
     - ``ns``: the strictly increasing grid of sample sizes (trajectory
       count for stubble models, observation count for snake models).
     - ``beta``: the smoothness order (None: the field's own).
-    - ``sigma``, ``noise``: the observation noise level and distribution.
+    - ``sigma``: the standard deviation of the Gaussian observation noise.
     - ``dt_rule``, ``dt_value``, ``horizon``: the step size per n, one of
       ``fixed`` (``dt_value``), ``balanced`` (``n^(-1/(2(beta+1)+d))``)
       or ``fixed-horizon`` (``horizon / n``).  The rule also picks the
@@ -267,7 +259,6 @@ class ExperimentConfig:
     d: int | None = None
     beta: int | None = None
     sigma: float = 0.0
-    noise: str = "gaussian"
     dt_rule: str = "balanced"
     dt_value: float | None = None
     horizon: float | None = None
@@ -308,7 +299,8 @@ class ExperimentConfig:
         # a tube follows the one trajectory that only x1-started models observe
         if self.queries is not None and self.queries.kind == "tube" and not family.needs_x1:
             raise ValueError(f"tube queries need a single-trajectory model, not {self.model}")
-        NoiseSpec(distribution=self.noise, sigma=self.sigma)  # raises on a bad noise or sigma
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r}")
         for name in ("dt_value", "horizon", "bandwidth"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:

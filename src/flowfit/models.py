@@ -159,7 +159,7 @@ STUBBLE = Family(
         for n, dt in sizes
     ],
     observe=lambda cfg, fld, n, dt, paths, seed: stubble.observe_stubble(
-        fld, stubble_grid_size(n, fld.dim), paths, dt, cfg.sigma, seed, cfg.noise
+        fld, stubble_grid_size(n, fld.dim), paths, dt, cfg.sigma, seed
     ),
     record=lambda ds: {"beta": ds.n},
     initials=lambda meta: stubble.grid_initials(int(meta["n0"]), int(meta["dim"])),
@@ -180,7 +180,7 @@ SNAKE = Family(
     trajectory=lambda n, dt: n * dt,  # one path from x1 up to the horizon
     flow=lambda cfg, fld, beta, sizes: snake.flow_snake(fld, cfg.x1, sizes),
     observe=lambda cfg, fld, n, dt, paths, seed: snake.observe_snake(
-        fld, paths, dt, cfg.sigma, seed, cfg.noise
+        fld, paths, dt, cfg.sigma, seed
     ),
     # one trajectory's x1 is a point, as in the config; K of them a list of points
     record=lambda ds: {

@@ -23,8 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .flow import NoiseSpec, TrajectoryData, VectorField
-from .flow import integrate_flow_grid, noise_draw
+from .flow import TrajectoryData, VectorField, integrate_flow_grid, noise_draw
 from .interp import HULL_RTOL, SINGULAR_RTOL, Stencil, in_hull, interp_multivariate
 from .interp import min_norm_point, stability_norm
 from .localpoly import (
@@ -83,14 +82,14 @@ def flow_snake(
 
 def observe_snake(
     fld: VectorField, path: np.ndarray, dt: float,
-    sigma: float = 0.0, seed: int = 0, noise: str = "gaussian",
+    sigma: float = 0.0, seed: int = 0,
 ) -> TrajectoryData:
     """Observe the path of :func:`flow_snake` after time 0 with one
-    ``(1, n, d)`` noise block drawn from `seed` (see
+    ``(1, n, d)`` Gaussian noise block drawn from `seed` (see
     :func:`~flowfit.flow.noise_draw`)."""
     obs = np.swapaxes(path[1:], 0, 1)  # (1, n, d)
-    obs = obs + noise_draw(NoiseSpec(distribution=noise, sigma=sigma, seed=seed), obs.shape)
-    meta = dict(field=fld.name, dim=fld.dim, n=obs.shape[1], sigma=sigma, noise=noise,
+    obs = obs + noise_draw(sigma, seed, obs.shape)
+    meta = dict(field=fld.name, dim=fld.dim, n=obs.shape[1], sigma=sigma,
                 seed=seed, lip=fld.lip, smoothness=fld.smoothness,
                 deriv_bounds=[float(b) for b in fld.derivative_bounds])
     return TrajectoryData(path[0], dt, obs, meta)
@@ -659,7 +658,7 @@ def select_stencil(
     pool_times = curve.grid_times[idx]
     pool = pool_states.shape[0]
     if pool < num:
-        raise NoStencilFound(f"only {pool} candidate curve points near x={x}")
+        raise NoStencilFound(f"only {pool} candidate curve points near x={x.tolist()}")
 
     rel = pool_states - x
     dists = np.linalg.norm(rel, axis=1)
@@ -676,7 +675,8 @@ def select_stencil(
 
     z = min_norm_point(rel, stop=clears) @ rel
     if clears(rel @ z, z):
-        raise NoStencilFound(f"x={x} is outside the convex hull of its {pool} candidate points")
+        raise NoStencilFound(
+            f"x={x.tolist()} is outside the convex hull of its {pool} candidate points")
 
     far = [order[0]]  # farthest-point traversal from the nearest point
     mind = np.full(pool, np.inf)
@@ -733,7 +733,7 @@ def select_stencil(
     admissible = (violation == 0) & (stability <= 2 * cfg.s)
     if not admissible.any():
         raise NoStencilFound(
-            f"no admissible stencil among {len(subsets)} scored subsets near x={x}"
+            f"no admissible stencil among {len(subsets)} scored subsets near x={x.tolist()}"
         )
     # the smallest objective, ties to the smallest indices
     subsets = subsets[admissible]

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import NoiseSpec, TrajectoryData, VectorField
-from .flow import integrate_flow_grid, noise_draw
+from .flow import TrajectoryData, VectorField, integrate_flow_grid, noise_draw
 from .localpoly import LocalPolyFit, RegressionData, lp_estimate, lp_plan, optimal_bandwidth
 
 __all__ = [
@@ -69,14 +68,14 @@ def flow_stubble(fld: VectorField, n0: int, dt: float, beta: int) -> np.ndarray:
 
 def observe_stubble(
     fld: VectorField, n0: int, states: np.ndarray, dt: float,
-    sigma: float = 0.0, seed: int = 0, noise: str = "gaussian",
+    sigma: float = 0.0, seed: int = 0,
 ) -> TrajectoryData:
     """Observe the flow of :func:`flow_stubble` after time 0 with one
-    ``(m, beta, d)`` noise block drawn from `seed` (see
+    ``(m, beta, d)`` Gaussian noise block drawn from `seed` (see
     :func:`~flowfit.flow.noise_draw`)."""
     obs = np.swapaxes(states[1:], 0, 1)  # (m, beta, d)
-    obs = obs + noise_draw(NoiseSpec(distribution=noise, sigma=sigma, seed=seed), obs.shape)
-    meta = dict(field=fld.name, dim=fld.dim, n0=n0, sigma=sigma, noise=noise, seed=seed,
+    obs = obs + noise_draw(sigma, seed, obs.shape)
+    meta = dict(field=fld.name, dim=fld.dim, n0=n0, sigma=sigma, seed=seed,
                 lip=fld.lip, smoothness=fld.smoothness,
                 deriv_bounds=[float(b) for b in fld.derivative_bounds])
     return TrajectoryData(states[0], dt, obs, meta)

@@ -98,7 +98,7 @@ def test_bad_override_exits(stubble_config, tmp_path):
     ("field=nope", "unknown field 'nope'"),
     ('queries={"kind": "points", "points": [[0.5, 0.5, 0.5]]}',
      "query points must have dimension 2"),
-    ('queries={"kind": "box", "lo": [0], "hi": [1]}', "box bounds must have dimension 2"),
+    ('queries={"kind": "box", "lo": [0], "hi": [1]}', "config refused: unknown query kind 'box'"),
     ('queries={"kind": "grid", "margin": 0.5}', "margin must be in [0, 0.5)"),
     ('queries={"kind": "grid", "per_dim": 0}', "per_dim must be a positive integer"),
     pytest.param(("field=rotation", "d=3"), "field 'rotation' has fixed dimension 2",
@@ -138,6 +138,8 @@ def test_overflowing_time_grid_is_refused_with_one_line(command, snake_config, t
 @pytest.mark.parametrize("override", [
     "dt_power=0.5", "dt_coeff=2.0", "bandwidth_constant=2.0", "kernel=uniform",
     "fallback=false", 'stencil={"s": 10.0}', "regime=fixed-horizon",
+    # the noise is Gaussian, with standard deviation sigma, and has no law to name
+    "noise=gaussian", "noise=none", "noise=uniform-bounded",
 ])
 def test_removed_config_keys_are_refused(override, stubble_config, tmp_path):
     with pytest.raises(SystemExit) as refused:
@@ -584,6 +586,29 @@ def test_estimate_agrees_with_benchmark(model, tmp_path):
     (first,) = [r for r in results if r.n == settings["ns"][0] and r.replicate == 0]
     assert first.failures == 0
     assert repr(error) == repr(first.error)
+
+
+@pytest.mark.parametrize("model", sorted(AGREEMENT))
+def test_dataset_naming_its_noise_law_estimates_the_same(model, tmp_path):
+    # datasets written while the config named a noise law carry it in meta.json
+    settings, points = AGREEMENT[model]
+    cfg = {"model": model, "sigma": 0.05, "replicates": 1, "seed": 7,
+           "queries": {"kind": "points", "points": points}, **settings}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    new, old = tmp_path / "new", tmp_path / "old"
+    main(["simulate", "--config", str(path), "--out", str(new)])
+    main(["simulate", "--config", str(path), "--out", str(old)])
+    meta = json.loads((old / "meta.json").read_text())
+    assert "noise" not in meta
+    meta["noise"] = "gaussian"
+    (old / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    for data in (new, old):
+        main(["estimate", "--config", str(path), "--data", str(data),
+              "--out", str(tmp_path / f"{data.name}.csv")])
+    estimates = (tmp_path / "new.csv").read_bytes()
+    assert estimates == (tmp_path / "old.csv").read_bytes()
+    assert estimates.count(b"\n") == len(points) + 1
 
 
 def test_script_configs_load():

@@ -17,7 +17,6 @@ from flowfit.flow import (
     BUILTIN_FIELDS,
     REL_TOL,
     IntegrationError,
-    NoiseSpec,
     TrajectoryData,
     VectorField,
     _first_offender,
@@ -261,87 +260,75 @@ def test_step_budget_counts_steps_between_output_times(monkeypatch):
     assert np.array_equal(integrate_flow_grid(ROT, [[1.0, 0.0]], [sparse])[0], want[0])
 
 
-def observe(spec, times):
+def observe(sigma, seed, times):
     """States of the rotation orbit from (1, 0) after time 0, and their noisy copies."""
     states = integrate_flow_grid(ROT, [[1.0, 0.0]], [times])[0][1:, 0]
-    return states, states + noise_draw(spec, states.shape)
-
-
-def test_none_noise_returns_states():
-    # "none" draws zeros whatever sigma says
-    states, noisy = observe(NoiseSpec("none", 0.3, seed=0), [0.0, 0.1, 0.2])
-    assert np.array_equal(noisy, states)
+    return states, states + noise_draw(sigma, seed, states.shape)
 
 
 def test_zero_sigma_gaussian_returns_states():
-    states, noisy = observe(NoiseSpec("gaussian", 0.0, seed=5), [0.0, 0.1, 0.2])
+    states, noisy = observe(0.0, 5, [0.0, 0.1, 0.2])
     assert np.array_equal(noisy, states)
 
 
 def test_noise_is_reproducible():
-    spec = NoiseSpec("gaussian", 0.3, seed=11)
-    a = noise_draw(spec, (4, 2, 3))
-    b = noise_draw(spec, (4, 2, 3))
-    c = noise_draw(dataclasses.replace(spec, seed=12), (4, 2, 3))
+    a = noise_draw(0.3, 11, (4, 2, 3))
+    b = noise_draw(0.3, 11, (4, 2, 3))
+    c = noise_draw(0.3, 12, (4, 2, 3))
     assert a.shape == (4, 2, 3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # one normal draw from default_rng(seed), as the saved datasets were drawn
+    assert np.array_equal(a, np.random.default_rng(11).normal(0.0, 0.3, size=(4, 2, 3)))
 
 
-@pytest.mark.parametrize("distribution", ["gaussian", "uniform-bounded"])
-def test_noise_block_is_prefix_stable(distribution):
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_noise_refuses_a_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        noise_draw(sigma, 0, (3, 2))
+
+
+def test_noise_block_is_prefix_stable():
     # a block is the leading rows of any longer block with the same trailing shape
-    spec = NoiseSpec(distribution, 0.3, seed=11)
-    short = noise_draw(spec, (5, 3, 2))
-    long = noise_draw(spec, (9, 3, 2))
+    short = noise_draw(0.3, 11, (5, 3, 2))
+    long = noise_draw(0.3, 11, (9, 3, 2))
     assert np.array_equal(short, long[:5])
-    assert np.array_equal(noise_draw(spec, (7, 2)), noise_draw(spec, (12, 2))[:7])
+    assert np.array_equal(noise_draw(0.3, 11, (7, 2)), noise_draw(0.3, 11, (12, 2))[:7])
 
 
 def test_gaussian_noise_variance():
     # law of large numbers: empirical per-component variance near sigma^2
-    spec = NoiseSpec("gaussian", 1.0, seed=42)
-    draws = noise_draw(spec, (50_000, 2))
+    draws = noise_draw(1.0, 42, (50_000, 2))
     var = draws.var(axis=0)
     assert draws.shape == (50_000, 2)
     assert np.all(var >= 0.98) and np.all(var <= 1.02)
 
 
-def test_uniform_noise_bounded_and_centered():
-    sigma = 0.4
-    spec = NoiseSpec("uniform-bounded", sigma, seed=1)
-    draws = noise_draw(spec, (20_000, 2))
-    assert np.abs(draws).max() <= sigma * math.sqrt(3.0) + 1e-12
-    assert np.abs(draws.mean(axis=0)).max() <= 0.02
-    assert np.all(draws.var(axis=0) <= sigma**2 * 1.02)
-
-
 def test_one_noise_draw_per_dataset(monkeypatch):
     calls = []
 
-    def counting(spec, *args):
-        calls.append(args)
-        return noise_draw(spec, *args)
+    def counting(sigma, seed, shape):
+        calls.append((sigma, seed, shape))
+        return noise_draw(sigma, seed, shape)
 
     monkeypatch.setattr("flowfit.stubble.noise_draw", counting)
     monkeypatch.setattr("flowfit.snake.noise_draw", counting)
     states = flow_stubble(ROT, 4, 0.1, beta=2)
     ds = observe_stubble(ROT, 4, states, 0.1, sigma=0.1, seed=3)
-    assert calls == [(ds.observations.shape,)] == [((16, 2, 2),)]
+    assert calls == [(0.1, 3, ds.observations.shape)] == [(0.1, 3, (16, 2, 2))]
     calls.clear()
     (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(32, 0.1)])
     ds = observe_snake(ROT, path, 0.1, sigma=0.1, seed=3)
-    assert calls == [(ds.observations.shape,)] == [((1, 32, 2),)]
+    assert calls == [(0.1, 3, ds.observations.shape)] == [(0.1, 3, (1, 32, 2))]
 
 
-@pytest.mark.parametrize("sigma, noise", [(0.0, "gaussian"), (0.3, "none")])
-def test_noiseless_datasets_are_the_flow(sigma, noise):
+def test_noiseless_datasets_are_the_flow():
     states = flow_stubble(ROT, 3, 0.1, beta=2)
-    stub = observe_stubble(ROT, 3, states, 0.1, sigma=sigma, seed=4, noise=noise)
+    stub = observe_stubble(ROT, 3, states, 0.1, sigma=0.0, seed=4)
     (flow,) = integrate_flow_grid(ROT, stub.initials, [[0.0, 0.1, 0.2]])
     assert np.array_equal(stub.observations, np.transpose(flow[1:], (1, 0, 2)))
     (path,) = flow_snake(ROT, np.array([1.0, 0.0]), [(16, 0.1)])
-    snk = observe_snake(ROT, path, 0.1, sigma=sigma, noise=noise)
+    snk = observe_snake(ROT, path, 0.1, sigma=0.0)
     (flow,) = integrate_flow_grid(ROT, [[1.0, 0.0]], [0.1 * np.arange(17)])
     assert np.array_equal(snk.observations, np.transpose(flow[1:], (1, 0, 2)))
 

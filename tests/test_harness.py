@@ -285,7 +285,7 @@ def from_json(make):
     "make, overrides",
     [
         (constant_config, dict(sigma=-0.1)),
-        (constant_config, dict(noise="laplace")),
+        (from_json(constant_config), dict(noise="laplace")),
         (constant_config, dict(dt_value=-0.05)),
         (constant_config, dict(beta=0)),
         (snake_config, dict(horizon=-1.0)),
@@ -301,6 +301,7 @@ def from_json(make):
         (constant_config, dict(queries=QuerySpec(kind="tube"), x1=(0.5, 0.5))),
         (from_json(constant_config),
          dict(queries={"kind": "points", "points": [[0.5, 0.5, 0.5]]})),
+        # a fixed point set is a points query; a box query is refused as an unknown kind
         (from_json(constant_config), dict(queries={"kind": "box", "lo": [0.0], "hi": [1.0]})),
         (from_json(constant_config), dict(queries={"kind": "grid", "margin": 0.5})),
         (from_json(constant_config), dict(queries={"kind": "grid", "per_dim": 0})),
@@ -308,15 +309,9 @@ def from_json(make):
         (from_json(snake_config), dict(queries={"kind": "tube", "count": 2.5})),
         (from_json(constant_config),
          dict(queries={"kind": "points", "points": [[math.nan, 0.5], [0.5, 0.5]]})),
-        (from_json(constant_config),
-         dict(queries={"kind": "box", "lo": [0.0, -math.inf], "hi": [1.0, 1.0]})),
-        (from_json(constant_config),
-         dict(queries={"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, math.nan]})),
         (from_json(snake_config), dict(queries={"kind": "tube", "delta": math.inf})),
         (from_json(snake_config), dict(queries={"kind": "tube", "delta": -0.5})),
         (from_json(snake_config), dict(queries={"kind": "tube", "delta": 0.0})),
-        (from_json(constant_config),
-         dict(queries={"kind": "box", "lo": [0.0, 0.6], "hi": [1.0, 0.4]})),
         # a NaN or infinite noise level or initial state would fail mid-experiment
         (constant_config, dict(sigma=math.nan)),
         (constant_config, dict(sigma=math.inf)),
@@ -341,10 +336,10 @@ def from_json(make):
     ],
     ids=["sigma", "noise", "dt_value", "beta", "horizon", "horizon-inf", "horizon-nan",
          "dt_value-inf", "dt_value-overflow", "x1", "seed", "stubble-tube",
-         "stubble-tube-x1", "points-dimension", "box-dimension", "grid-margin",
-         "grid-per-dim", "grid-per-dim-float", "tube-count-float", "points-nan", "box-lo-inf",
-         "box-hi-nan", "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",
-         "box-lo-above-hi", "sigma-nan", "sigma-inf", "x1-nan", "x1-inf",
+         "stubble-tube-x1", "points-dimension", "box", "grid-margin",
+         "grid-per-dim", "grid-per-dim-float", "tube-count-float", "points-nan",
+         "tube-delta-inf", "tube-delta-negative", "tube-delta-zero",
+         "sigma-nan", "sigma-inf", "x1-nan", "x1-inf",
          "rate-tolerance-negative", "rate-tolerance-nan", "rate-tolerance-inf",
          "bandwidth-negative", "bandwidth-nan", "bandwidth-inf", "ns-zero", "ns-one", "ns-negative",
          "snake-ns-zero", "snake-ns-below-beta-plus-2", "snake-gen-ns-below-beta-plus-2"],
@@ -395,9 +390,6 @@ def test_query_specs_build():
     rng = np.random.default_rng(0)
     grid = QuerySpec(kind="grid", per_dim=3, margin=0.2).build(2, rng)
     assert grid.shape == (9, 2)
-    box = QuerySpec(kind="box", lo=(0.0, 0.0), hi=(1.0, 2.0), count=5).build(2, rng)
-    assert box.shape == (5, 2)
-    assert box[:, 1].max() <= 2.0
     pts = QuerySpec(kind="points", points=((0.1, 0.2), (0.3, 0.4))).build(2, rng)
     assert np.array_equal(pts, np.array([[0.1, 0.2], [0.3, 0.4]]))
     curve = np.array([[math.cos(t), math.sin(t)] for t in np.linspace(0, 6, 100)])
@@ -469,7 +461,7 @@ def reference_rows(cfg: ExperimentConfig) -> tuple[ReplicateRow, ...]:
         queries = cfg.queries.build(fld.dim, np.random.default_rng([cfg.seed, 24301, n]))
         truth = fld(queries)
         for r in range(cfg.replicates):
-            noise = dict(sigma=cfg.sigma, seed=cfg.seed + r, noise=cfg.noise)
+            noise = dict(sigma=cfg.sigma, seed=cfg.seed + r)
             if spec.family.name == "snake":
                 (path,) = snake.flow_snake(fld, cfg.x1, [(n, dt)])
                 ds = snake.observe_snake(fld, path, dt, **noise)
