@@ -237,7 +237,8 @@ class ExperimentConfig:
       dimension-generic fields, its dimension.
     - ``ns``: the strictly increasing grid of sample sizes (trajectory
       count for stubble models, observation count for snake models).
-    - ``beta``: the smoothness order (None: the field's own).
+    - ``beta``: the smoothness order, at most the field's own (None: the
+      field's own).
     - ``sigma``: the standard deviation of the Gaussian observation noise.
     - ``dt_rule``, ``dt_value``, ``horizon``: the step size per n, one of
       ``fixed`` (``dt_value``), ``balanced`` (``n^(-1/(2(beta+1)+d))``)
@@ -314,6 +315,9 @@ class ExperimentConfig:
             fld = make_field(self.field, self.d)  # raises on a dimension the field lacks
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
+        if self.beta is not None and self.beta > fld.smoothness:
+            raise ValueError(f"beta {self.beta} is above the smoothness {fld.smoothness} "
+                             f"of the field {self.field!r}")
         if self.x1 is not None and len(self.x1) != fld.dim:
             raise ValueError(f"x1 must have the dimension of the field {self.field!r}")
         if self.x1 is not None and not all(math.isfinite(v) for v in self.x1):

@@ -30,14 +30,14 @@ and any other design is tested at every point (`_balls`).  A stack of
 query points is fitted in padded blocks, with one batched
 eigendecomposition of ``B(x)`` per block (`_block_solves`), and every
 point gets the bits of its fit alone.  A fit splits into a design half
-and a target half.  The design half reads no targets: :func:`lp_plan`
-keeps it, so datasets that share their design points, bandwidth and
-query stack and differ only in their targets share one plan.  The
-target half, :func:`lp_coefficients`, multiplies the inverses into the
-kernel-weighted sums of the targets, on a plan or on blocks solved as it
-goes; :func:`lp_weights` is a stack of one, spread over the design; and
-:func:`lp_estimate` reads ``D_v g`` off the coefficients, with no weight
-vector over the whole design.
+and a target half.  The design half reads no targets, so datasets that
+share their design points and differ only in their targets can share
+it: :func:`lp_coefficients` and :func:`lp_estimate` keep it in a store
+that the caller passes, keyed by the fit's degree and bandwidth and the
+bytes of the query stack.  The target half multiplies the inverses into
+the kernel-weighted sums of the targets; :func:`lp_weights` is a stack
+of one, spread over the design; and :func:`lp_estimate` reads ``D_v g``
+off the coefficients, with no weight vector over the whole design.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "lp_weights",
     "lp_estimate",
     "lp_coefficients",
-    "lp_plan",
     "optimal_bandwidth",
 ]
 
@@ -290,7 +289,8 @@ class _Block(NamedTuple):
     ``m`` points ``idx[r, :m]`` of a run ``(a, b, m)`` with ``a <= r < b``.
 
     The first six fields are all that the target half reads; the last
-    three, which only :func:`lp_weights` reads, are None in a plan."""
+    three, which only :func:`lp_weights` reads, are None in a stored
+    design half (`_design_half`)."""
 
     rows: np.ndarray  # (R,) stack positions, longest balls first
     idx: np.ndarray  # (R, width) in-ball indices into the design
@@ -377,19 +377,18 @@ def lp_weights(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> np.nda
 
 
 def lp_estimate(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit,
-    plan: Sequence[_Block] | None = None,
+    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, plans: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise estimates of ``D_v g`` at a ``(Q, d)`` stack of points.
 
     Returns ``(values, singular)``: the ``(Q, dy)`` estimates, NaN in the
     rows whose design is singular, and those rows ``(Q,)``.  Each value is
     ``Dpsi(0) . theta / h^s`` read off the coefficients of
-    :func:`lp_coefficients` (on `plan`, if given), so it gets the bits of
-    its point estimated alone; it equals ``sum_i w_i(x) Y_i`` with the
+    :func:`lp_coefficients` (with the store `plans`), so it gets the bits
+    of its point estimated alone; it equals ``sum_i w_i(x) Y_i`` with the
     :func:`lp_weights` up to rounding.
     """
-    theta, singular = lp_coefficients(x, data, fit, plan)
+    theta, singular = lp_coefficients(x, data, fit, plans)
     read = deriv_basis_at_zero(data.dim, fit.degree, [np.asarray(v) for v in fit.directions])
     values = None
     for k in np.flatnonzero(read):  # one column at a time: the same bits in any stack
@@ -398,33 +397,21 @@ def lp_estimate(
     return values / fit.bandwidth ** fit.deriv_order, singular
 
 
-def _check_stack(x: np.ndarray, data: RegressionData, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != data.dim:
-        raise ValueError(
-            f"{name} takes a (Q, {data.dim}) stack of points, not shape {x.shape}")
-    return x
-
-
-def lp_plan(x: np.ndarray, data: RegressionData, fit: LocalPolyFit) -> tuple[_Block, ...]:
-    """The design half of the local fits at a ``(Q, d)`` stack of points.
-
-    These are the block solves (`_block_solves`) of the stack, without
-    the fields that only :func:`lp_weights` reads: the in-ball indices,
-    the kernel-weighted basis and the inverse of each ``B(x)``.  They read
-    the design points, the extent, the bandwidth and the degree of `data`
-    and `fit`, and never the targets.  So one plan serves every dataset
-    on the same design points, and :func:`lp_coefficients` and
-    :func:`lp_estimate` on it give the bits of a fit without it.  `x` is
-    checked as there.
-    """
-    return tuple(block._replace(psi=None, kvals=None, eigmin=None)
-                 for block in _block_solves(_check_stack(x, data, "lp_plan"), data, fit))
+def _design_half(x: np.ndarray, data: RegressionData, fit: LocalPolyFit, plans: dict | None):
+    """The block solves of the stack `x`; with a store, the design half (the
+    solves without what only :func:`lp_weights` reads) kept in `plans` under
+    ``(degree, bandwidth, the bytes of x)``, made on its first use."""
+    if plans is None:
+        return _block_solves(x, data, fit)
+    key = (fit.degree, fit.bandwidth, x.tobytes())
+    if key not in plans:
+        plans[key] = tuple(block._replace(psi=None, kvals=None, eigmin=None)
+                           for block in _block_solves(x, data, fit))
+    return plans[key]
 
 
 def lp_coefficients(
-    x: np.ndarray, data: RegressionData, fit: LocalPolyFit,
-    plan: Sequence[_Block] | None = None,
+    x: np.ndarray, data: RegressionData, fit: LocalPolyFit, plans: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fitted coefficient blocks of the local fits at a stack of points.
 
@@ -441,14 +428,18 @@ def lp_coefficients(
     ``A(x)``, run once per run of equal in-ball counts on the unpadded
     rows.  So a row gets the bits of a fit of that point alone, however
     the stack is batched, and is singular exactly where `lp_weights` raises.
-    `plan` is the :func:`lp_plan` of `x` on the design points of `data`,
-    or None to solve each block as it is used.
+    `plans` is a store of design halves shared by the datasets on the
+    design points and extent of `data` (they read no targets), or None to
+    solve each block as it is used; the bits are the same either way.
     """
-    x = _check_stack(x, data, "lp_coefficients")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != data.dim:
+        raise ValueError(
+            f"lp_coefficients takes a (Q, {data.dim}) stack of points, not shape {x.shape}")
     shape = (n_basis(data.dim, fit.degree), data.targets.shape[1])
     theta = np.full((x.shape[0], *shape), np.nan)
     singular = np.ones(x.shape[0], dtype=bool)  # an empty ball is singular
-    for block in _block_solves(x, data, fit) if plan is None else plan:
+    for block in _design_half(x, data, fit, plans):
         singular[block.rows] = ~block.held
         avec = np.empty((block.rows.size, *shape))
         for a, b, m in block.runs:

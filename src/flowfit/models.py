@@ -131,12 +131,10 @@ class Model:
 
     ``plans`` is a dict shared by the fits of datasets on one design (the
     replicates of one sample size).  A stubble fit keeps there the design
-    half of each horizon's local fits at each query stack, keyed by
-    ``(horizon, LocalPolyFit, the stack's bytes)``; a snake fit keeps
-    there the design of its curve: the design halves of the grid fits
-    near the ends and the interior filter's weights (see
-    :func:`~flowfit.snake.fit_curve`).  The first fit makes them and the
-    others read them.
+    halves of its horizons' local fits (see
+    :func:`~flowfit.localpoly.lp_coefficients`); a snake fit keeps there
+    the design of its curve (see :func:`~flowfit.snake.fit_curve`).  The
+    first fit makes them and the others read them.
     """
 
     family: Family

@@ -31,7 +31,6 @@ from .localpoly import (
     RegressionData,
     SingularDesign,
     lp_coefficients,
-    lp_plan,
     lp_weights,
     monomial_basis,
     n_basis,
@@ -179,10 +178,9 @@ def _widened_fits(
     One stacked fit per bandwidth: the times whose design is singular are
     fitted again at `WIDEN_FACTOR` times the bandwidth, at most
     `MAX_WIDENINGS` bandwidths in all, after which SingularDesign is raised.
-    `plans`, if given, keeps the design half of each of these fits
-    (:func:`~flowfit.localpoly.lp_plan`) under ``("curve", fit, the bytes
-    of the times fitted)``, made on its first use and read by every later
-    one; the bits are the same either way.
+    `plans`, if given, keeps the design half of each of these fits (see
+    :func:`~flowfit.localpoly.lp_coefficients`); the bits are the same
+    either way.
     """
     shape = np.shape(times)
     stack = np.asarray(times, dtype=float).reshape(-1, 1)
@@ -191,13 +189,7 @@ def _widened_fits(
     rows = np.arange(stack.shape[0])
     h = bandwidth
     for _ in range(MAX_WIDENINGS):
-        x, fit, plan = stack[rows], LocalPolyFit(degree, h), None
-        if plans is not None:
-            key = ("curve", fit, x.tobytes())
-            if key not in plans:
-                plans[key] = lp_plan(x, data, fit)
-            plan = plans[key]
-        coef, singular = lp_coefficients(x, data, fit, plan)
+        coef, singular = lp_coefficients(stack[rows], data, LocalPolyFit(degree, h), plans)
         theta[rows[~singular]] = coef[~singular]
         held[rows[~singular]] = h
         rows = rows[singular]
@@ -277,8 +269,9 @@ def fit_curve(
     taps; it adds each time's terms in tap order.  A lone interior time
     is fitted instead.  The filter's weights are the fit's at the middle
     observation, solved once, at the bandwidth that holds there.  The
-    grid times within one bandwidth of an end are fitted in one stacked
-    call.
+    grid times that the filter does not cover (those within one bandwidth
+    of an end, and more when the middle widened) are fitted in one
+    stacked call.
 
     `plans` is a store of the curve's design, shared by datasets on one
     time grid (the replicates of one sample size), or None to solve it
@@ -311,11 +304,6 @@ def fit_curve(
     stride = max(1, math.floor(bandwidth / (GRID_PER_BANDWIDTH * ds.dt)))
     idx = np.append(np.arange(0, ds.n, stride), ds.n)
     grid = times[idx]
-    # the grid times within one bandwidth of an end are fitted first: the filter's
-    # weights and columns, alive during a later fit, would raise the peak memory
-    ends = (grid < bandwidth) | (grid > ds.horizon - bandwidth)
-    states = np.empty((idx.size, ds.dim))
-    states[ends] = _widened_fits(grid[ends], data, beta, bandwidth, plans)[0][:, 0, :]
     # the filter is the fit's weights at the middle observation, at the bandwidth
     # that holds there
     mid = ds.n // 2
@@ -328,6 +316,7 @@ def fit_curve(
     held = tried[-1]
     inner = (grid >= held) & (grid <= ds.horizon - held) & (not tie)
     inner &= inner.sum() > 1  # one row would make the product a BLAS dot, added in another order
+    states = np.empty((idx.size, ds.dim))
     if inner.any():
         lo, hi = idx[inner][[0, -1]] - mid
         a, b = np.flatnonzero(weights)[[0, -1]] + (0, 1)
@@ -335,9 +324,8 @@ def fit_curve(
         for j, col in enumerate(np.ascontiguousarray(data.targets.T)):
             rows = sliding_window_view(col, b - a)[lo + a:hi + a + 1:stride]
             states[inner, j] = rows @ weights[a:b]
-    rest = ~inner & ~ends  # more times near the ends when the middle widened, all on a tie
-    if rest.any():
-        states[rest] = _widened_fits(grid[rest], data, beta, bandwidth, plans)[0][:, 0, :]
+    # the times near the ends, more when the middle widened, all on a tie
+    states[~inner] = _widened_fits(grid[~inner], data, beta, bandwidth, plans)[0][:, 0, :]
     return CurveEstimate(
         u=u, du=du, horizon=ds.horizon, degree=beta,
         grid_times=grid, grid_states=states, bandwidth=bandwidth,

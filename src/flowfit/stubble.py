@@ -21,9 +21,9 @@ regression data and bandwidth of each horizon depend only on the
 dataset: :func:`horizon_regressions` sets them up once, and
 :func:`estimate_general` fits each horizon once for a whole stack of
 queries.  The design half of a fit (the initial grid, the bandwidth and
-the query stack) is the same for every replicate of one sample size, so
-:func:`estimate_general` can take it as a plan made once
-(:func:`~flowfit.localpoly.lp_plan`).
+the query stack) is the same for every replicate of one sample size and
+every horizon fitted at one bandwidth, so :func:`estimate_general` can
+pass a store that keeps it (see :mod:`flowfit.localpoly`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TrajectoryData, VectorField, integrate_flow_grid, noise_draw
-from .localpoly import LocalPolyFit, RegressionData, lp_estimate, lp_plan, optimal_bandwidth
+from .localpoly import LocalPolyFit, RegressionData, lp_estimate, optimal_bandwidth
 
 __all__ = [
     "HorizonRegressions",
@@ -167,23 +167,15 @@ def estimate_general(
     exactly the local constant fit of the first-horizon increments
     divided by ``dt``.
 
-    `plans` is a store of the design halves of the fits
-    (:func:`~flowfit.localpoly.lp_plan`), shared by datasets on one
-    initial grid, or None to solve the fits here; the values are the same
-    bits either way.  A horizon's plan is keyed by ``(horizon, fit, the
-    bytes of x)``, made on its first use and read by every later one.
+    `plans` is a store of the design halves of the fits, shared by
+    datasets on one initial grid, or None to solve the fits here; the
+    values are the same bits either way (see
+    :func:`~flowfit.localpoly.lp_coefficients`).
     """
     x = np.asarray(x, dtype=float)
     total, singular = None, np.zeros(x.shape[0], dtype=bool)
-    stack = x.tobytes()
-    for i, (w, data, fit) in enumerate(regressions.horizons, start=1):
-        plan = None
-        if plans is not None:
-            key = (i, fit, stack)
-            if key not in plans:
-                plans[key] = lp_plan(x, data, fit)
-            plan = plans[key]
-        values, failed = lp_estimate(x, data, fit, plan)
+    for w, data, fit in regressions.horizons:
+        values, failed = lp_estimate(x, data, fit, plans)
         term = w * values
         total = term if total is None else total + term
         singular |= failed

@@ -105,6 +105,10 @@ def test_bad_override_exits(stubble_config, tmp_path):
                  id="field=rotation,d=3"),
     pytest.param(("field=rotation", "d=2", "ns=[16,25,30]"), "sample size 30 is not a d-th power",
                  id="field=rotation,d=2,ns=[16,25,30]"),
+    # the field declares bounds L0..L3, which a beta = 4 fit would overread
+    pytest.param(("model=stubble-gen", "beta=4"),
+                 "config refused: beta 4 is above the smoothness 3 of the field 'constant'",
+                 id="model=stubble-gen,beta=4"),
 ])
 def test_refused_config_exits_with_one_line(command, override, field, stubble_config, tmp_path):
     args = [command, "--config", str(stubble_config), "--out", str(tmp_path / "out")]
@@ -260,14 +264,14 @@ def test_estimate_stubble(stubble_config, tmp_path):
 
 
 def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
-    # stubble-lip on a beta = 3 dataset: exactly the local constant fit of horizon 1
+    # stubble-lip on a beta = 2 dataset: exactly the local constant fit of horizon 1
     data = tmp_path / "data"
     main(["simulate", "--config", str(stubble_config), "--out", str(data),
-          "--set", "model=stubble-gen", "--set", "beta=3"])
+          "--set", "model=stubble-gen", "--set", "beta=2"])
     out = tmp_path / "estimates.csv"
     main(["estimate", "--config", str(stubble_config), "--data", str(data), "--out", str(out)])
     ds = load(data, "stubble-gen")
-    assert ds.n == 3
+    assert ds.n == 2
     fit = LocalPolyFit(degree=0, bandwidth=stubble._horizon_bandwidth(ds, 1, 1))
     reg = RegressionData(points=ds.initials, targets=ds.increments(1), extent=1.0)
     with open(out, newline="") as fh:
@@ -279,9 +283,9 @@ def test_estimate_reads_the_first_horizons(stubble_config, tmp_path):
         assert [row["fhat_1"], row["fhat_2"]] == [repr(float(v)) for v in want]
     # a model whose beta exceeds the dataset's horizons is refused
     refused = tmp_path / "refused.csv"
-    with pytest.raises(SystemExit, match="needs 4 horizons, but the dataset has 3"):
+    with pytest.raises(SystemExit, match="needs 3 horizons, but the dataset has 2"):
         main(["estimate", "--config", str(stubble_config), "--data", str(data),
-              "--out", str(refused), "--set", "model=stubble-gen", "--set", "beta=4"])
+              "--out", str(refused), "--set", "model=stubble-gen", "--set", "beta=3"])
     assert not refused.exists()
 
 

@@ -528,6 +528,9 @@ PLAN_REUSE_CONFIGS = {
         model="stubble-gen", field="pendulum", d=2, beta=2, ns=(64, 144, 256), sigma=0.05,
         replicates=3, dt_rule="balanced", queries=QuerySpec(kind="grid", per_dim=3),
     ),
+    # one bandwidth for both horizons: one design half per sample size
+    "stubble-gen-bandwidth": lambda: dataclasses.replace(
+        PLAN_REUSE_CONFIGS["stubble-gen"](), bandwidth=0.5),
 }
 
 
@@ -559,14 +562,23 @@ def count_design_solves(monkeypatch, model: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("model", sorted(PLAN_REUSE_CONFIGS))
-def test_replicates_share_one_design_solve_per_horizon(monkeypatch, tmp_path, model):
-    cfg = PLAN_REUSE_CONFIGS[model]()
-    calls = count_design_solves(monkeypatch, model)
+@pytest.mark.parametrize("case", sorted(PLAN_REUSE_CONFIGS))
+def test_replicates_share_one_design_solve_per_horizon(monkeypatch, tmp_path, case):
+    cfg = PLAN_REUSE_CONFIGS[case]()
+    calls = count_design_solves(monkeypatch, cfg.model)
+    # the distinct (initial grid size, fit) pairs of the run's horizons
+    real, fits = stubble.horizon_regressions, set()
+
+    def recorded(ds, *args):
+        regressions = real(ds, *args)
+        fits.update((ds.initials.shape[0], fit) for _, _, fit in regressions.horizons)
+        return regressions
+
+    monkeypatch.setattr(stubble, "horizon_regressions", recorded)
     shared = run_experiment(cfg)
     solves = len(calls)
-    if MODELS[model].family.name == "stubble":  # one per sample size and horizon
-        assert solves == len(cfg.ns) * cfg.effective_beta(make_field(cfg.field, cfg.d))
+    if MODELS[cfg.model].family.name == "stubble":  # one per sample size and distinct fit
+        assert solves == len(fits)
 
     def csv_rows(result, name):
         write_results_csv(result, tmp_path / name)

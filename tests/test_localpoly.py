@@ -18,7 +18,6 @@ from flowfit.localpoly import (
     epanechnikov,
     lp_coefficients,
     lp_estimate,
-    lp_plan,
     lp_weights,
     monomial_basis,
     multi_indices,
@@ -217,9 +216,10 @@ def test_coefficients_take_a_stack_of_points_of_the_data_dimension():
     ranged = RegressionData(points=np.sort(data.points, axis=0), targets=data.targets, extent=1.0)
     for design in (data, ranged):
         for times in (x, x[None, :, None], np.zeros((2, 2))):
-            for fn in (lp_coefficients, lp_estimate, lp_plan):
-                with pytest.raises(ValueError, match="stack"):
-                    fn(times, design, fit)
+            for fn in (lp_coefficients, lp_estimate):
+                for plans in (None, {}):
+                    with pytest.raises(ValueError, match="stack"):
+                        fn(times, design, fit, plans)
 
 
 def test_pointwise_bandwidth_closed_form():
@@ -437,9 +437,14 @@ def test_stacked_estimates_match_single_points_and_weights(
     x = rng.uniform(-0.2, 1.2, size=(num, d))
     values, singular = lp_estimate(x, data, fit)
     assert values.shape == (num, 2) and singular.shape == (num,)
-    # a plan reads no targets: made on other targets, it gives the same bits
+    # a design half reads no targets: stored by a fit on other targets, it gives
+    # the same bits
     other = RegressionData(points=pts, targets=rng.standard_normal((n, 2)), extent=1.0)
-    planned, flagged = lp_estimate(x, data, fit, lp_plan(x, other, fit))
+    plans = {}
+    lp_estimate(x, other, fit, plans)
+    assert len(plans) == 1
+    planned, flagged = lp_estimate(x, data, fit, plans)
+    assert len(plans) == 1
     assert np.array_equal(planned, values, equal_nan=True)
     assert np.array_equal(flagged, singular)
     dpsi0 = np.abs(deriv_basis_at_zero(d, degree, [np.asarray(v) for v in dirs]))

@@ -272,7 +272,8 @@ def test_curve_on_a_store_filled_by_another_replicate_has_the_same_bits(beta, re
     shared = fit_curve(second, beta, bandwidth, plans)
     alone = fit_curve(second, beta, bandwidth)
     if reach is not None:  # a window at an end held at a widened bandwidth only
-        assert any(key[0] == "curve" and key[1].bandwidth > bandwidth for key in plans)
+        # a design half's key is (degree, bandwidth, the bytes of the times)
+        assert any(key[0] == beta and key[1] > bandwidth for key in plans if len(key) == 3)
     assert np.array_equal(shared.grid_states, alone.grid_states)
     t = np.append(np.random.default_rng(beta).uniform(0.0, shared.horizon, 40),
                   [0.0, shared.horizon])
